@@ -2,7 +2,8 @@
 # Tier-1 verification: the gate every change must pass.
 #
 #   1. Regular build + full ctest suite (RelWithDebInfo, CMakePresets
-#      "default" preset).
+#      "default" preset), then the same under the "release" preset (-O3,
+#      where GCC's inliner exposes warnings -Werror must not trip on).
 #   2. ThreadSanitizer build of the concurrency-heavy binaries, running the
 #      observability (test_obs), simulated-MPI (test_mpsim), union-find
 #      (test_dsu), and service-layer (test_serve: concurrent sessions,
@@ -12,7 +13,8 @@
 #      (atomic_ref size counting), and the threads-over-mmap packed KmerGen
 #      scan.
 #   3. Address+UBSanitizer build running the fault-injection (test_faults),
-#      FASTQ parsing (test_fastq), packed-arena (test_packed_store), and
+#      FASTQ parsing (test_fastq), packed-arena (test_packed_store), index
+#      loading (test_indices: truncated and hostile index files), and
 #      exchange-compression (test_superkmer, test_bloom, the comm-compress
 #      differential grid) suites — the paths that do raw buffer arithmetic
 #      and deliberately corrupt / truncate input, including the super-k-mer
@@ -44,6 +46,11 @@ cmake --build --preset default "${JOBS}"
 
 echo "=== tier 1: full test suite ==="
 ctest --preset default "${JOBS}"
+
+echo "=== tier 1: Release (-O3) build + full test suite (-Werror at every build type) ==="
+cmake --preset release
+cmake --build --preset release "${JOBS}"
+ctest --preset release "${JOBS}"
 
 echo "=== tier 1: clang-tidy + clang -Wthread-safety capability proof (each skips when its tool is absent) ==="
 scripts/analyze.sh build
@@ -184,7 +191,7 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_serve
 echo "=== tier 1: ASan+UBSan build (test_faults + test_fastq + test_packed_store + compress legs) ==="
 cmake --preset asan
 cmake --build --preset asan "${JOBS}" --target test_faults test_fastq test_packed_store \
-  test_superkmer test_bloom test_differential
+  test_superkmer test_bloom test_differential test_indices
 
 echo "=== tier 1: ASan test_faults ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_faults
@@ -192,6 +199,8 @@ echo "=== tier 1: ASan test_fastq ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_fastq
 echo "=== tier 1: ASan test_packed_store (arena corruption + packed scan bounds) ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_packed_store
+echo "=== tier 1: ASan test_indices (truncated + hostile index fixtures) ==="
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_indices
 echo "=== tier 1: ASan exchange-compression (wire encode/decode + Bloom probe bounds) ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_superkmer
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_bloom

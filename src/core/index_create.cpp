@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "io/fastq.hpp"
 #include "kmer/scanner.hpp"
@@ -17,7 +18,7 @@ namespace {
 
 struct FileScan {
   std::vector<ChunkRecord> chunks;  // first_read_id is file-local here
-  std::uint32_t record_count = 0;
+  std::uint64_t record_count = 0;
 };
 
 /// Stream one FASTQ file, cutting chunks of ~target_bytes at record
@@ -42,7 +43,8 @@ FileScan chunk_file(const std::string& path, std::uint32_t file_index,
       current = ChunkRecord{};
       current.file = file_index;
       current.offset = end;
-      current.first_read_id = scan.record_count;
+      // Wraps only past 2^32 reads, which assign_read_ids rejects.
+      current.first_read_id = static_cast<std::uint32_t>(scan.record_count);
     }
     prev_offset = end;
   }
@@ -54,6 +56,25 @@ FileScan chunk_file(const std::string& path, std::uint32_t file_index,
 }
 
 }  // namespace
+
+ReadIdBases assign_read_ids(const std::vector<std::uint64_t>& record_counts, bool paired) {
+  ReadIdBases ids;
+  ids.base.assign(record_counts.size(), 0);
+  const std::size_t per_lib = paired ? 2 : 1;
+  std::uint64_t total = 0;
+  for (std::size_t f = 0; f < record_counts.size(); f += per_lib) {
+    for (std::size_t j = f; j < f + per_lib && j < record_counts.size(); ++j)
+      ids.base[j] = static_cast<std::uint32_t>(total);
+    total += record_counts[f];
+    if (total >= kInvalidRead) {
+      throw util::config_error("create_index: dataset has at least " + std::to_string(total) +
+                               " reads; 32-bit read IDs allow at most " +
+                               std::to_string(kInvalidRead - 1));
+    }
+  }
+  ids.total_reads = static_cast<std::uint32_t>(total);
+  return ids;
+}
 
 DatasetIndex create_index(const std::string& name, const std::vector<std::string>& files,
                           bool paired, const IndexCreateOptions& options,
@@ -88,28 +109,20 @@ DatasetIndex create_index(const std::string& name, const std::vector<std::string
     scans.push_back(chunk_file(files[f], f, target_bytes, options.parse_mode));
   }
 
-  // Assign global read-ID bases.  Paired: library j = files (2j, 2j+1), and
-  // both mates of pair i share ID base_j + i.  Single-end: IDs accumulate
-  // across files.
-  std::vector<std::uint32_t> id_base(files.size(), 0);
-  std::uint32_t total_reads = 0;
+  // Global read IDs: file-local IDs offset by each file's library base.
+  std::vector<std::uint64_t> record_counts(files.size(), 0);
+  for (std::size_t f = 0; f < files.size(); ++f) record_counts[f] = scans[f].record_count;
   if (paired) {
     for (std::size_t j = 0; j * 2 < files.size(); ++j) {
-      if (scans[2 * j].record_count != scans[2 * j + 1].record_count)
+      if (record_counts[2 * j] != record_counts[2 * j + 1])
         throw util::parse_error("create_index: paired files have different record counts: " +
                                     files[2 * j] + " vs " + files[2 * j + 1],
                                 files[2 * j + 1]);
-      id_base[2 * j] = total_reads;
-      id_base[2 * j + 1] = total_reads;
-      total_reads += scans[2 * j].record_count;
-    }
-  } else {
-    for (std::size_t f = 0; f < files.size(); ++f) {
-      id_base[f] = total_reads;
-      total_reads += scans[f].record_count;
     }
   }
-  index.total_reads = total_reads;
+  const ReadIdBases ids = assign_read_ids(record_counts, paired);
+  index.total_reads = ids.total_reads;
+  const std::vector<std::uint32_t>& id_base = ids.base;
 
   for (std::size_t f = 0; f < files.size(); ++f) {
     for (auto chunk : scans[f].chunks) {

@@ -46,6 +46,19 @@ struct IndexCreateTiming {
   double histogram_seconds = 0;  ///< Table 5 "merHist" column
 };
 
+/// Global read-ID bases assigned from per-file record counts.
+struct ReadIdBases {
+  std::vector<std::uint32_t> base;  ///< first global read ID of each file
+  std::uint32_t total_reads = 0;
+};
+
+/// Assign global read-ID bases.  Paired: library j = files (2j, 2j+1), both
+/// mates of pair i share ID base_j + i, and the library contributes
+/// @p record_counts[2j] IDs (the caller has checked the mates agree).
+/// Single-end: IDs accumulate across files.  Sums in 64 bits and throws a
+/// config util::Error once the total reaches kInvalidRead, which is reserved.
+ReadIdBases assign_read_ids(const std::vector<std::uint64_t>& record_counts, bool paired);
+
 /// Build the dataset index.  @p files lists FASTQ paths; when @p paired is
 /// true they must come in (R1, R2) pairs with equal record counts.
 /// @p timing_out, when non-null, receives the per-phase times.

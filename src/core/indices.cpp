@@ -61,11 +61,72 @@ void save_index(const DatasetIndex& index, const std::string& path) {
   w.close();  // surface a failed flush as a typed Error, not a logged one
 }
 
+namespace {
+
+/// On-disk size of one ChunkRecord (file, offset, size, first_read_id,
+/// record_count).
+constexpr std::size_t kChunkRecordBytes = 4 + 8 + 8 + 4 + 4;
+
+/// Reject a loaded index whose tables disagree with each other: the
+/// pipeline indexes files, histogram rows and read-ID arrays with these
+/// values unchecked.
+void validate_index(const DatasetIndex& index, const std::string& path) {
+  auto fail = [&](const std::string& what) {
+    throw util::parse_error("load_index: " + what, path);
+  };
+  const int m = index.part.m;
+  if (m < 1 || m > 15 || index.mer_hist.m != m) fail("m out of range or inconsistent");
+  const std::size_t nbins = std::size_t{1} << (2 * m);
+  if (index.mer_hist.counts.size() != nbins) fail("merHist size does not match 4^m");
+  // Overflow-safe form of histograms.size() == chunks.size() * nbins.
+  const std::size_t nchunks = index.part.chunks.size();
+  if (index.part.histograms.size() % nbins != 0 ||
+      index.part.histograms.size() / nbins != nchunks)
+    fail("inconsistent FASTQPart histogram size");
+
+  // Chunk read-ID ranges must tile [0, total_reads): file by file within an
+  // ID library (one file single-end, an (R1, R2) pair paired-end, whose mates
+  // share IDs), libraries back to back.
+  const std::size_t nfiles = index.files.size();
+  if (index.paired && nfiles % 2 != 0) fail("paired index with an odd file count");
+  std::vector<std::uint64_t> file_lo(nfiles, 0);
+  std::vector<std::uint64_t> file_hi(nfiles, 0);
+  std::vector<bool> seen(nfiles, false);
+  std::uint32_t prev_file = 0;
+  for (const ChunkRecord& c : index.part.chunks) {
+    if (c.file >= nfiles) fail("chunk file index out of range");
+    if (c.file < prev_file) fail("chunks out of file order");
+    prev_file = c.file;
+    if (!seen[c.file]) {
+      seen[c.file] = true;
+      file_lo[c.file] = file_hi[c.file] = c.first_read_id;
+    }
+    if (c.first_read_id != file_hi[c.file]) fail("chunk read-ID ranges have a gap or overlap");
+    file_hi[c.file] += c.record_count;
+  }
+  // A file without chunks holds the empty range at the cursor.
+  const std::size_t per_lib = index.paired ? 2 : 1;
+  std::uint64_t next = 0;
+  for (std::size_t f = 0; f < nfiles; f += per_lib) {
+    const std::uint64_t lib_hi = seen[f] ? file_hi[f] : next;
+    for (std::size_t j = f; j < f + per_lib; ++j) {
+      if ((seen[j] ? file_lo[j] : next) != next)
+        fail("chunk read-ID ranges do not tile [0, total_reads)");
+      if ((seen[j] ? file_hi[j] : next) != lib_hi) fail("paired files cover different reads");
+    }
+    next = lib_hi;
+  }
+  if (next != index.total_reads) fail("chunk read-ID ranges do not tile [0, total_reads)");
+  if (index.total_reads >= kInvalidRead) fail("total_reads exceeds the 32-bit read-ID space");
+}
+
+}  // namespace
+
 DatasetIndex load_index(const std::string& path) {
   io::BinaryReader r(path, kIndexMagic, kIndexVersion);
   DatasetIndex index;
   index.name = r.read_string();
-  const std::uint64_t nfiles = r.read_u64();
+  const std::uint64_t nfiles = r.read_count(sizeof(std::uint64_t));  // each a length-prefixed path
   for (std::uint64_t i = 0; i < nfiles; ++i) index.files.push_back(r.read_string());
   index.paired = r.read_u32() != 0;
   index.k = static_cast<int>(r.read_u32());
@@ -78,7 +139,7 @@ DatasetIndex load_index(const std::string& path) {
   index.mer_hist.counts = r.read_vector<std::uint32_t>();
 
   index.part.m = static_cast<int>(r.read_u32());
-  const std::uint64_t nchunks = r.read_u64();
+  const std::uint64_t nchunks = r.read_count(kChunkRecordBytes);
   index.part.chunks.resize(nchunks);
   for (auto& c : index.part.chunks) {
     c.file = r.read_u32();
@@ -88,10 +149,7 @@ DatasetIndex load_index(const std::string& path) {
     c.record_count = r.read_u32();
   }
   index.part.histograms = r.read_vector<std::uint32_t>();
-
-  if (index.part.histograms.size() !=
-      index.part.chunks.size() * (std::size_t{1} << (2 * index.part.m)))
-    throw util::parse_error("load_index: inconsistent FASTQPart histogram size");
+  validate_index(index, path);
   return index;
 }
 

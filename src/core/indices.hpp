@@ -21,6 +21,11 @@
 
 namespace metaprep::core {
 
+/// Reserved read ID, never assigned to a read: the pipeline marks padding
+/// tuples with it.  A dataset holds fewer than kInvalidRead reads, so
+/// neither a read ID nor total_reads ever equals it.
+inline constexpr std::uint32_t kInvalidRead = 0xFFFFFFFFu;
+
 /// Global m-mer prefix histogram (merHist, §3.1.1).
 struct MerHist {
   int m = 10;
@@ -81,7 +86,11 @@ struct DatasetIndex {
   [[nodiscard]] std::uint64_t max_chunk_bytes() const;
 };
 
-/// Serialize / deserialize the index (binary, versioned).
+/// Serialize / deserialize the index (binary, versioned).  load_index
+/// treats the file as untrusted: a length the rest of the file cannot hold,
+/// a chunk naming a missing file, chunk read-ID ranges that do not tile
+/// [0, total_reads), or tables whose sizes disagree with m throw a parse
+/// util::Error before anything is sized from them.
 void save_index(const DatasetIndex& index, const std::string& path);
 DatasetIndex load_index(const std::string& path);
 

@@ -139,11 +139,6 @@ std::vector<std::uint16_t> bin_owner_table(std::span<const std::uint32_t> bounds
   return table;
 }
 
-/// Read-ID sentinel carried by tuples that pad under-filled send blocks
-/// (lenient parsing skipped records the chunk histograms had counted).
-/// LocalCC never forms an edge through it.
-constexpr std::uint32_t kInvalidRead = 0xFFFFFFFFu;
-
 struct RankShared {
   StepTimes times;
   std::vector<std::string> output_files;
@@ -296,12 +291,18 @@ struct RecordView {
   std::uint32_t len = 0;
   const std::uint32_t* npos = nullptr;   ///< packed mode: N positions
   std::uint32_t ncount = 0;
-  /// 2-bit code of base i.  Only called for positions inside a valid
-  /// super-k-mer run, which the scanner guarantees is free of invalid bases.
-  [[nodiscard]] std::uint8_t code_at(std::size_t i) const noexcept {
-    if (words != nullptr)
-      return static_cast<std::uint8_t>((words[i >> 5] >> (2 * (i & 31))) & 3u);
-    return kmer::base_code(text[i]);
+  /// Append the wire record for the @p n_kmers k-mers starting at window
+  /// @p start.  Only called for valid super-k-mer runs, which the scanner
+  /// guarantees are free of invalid bases.
+  void append_record(std::vector<std::byte>& out, std::uint32_t value, std::uint32_t start,
+                     std::uint32_t n_kmers, int k) const {
+    if (words != nullptr) {
+      kmer::append_superkmer_record_packed(out, value, n_kmers, k, words, start);
+    } else {
+      kmer::append_superkmer_record(out, value, n_kmers, k, [&](std::size_t j) {
+        return kmer::base_code(text[start + j]);
+      });
+    }
   }
 };
 
@@ -1235,8 +1236,9 @@ inline std::uint64_t read_le(const std::byte* p, int nbytes) {
 }
 
 /// Reusable per-thread scratch for the super-k-mer emit path: the scanner's
-/// window state plus the record's canonical k-mers indexed by window start
-/// (runs only cover valid windows, so only those slots are read).
+/// window state plus, on the Bloom paths only, the record's canonical k-mers
+/// indexed by window start (runs only cover valid windows, so only those
+/// slots are read).
 struct SuperKmerScratch {
   kmer::SuperKmerScanner scanner;
   std::vector<std::uint64_t> km_lo;
@@ -1244,41 +1246,42 @@ struct SuperKmerScratch {
 };
 
 /// Enumerate a record's super-k-mer runs; fn(start, kmer_count, minimizer).
-/// Fills sc.km_lo/km_hi with the canonical k-mer per window first so the
-/// caller can hash/encode the run's k-mers by position.
 template <typename Fn>
-void for_each_run(SuperKmerScratch& sc, const RecordView& rec, int k, int msk,
-                  bool wide, Fn&& fn) {
+void for_each_run(SuperKmerScratch& sc, const RecordView& rec, int k, int msk, Fn&& fn) {
+  if (rec.words != nullptr) {
+    sc.scanner.scan_packed(rec.words, rec.len, rec.npos, rec.ncount, k, msk,
+                           std::forward<Fn>(fn));
+  } else {
+    sc.scanner.scan(std::string_view(rec.text, rec.len), k, msk, std::forward<Fn>(fn));
+  }
+}
+
+/// Fill sc.km_lo/km_hi with the record's canonical k-mer per window so the
+/// Bloom paths can hash a run's k-mers by position.
+void fill_canonical_kmers(SuperKmerScratch& sc, const RecordView& rec, int k, bool wide) {
   if (rec.len < static_cast<std::uint32_t>(k)) return;
   const std::uint32_t nwin = rec.len - static_cast<std::uint32_t>(k) + 1;
   sc.km_lo.resize(nwin);
   if (wide) sc.km_hi.resize(nwin);
+  auto put64 = [&](std::uint64_t km, std::size_t pos) { sc.km_lo[pos] = km; };
+  auto put128 = [&](kmer::Kmer128 km, std::size_t pos) {
+    sc.km_lo[pos] = km.lo;
+    sc.km_hi[pos] = km.hi;
+  };
   if (rec.words != nullptr) {
     if (!wide) {
-      kmer::for_each_canonical_kmer64_packed(
-          rec.words, rec.len, rec.npos, rec.ncount, k,
-          [&](std::uint64_t km, std::size_t pos) { sc.km_lo[pos] = km; });
+      kmer::for_each_canonical_kmer64_packed(rec.words, rec.len, rec.npos, rec.ncount, k, put64);
     } else {
-      kmer::for_each_canonical_kmer128_packed(
-          rec.words, rec.len, rec.npos, rec.ncount, k, [&](kmer::Kmer128 km, std::size_t pos) {
-            sc.km_lo[pos] = km.lo;
-            sc.km_hi[pos] = km.hi;
-          });
+      kmer::for_each_canonical_kmer128_packed(rec.words, rec.len, rec.npos, rec.ncount, k,
+                                              put128);
     }
-    sc.scanner.scan_packed(rec.words, rec.len, rec.npos, rec.ncount, k, msk,
-                           std::forward<Fn>(fn));
   } else {
     const std::string_view seq(rec.text, rec.len);
     if (!wide) {
-      kmer::for_each_canonical_kmer64(
-          seq, k, [&](std::uint64_t km, std::size_t pos) { sc.km_lo[pos] = km; });
+      kmer::for_each_canonical_kmer64(seq, k, put64);
     } else {
-      kmer::for_each_canonical_kmer128(seq, k, [&](kmer::Kmer128 km, std::size_t pos) {
-        sc.km_lo[pos] = km.lo;
-        sc.km_hi[pos] = km.hi;
-      });
+      kmer::for_each_canonical_kmer128(seq, k, put128);
     }
-    sc.scanner.scan(seq, k, msk, std::forward<Fn>(fn));
   }
 }
 
@@ -1394,7 +1397,8 @@ void run_passes_compressed(PassCtx& ctx, const CompressPlan& cplan,
           scan_chunk_records(
               ctx, c, false, io_s, gen_s, false,
               [&](std::uint32_t, const RecordView& rec) {
-                for_each_run(sc, rec, k, msk, wide,
+                fill_canonical_kmers(sc, rec, k, wide);
+                for_each_run(sc, rec, k, msk,
                              [&](std::uint32_t start, std::uint32_t count, std::uint64_t mz) {
                                kmer::CountingBloom& bl =
                                    (*blooms)[cplan.rank_of_bin[kmer::minimizer_bin(mz)]];
@@ -1471,7 +1475,10 @@ void run_passes_compressed(PassCtx& ctx, const CompressPlan& cplan,
       if (cplan.superkmer) {
         SuperKmerScratch sc;
         auto handle_record = [&](std::uint32_t value, const RecordView& rec) {
-          for_each_run(sc, rec, k, msk, wide,
+          // Only the Bloom filter probes k-mers by position; plain
+          // super-k-mer emission needs the minimizer scan alone.
+          if (blooms != nullptr) fill_canonical_kmers(sc, rec, k, wide);
+          for_each_run(sc, rec, k, msk,
                        [&](std::uint32_t start, std::uint32_t count, std::uint64_t mz) {
             const std::uint32_t bin = kmer::minimizer_bin(mz);
             const int i = group_pass_of(bin);
@@ -1485,9 +1492,7 @@ void run_passes_compressed(PassCtx& ctx, const CompressPlan& cplan,
             auto emit_subrun = [&](std::uint32_t a, std::uint32_t cnt) {
               while (cnt > 0) {
                 const std::uint32_t take = std::min(cnt, kmer::kMaxSuperKmerRun);
-                kmer::append_superkmer_record(
-                    stream, value, take, k,
-                    [&](std::size_t j) { return rec.code_at(start + a + j); });
+                rec.append_record(stream, value, start + a, take, k);
                 ++rec_counts[ut];
                 a += take;
                 cnt -= take;

@@ -1,5 +1,7 @@
 #include "io/binary.hpp"
 
+#include <sys/stat.h>
+
 #include <cerrno>
 
 #include "util/error.hpp"
@@ -53,16 +55,31 @@ void BinaryWriter::write_string(const std::string& s) {
 
 BinaryReader::BinaryReader(const std::string& path, std::uint32_t magic, std::uint32_t version)
     : path_(path) {
+  // Every length read from the file is checked against its size, which only
+  // a regular file reports; a FIFO or device (st_size 0) is refused up front,
+  // before fopen could block on a FIFO with no writer.
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0)
+    throw util::io_error("binary index: cannot open for reading", path_, 0, errno);
+  if (!S_ISREG(st.st_mode))
+    throw util::io_error("binary index: must be a regular file", path_, 0);
+  size_ = static_cast<std::uint64_t>(st.st_size);
   file_ = std::fopen(path.c_str(), "rb");
   if (file_ == nullptr)
     throw util::io_error("binary index: cannot open for reading", path_, 0, errno);
-  if (read_u32() != magic)
-    throw util::parse_error("binary index: bad magic (not a metaprep index?)", path_, 0);
-  const std::uint32_t got = read_u32();
-  if (got != version)
-    throw util::parse_error("binary index: version mismatch (file v" + std::to_string(got) +
-                                ", expected v" + std::to_string(version) + ")",
-                            path_, sizeof(std::uint32_t));
+  try {  // the destructor does not run when the constructor throws
+    if (read_u32() != magic)
+      throw util::parse_error("binary index: bad magic (not a metaprep index?)", path_, 0);
+    const std::uint32_t got = read_u32();
+    if (got != version)
+      throw util::parse_error("binary index: version mismatch (file v" + std::to_string(got) +
+                                  ", expected v" + std::to_string(version) + ")",
+                              path_, sizeof(std::uint32_t));
+  } catch (...) {
+    std::fclose(file_);
+    file_ = nullptr;
+    throw;
+  }
 }
 
 BinaryReader::~BinaryReader() {
@@ -70,10 +87,23 @@ BinaryReader::~BinaryReader() {
 }
 
 void BinaryReader::read_bytes(void* data, std::size_t size) {
+  if (size > remaining())
+    throw util::parse_error("binary index: truncated file", path_, pos_);
   if (std::fread(data, 1, size, file_) != size) {
     const int err = std::ferror(file_) != 0 ? errno : 0;
-    throw util::io_error("binary index: truncated file", path_, util::Error::kNoOffset, err);
+    throw util::io_error("binary index: short read", path_, pos_, err);
   }
+  pos_ += size;
+}
+
+std::uint64_t BinaryReader::read_count(std::size_t min_bytes_each) {
+  const std::uint64_t at = pos_;
+  const std::uint64_t n = read_u64();
+  if (min_bytes_each != 0 && n > remaining() / min_bytes_each)
+    throw util::parse_error("binary index: length " + std::to_string(n) +
+                                " exceeds the bytes left in the file",
+                            path_, at);
+  return n;
 }
 
 std::uint32_t BinaryReader::read_u32() {
@@ -89,7 +119,7 @@ std::uint64_t BinaryReader::read_u64() {
 }
 
 std::string BinaryReader::read_string() {
-  const std::uint64_t n = read_u64();
+  const std::uint64_t n = read_count(1);
   std::string s(n, '\0');
   read_bytes(s.data(), n);
   return s;

@@ -60,19 +60,29 @@ class BinaryReader {
   std::uint32_t read_u32();
   std::uint64_t read_u64();
   std::string read_string();
+  /// Throws a parse Error when the file ends before @p size bytes.
   void read_bytes(void* data, std::size_t size);
+
+  /// Read a u64 element count whose elements occupy at least @p min_bytes_each
+  /// bytes apiece in the rest of the file.  A count the remaining bytes
+  /// cannot hold throws a parse Error before the caller allocates for it.
+  std::uint64_t read_count(std::size_t min_bytes_each);
 
   template <typename T>
   std::vector<T> read_vector() {
-    const std::uint64_t n = read_u64();
+    const std::uint64_t n = read_count(sizeof(T));
     std::vector<T> v(n);
     read_bytes(v.data(), n * sizeof(T));
     return v;
   }
 
  private:
+  [[nodiscard]] std::uint64_t remaining() const noexcept { return size_ - pos_; }
+
   std::string path_;
   std::FILE* file_ = nullptr;
+  std::uint64_t size_ = 0;  ///< file size at open
+  std::uint64_t pos_ = 0;   ///< bytes consumed so far
 };
 
 }  // namespace metaprep::io

@@ -1,5 +1,8 @@
 #include "kmer/superkmer.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include "util/error.hpp"
 
 namespace metaprep::kmer {
@@ -53,11 +56,14 @@ void SuperKmerReader::next_header() {
 }
 
 void SuperKmerReader::rebuild_words() {
+  // One little-endian 8-byte load per word; the last word takes only the
+  // record's remaining bytes, so the load never crosses into the next record.
   const std::size_t nbytes = (static_cast<std::size_t>(nbases_) + 3) / 4;
-  words_.assign((static_cast<std::size_t>(nbases_) + 31) / 32, 0);
-  for (std::size_t i = 0; i < nbytes; ++i) {
-    words_[i >> 3] |= static_cast<std::uint64_t>(std::to_integer<std::uint8_t>(bases_[i]))
-                      << (8 * (i & 7));
+  words_.resize((nbytes + 7) / 8);
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bases_ + 8 * w, std::min<std::size_t>(8, nbytes - 8 * w));
+    words_[w] = v;
   }
 }
 

@@ -27,14 +27,19 @@
 // invalid bases, so decoding needs no npos sidecar.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "kmer/codec.hpp"
 #include "kmer/scanner.hpp"
+
+static_assert(std::endian::native == std::endian::little,
+              "super-k-mer wire records are stored and loaded as little-endian words");
 
 namespace metaprep::kmer {
 
@@ -183,21 +188,67 @@ constexpr std::size_t superkmer_record_bytes(int k, std::uint32_t n_kmers) noexc
   return kSuperKmerHeaderBytes + (nbases + 3) / 4;
 }
 
+namespace detail {
+
+/// Grow @p out by one record carrying @p n_kmers k-mers, write its header and
+/// return the offset of its zero-filled base bytes.  resize() grows the
+/// vector geometrically, so a stream built record by record costs amortized
+/// O(1) copies per byte (reserving exactly one record ahead would reallocate
+/// and copy the whole stream on every append).
+inline std::size_t append_superkmer_header(std::vector<std::byte>& out, std::uint32_t value,
+                                           std::uint32_t n_kmers, int k) {
+  const std::size_t at = out.size();
+  out.resize(at + superkmer_record_bytes(k, n_kmers));
+  std::byte* h = out.data() + at;
+  for (int i = 0; i < 4; ++i) h[i] = static_cast<std::byte>((value >> (8 * i)) & 0xFF);
+  for (int i = 0; i < 2; ++i) h[4 + i] = static_cast<std::byte>((n_kmers >> (8 * i)) & 0xFF);
+  return at + kSuperKmerHeaderBytes;
+}
+
+/// Store the first min(@p n, 32) 2-bit codes of @p codes (LSB-first) at @p dst
+/// as ceil(n/4) bytes; code bits past n are written as zero.
+inline void store_base_word(std::byte* dst, std::uint64_t codes, std::size_t n) noexcept {
+  if (n < 32) codes &= (std::uint64_t{1} << (2 * n)) - 1;
+  std::memcpy(dst, &codes, n < 32 ? (n + 3) / 4 : 8);
+}
+
+}  // namespace detail
+
 /// Append one record.  @p code_at(j) must return the 2-bit code (0..3) of the
 /// j-th base of the run, j in [0, n_kmers + k - 1); the caller guarantees the
-/// run is free of invalid bases (the scanner only emits such runs).
+/// run is free of invalid bases (the scanner only emits such runs).  Text
+/// records are encoded here; packed records go through the word-at-a-time
+/// append_superkmer_record_packed below, which writes identical bytes.
 template <typename CodeAt>
 void append_superkmer_record(std::vector<std::byte>& out, std::uint32_t value,
                              std::uint32_t n_kmers, int k, CodeAt&& code_at) {
   const std::uint32_t nbases = n_kmers + static_cast<std::uint32_t>(k) - 1;
-  out.reserve(out.size() + superkmer_record_bytes(k, n_kmers));
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::byte>((value >> (8 * i)) & 0xFF));
-  for (int i = 0; i < 2; ++i) out.push_back(static_cast<std::byte>((n_kmers >> (8 * i)) & 0xFF));
-  const std::size_t base = out.size();
-  out.resize(base + (static_cast<std::size_t>(nbases) + 3) / 4, std::byte{0});
+  const std::size_t base = detail::append_superkmer_header(out, value, n_kmers, k);
   for (std::uint32_t j = 0; j < nbases; ++j) {
     const auto code = static_cast<std::uint8_t>(code_at(static_cast<std::size_t>(j)) & 3u);
     out[base + (j >> 2)] |= static_cast<std::byte>(code << (2 * (j & 3u)));
+  }
+}
+
+/// Append one record whose bases start at base @p start of a 2-bit packed
+/// record (io::PackedStore layout: LSB-first, 32 bases per word).  The wire
+/// layout is the same bit order, so each 32-base output word is one
+/// (possibly straddling) 64-bit field of @p words; no word past the run's
+/// last base is read.
+inline void append_superkmer_record_packed(std::vector<std::byte>& out, std::uint32_t value,
+                                           std::uint32_t n_kmers, int k,
+                                           const std::uint64_t* words, std::size_t start) {
+  const std::size_t nbases = static_cast<std::size_t>(n_kmers) + static_cast<std::size_t>(k) - 1;
+  const std::size_t at = detail::append_superkmer_header(out, value, n_kmers, k);
+  std::byte* dst = out.data() + at;  // after the resize: the header may reallocate
+  const std::size_t end_bit = 2 * (start + nbases);
+  for (std::size_t j = 0; j < nbases; j += 32) {
+    const std::size_t bit = 2 * (start + j);
+    const std::size_t w = bit >> 6;
+    const unsigned shift = static_cast<unsigned>(bit & 63);
+    std::uint64_t codes = words[w] >> shift;
+    if (shift != 0 && (w + 1) * 64 < end_bit) codes |= words[w + 1] << (64 - shift);
+    detail::store_base_word(dst + j / 4, codes, nbases - j);
   }
 }
 

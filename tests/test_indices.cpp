@@ -2,9 +2,14 @@
 #include "core/index_create.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/indices.hpp"
@@ -12,6 +17,7 @@
 #include "kmer/scanner.hpp"
 #include "sim/read_sim.hpp"
 #include "test_support.hpp"
+#include "util/error.hpp"
 
 namespace metaprep::core {
 namespace {
@@ -264,6 +270,194 @@ TEST(Index, MaxChunkBytes) {
   idx.part.chunks.push_back({0, 0, 100, 0, 1});
   idx.part.chunks.push_back({0, 100, 300, 1, 1});
   EXPECT_EQ(idx.max_chunk_bytes(), 300u);
+}
+
+TEST(ReadIds, SingleEndAccumulatesAndPairedSharesBases) {
+  const auto se = assign_read_ids({3, 0, 5}, false);
+  EXPECT_EQ(se.base, (std::vector<std::uint32_t>{0, 3, 3}));
+  EXPECT_EQ(se.total_reads, 8u);
+  const auto pe = assign_read_ids({4, 4, 2, 2}, true);
+  EXPECT_EQ(pe.base, (std::vector<std::uint32_t>{0, 0, 4, 4}));
+  EXPECT_EQ(pe.total_reads, 6u);
+}
+
+TEST(ReadIds, LargestDatasetBelowTheSentinelFits) {
+  const std::uint64_t max_reads = kInvalidRead - 1;
+  const auto ids = assign_read_ids({max_reads - 10, 10}, false);
+  EXPECT_EQ(ids.total_reads, max_reads);
+  EXPECT_EQ(ids.base[1], max_reads - 10);
+}
+
+TEST(ReadIds, TotalReachingTheSentinelIsATypedError) {
+  auto expect_overflow = [](const std::vector<std::uint64_t>& counts, bool paired) {
+    try {
+      (void)assign_read_ids(counts, paired);
+      FAIL() << "expected util::Error";
+    } catch (const util::Error& e) {
+      EXPECT_EQ(e.category(), util::ErrorCategory::kConfig);
+    }
+  };
+  expect_overflow({kInvalidRead}, false);                 // exactly the sentinel
+  expect_overflow({kInvalidRead - 1, 1}, false);          // reaches it across files
+  expect_overflow({3'000'000'000ULL, 3'000'000'000ULL}, false);  // would wrap a u32 sum
+  expect_overflow({3'000'000'000ULL, 3'000'000'000ULL, 2'000'000'000ULL,
+                   2'000'000'000ULL},
+                  true);  // paired: the second library crosses the limit
+  expect_overflow({std::uint64_t{1} << 33}, false);  // one file past 2^32 records
+}
+
+// ---------------------------------------------------------------------------
+// load_index on truncated and hostile files.  The fixture is a hand-built
+// paired index with m=1 (4 bins) so every field offset is known.
+
+DatasetIndex tiny_index() {
+  DatasetIndex idx;
+  idx.name = "tiny";
+  idx.files = {"r_1.fq", "r_2.fq"};
+  idx.paired = true;
+  idx.k = 5;
+  idx.total_reads = 5;
+  idx.total_bases = 100;
+  idx.total_file_bytes = 400;
+  idx.mer_hist.m = 1;
+  idx.mer_hist.k = 5;
+  idx.mer_hist.counts = {1, 2, 3, 4};
+  idx.part.m = 1;
+  //                     file offset size first_id count
+  idx.part.chunks.push_back({0, 0, 120, 0, 3});
+  idx.part.chunks.push_back({0, 120, 80, 3, 2});
+  idx.part.chunks.push_back({1, 0, 200, 0, 5});
+  idx.part.histograms.assign(3 * 4, 1);
+  return idx;
+}
+
+// Byte offsets of the length fields in tiny_index()'s file.
+constexpr std::size_t kNameLenAt = 8;                       // after magic + version
+constexpr std::size_t kNfilesAt = kNameLenAt + 8 + 4;       // name "tiny"
+constexpr std::size_t kFile0LenAt = kNfilesAt + 8;
+constexpr std::size_t kMerCountsLenAt = kFile0LenAt + 2 * (8 + 6) + 4 + 4 + 4 + 8 + 8 + 4 + 4;
+constexpr std::size_t kPartMAt = kMerCountsLenAt + 8 + 4 * 4;
+constexpr std::size_t kNchunksAt = kPartMAt + 4;
+constexpr std::size_t kHistLenAt = kNchunksAt + 8 + 3 * 28;
+
+std::vector<char> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void expect_parse_error(const std::string& path, const std::string& what) {
+  try {
+    (void)load_index(path);
+    FAIL() << what << ": expected util::Error";
+  } catch (const util::Error& e) {
+    EXPECT_EQ(e.category(), util::ErrorCategory::kParse) << what << ": " << e.what();
+  }
+}
+
+TEST(IndexLoad, HandBuiltFixtureRoundTrips) {
+  TempDir dir;
+  const std::string path = dir.file("tiny.idx");
+  save_index(tiny_index(), path);
+  const auto loaded = load_index(path);
+  EXPECT_EQ(loaded.total_reads, 5u);
+  ASSERT_EQ(loaded.part.chunks.size(), 3u);
+  EXPECT_EQ(loaded.part.chunks[2].record_count, 5u);
+  // The offsets below index this exact layout.
+  EXPECT_EQ(file_bytes(path).size(), kHistLenAt + 8 + 12 * 4);
+}
+
+TEST(IndexLoad, EveryTruncationIsAParseError) {
+  TempDir dir;
+  const std::string path = dir.file("tiny.idx");
+  save_index(tiny_index(), path);
+  const auto bytes = file_bytes(path);
+  const std::string cut_path = dir.file("cut.idx");
+  for (std::size_t cut = 8; cut < bytes.size(); ++cut) {
+    write_bytes(cut_path, std::vector<char>(bytes.begin(), bytes.begin() + cut));
+    expect_parse_error(cut_path, "cut at " + std::to_string(cut));
+  }
+}
+
+TEST(IndexLoad, HostileLengthsFailBeforeAllocating) {
+  TempDir dir;
+  const std::string path = dir.file("tiny.idx");
+  save_index(tiny_index(), path);
+  const auto bytes = file_bytes(path);
+  const std::string bad = dir.file("bad.idx");
+  for (const std::size_t at :
+       {kNameLenAt, kNfilesAt, kFile0LenAt, kMerCountsLenAt, kNchunksAt, kHistLenAt}) {
+    for (const std::uint64_t len : {std::uint64_t{1} << 60, ~std::uint64_t{0},
+                                    std::uint64_t{bytes.size()}}) {
+      auto patched = bytes;
+      std::memcpy(patched.data() + at, &len, sizeof(len));
+      write_bytes(bad, patched);
+      expect_parse_error(bad, "length " + std::to_string(len) + " at " + std::to_string(at));
+    }
+  }
+  // m = 40 would shift past 64 bits when sizing the histogram check.
+  auto patched = bytes;
+  const std::uint32_t huge_m = 40;
+  std::memcpy(patched.data() + kPartMAt, &huge_m, sizeof(huge_m));
+  write_bytes(bad, patched);
+  expect_parse_error(bad, "m = 40");
+}
+
+TEST(IndexLoad, InconsistentTablesAreParseErrors) {
+  TempDir dir;
+  const std::string path = dir.file("bad.idx");
+  auto check = [&](const std::string& what, auto&& mutate) {
+    DatasetIndex idx = tiny_index();
+    mutate(idx);
+    save_index(idx, path);
+    expect_parse_error(path, what);
+  };
+  check("file index out of range", [](DatasetIndex& i) { i.part.chunks[2].file = 2; });
+  check("read-ID gap", [](DatasetIndex& i) { i.part.chunks[1].first_read_id = 4; });
+  check("read-ID overlap", [](DatasetIndex& i) { i.part.chunks[1].first_read_id = 2; });
+  check("range not starting at 0", [](DatasetIndex& i) { i.part.chunks[2].first_read_id = 1; });
+  check("mates cover different reads", [](DatasetIndex& i) { i.part.chunks[2].record_count = 4; });
+  check("total_reads disagrees", [](DatasetIndex& i) { i.total_reads = 6; });
+  check("total_reads is the sentinel", [](DatasetIndex& i) { i.total_reads = kInvalidRead; });
+  check("chunks out of file order",
+        [](DatasetIndex& i) { std::swap(i.part.chunks[0], i.part.chunks[2]); });
+  check("histogram rows short", [](DatasetIndex& i) { i.part.histograms.pop_back(); });
+  check("merHist size", [](DatasetIndex& i) { i.mer_hist.counts.push_back(0); });
+  check("merHist m disagrees", [](DatasetIndex& i) { i.mer_hist.m = 2; });
+  check("odd paired file count", [](DatasetIndex& i) { i.files.push_back("x.fq"); });
+}
+
+TEST(IndexLoad, SingleEndTilingAcrossFilesLoads) {
+  TempDir dir;
+  const std::string path = dir.file("se.idx");
+  DatasetIndex idx = tiny_index();
+  idx.paired = false;
+  idx.part.chunks[2].first_read_id = 5;  // file 1 follows file 0
+  idx.total_reads = 10;
+  save_index(idx, path);
+  EXPECT_EQ(load_index(path).total_reads, 10u);
+}
+
+TEST(IndexLoad, NonRegularFilesAreRefused) {
+  // A FIFO or device has no size to bound lengths against, so it is refused
+  // with a clear message instead of reading as a truncated file.  The FIFO
+  // has no writer: the check must come before anything opens it.
+  TempDir dir;
+  const std::string fifo = dir.file("idx.fifo");
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  for (const std::string& path : {fifo, dir.str(), std::string("/dev/null")}) {
+    try {
+      (void)load_index(path);
+      FAIL() << path << ": expected util::Error";
+    } catch (const util::Error& e) {
+      EXPECT_EQ(e.category(), util::ErrorCategory::kIo) << path;
+      EXPECT_NE(std::string(e.what()).find("regular file"), std::string::npos) << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -334,6 +334,102 @@ TEST(SuperKmerWire, RecordByteLayout) {
   EXPECT_EQ(std::to_integer<unsigned>(out[7]), 0x24u);
 }
 
+/// PackedStore-layout words for an ACGT-only sequence.
+std::vector<std::uint64_t> pack_words(const std::string& seq) {
+  std::vector<std::uint64_t> words((seq.size() + 31) / 32, 0);
+  for (std::size_t i = 0; i < seq.size(); ++i)
+    words[i >> 5] |= static_cast<std::uint64_t>(base_code(seq[i]) & 3u) << (2 * (i & 31));
+  return words;
+}
+
+/// One record through the per-base reference (fed from text, as the text
+/// store's emit path does) and through the packed word encoder.  Both must
+/// write equal bytes.
+void expect_encoders_agree(const std::string& seq, const std::vector<std::uint64_t>& words,
+                           std::size_t start, std::uint32_t n_kmers, int k) {
+  std::vector<std::byte> ref;
+  std::vector<std::byte> packed;
+  append_superkmer_record(ref, 0x01020304u + n_kmers, n_kmers, k,
+                          [&](std::size_t j) { return base_code(seq[start + j]); });
+  append_superkmer_record_packed(packed, 0x01020304u + n_kmers, n_kmers, k, words.data(), start);
+  ASSERT_EQ(ref.size(), superkmer_record_bytes(k, n_kmers));
+  EXPECT_EQ(packed, ref) << "k=" << k << " start=" << start << " n=" << n_kmers;
+}
+
+TEST(SuperKmerWire, WordEncodersMatchPerBaseReference) {
+  // Every start offset across three 32-base word boundaries, every run
+  // length up to two words of bases, and the last run reaching the very end
+  // of the record (so the packed encoder must not read past its last word).
+  util::Xoshiro256 rng(4242);
+  for (const int k : {15, 21, 31, 33}) {
+    const std::string seq = random_seq(rng, 200, 0, 0.2);
+    const auto words = pack_words(seq);
+    for (std::size_t start = 0; start < 100; ++start) {
+      for (std::uint32_t n = 1; n <= 66 && start + n + k - 1 <= seq.size(); ++n) {
+        expect_encoders_agree(seq, words, start, n, k);
+      }
+    }
+    for (std::size_t start = seq.size() - static_cast<std::size_t>(k); start > 90; --start) {
+      const auto n = static_cast<std::uint32_t>(seq.size() - start - k + 1);
+      expect_encoders_agree(seq, words, start, n, k);
+    }
+  }
+}
+
+TEST(SuperKmerWire, WordEncodersMatchAtTheMaxRunSplit) {
+  // A run longer than kMaxSuperKmerRun is split into a 65535-k-mer record
+  // and a remainder; both fragments start at arbitrary word offsets.
+  util::Xoshiro256 rng(65535);
+  for (const int k : {15, 33}) {
+    const std::string seq =
+        random_seq(rng, kMaxSuperKmerRun + static_cast<std::size_t>(k) + 200, 0, 0);
+    const auto words = pack_words(seq);
+    for (const std::size_t start : {std::size_t{0}, std::size_t{1}, std::size_t{31},
+                                    std::size_t{33}, std::size_t{200}}) {
+      expect_encoders_agree(seq, words, start, kMaxSuperKmerRun, k);
+      const std::size_t rest = start + kMaxSuperKmerRun;
+      expect_encoders_agree(seq, words, rest,
+                            static_cast<std::uint32_t>(seq.size() - rest - k + 1), k);
+    }
+  }
+}
+
+TEST(SuperKmerWire, StreamGrowthIsGeometric) {
+  // Appending records to an unreserved stream must reallocate O(log n)
+  // times.  An encoder that reserves exactly one record ahead reallocates
+  // (and copies the whole stream) on every append: 100k times here.
+  constexpr int k = 21;
+  constexpr std::uint32_t kRecords = 100'000;
+  const std::string seq = "ACGTTGCAACGGTACCATGGACGTACGTAAC";
+  const auto words = pack_words(seq);
+  const auto n_kmers = static_cast<std::uint32_t>(seq.size() - k + 1);
+  auto count_reallocs = [&](auto&& append) {
+    std::vector<std::byte> out;
+    std::size_t reallocs = 0;
+    std::size_t cap = out.capacity();
+    for (std::uint32_t r = 0; r < kRecords; ++r) {
+      append(out, r);
+      if (out.capacity() != cap) {
+        ++reallocs;
+        cap = out.capacity();
+      }
+    }
+    EXPECT_EQ(out.size(), kRecords * superkmer_record_bytes(k, n_kmers));
+    return reallocs;
+  };
+  const std::size_t ref = count_reallocs([&](std::vector<std::byte>& out, std::uint32_t r) {
+    append_superkmer_record(out, r, n_kmers, k, [&](std::size_t j) { return base_code(seq[j]); });
+  });
+  const std::size_t packed = count_reallocs([&](std::vector<std::byte>& out, std::uint32_t r) {
+    append_superkmer_record_packed(out, r, n_kmers, k, words.data(), 0);
+  });
+  // ~1.4 MB final size: a doubling vector reallocates about log2 of that.
+  for (const std::size_t reallocs : {ref, packed}) {
+    EXPECT_GT(reallocs, 0u);
+    EXPECT_LE(reallocs, 40u);
+  }
+}
+
 TEST(SuperKmerWire, TruncatedStreamThrows) {
   constexpr int k = 15;
   const std::string seq = "ACGTACGTACGTACGTACGT";
