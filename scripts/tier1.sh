@@ -7,11 +7,13 @@
 #   2. ThreadSanitizer build of the concurrency-heavy binaries, running the
 #      observability (test_obs), simulated-MPI (test_mpsim), union-find
 #      (test_dsu), and service-layer (test_serve: concurrent sessions,
-#      cancellation, job queue) suites plus the binned-output and
+#      cancellation, job queue) suites, the parallel-vs-sequential
+#      IndexCreate tests (test_indices), plus the binned-output and
 #      packed-read-store differential legs — the paths that stress
 #      cross-thread event buffers, mailboxes, the parallel MergeCC flatten
-#      (atomic_ref size counting), and the threads-over-mmap packed KmerGen
-#      scan.
+#      (atomic_ref size counting), the per-thread merHist accumulators and
+#      in-place cumulative rows of the parallel histogram loop, and the
+#      threads-over-mmap packed KmerGen scan.
 #   3. Address+UBSanitizer build running the fault-injection (test_faults),
 #      FASTQ parsing (test_fastq), packed-arena (test_packed_store), index
 #      loading (test_indices: truncated and hostile index files), and
@@ -169,9 +171,10 @@ if [ -e "${DSOCK}" ]; then
 fi
 echo "daemon smoke: OK (submit/status/fetch/cancel/shutdown, no leaks)"
 
-echo "=== tier 1: ThreadSanitizer build (test_obs + test_mpsim + test_dsu + test_differential + test_serve) ==="
+echo "=== tier 1: ThreadSanitizer build (test_obs + test_mpsim + test_dsu + test_differential + test_serve + test_indices) ==="
 cmake --preset tsan
-cmake --build --preset tsan "${JOBS}" --target test_obs test_mpsim test_dsu test_differential test_serve
+cmake --build --preset tsan "${JOBS}" --target test_obs test_mpsim test_dsu test_differential test_serve \
+  test_indices
 
 echo "=== tier 1: TSan test_obs ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_obs
@@ -185,6 +188,9 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_differential \
 echo "=== tier 1: TSan packed read-store legs (threads over one shared mmap arena) ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_differential \
   --gtest_filter='Grid/*T2*Packed*'
+echo "=== tier 1: TSan parallel IndexCreate (per-thread merHist accumulators, cumulative rows) ==="
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_indices \
+  --gtest_filter='IndexCreate.ParallelHistogramsMatchSequential:IndexCreate.MerHistIsColumnSumOfChunkHistograms'
 echo "=== tier 1: TSan service layer (concurrent sessions + cancel + job queue) ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_serve
 

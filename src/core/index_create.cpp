@@ -1,6 +1,7 @@
 #include "core/index_create.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -134,28 +135,32 @@ DatasetIndex create_index(const std::string& name, const std::vector<std::string
 
   // --- Phase 2: per-chunk m-mer histograms of canonical k-mer prefixes.
   // Chunk rows are independent, so threads take disjoint contiguous chunk
-  // ranges (the same static partitioning KmerGen uses); merHist is the
-  // column sum, accumulated after the parallel region. ---
+  // ranges (the same static partitioning KmerGen uses).  Each row is made
+  // cumulative right after it is counted, while it is still in cache, and
+  // its raw counts go into the thread's merHist accumulator; merHist is the
+  // sum of the accumulators. ---
   util::WallTimer hist_timer;
   const std::size_t nbins = std::size_t{1} << (2 * options.m);
   index.part.histograms.assign(index.part.chunks.size() * nbins, 0);
-  index.mer_hist.counts.assign(nbins, 0);
 
   const int k = options.k;
   const int m = options.m;
   const int threads = std::max(1, options.threads);
   std::vector<std::uint64_t> bases_per_thread(static_cast<std::size_t>(threads), 0);
+  std::vector<std::vector<std::uint32_t>> mer_acc(static_cast<std::size_t>(threads));
   {
     util::ThreadTeam team(threads);
     const auto bounds = util::split_range(index.part.num_chunks(), threads);
     team.run([&](int t) {
+      std::vector<std::uint32_t>& acc = mer_acc[static_cast<std::size_t>(t)];
+      acc.assign(nbins, 0);
       std::uint64_t bases = 0;
       for (std::size_t c = bounds[static_cast<std::size_t>(t)];
            c < bounds[static_cast<std::size_t>(t) + 1]; ++c) {
         const ChunkRecord& chunk = index.part.chunks[c];
         const auto buffer =
             io::read_file_range(index.files[chunk.file], chunk.offset, chunk.size);
-        std::uint32_t* hist = index.part.histograms.data() + c * nbins;
+        const std::span<std::uint32_t> hist(index.part.histograms.data() + c * nbins, nbins);
         io::for_each_record_in_buffer(
             std::string_view(buffer.data(), buffer.size()),
             [&](std::string_view, std::string_view seq, std::string_view) {
@@ -172,14 +177,18 @@ DatasetIndex create_index(const std::string& name, const std::vector<std::string
               }
             },
             io::ParseOptions{options.parse_mode, index.files[chunk.file], chunk.offset});
+        cumulate_chunk_row(static_cast<std::uint32_t>(c), hist, acc);
       }
       bases_per_thread[static_cast<std::size_t>(t)] = bases;
     });
   }
   for (std::uint64_t b : bases_per_thread) index.total_bases += b;
-  for (std::uint32_t c = 0; c < index.part.num_chunks(); ++c) {
-    const std::uint32_t* hist = index.part.row(c);
-    for (std::size_t b = 0; b < nbins; ++b) index.mer_hist.counts[b] += hist[b];
+  index.mer_hist.counts.assign(nbins, 0);
+  for (std::size_t b = 0; b < nbins; ++b) {
+    std::uint64_t sum = 0;
+    for (const auto& acc : mer_acc) sum += acc[b];
+    if (sum > std::numeric_limits<std::uint32_t>::max()) throw mer_hist_overflow();
+    index.mer_hist.counts[b] = static_cast<std::uint32_t>(sum);
   }
   const double histogram_seconds = hist_timer.seconds();
 

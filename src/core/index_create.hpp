@@ -6,8 +6,9 @@
 //     approximately equal byte size at record boundaries and recording the
 //     global read ID of each chunk's first read ("FASTQPart" column);
 //  2. histogram — stream the chunks, enumerate canonical k-mers, and count
-//     m-mer prefixes per chunk; merHist is the column-sum of the chunk
-//     histograms ("merHist" column).
+//     m-mer prefixes per chunk; each row is then turned into its prefix sum
+//     (the stored FASTQPart format) while its raw counts are added into
+//     merHist, the column-sum of the chunk histograms ("merHist" column).
 //
 // Paired-end handling: both mates of pair i carry global read ID i ("we use
 // a single read identifier for both ends of a paired-end read", §3.2).  We

@@ -1,7 +1,9 @@
 #include "core/indices.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "io/binary.hpp"
 #include "util/error.hpp"
@@ -10,7 +12,7 @@ namespace metaprep::core {
 
 namespace {
 constexpr std::uint32_t kIndexMagic = 0x4D505249;  // "MPRI"
-constexpr std::uint32_t kIndexVersion = 3;
+constexpr std::uint32_t kIndexVersion = 4;  // v4: cumulative FASTQPart rows
 }  // namespace
 
 std::uint64_t MerHist::total() const {
@@ -19,12 +21,30 @@ std::uint64_t MerHist::total() const {
   return t;
 }
 
-std::uint64_t FastqPartTable::range_count(std::uint32_t c, std::uint32_t bin_begin,
-                                          std::uint32_t bin_end) const {
-  const std::uint32_t* r = row(c);
-  std::uint64_t t = 0;
-  for (std::uint32_t b = bin_begin; b < bin_end; ++b) t += r[b];
-  return t;
+void cumulate_chunk_row(std::uint32_t chunk, std::span<std::uint32_t> row,
+                        std::span<std::uint32_t> mer_acc) {
+  std::uint64_t total = 0;
+  bool acc_wrapped = false;
+  for (std::size_t b = 0; b < row.size(); ++b) {
+    const std::uint32_t raw = row[b];
+    total += raw;
+    row[b] = static_cast<std::uint32_t>(total);
+    mer_acc[b] += raw;
+    acc_wrapped |= mer_acc[b] < raw;
+  }
+  if (total > std::numeric_limits<std::uint32_t>::max()) {
+    throw util::config_error("create_index: chunk " + std::to_string(chunk) + " holds " +
+                             std::to_string(total) +
+                             " k-mers; FASTQPart rows count at most 2^32 - 1 per chunk, so "
+                             "split the input into more chunks (--chunks)");
+  }
+  if (acc_wrapped) throw mer_hist_overflow();
+}
+
+util::Error mer_hist_overflow() {
+  return util::config_error(
+      "create_index: an m-mer bin holds 2^32 or more k-mers; merHist counts are "
+      "32-bit, so use a larger m (--m)");
 }
 
 std::uint64_t DatasetIndex::max_chunk_bytes() const {
@@ -83,6 +103,27 @@ void validate_index(const DatasetIndex& index, const std::string& path) {
   if (index.part.histograms.size() % nbins != 0 ||
       index.part.histograms.size() / nbins != nchunks)
     fail("inconsistent FASTQPart histogram size");
+
+  // Cumulative rows: non-decreasing (a decreasing row would wrap a bounded
+  // count), a total no larger than the chunk's bytes (each k-mer needs at
+  // least one byte), and raw counts whose column sums are merHist, which
+  // sizes the tuple buffers.
+  std::vector<std::uint32_t> mer_left = index.mer_hist.counts;
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    const std::uint32_t* row = index.part.histograms.data() + c * nbins;
+    std::uint32_t prev = 0;
+    for (std::size_t b = 0; b < nbins; ++b) {
+      if (row[b] < prev) fail("FASTQPart row " + std::to_string(c) + " decreases");
+      const std::uint32_t raw = row[b] - prev;
+      if (raw > mer_left[b]) fail("merHist is not the column sum of the FASTQPart rows");
+      mer_left[b] -= raw;
+      prev = row[b];
+    }
+    if (prev > index.part.chunks[c].size)
+      fail("FASTQPart row " + std::to_string(c) + " counts more k-mers than its chunk has bytes");
+  }
+  for (std::uint32_t left : mer_left)
+    if (left != 0) fail("merHist is not the column sum of the FASTQPart rows");
 
   // Chunk read-ID ranges must tile [0, total_reads): file by file within an
   // ID library (one file single-end, an (R1, R2) pair paired-end, whose mates

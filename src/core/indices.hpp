@@ -16,8 +16,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
+
+#include "util/error.hpp"
 
 namespace metaprep::core {
 
@@ -48,10 +51,17 @@ struct ChunkRecord {
 };
 
 /// FASTQPart table (§3.1.2): chunk records plus per-chunk m-mer histograms.
+///
+/// Each histogram row is stored as its inclusive prefix sum, in place:
+/// entry b of chunk c's row counts c's k-mers whose m-mer bin is <= b.  A
+/// bounded count is then one subtraction, so the pipeline's per-pass
+/// send/recv/partition geometry costs O(chunks x P x T) lookups rather
+/// than a sweep over every bin.  IndexCreate rejects a chunk whose total
+/// does not fit 32 bits (see cumulate_chunk_row).
 struct FastqPartTable {
   int m = 10;
   std::vector<ChunkRecord> chunks;
-  /// Row-major [chunk][bin] counts, chunks.size() * 4^m entries.
+  /// Row-major [chunk][bin] cumulative counts, chunks.size() * 4^m entries.
   std::vector<std::uint32_t> histograms;
 
   [[nodiscard]] std::uint32_t num_chunks() const noexcept {
@@ -61,14 +71,48 @@ struct FastqPartTable {
     return chunks.empty() ? 0
                           : static_cast<std::uint32_t>(histograms.size() / chunks.size());
   }
-  /// Histogram row of chunk @p c.
+  /// Number of chunk @p c's k-mers in bins [bin_begin, bin_end); 0 when the
+  /// range is empty.  O(1).
+  [[nodiscard]] std::uint64_t range_count(std::uint32_t c, std::uint32_t bin_begin,
+                                          std::uint32_t bin_end) const {
+    const std::uint32_t* r = row(c);
+    return bin_end <= bin_begin ? 0 : prefix(r, bin_end) - prefix(r, bin_begin);
+  }
+  /// counts[i] += range_count(c, bounds[i], bounds[i + 1]) for every i, one
+  /// lookup per bound.  @p bounds is non-decreasing and @p counts holds
+  /// bounds.size() - 1 entries.
+  void add_range_counts(std::uint32_t c, std::span<const std::uint32_t> bounds,
+                        std::span<std::uint64_t> counts) const {
+    if (bounds.empty()) return;
+    const std::uint32_t* r = row(c);
+    std::uint32_t lo = prefix(r, bounds[0]);
+    for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
+      const std::uint32_t hi = prefix(r, bounds[i + 1]);
+      counts[i] += hi - lo;
+      lo = hi;
+    }
+  }
+
+ private:
   [[nodiscard]] const std::uint32_t* row(std::uint32_t c) const {
     return histograms.data() + static_cast<std::size_t>(c) * num_bins();
   }
-  /// Sum of bins [bin_begin, bin_end) of chunk @p c.
-  [[nodiscard]] std::uint64_t range_count(std::uint32_t c, std::uint32_t bin_begin,
-                                          std::uint32_t bin_end) const;
+  /// k-mers in bins [0, bin) of cumulative row @p r.
+  static std::uint32_t prefix(const std::uint32_t* r, std::uint32_t bin) {
+    return bin == 0 ? 0 : r[bin - 1];
+  }
 };
+
+/// Turn chunk @p chunk's raw m-mer histogram @p row into its inclusive prefix
+/// sum in place (the FASTQPart row format) and add the raw counts into
+/// @p mer_acc (one bin per row entry).  Throws a config util::Error naming
+/// the chunk when its k-mer total does not fit a 32-bit row entry, and
+/// mer_hist_overflow() when a @p mer_acc bin passes 2^32 - 1.
+void cumulate_chunk_row(std::uint32_t chunk, std::span<std::uint32_t> row,
+                        std::span<std::uint32_t> mer_acc);
+
+/// The config util::Error for a merHist bin holding 2^32 or more k-mers.
+util::Error mer_hist_overflow();
 
 /// Everything IndexCreate knows about a dataset.
 struct DatasetIndex {
@@ -86,11 +130,13 @@ struct DatasetIndex {
   [[nodiscard]] std::uint64_t max_chunk_bytes() const;
 };
 
-/// Serialize / deserialize the index (binary, versioned).  load_index
-/// treats the file as untrusted: a length the rest of the file cannot hold,
-/// a chunk naming a missing file, chunk read-ID ranges that do not tile
-/// [0, total_reads), or tables whose sizes disagree with m throw a parse
-/// util::Error before anything is sized from them.
+/// Serialize / deserialize the index (binary, versioned; format v4 stores
+/// the cumulative FASTQPart rows).  load_index treats the file as
+/// untrusted: a length the rest of the file cannot hold, a chunk naming a
+/// missing file, chunk read-ID ranges that do not tile [0, total_reads),
+/// tables whose sizes disagree with m, a decreasing row, a row total above
+/// its chunk's byte size, or a merHist that is not the column sum of the
+/// rows throw a parse util::Error before anything is sized from them.
 void save_index(const DatasetIndex& index, const std::string& path);
 DatasetIndex load_index(const std::string& path);
 

@@ -89,18 +89,6 @@ struct TupleBuffer {
   }
 };
 
-/// counts[i] += sum of row[b] for b in [bounds[i], bounds[i+1]), computed in
-/// one scan over the row's relevant bin range.
-void accumulate_bounded_counts(const std::uint32_t* row,
-                               std::span<const std::uint32_t> bounds,
-                               std::span<std::uint64_t> counts) {
-  for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
-    std::uint64_t acc = 0;
-    for (std::uint32_t b = bounds[i]; b < bounds[i + 1]; ++b) acc += row[b];
-    counts[i] += acc;
-  }
-}
-
 /// Minimal scope guard for lease cleanup on exception unwind (a cancel or a
 /// typed Error mid-pass must return every BufferPool lease).  The callback
 /// must not throw during unwind, so failures inside it are swallowed.
@@ -393,9 +381,8 @@ void run_passes_barrier(PassCtx& ctx) {
     std::vector<std::uint64_t> count_send(static_cast<std::size_t>(T) * P, 0);  // [t][dest]
     for (int t = 0; t < T; ++t) {
       for (std::uint32_t c = ca.thread_begin(p, t); c < ca.thread_end(p, t); ++c) {
-        accumulate_bounded_counts(
-            index.part.row(c), rank_bounds,
-            std::span(count_send).subspan(static_cast<std::size_t>(t) * P, P));
+        index.part.add_range_counts(
+            c, rank_bounds, std::span(count_send).subspan(static_cast<std::size_t>(t) * P, P));
       }
     }
     std::vector<std::uint64_t> send_offsets(static_cast<std::size_t>(P) + 1, 0);
@@ -424,15 +411,11 @@ void run_passes_barrier(PassCtx& ctx) {
     // ---- Recv-side offsets (§3.3): tuples arriving from each source
     // rank's threads that fall in my k-mer range. ----
     std::vector<std::uint64_t> count_recv(static_cast<std::size_t>(P) * T, 0);  // [src][t']
-    const std::array<std::uint32_t, 2> my_bounds_arr{my_range.begin, my_range.end};
     for (int q = 0; q < P; ++q) {
       for (int t2 = 0; t2 < T; ++t2) {
         std::uint64_t acc = 0;
-        for (std::uint32_t c = ca.thread_begin(q, t2); c < ca.thread_end(q, t2); ++c) {
-          std::uint64_t one = 0;
-          accumulate_bounded_counts(index.part.row(c), my_bounds_arr, std::span(&one, 1));
-          acc += one;
-        }
+        for (std::uint32_t c = ca.thread_begin(q, t2); c < ca.thread_end(q, t2); ++c)
+          acc += index.part.range_count(c, my_range.begin, my_range.end);
         count_recv[static_cast<std::size_t>(q) * T + t2] = acc;
       }
     }
@@ -596,8 +579,8 @@ void run_passes_barrier(PassCtx& ctx) {
         for (int q = 0; q < P; ++q) {
           for (int t2 = 0; t2 < T; ++t2, ++bi) {
             for (std::uint32_t c = ca.thread_begin(q, t2); c < ca.thread_end(q, t2); ++c) {
-              accumulate_bounded_counts(
-                  index.part.row(c), thread_bounds,
+              index.part.add_range_counts(
+                  c, thread_bounds,
                   std::span(count_part).subspan(bi * T, static_cast<std::size_t>(T)));
             }
           }
@@ -780,8 +763,8 @@ OverlapGeom overlap_geometry(const PassCtx& ctx, int s) {
   g.count_send.assign(static_cast<std::size_t>(ctx.T) * nslots, 0);
   for (int t = 0; t < T; ++t) {
     for (std::uint32_t c = ctx.ca.thread_begin(p, t); c < ctx.ca.thread_end(p, t); ++c) {
-      accumulate_bounded_counts(
-          ctx.index.part.row(c), g.slot_bounds,
+      ctx.index.part.add_range_counts(
+          c, g.slot_bounds,
           std::span(g.count_send).subspan(static_cast<std::size_t>(t) * nslots, nslots));
     }
   }
@@ -805,8 +788,8 @@ OverlapGeom overlap_geometry(const PassCtx& ctx, int s) {
   g.count_recv.assign(static_cast<std::size_t>(P) * T, 0);
   for (int q = 0; q < P; ++q) {
     for (std::uint32_t c = ctx.ca.rank_begin(q); c < ctx.ca.rank_end(q); ++c) {
-      accumulate_bounded_counts(
-          ctx.index.part.row(c), my_tb,
+      ctx.index.part.add_range_counts(
+          c, my_tb,
           std::span(g.count_recv).subspan(static_cast<std::size_t>(q) * T, T));
     }
   }

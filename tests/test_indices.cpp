@@ -4,16 +4,19 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <numeric>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/indices.hpp"
 #include "io/fastq.hpp"
+#include "kmer/codec.hpp"
 #include "kmer/scanner.hpp"
 #include "sim/read_sim.hpp"
 #include "test_support.hpp"
@@ -32,6 +35,25 @@ sim::DatasetConfig small_config(std::uint64_t pairs = 300) {
   cfg.genomes.max_genome_len = 6000;
   cfg.num_pairs = pairs;
   return cfg;
+}
+
+/// Raw per-chunk m-mer histograms recomputed from the FASTQ bytes, [c][bin].
+std::vector<std::vector<std::uint64_t>> raw_chunk_histograms(const DatasetIndex& index) {
+  const std::size_t nbins = std::size_t{1} << (2 * index.part.m);
+  std::vector<std::vector<std::uint64_t>> raw(index.part.num_chunks(),
+                                              std::vector<std::uint64_t>(nbins, 0));
+  for (std::uint32_t c = 0; c < index.part.num_chunks(); ++c) {
+    const ChunkRecord& chunk = index.part.chunks[c];
+    const auto buffer = io::read_file_range(index.files[chunk.file], chunk.offset, chunk.size);
+    io::for_each_record_in_buffer(
+        std::string_view(buffer.data(), buffer.size()),
+        [&](std::string_view, std::string_view seq, std::string_view) {
+          kmer::for_each_canonical_kmer64(seq, index.k, [&](std::uint64_t km, std::size_t) {
+            ++raw[c][kmer::prefix_bin64(km, index.k, index.part.m)];
+          });
+        });
+  }
+  return raw;
 }
 
 TEST(IndexCreate, BasicInvariants) {
@@ -103,20 +125,29 @@ TEST(IndexCreate, ChunkBoundariesAreRecordAligned) {
 
 TEST(IndexCreate, MerHistIsColumnSumOfChunkHistograms) {
   TempDir dir;
-  const auto ds = sim::simulate_dataset(small_config(), dir.file("d"));
+  const auto ds = sim::simulate_dataset(small_config(200), dir.file("d"));
   IndexCreateOptions opt;
   opt.k = 15;
-  opt.m = 5;
-  opt.target_chunks = 7;
-  const auto index = create_index("idx", ds.files, true, opt);
-  const std::size_t nbins = index.mer_hist.counts.size();
-  std::vector<std::uint64_t> colsum(nbins, 0);
-  for (std::uint32_t c = 0; c < index.part.num_chunks(); ++c) {
-    const std::uint32_t* row = index.part.row(c);
-    for (std::size_t b = 0; b < nbins; ++b) colsum[b] += row[b];
-  }
-  for (std::size_t b = 0; b < nbins; ++b) {
-    EXPECT_EQ(colsum[b], index.mer_hist.counts[b]) << "bin " << b;
+  opt.m = 4;
+  opt.target_chunks = 11;
+  for (int threads : {1, 4}) {
+    opt.threads = threads;
+    const auto index = create_index("raw", ds.files, true, opt);
+    const auto raw = raw_chunk_histograms(index);
+    const std::uint32_t nbins = index.mer_hist.num_bins();
+    std::vector<std::uint64_t> colsum(nbins, 0);
+    for (std::uint32_t c = 0; c < index.part.num_chunks(); ++c) {
+      std::uint64_t running = 0;
+      for (std::uint32_t b = 0; b < nbins; ++b) {
+        colsum[b] += raw[c][b];
+        running += raw[c][b];
+        // Stored rows are the inclusive prefix sums of the raw counts.
+        ASSERT_EQ(index.part.histograms[std::size_t{c} * nbins + b], running)
+            << "threads " << threads << " chunk " << c << " bin " << b;
+      }
+    }
+    for (std::uint32_t b = 0; b < nbins; ++b)
+      EXPECT_EQ(index.mer_hist.counts[b], colsum[b]) << "threads " << threads << " bin " << b;
   }
 }
 
@@ -254,15 +285,107 @@ TEST(Index, SaveLoadRoundTrip) {
   }
 }
 
-TEST(Index, RangeCountSumsBins) {
+/// A FastqPartTable whose rows are the prefix sums of @p raw ([chunk][bin]).
+FastqPartTable cumulative_table(int m, const std::vector<std::vector<std::uint32_t>>& raw) {
   FastqPartTable part;
-  part.m = 2;  // 16 bins
-  part.chunks.resize(1);
-  part.histograms.assign(16, 1);
-  part.histograms[3] = 5;
+  part.m = m;
+  part.chunks.resize(raw.size());
+  std::vector<std::uint32_t> mer_acc(std::size_t{1} << (2 * m), 0);
+  for (std::uint32_t c = 0; c < raw.size(); ++c) {
+    std::vector<std::uint32_t> row = raw[c];
+    cumulate_chunk_row(c, row, mer_acc);
+    part.histograms.insert(part.histograms.end(), row.begin(), row.end());
+  }
+  return part;
+}
+
+TEST(Index, RangeCountSumsBins) {
+  std::vector<std::uint32_t> raw(16, 1);  // m = 2: 16 bins
+  raw[3] = 5;
+  const FastqPartTable part = cumulative_table(2, {raw});
   EXPECT_EQ(part.range_count(0, 0, 16), 20u);
   EXPECT_EQ(part.range_count(0, 3, 4), 5u);
   EXPECT_EQ(part.range_count(0, 4, 4), 0u);
+  EXPECT_EQ(part.range_count(0, 0, 1), 1u);
+  EXPECT_EQ(part.range_count(0, 15, 16), 1u);
+  EXPECT_EQ(part.range_count(0, 9, 3), 0u);  // reversed bounds are an empty range
+}
+
+TEST(Index, BoundedCountsMatchBruteForceSums) {
+  constexpr int kM = 3;  // 64 bins
+  constexpr std::uint32_t kBins = 64;
+  std::mt19937 rng(20170529);
+  std::vector<std::vector<std::uint32_t>> raw(5, std::vector<std::uint32_t>(kBins));
+  for (auto& row : raw)
+    for (auto& v : row) v = rng() % 4 == 0 ? 0 : rng() % 100000;  // some empty bins
+  const FastqPartTable part = cumulative_table(kM, raw);
+  auto brute = [&](std::uint32_t c, std::uint32_t lo, std::uint32_t hi) {
+    std::uint64_t t = 0;
+    for (std::uint32_t b = lo; b < hi; ++b) t += raw[c][b];
+    return t;
+  };
+  for (std::uint32_t c = 0; c < raw.size(); ++c) {
+    for (std::uint32_t lo = 0; lo <= kBins; ++lo) {
+      for (std::uint32_t hi = lo; hi <= kBins; ++hi)
+        ASSERT_EQ(part.range_count(c, lo, hi), brute(c, lo, hi)) << c << " " << lo << " " << hi;
+    }
+  }
+  // Span form: random sorted bounds, with repeats (empty ranges) and the
+  // table ends, accumulated into counts that already hold a value.
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::uint32_t> bounds(2 + rng() % 9);
+    for (auto& b : bounds) b = rng() % (kBins + 1);
+    if (trial % 3 == 0) bounds.front() = 0;
+    if (trial % 5 == 0) bounds.back() = kBins;
+    std::sort(bounds.begin(), bounds.end());
+    const auto c = static_cast<std::uint32_t>(rng() % raw.size());
+    std::vector<std::uint64_t> counts(bounds.size() - 1, 7);
+    part.add_range_counts(c, bounds, counts);
+    for (std::size_t i = 0; i + 1 < bounds.size(); ++i)
+      ASSERT_EQ(counts[i], 7 + brute(c, bounds[i], bounds[i + 1])) << trial << " " << i;
+  }
+  std::vector<std::uint64_t> full(1, 0);
+  part.add_range_counts(4, std::vector<std::uint32_t>{0, kBins}, full);
+  EXPECT_EQ(full[0], brute(4, 0, kBins));
+}
+
+TEST(Index, CumulateChunkRowPrefixSumsAndAccumulates) {
+  std::vector<std::uint32_t> row = {3, 0, 2, 5};
+  std::vector<std::uint32_t> acc = {1, 1, 1, 1};
+  cumulate_chunk_row(0, row, acc);
+  EXPECT_EQ(row, (std::vector<std::uint32_t>{3, 3, 5, 10}));
+  EXPECT_EQ(acc, (std::vector<std::uint32_t>{4, 1, 3, 6}));
+}
+
+TEST(Index, CumulateChunkRowRejectsA32BitTotalOverflow) {
+  // Each bin fits, but the chunk's total of 2^32 does not fit a row entry.
+  std::vector<std::uint32_t> row = {0x80000000u, 0x80000000u};
+  std::vector<std::uint32_t> acc(2, 0);
+  try {
+    cumulate_chunk_row(17, row, acc);
+    FAIL() << "expected util::Error";
+  } catch (const util::Error& e) {
+    EXPECT_EQ(e.category(), util::ErrorCategory::kConfig);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("chunk 17"), std::string::npos) << what;
+    EXPECT_NE(what.find("--chunks"), std::string::npos) << what;
+  }
+  // The largest total that fits is accepted.
+  row = {0x80000000u, 0x7FFFFFFFu};
+  acc.assign(2, 0);
+  cumulate_chunk_row(0, row, acc);
+  EXPECT_EQ(row[1], 0xFFFFFFFFu);
+}
+
+TEST(Index, CumulateChunkRowRejectsAMerHistBinOverflow) {
+  std::vector<std::uint32_t> row = {0, 2};
+  std::vector<std::uint32_t> acc = {0, 0xFFFFFFFFu};
+  try {
+    cumulate_chunk_row(0, row, acc);
+    FAIL() << "expected util::Error";
+  } catch (const util::Error& e) {
+    EXPECT_EQ(e.category(), util::ErrorCategory::kConfig);
+  }
 }
 
 TEST(Index, MaxChunkBytes) {
@@ -327,7 +450,9 @@ DatasetIndex tiny_index() {
   idx.part.chunks.push_back({0, 0, 120, 0, 3});
   idx.part.chunks.push_back({0, 120, 80, 3, 2});
   idx.part.chunks.push_back({1, 0, 200, 0, 5});
-  idx.part.histograms.assign(3 * 4, 1);
+  // Cumulative rows of the raw counts {1,0,1,1}, {0,1,1,1}, {0,1,1,2},
+  // whose column sums are merHist.
+  idx.part.histograms = {1, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 4};
   return idx;
 }
 
@@ -429,6 +554,91 @@ TEST(IndexLoad, InconsistentTablesAreParseErrors) {
   check("merHist size", [](DatasetIndex& i) { i.mer_hist.counts.push_back(0); });
   check("merHist m disagrees", [](DatasetIndex& i) { i.mer_hist.m = 2; });
   check("odd paired file count", [](DatasetIndex& i) { i.files.push_back("x.fq"); });
+}
+
+TEST(IndexLoad, HostileCumulativeRowsAreParseErrors) {
+  TempDir dir;
+  const std::string path = dir.file("bad.idx");
+  // Each fixture breaks exactly one rule, so the error names that rule.
+  auto check = [&](const std::string& what, const std::string& rule, auto&& mutate) {
+    DatasetIndex idx = tiny_index();
+    mutate(idx);
+    save_index(idx, path);
+    try {
+      (void)load_index(path);
+      FAIL() << what << ": expected util::Error";
+    } catch (const util::Error& e) {
+      EXPECT_EQ(e.category(), util::ErrorCategory::kParse) << what;
+      EXPECT_NE(std::string(e.what()).find(rule), std::string::npos) << what << ": " << e.what();
+    }
+  };
+  // Rows must be non-decreasing: a decreasing row would wrap a bounded count.
+  check("decreasing row", "row 1 decreases", [](DatasetIndex& i) {
+    i.part.histograms[4 + 1] = 3;  // chunk 1: {0, 3, 2, 3}
+    i.mer_hist.counts = {1, 4, 1, 4};
+  });
+  // A chunk cannot hold more k-mers than bytes.  Chunk 2's row ends at
+  // 0xFFFFFFFF, a total that would otherwise size kmer_out to 48 GiB.
+  check("row total far above chunk size", "more k-mers than its chunk has bytes",
+        [](DatasetIndex& i) {
+          i.part.histograms[8 + 3] = 0xFFFFFFFFu;
+          i.mer_hist.counts = {1, 2, 3, 0xFFFFFFFFu};
+        });
+  check("row total one above chunk size", "more k-mers than its chunk has bytes",
+        [](DatasetIndex& i) { i.part.chunks[1].size = 2; });  // chunk 1 counts 3
+  // merHist must equal the column differences of the rows.
+  const std::string column_sum = "merHist is not the column sum";
+  check("merHist bin too large", column_sum, [](DatasetIndex& i) { i.mer_hist.counts[3] = 5; });
+  check("merHist bin too small", column_sum, [](DatasetIndex& i) { i.mer_hist.counts[0] = 0; });
+  check("merHist mass in the wrong bin", column_sum,
+        [](DatasetIndex& i) { i.mer_hist.counts = {2, 1, 3, 4}; });
+  // A column summing to 2^32 agrees with merHist only modulo 2^32.
+  check("column sum wraps u32", column_sum, [](DatasetIndex& i) {
+    i.part.chunks[0].size = i.part.chunks[1].size = 0x80000010u;
+    for (std::size_t b = 0; b < 4; ++b) {
+      i.part.histograms[b] += 0x80000000u;
+      i.part.histograms[4 + b] += 0x80000000u;
+    }
+  });
+}
+
+TEST(IndexLoad, RowTotalEqualToChunkSizeLoads) {
+  TempDir dir;
+  const std::string path = dir.file("edge.idx");
+  DatasetIndex idx = tiny_index();
+  idx.part.chunks[1].size = 3;  // chunk 1 counts exactly 3 k-mers
+  save_index(idx, path);
+  EXPECT_EQ(load_index(path).part.range_count(1, 0, 4), 3u);
+}
+
+TEST(IndexLoad, FormatV4RoundTripsAndV3IsRejected) {
+  TempDir dir;
+  const std::string path = dir.file("tiny.idx");
+  const DatasetIndex idx = tiny_index();
+  save_index(idx, path);
+  auto bytes = file_bytes(path);
+  std::uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 4, sizeof(version));
+  EXPECT_EQ(version, 4u);
+  const auto loaded = load_index(path);
+  EXPECT_EQ(loaded.part.histograms, idx.part.histograms);
+  EXPECT_EQ(loaded.mer_hist.counts, idx.mer_hist.counts);
+  for (std::uint32_t c = 0; c < 3; ++c)
+    for (std::uint32_t b = 0; b < 4; ++b)
+      EXPECT_EQ(loaded.part.range_count(c, b, 4), idx.part.range_count(c, b, 4));
+
+  // A v3 file stored raw rows; it is refused, not reinterpreted.
+  version = 3;
+  std::memcpy(bytes.data() + 4, &version, sizeof(version));
+  const std::string v3 = dir.file("v3.idx");
+  write_bytes(v3, bytes);
+  try {
+    (void)load_index(v3);
+    FAIL() << "expected util::Error";
+  } catch (const util::Error& e) {
+    EXPECT_EQ(e.category(), util::ErrorCategory::kParse);
+    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos) << e.what();
+  }
 }
 
 TEST(IndexLoad, SingleEndTilingAcrossFilesLoads) {
