@@ -14,9 +14,10 @@
 #      (atomic_ref size counting), the per-thread merHist accumulators and
 #      in-place cumulative rows of the parallel histogram loop, and the
 #      threads-over-mmap packed KmerGen scan.
-#   3. Address+UBSanitizer build running the fault-injection (test_faults),
-#      FASTQ parsing (test_fastq), packed-arena (test_packed_store), index
-#      loading (test_indices: truncated and hostile index files), and
+#   3. Address+UBSanitizer build running the fault-injection (test_faults,
+#      with UBSan notes fatal), FASTQ parsing (test_fastq), packed-arena
+#      (test_packed_store), index loading (test_indices: truncated and
+#      hostile index files), radix sort (test_sort: MSD bucket offsets), and
 #      exchange-compression (test_superkmer, test_bloom, the comm-compress
 #      differential grid) suites — the paths that do raw buffer arithmetic
 #      and deliberately corrupt / truncate input, including the super-k-mer
@@ -194,19 +195,21 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_indices \
 echo "=== tier 1: TSan service layer (concurrent sessions + cancel + job queue) ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_serve
 
-echo "=== tier 1: ASan+UBSan build (test_faults + test_fastq + test_packed_store + compress legs) ==="
+echo "=== tier 1: ASan+UBSan build (test_faults + test_fastq + test_packed_store + test_sort + compress legs) ==="
 cmake --preset asan
 cmake --build --preset asan "${JOBS}" --target test_faults test_fastq test_packed_store \
-  test_superkmer test_bloom test_differential test_indices
+  test_superkmer test_bloom test_differential test_indices test_sort
 
-echo "=== tier 1: ASan test_faults ==="
-ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_faults
+echo "=== tier 1: ASan+UBSan test_faults (UBSan notes fail the gate) ==="
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_faults
 echo "=== tier 1: ASan test_fastq ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_fastq
 echo "=== tier 1: ASan test_packed_store (arena corruption + packed scan bounds) ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_packed_store
 echo "=== tier 1: ASan test_indices (truncated + hostile index fixtures) ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_indices
+echo "=== tier 1: ASan test_sort (two-level radix sort bucket offsets) ==="
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_sort
 echo "=== tier 1: ASan exchange-compression (wire encode/decode + Bloom probe bounds) ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_superkmer
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_bloom

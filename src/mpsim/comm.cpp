@@ -142,7 +142,9 @@ void World::deliver(int src, int dest, int tag, const void* data, std::size_t by
   Mailbox& mb = *mailboxes_[static_cast<std::size_t>(dest)];
   Message msg;
   msg.payload.resize(bytes);
-  std::memcpy(msg.payload.data(), data, bytes);
+  // memcpy with a null pointer is undefined even for 0 bytes, and an empty
+  // payload (or caller buffer) may have no storage.
+  if (bytes > 0) std::memcpy(msg.payload.data(), data, bytes);
   // Stamp-then-push is safe: a rank's sends to one (dest, tag) stream are
   // issued from its own thread, so stamp order equals enqueue order.
   if (checker_) msg.seq = checker_->on_send(src, dest, tag, bytes);
@@ -317,7 +319,7 @@ void Comm::wait(Request& request) {
     throw util::comm_error("mpsim wait: size mismatch (got " +
                            std::to_string(msg.payload.size()) + ", expected " +
                            std::to_string(request.bytes_) + ")");
-  std::memcpy(request.data_, msg.payload.data(), msg.payload.size());
+  if (!msg.payload.empty()) std::memcpy(request.data_, msg.payload.data(), msg.payload.size());
 }
 
 void Comm::wait_all(std::span<Request> requests) {
@@ -342,10 +344,11 @@ std::vector<Request> Comm::ialltoallv_staged(const void* sendbuf,
   auto* rbytes = static_cast<std::byte*>(recvbuf);
 
   // Stage 0: local block, plain copy (src == dest).
-  std::memcpy(rbytes + recv_offsets[static_cast<std::size_t>(rank_)],
-              sbytes + send_offsets[static_cast<std::size_t>(rank_)],
-              send_offsets[static_cast<std::size_t>(rank_) + 1] -
-                  send_offsets[static_cast<std::size_t>(rank_)]);
+  const std::uint64_t local_len = send_offsets[static_cast<std::size_t>(rank_) + 1] -
+                                  send_offsets[static_cast<std::size_t>(rank_)];
+  if (local_len > 0)
+    std::memcpy(rbytes + recv_offsets[static_cast<std::size_t>(rank_)],
+                sbytes + send_offsets[static_cast<std::size_t>(rank_)], local_len);
 
   // Stages 1..P-1, same schedule as the blocking version, but every send is
   // posted up front and every receive is returned pending: the caller's
@@ -371,7 +374,7 @@ void Comm::recv(int src, int tag, void* data, std::size_t bytes) {
     throw util::comm_error("mpsim recv: size mismatch (got " +
                            std::to_string(msg.payload.size()) + ", expected " +
                            std::to_string(bytes) + ")");
-  std::memcpy(data, msg.payload.data(), bytes);
+  if (bytes > 0) std::memcpy(data, msg.payload.data(), bytes);
 }
 
 std::vector<std::byte> Comm::recv_any_size(int src, int tag) {
@@ -503,10 +506,11 @@ void Comm::alltoallv_staged(const void* sendbuf, std::span<const std::uint64_t> 
   auto* rbytes = static_cast<std::byte*>(recvbuf);
 
   // Stage 0: local block, plain copy (src == dest).
-  std::memcpy(rbytes + recv_offsets[static_cast<std::size_t>(rank_)],
-              sbytes + send_offsets[static_cast<std::size_t>(rank_)],
-              send_offsets[static_cast<std::size_t>(rank_) + 1] -
-                  send_offsets[static_cast<std::size_t>(rank_)]);
+  const std::uint64_t local_len = send_offsets[static_cast<std::size_t>(rank_) + 1] -
+                                  send_offsets[static_cast<std::size_t>(rank_)];
+  if (local_len > 0)
+    std::memcpy(rbytes + recv_offsets[static_cast<std::size_t>(rank_)],
+                sbytes + send_offsets[static_cast<std::size_t>(rank_)], local_len);
 
   // Stages 1..P-1: in stage i, rank p sends to (p+i) mod P and receives
   // from (p-i+P) mod P (paper §3.3).

@@ -1,6 +1,7 @@
 #include "sort/radix.hpp"
 
-#include <cassert>
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -19,35 +20,71 @@ void count_sort_metrics(std::size_t keys, int passes) {
   m_passes.of(reg, "sort.radix_passes").add(static_cast<std::uint64_t>(passes));
 }
 
-/// One LSD counting pass: stable-scatter (keys, vals) into (out_keys,
-/// out_vals) by the digit at bit offset @p shift of digit_key(i).
-template <typename Val, typename DigitFn>
-void counting_pass(std::span<const std::uint64_t> keys, std::span<const Val> vals,
-                   std::span<std::uint64_t> out_keys, std::span<Val> out_vals, int digit_bits,
-                   const DigitFn& digit_of) {
-  const std::size_t nbuckets = std::size_t{1} << digit_bits;
-  std::vector<std::size_t> count(nbuckets, 0);
-  const obs::MemCharge count_mem("sort", nbuckets * sizeof(std::size_t));
-  for (std::size_t i = 0; i < keys.size(); ++i) ++count[digit_of(i)];
-  std::size_t acc = 0;
-  for (std::size_t b = 0; b < nbuckets; ++b) {
-    const std::size_t c = count[b];
-    count[b] = acc;
-    acc += c;
-  }
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const std::size_t dst = count[digit_of(i)]++;
-    out_keys[dst] = keys[i];
-    out_vals[dst] = vals[i];
-  }
-}
+// kBucketKeys 12-byte tuples plus their ping-pong half are ~96 KB, so a
+// bucket's LSD passes stay in L2 even with every core sorting at once.
+// Wider digits raise the target to kKeysPerCounter keys per histogram
+// counter, so zeroing and prefix-summing 2^digit_bits counters per bucket
+// stays a small share of its work.
+constexpr std::size_t kKeysPerCounter = 16;
+constexpr int kMaxMsdBits = 16;
 
-int pass_count(int key_bits, int digit_bits) {
+void check_widths(int key_bits, int digit_bits) {
   if (digit_bits < 1 || digit_bits > 16) throw std::invalid_argument("radix: digit_bits in [1,16]");
   if (key_bits < 1) throw std::invalid_argument("radix: key_bits >= 1");
-  return (key_bits + digit_bits - 1) / digit_bits;
 }
 
+std::size_t digit_count(int bits, int digit_bits) {
+  return static_cast<std::size_t>((bits + digit_bits - 1) / digit_bits);
+}
+
+/// Stable LSD sort of the n pairs at (ak, av) by the low @p bits bits of
+/// `key & mask`, ping-ponging with (bk, bv).  One read sweep fills every
+/// digit's histogram in @p hist (ceil(bits / digit_bits) << digit_bits
+/// counters); a digit on which all n keys agree is skipped.  Returns the
+/// counting passes run: the result is in (ak, av) when even, (bk, bv) when
+/// odd.
+template <typename Val>
+int lsd_passes(std::uint64_t* ak, Val* av, std::uint64_t* bk, Val* bv, std::size_t n,
+               std::uint64_t mask, int bits, int digit_bits, std::size_t* hist) {
+  const std::size_t digits = digit_count(bits, digit_bits);
+  const std::size_t radix = std::size_t{1} << digit_bits;
+  const std::uint64_t digit_mask = radix - 1;
+  std::fill_n(hist, digits * radix, std::size_t{0});
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t k = ak[i] & mask;
+    for (std::size_t d = 0; d < digits; ++d)
+      ++hist[d * radix + ((k >> (static_cast<int>(d) * digit_bits)) & digit_mask)];
+  }
+  int passes = 0;
+  for (std::size_t d = 0; d < digits; ++d) {
+    const int shift = static_cast<int>(d) * digit_bits;
+    std::size_t* count = hist + d * radix;
+    if (count[((ak[0] & mask) >> shift) & digit_mask] == n) continue;
+    std::size_t acc = 0;
+    for (std::size_t b = 0; b < radix; ++b) {
+      const std::size_t c = count[b];
+      count[b] = acc;
+      acc += c;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t dst = count[((ak[i] & mask) >> shift) & digit_mask]++;
+      bk[dst] = ak[i];
+      bv[dst] = av[i];
+    }
+    std::swap(ak, bk);
+    std::swap(av, bv);
+    ++passes;
+  }
+  return passes;
+}
+
+/// Two-level stable radix sort of the masked keys, which all lie in
+/// [lo, hi].  A range of at most `target` keys runs one LSD over the bits
+/// that vary, bit_width(lo ^ hi).  A larger range is split: one counting
+/// scatter on the top bits of hi - lo moves the keys into about n / target
+/// buckets in the scratch, and each bucket, which varies only in its low
+/// bits, sorts on them with lsd_passes and lands back in the caller's
+/// buffer.
 template <typename Val>
 void radix_sort_impl(std::span<std::uint64_t> keys, std::span<Val> vals,
                      std::span<std::uint64_t> tmp_keys, std::span<Val> tmp_vals, int key_bits,
@@ -57,28 +94,81 @@ void radix_sort_impl(std::span<std::uint64_t> keys, std::span<Val> vals,
     throw std::invalid_argument("radix: buffer size mismatch");
   if (keys.size() <= 1) return;
   key_bits = std::min(key_bits, 64);
-  const int passes = pass_count(key_bits, digit_bits);
-  const std::uint64_t digit_mask = (std::uint64_t{1} << digit_bits) - 1;
+  check_widths(key_bits, digit_bits);
+  const std::size_t n = keys.size();
+  const std::uint64_t mask =
+      key_bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << key_bits) - 1;
 
-  std::span<std::uint64_t> src_k = keys;
-  std::span<Val> src_v = vals;
-  std::span<std::uint64_t> dst_k = tmp_keys.subspan(0, keys.size());
-  std::span<Val> dst_v = tmp_vals.subspan(0, vals.size());
+  std::uint64_t lo = keys[0] & mask;
+  std::uint64_t hi = lo;
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::uint64_t k = keys[i] & mask;
+    lo = std::min(lo, k);
+    hi = std::max(hi, k);
+  }
+  if (lo == hi) {  // every key equal: the stable order is the input order
+    count_sort_metrics(n, 0);
+    return;
+  }
 
-  for (int pass = 0; pass < passes; ++pass) {
-    const int shift = pass * digit_bits;
-    counting_pass<Val>(src_k, src_v, dst_k, dst_v, digit_bits, [&](std::size_t i) {
-      return static_cast<std::size_t>((src_k[i] >> shift) & digit_mask);
-    });
-    std::swap(src_k, dst_k);
-    std::swap(src_v, dst_v);
+  const std::size_t target = std::max(kBucketKeys, kKeysPerCounter << digit_bits);
+  if (n <= target) {  // one bucket: LSD over the bits that vary
+    const int bits = static_cast<int>(std::bit_width(lo ^ hi));
+    std::vector<std::size_t> hist(digit_count(bits, digit_bits) << digit_bits);
+    const obs::MemCharge hist_mem("sort", hist.size() * sizeof(std::size_t));
+    const int passes = lsd_passes<Val>(keys.data(), vals.data(), tmp_keys.data(),
+                                       tmp_vals.data(), n, mask, bits, digit_bits, hist.data());
+    if (passes % 2 == 1) {
+      std::memcpy(keys.data(), tmp_keys.data(), keys.size_bytes());
+      std::memcpy(vals.data(), tmp_vals.data(), vals.size_bytes());
+    }
+    count_sort_metrics(n, passes);
+    return;
   }
-  // After an odd number of passes the sorted data lives in the scratch.
-  if (passes % 2 == 1) {
-    std::memcpy(keys.data(), src_k.data(), keys.size_bytes());
-    std::memcpy(vals.data(), src_v.data(), vals.size_bytes());
+
+  // Split [lo, hi] on its top msd_bits bits into about n / target buckets.
+  const int range_bits = static_cast<int>(std::bit_width(hi - lo));
+  const int msd_bits = std::min(
+      {static_cast<int>(std::bit_width((n - 1) / target)), range_bits, kMaxMsdBits});
+  const int low_bits = range_bits - msd_bits;
+  std::vector<std::size_t> hist(digit_count(low_bits, digit_bits) << digit_bits);
+
+  // Bucket b holds the keys with (key >> low_bits) == base + b, so only
+  // their low_bits bits vary, and there are at most 2^msd_bits + 1 buckets.
+  // end[b + 1] counts bucket b's keys, end[b] then becomes its start, and
+  // the scatter advances it to the bucket's end.
+  const std::uint64_t base = lo >> low_bits;
+  const std::size_t nbuckets = static_cast<std::size_t>((hi >> low_bits) - base) + 1;
+  std::vector<std::size_t> end(nbuckets + 1, 0);
+  const obs::MemCharge bucket_mem("sort", (end.size() + hist.size()) * sizeof(std::size_t));
+  auto bucket_of = [&](std::uint64_t k) {
+    return static_cast<std::size_t>(((k & mask) >> low_bits) - base);
+  };
+  for (std::size_t i = 0; i < n; ++i) ++end[bucket_of(keys[i]) + 1];
+  for (std::size_t b = 1; b < nbuckets; ++b) end[b] += end[b - 1];
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t dst = end[bucket_of(keys[i])]++;
+    tmp_keys[dst] = keys[i];
+    tmp_vals[dst] = vals[i];
   }
-  count_sort_metrics(keys.size(), passes);
+
+  int passes = 1;
+  std::size_t begin = 0;
+  for (std::size_t b = 0; b < nbuckets; ++b) {
+    const std::size_t m = end[b] - begin;
+    if (m == 0) continue;
+    const int p = m == 1 ? 0
+                         : lsd_passes<Val>(tmp_keys.data() + begin, tmp_vals.data() + begin,
+                                           keys.data() + begin, vals.data() + begin, m, mask,
+                                           low_bits, digit_bits, hist.data());
+    if (p % 2 == 0) {
+      std::memcpy(keys.data() + begin, tmp_keys.data() + begin, m * sizeof(std::uint64_t));
+      std::memcpy(vals.data() + begin, tmp_vals.data() + begin, m * sizeof(Val));
+    }
+    passes += p;
+    begin = end[b];
+  }
+  count_sort_metrics(n, passes);
 }
 
 }  // namespace

@@ -30,26 +30,29 @@ std::size_t pick_n(util::Xoshiro256& rng, int iter) {
   return 1 + rng.next_below(1500);
 }
 
-TEST(Property, RadixSortKv64MatchesStableSort) {
-  util::Xoshiro256 rng(20260805);
-  for (int iter = 0; iter < 120; ++iter) {
+/// Checks radix_sort_kv64 against std::stable_sort on @p iters random
+/// configurations, drawing keys (of n <= max_n, key_bits, digit_bits) from
+/// @p gen.  Keys are compared by their low key_bits bits only; the unique
+/// payloads expose stability breaks.
+template <typename KeyGen>
+void check_kv64_against_stable_sort(std::uint64_t seed, int iters, std::size_t max_n,
+                                    const KeyGen& gen) {
+  util::Xoshiro256 rng(seed);
+  for (int iter = 0; iter < iters; ++iter) {
     const int key_bits = 1 + static_cast<int>(rng.next_below(64));
     const int digit_bits = 1 + static_cast<int>(rng.next_below(16));
-    const std::size_t n = pick_n(rng, iter);
-    const std::uint64_t mask =
-        key_bits == 64 ? ~0ull : ((1ull << key_bits) - 1);  // small widths force duplicates
+    const std::size_t n = iter < 3 ? pick_n(rng, iter) : 1 + rng.next_below(max_n);
+    const std::uint64_t mask = key_bits == 64 ? ~0ull : ((1ull << key_bits) - 1);
 
-    std::vector<std::uint64_t> keys(n);
+    std::vector<std::uint64_t> keys = gen(rng, n, key_bits);
     std::vector<std::uint32_t> vals(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      keys[i] = rng.next() & mask;
-      vals[i] = static_cast<std::uint32_t>(i);  // unique payloads expose stability breaks
-    }
+    std::iota(vals.begin(), vals.end(), 0u);
 
     std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) { return keys[a] < keys[b]; });
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return (keys[a] & mask) < (keys[b] & mask);
+    });
     std::vector<std::uint64_t> expect_keys(n);
     std::vector<std::uint32_t> expect_vals(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -63,6 +66,34 @@ TEST(Property, RadixSortKv64MatchesStableSort) {
     ASSERT_EQ(vals, expect_vals) << "key_bits=" << key_bits << " digit_bits=" << digit_bits
                                  << " n=" << n;
   }
+}
+
+TEST(Property, RadixSortKv64MatchesStableSort) {
+  // Uniform keys below key_bits: small widths force duplicates.
+  check_kv64_against_stable_sort(
+      20260805, 120, 1500, [](util::Xoshiro256& rng, std::size_t n, int key_bits) {
+        const std::uint64_t mask = key_bits == 64 ? ~0ull : ((1ull << key_bits) - 1);
+        std::vector<std::uint64_t> keys(n);
+        for (std::uint64_t& k : keys) k = rng.next() & mask;
+        return keys;
+      });
+}
+
+TEST(Property, RadixSortKv64NarrowRangeMatchesStableSort) {
+  // LocalSort-shaped keys: a narrow band [lo, lo + 2^w) of the key space,
+  // sizes up to a few MSD buckets, and bits above key_bits set at random
+  // (they must be carried, not sorted on).
+  check_kv64_against_stable_sort(
+      20261017, 60, 4 * sort::kBucketKeys, [](util::Xoshiro256& rng, std::size_t n, int key_bits) {
+        const std::uint64_t mask = key_bits == 64 ? ~0ull : ((1ull << key_bits) - 1);
+        const int w = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(key_bits) + 1));
+        const std::uint64_t band = w == 64 ? ~0ull : ((1ull << w) - 1);
+        const std::uint64_t lo = rng.next() & mask;
+        std::vector<std::uint64_t> keys(n);
+        for (std::uint64_t& k : keys)
+          k = (rng.next() & ~mask) | ((lo + (rng.next() & band)) & mask);
+        return keys;
+      });
 }
 
 TEST(Property, RadixSortKv128MatchesStableSort) {
