@@ -8,20 +8,24 @@
 #      observability (test_obs), simulated-MPI (test_mpsim), union-find
 #      (test_dsu), and service-layer (test_serve: concurrent sessions,
 #      cancellation, job queue) suites, the parallel-vs-sequential
-#      IndexCreate tests (test_indices), plus the binned-output and
-#      packed-read-store differential legs — the paths that stress
-#      cross-thread event buffers, mailboxes, the parallel MergeCC flatten
-#      (atomic_ref size counting), the per-thread merHist accumulators and
-#      in-place cumulative rows of the parallel histogram loop, and the
-#      threads-over-mmap packed KmerGen scan.
+#      IndexCreate tests (test_indices), plus the binned-output,
+#      packed-read-store and pass-engine (GoldenW1 + Differential.ModesAgree*)
+#      differential legs — the paths that stress cross-thread event buffers,
+#      mailboxes, the parallel MergeCC flatten (atomic_ref size counting),
+#      the per-thread merHist accumulators and in-place cumulative rows of
+#      the parallel histogram loop, the threads-over-mmap packed KmerGen
+#      scan, and the pass engine's T threads writing per-(dest rank, dest
+#      thread) slots with receives completed at drain.
 #   3. Address+UBSanitizer build running the fault-injection (test_faults,
 #      with UBSan notes fatal), FASTQ parsing (test_fastq), packed-arena
 #      (test_packed_store), index loading (test_indices: truncated and
 #      hostile index files), radix sort (test_sort: MSD bucket offsets), and
 #      exchange-compression (test_superkmer, test_bloom, the comm-compress
-#      differential grid) suites — the paths that do raw buffer arithmetic
-#      and deliberately corrupt / truncate input, including the super-k-mer
-#      wire decode.
+#      differential grid) and pass-engine (GoldenW1 +
+#      Differential.ModesAgree*) suites — the paths that do raw buffer
+#      arithmetic and deliberately corrupt / truncate input, including the
+#      super-k-mer wire decode and the fixed-tuple receive split's offset
+#      arithmetic on wire messages.
 #   4. metaprepd daemon smoke: start the job-queue daemon on an AF_UNIX
 #      socket, submit a job via `metaprep_cli daemon`, poll it to
 #      completion, fetch the partition manifest, cancel a queued job under
@@ -189,6 +193,9 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_differential \
 echo "=== tier 1: TSan packed read-store legs (threads over one shared mmap arena) ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_differential \
   --gtest_filter='Grid/*T2*Packed*'
+echo "=== tier 1: TSan pass engine (golden W=1 pin + fusion-width agreement, strict and lenient) ==="
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_differential \
+  --gtest_filter='GoldenW1.*:Differential.ModesAgree*'
 echo "=== tier 1: TSan parallel IndexCreate (per-thread merHist accumulators, cumulative rows) ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_indices \
   --gtest_filter='IndexCreate.ParallelHistogramsMatchSequential:IndexCreate.MerHistIsColumnSumOfChunkHistograms'
@@ -215,6 +222,9 @@ ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_superkmer
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_bloom
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_differential \
   --gtest_filter='CompressGrid/*'
+echo "=== tier 1: ASan+UBSan pass engine (fixed-tuple receive split over wire messages) ==="
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_differential \
+  --gtest_filter='GoldenW1.*:Differential.ModesAgree*'
 
 echo "=== tier 1: bench guard (fig5 min-of-N vs BENCH_fig5.json) ==="
 scripts/bench_guard.sh

@@ -156,6 +156,12 @@ void ProtocolChecker::on_barrier_arrive(int rank) {
     }
     std::fill(barrier_join_.begin(), barrier_join_.end(), 0);
     barrier_arrivals_ = 0;
+    // The phase is complete, so every rank parked in it is released now,
+    // even before its thread wakes to unblock itself: a peer that already
+    // left the barrier and waits on a still-sleeping rank is no deadlock.
+    for (Blocked& b : blocked_) {
+      if (b.barrier) b.active = false;
+    }
   }
 }
 

@@ -75,7 +75,8 @@ class ProtocolChecker {
   void unblock(int rank);
 
   /// Arrival at the barrier: accumulates the rank's clock into the phase
-  /// join; the P-th arrival folds the joined clock into every rank.
+  /// join; the P-th arrival folds the joined clock into every rank and
+  /// releases every rank blocked in the barrier.
   void on_barrier_arrive(int rank);
 
   /// Probe the wait-for graph.  @p mailbox_has(dst, src, tag) must return

@@ -47,20 +47,18 @@ enum class MergeStrategy {
   kContraction,
 };
 
-/// How the S I/O passes are scheduled (§3.2-§3.5 loop).
+/// How the S I/O passes are scheduled (§3.2-§3.5 loop): the pass engine's
+/// fusion width W.  Both widths share one slot layout, one wire format per
+/// codec and one BufferPool lease path, and produce identical labels (see
+/// DESIGN.md "Pass engine (W, codec)").
 enum class PipelineMode {
-  /// One phase at a time to a barrier, exactly the paper's schedule: each
-  /// pass runs KmerGen -> KmerGen-Comm -> LocalSort -> LocalCC to
-  /// completion before the next pass starts.  The default; behaviour is
-  /// bit-identical to the pre-pipelining implementation.
+  /// W = 1, the paper's schedule and the default: each pass runs KmerGen ->
+  /// KmerGen-Comm -> LocalSort -> LocalCC to completion before the next
+  /// starts.
   kBarrier,
-  /// Pipelined schedule: passes are grouped in pairs; one chunk read+scan
-  /// generates both passes' tuples (pass s+1's KmerGen overlaps pass s's
-  /// KmerGen-Comm window), the exchange is posted with async isend/irecv
-  /// and completed lazily, and KmerGen partitions tuples per destination
-  /// *thread* so LocalSort's partition copy disappears.  Buffers are leased
-  /// from util::BufferPool.  Produces the same component partition as
-  /// kBarrier (labels up to renaming; see DESIGN.md "Pipelined passes").
+  /// W = 2, pipelined: passes run in pairs; one chunk read+scan generates
+  /// both passes' tuples, and pass s+1's exchange stays in flight while
+  /// pass s sorts and unions.
   kOverlap,
 };
 
@@ -69,8 +67,9 @@ enum class PipelineMode {
 /// grid); see DESIGN.md "Exchange compression" for the record formats and
 /// the equivalence arguments.
 enum class CommCompress {
-  /// Fixed-size (k-mer, value) tuples over the precomputed-offset staged
-  /// all-to-all — the historical wire format.
+  /// Fixed-size (k-mer, value) tuples at offsets precomputed from the index
+  /// tables, in the paper's staged all-to-all shape: one message per
+  /// (stage, pass, tuple array), even when empty.
   kNone,
   /// Minimizer-routed super-k-mer records: consecutive k-mers sharing a
   /// minimizer ship as one (value, n_kmers, packed bases) payload that the
@@ -211,8 +210,8 @@ struct MetaprepConfig {
   obs::MetricsRegistry* metrics_registry = nullptr;
   obs::MemRegistry* mem_registry = nullptr;
 
-  /// Buffer pool the overlap scheduler leases from.  Null = the process
-  /// pool.  The daemon passes one shared pool so jobs recycle each other's
+  /// Buffer pool the pass engine leases tuple arrays from.  Null = the
+  /// process pool.  The daemon passes one shared pool so jobs recycle each other's
   /// tuple buffers.
   util::BufferPool* buffer_pool = nullptr;
 

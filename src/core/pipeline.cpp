@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <list>
 #include <map>
 #include <memory>
 #include <span>
@@ -35,7 +36,6 @@
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 #include "util/memusage.hpp"
-#include "util/prefix_sum.hpp"
 #include "util/session.hpp"
 #include "util/thread_team.hpp"
 
@@ -47,70 +47,115 @@ using util::StepTimes;
 using util::ThreadTeam;
 using util::WallTimer;
 
-/// Tuple buffers in SoA layout.  keys_hi is used only for k > 32 ("wide"):
+/// Tuple arrays in SoA layout.  keys_hi is used only for k > 32 ("wide"):
 /// the 12-byte tuple becomes the paper's 20-byte tuple (§4.4).
 struct TupleBuffer {
   std::vector<std::uint64_t> keys;
   std::vector<std::uint64_t> keys_hi;
   std::vector<std::uint32_t> vals;
-  bool wide = false;
-
-  void resize(std::size_t n) {
-    keys.resize(n);
-    vals.resize(n);
-    if (wide) keys_hi.resize(n);
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return keys.size(); }
-  [[nodiscard]] std::uint64_t bytes() const noexcept {
-    return keys.size() * (wide ? 20 : 12);
-  }
-  void swap(TupleBuffer& other) noexcept {
-    keys.swap(other.keys);
-    keys_hi.swap(other.keys_hi);
-    vals.swap(other.vals);
-    std::swap(wide, other.wide);
-    std::swap(mem_charged, other.mem_charged);
-  }
-
-  /// Memory attribution (src/obs/mem): reconcile the "tuples" subsystem with
-  /// this buffer's current capacity.  Called after resizes in the barrier
-  /// schedule; the overlap schedule leases from BufferPool, whose charges are
-  /// tagged via MemScope instead, so it never calls this.
-  std::uint64_t mem_charged = 0;
-  void mem_account() {
-    const std::uint64_t now =
-        keys.capacity() * 8 + keys_hi.capacity() * 8 + vals.capacity() * 4;
-    if (now >= mem_charged) {
-      obs::mem_charge("tuples", now - mem_charged);
-    } else {
-      obs::mem_credit("tuples", mem_charged - now);
-    }
-    mem_charged = now;
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return vals.size(); }
 };
 
-/// Minimal scope guard for lease cleanup on exception unwind (a cancel or a
-/// typed Error mid-pass must return every BufferPool lease).  The callback
-/// must not throw during unwind, so failures inside it are swallowed.
-template <typename F>
-class ScopeExit {
+/// The one lease path for tuple arrays.  Every pass buffer (send, receive,
+/// radix scratch) is leased from util::BufferPool under the "tuples" memory
+/// tag.  A released buffer stays with its rank as a spare for the next
+/// acquire, as the paper's per-task tuple arrays persist across passes.
+/// Mid-run the arena only takes from the pool: ranks share one pool, so a
+/// buffer one rank handed back could be taken (or evicted) by another
+/// rank's miss, and which rank pays fresh page faults would depend on
+/// thread timing.  Instead a miss discards the largest spare (the one a
+/// growing vector would have reallocated) before leasing fresh, which keeps
+/// each rank's buffers at about its live leases.  Whatever the arena still
+/// holds when it dies (at run end, or when a cancel or a typed Error unwinds
+/// mid-pass) goes back to the pool for the next run, so the pool's lease
+/// count always drains.
+class TupleArena {
  public:
-  explicit ScopeExit(F f) : f_(std::move(f)) {}
-  ScopeExit(const ScopeExit&) = delete;
-  ScopeExit& operator=(const ScopeExit&) = delete;
-  ~ScopeExit() {
-    if (!armed_) return;
-    try {
-      f_();
-    } catch (...) {
-      // Unwind path: the original exception matters more.
+  TupleArena(util::BufferPool& pool, bool wide, std::uint64_t& max_live_bytes)
+      : pool_(pool), wide_(wide), max_live_bytes_(max_live_bytes) {}
+  TupleArena(const TupleArena&) = delete;
+  TupleArena& operator=(const TupleArena&) = delete;
+  ~TupleArena() {
+    spare_.splice(spare_.end(), leased_);
+    const obs::MemScope tuples_scope("tuples");
+    for (TupleBuffer& b : spare_) {
+      try {
+        pool_.release(std::move(b.keys));
+        // keys_hi is only leased for wide keys; releasing the empty vector
+        // would (correctly) trip the pool's double-release check.
+        if (wide_) pool_.release(std::move(b.keys_hi));
+        pool_.release(std::move(b.vals));
+      } catch (...) {
+        // Unwind path: the original exception matters more.
+      }
     }
   }
-  void dismiss() noexcept { armed_ = false; }
+
+  TupleBuffer& acquire(std::size_t n, std::size_t reserve = 0) {
+    const std::size_t cap = std::max(n, reserve);
+    auto fits = [&](const TupleBuffer& b) {
+      return b.vals.capacity() >= cap && b.keys.capacity() >= cap &&
+             (!wide_ || b.keys_hi.capacity() >= cap);
+    };
+    auto best = spare_.end();
+    auto largest = spare_.end();
+    for (auto it = spare_.begin(); it != spare_.end(); ++it) {
+      if (fits(*it) && (best == spare_.end() || it->vals.capacity() < best->vals.capacity()))
+        best = it;
+      if (largest == spare_.end() || it->vals.capacity() > largest->vals.capacity()) largest = it;
+    }
+    if (best != spare_.end()) {
+      leased_.splice(leased_.end(), spare_, best);
+      TupleBuffer& b = leased_.back();
+      b.keys.resize(n);
+      if (wide_) b.keys_hi.resize(n);
+      b.vals.resize(n);
+      note_live(n);
+      return b;
+    }
+    const obs::MemScope tuples_scope("tuples");  // tags the pool calls below
+    if (largest != spare_.end()) {
+      pool_.discard(std::move(largest->keys));
+      if (wide_) pool_.discard(std::move(largest->keys_hi));
+      pool_.discard(std::move(largest->vals));
+      spare_.erase(largest);
+    }
+    TupleBuffer& b = leased_.emplace_back();
+    b.keys = pool_.acquire_u64(cap);
+    b.keys.resize(n);
+    if (wide_) {
+      b.keys_hi = pool_.acquire_u64(cap);
+      b.keys_hi.resize(n);
+    }
+    b.vals = pool_.acquire_u32(cap);
+    b.vals.resize(n);
+    note_live(n);
+    return b;
+  }
+
+  void release(TupleBuffer& b) {
+    live_bytes_ -= bytes_of(b.size());
+    for (auto it = leased_.begin(); it != leased_.end(); ++it) {
+      if (&*it == &b) {
+        spare_.splice(spare_.end(), leased_, it);
+        return;
+      }
+    }
+  }
 
  private:
-  F f_;
-  bool armed_ = true;
+  [[nodiscard]] std::uint64_t bytes_of(std::size_t n) const { return n * (wide_ ? 20ull : 12ull); }
+  void note_live(std::size_t n) {
+    live_bytes_ += bytes_of(n);
+    max_live_bytes_ = std::max(max_live_bytes_, live_bytes_);
+  }
+
+  util::BufferPool& pool_;
+  bool wide_;
+  std::uint64_t& max_live_bytes_;
+  std::uint64_t live_bytes_ = 0;
+  std::list<TupleBuffer> leased_;  ///< lists: references stay valid across splices
+  std::list<TupleBuffer> spare_;
 };
 
 /// Lookup table bin -> part index for a boundary vector covering
@@ -125,6 +170,24 @@ std::vector<std::uint16_t> bin_owner_table(std::span<const std::uint32_t> bounds
     }
   }
   return table;
+}
+
+/// Lay out a row-major [row][col] count table column by column: column c's
+/// blocks are contiguous and ordered by row.  @p block receives each
+/// block's element offset, @p col_start the cols + 1 column offsets.
+void column_major_offsets(std::span<const std::uint64_t> count, std::size_t rows,
+                          std::size_t cols, std::vector<std::uint64_t>& block,
+                          std::vector<std::uint64_t>& col_start) {
+  block.assign(rows * cols, 0);
+  col_start.assign(cols + 1, 0);
+  std::uint64_t off = 0;
+  for (std::size_t c = 0; c < cols; ++c) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      block[r * cols + c] = off;
+      off += count[r * cols + c];
+    }
+    col_start[c + 1] = off;
+  }
 }
 
 struct RankShared {
@@ -146,8 +209,7 @@ struct RankShared {
   std::uint64_t bloom_dropped = 0;       ///< k-mer occurrences the Bloom prefilter dropped
 };
 
-/// Everything the per-rank pass loop needs, bundled so the barrier and
-/// overlap schedules are interchangeable implementations of one interface.
+/// Everything the per-rank pass engine and merge tail need from the run.
 struct PassCtx {
   const DatasetIndex& index;
   const MetaprepConfig& config;
@@ -193,86 +255,8 @@ inline void progress_phase(const PassCtx& ctx, const char* phase) {
   if (ctx.p == 0) obs::Progress::global().phase(phase);
 }
 
-/// One chunk's record stream for KmerGen, shared by the barrier and overlap
-/// schedulers.  Text mode reads the chunk's byte range and parses it;
-/// packed mode walks the arena's record range for the chunk — same records,
-/// same order, same read IDs, so the emitted tuple stream is bit-identical.
-/// Per record: value = find(read_id) under the §3.5.1 substitution, then
-/// emit64(km, value) / emit128(km, value) per canonical k-mer.  @p io_s and
-/// @p gen_s accumulate the KmerGen-I/O and KmerGen step walls for this
-/// thread.  Returns the lenient-parse skips this scan observed (always 0 in
-/// packed mode: ingest already recorded them in the arena).
-template <typename Emit64, typename Emit128>
-std::uint64_t scan_chunk(PassCtx& ctx, std::uint32_t c, bool substitute,
-                         double& io_s, double& gen_s, Emit64&& emit64,
-                         Emit128&& emit128, bool tick_progress = true) {
-  util::throw_if_cancelled(ctx.config.cancel_token, "KmerGen chunk");
-  const DatasetIndex& index = ctx.index;
-  dsu::AtomicDSU& local_cc = ctx.local_cc;
-  const int k = ctx.k;
-  std::uint64_t skipped = 0;
-  if (ctx.packed != nullptr) {
-    const io::PackedStore& ps = *ctx.packed;
-    WallTimer gen_timer;
-    const double gen_t0 = span_begin(ctx.tr);
-    for (std::uint64_t r = ps.chunk_begin(c), e = ps.chunk_end(c); r < e; ++r) {
-      const io::PackedStore::Record rec = ps.record(r);
-      const std::uint32_t value = substitute ? local_cc.find(rec.read_id) : rec.read_id;
-      if (!ctx.wide) {
-        kmer::for_each_canonical_kmer64_packed(
-            rec.words, rec.len, rec.npos, rec.ncount, k,
-            [&](std::uint64_t km, std::size_t) { emit64(km, value); });
-      } else {
-        kmer::for_each_canonical_kmer128_packed(
-            rec.words, rec.len, rec.npos, rec.ncount, k,
-            [&](kmer::Kmer128 km, std::size_t) { emit128(km, value); });
-      }
-    }
-    span_end(ctx.tr, "KmerGen", gen_t0);
-    gen_s += gen_timer.seconds();
-  } else {
-    const ChunkRecord& chunk = index.part.chunks[c];
-    WallTimer io_timer;
-    const double io_t0 = span_begin(ctx.tr);
-    const auto buffer =
-        io::read_file_range(index.files[chunk.file], chunk.offset, chunk.size);
-    span_end(ctx.tr, "KmerGen-I/O", io_t0);
-    const obs::MemCharge io_mem("io", buffer.size());
-    io_s += io_timer.seconds();
-
-    WallTimer gen_timer;
-    const double gen_t0 = span_begin(ctx.tr);
-    std::uint32_t read_id = chunk.first_read_id;
-    io::ParseOptions popt{ctx.config.parse_mode, index.files[chunk.file], chunk.offset,
-                          [&read_id] { ++read_id; }};
-    const io::BufferParseStats stats = io::for_each_record_in_buffer(
-        std::string_view(buffer.data(), buffer.size()),
-        [&](std::string_view, std::string_view seq, std::string_view) {
-          // LocalCC-Opt (§3.5.1): from pass 2 on, enumerate the component
-          // ID instead of the read ID for better locality.
-          const std::uint32_t value = substitute ? local_cc.find(read_id) : read_id;
-          if (!ctx.wide) {
-            kmer::for_each_canonical_kmer64(
-                seq, k, [&](std::uint64_t km, std::size_t) { emit64(km, value); });
-          } else {
-            kmer::for_each_canonical_kmer128(
-                seq, k, [&](kmer::Kmer128 km, std::size_t) { emit128(km, value); });
-          }
-          ++read_id;
-        },
-        popt);
-    span_end(ctx.tr, "KmerGen", gen_t0);
-    gen_s += gen_timer.seconds();
-    skipped = stats.skipped;
-  }
-  if (tick_progress) obs::Progress::global().chunk_done();
-  return skipped;
-}
-
-/// Record-granular variant of scan_chunk for the compressed emit path: same
-/// I/O scaffolding and §3.5.1 substitution, but the callback receives the
-/// whole record's bases (RecordView) instead of per-k-mer events, so the
-/// super-k-mer scanner can see run structure.
+/// One record's bases as KmerGen sees them: raw text characters, or the
+/// packed store's 2-bit words.
 struct RecordView {
   const char* text = nullptr;            ///< text mode: raw sequence chars
   const std::uint64_t* words = nullptr;  ///< packed mode: 2-bit LSB-first words
@@ -294,10 +278,37 @@ struct RecordView {
   }
 };
 
+/// Per-k-mer view of a record: f64(km, pos) per canonical k-mer when
+/// k <= 32, f128(km, pos) otherwise.
+template <typename F64, typename F128>
+void for_each_kmer(const RecordView& rec, int k, bool wide, F64&& f64, F128&& f128) {
+  if (rec.words != nullptr) {
+    if (!wide) {
+      kmer::for_each_canonical_kmer64_packed(rec.words, rec.len, rec.npos, rec.ncount, k, f64);
+    } else {
+      kmer::for_each_canonical_kmer128_packed(rec.words, rec.len, rec.npos, rec.ncount, k, f128);
+    }
+  } else {
+    const std::string_view seq(rec.text, rec.len);
+    if (!wide) {
+      kmer::for_each_canonical_kmer64(seq, k, f64);
+    } else {
+      kmer::for_each_canonical_kmer128(seq, k, f128);
+    }
+  }
+}
+
+/// The one chunk scanner.  Text mode reads the chunk's byte range and
+/// parses it; packed mode walks the arena's record range for the chunk —
+/// same records, same order, same read IDs, so every emitter downstream
+/// sees an identical stream.  Per record: value = find(read_id) under the
+/// §3.5.1 substitution, then rec_fn(value, RecordView).  @p io_s and
+/// @p gen_s accumulate the KmerGen-I/O and KmerGen step walls for this
+/// thread.  Returns the lenient-parse skips this scan observed (always 0 in
+/// packed mode: ingest already recorded them in the arena).
 template <typename RecFn>
-std::uint64_t scan_chunk_records(PassCtx& ctx, std::uint32_t c, bool substitute,
-                                 double& io_s, double& gen_s, bool tick_progress,
-                                 RecFn&& rec_fn) {
+std::uint64_t scan_chunk(PassCtx& ctx, std::uint32_t c, bool substitute, double& io_s,
+                         double& gen_s, bool tick_progress, RecFn&& rec_fn) {
   util::throw_if_cancelled(ctx.config.cancel_token, "KmerGen chunk");
   const DatasetIndex& index = ctx.index;
   dsu::AtomicDSU& local_cc = ctx.local_cc;
@@ -331,6 +342,8 @@ std::uint64_t scan_chunk_records(PassCtx& ctx, std::uint32_t c, bool substitute,
     const io::BufferParseStats stats = io::for_each_record_in_buffer(
         std::string_view(buffer.data(), buffer.size()),
         [&](std::string_view, std::string_view seq, std::string_view) {
+          // LocalCC-Opt (§3.5.1): from pass 2 on, enumerate the component
+          // ID instead of the read ID for better locality.
           const std::uint32_t value = substitute ? local_cc.find(read_id) : read_id;
           rec_fn(value, RecordView{seq.data(), nullptr,
                                    static_cast<std::uint32_t>(seq.size()), nullptr, 0});
@@ -346,867 +359,172 @@ std::uint64_t scan_chunk_records(PassCtx& ctx, std::uint32_t c, bool substitute,
 }
 
 // ---------------------------------------------------------------------------
-// Barrier schedule: the paper's pass loop, one phase at a time.
-// ---------------------------------------------------------------------------
-void run_passes_barrier(PassCtx& ctx) {
-  const DatasetIndex& index = ctx.index;
-  const MetaprepConfig& config = ctx.config;
-  const PassPlan& plan = ctx.plan;
-  const ChunkAssignment& ca = ctx.ca;
-  mpsim::Comm& comm = ctx.comm;
-  ThreadTeam& team = ctx.team;
-  dsu::AtomicDSU& local_cc = ctx.local_cc;
-  RankShared& my = ctx.my;
-  obs::TraceSession& tr = ctx.tr;
-  obs::Counter& m_tuples = ctx.m_tuples;
-  obs::Counter& m_cc_edges = ctx.m_cc_edges;
-  obs::Gauge& m_rss = ctx.m_rss;
-  const int p = ctx.p, P = ctx.P, T = ctx.T, S = ctx.S, k = ctx.k, m = ctx.m;
-  const bool wide = ctx.wide;
-
-  TupleBuffer kmer_out;
-  TupleBuffer kmer_in;
-  kmer_out.wide = wide;
-  kmer_in.wide = wide;
-
-  for (int s = 0; s < S; ++s) {
-    util::throw_if_cancelled(config.cancel_token, "barrier pass");
-    const double pass_t0 = span_begin(tr);
-    const BinRange my_range = plan.rank_range(s, p);
-    const auto& rank_bounds = plan.rank_bounds(s);
-    const auto& thread_bounds = plan.thread_bounds(s, p);
-
-    // ---- Send-side offsets (§3.2.2): tuples generated by each of my
-    // threads destined to each rank, from the chunk histograms. ----
-    std::vector<std::uint64_t> count_send(static_cast<std::size_t>(T) * P, 0);  // [t][dest]
-    for (int t = 0; t < T; ++t) {
-      for (std::uint32_t c = ca.thread_begin(p, t); c < ca.thread_end(p, t); ++c) {
-        index.part.add_range_counts(
-            c, rank_bounds, std::span(count_send).subspan(static_cast<std::size_t>(t) * P, P));
-      }
-    }
-    std::vector<std::uint64_t> send_offsets(static_cast<std::size_t>(P) + 1, 0);
-    for (int d = 0; d < P; ++d) {
-      std::uint64_t tot = 0;
-      for (int t = 0; t < T; ++t) tot += count_send[static_cast<std::size_t>(t) * P + d];
-      send_offsets[static_cast<std::size_t>(d) + 1] =
-          send_offsets[static_cast<std::size_t>(d)] + tot;
-    }
-    // Per-(thread, dest) write cursors within the dest blocks.
-    std::vector<std::uint64_t> cursor(static_cast<std::size_t>(T) * P, 0);
-    for (int d = 0; d < P; ++d) {
-      std::uint64_t off = send_offsets[static_cast<std::size_t>(d)];
-      for (int t = 0; t < T; ++t) {
-        cursor[static_cast<std::size_t>(t) * P + d] = off;
-        off += count_send[static_cast<std::size_t>(t) * P + d];
-      }
-    }
-    const std::vector<std::uint64_t> cursor_start = cursor;
-    const std::uint64_t total_out = send_offsets.back();
-    kmer_out.resize(total_out);
-    kmer_out.mem_account();
-    my.tuples += total_out;
-    m_tuples.add(total_out);
-
-    // ---- Recv-side offsets (§3.3): tuples arriving from each source
-    // rank's threads that fall in my k-mer range. ----
-    std::vector<std::uint64_t> count_recv(static_cast<std::size_t>(P) * T, 0);  // [src][t']
-    for (int q = 0; q < P; ++q) {
-      for (int t2 = 0; t2 < T; ++t2) {
-        std::uint64_t acc = 0;
-        for (std::uint32_t c = ca.thread_begin(q, t2); c < ca.thread_end(q, t2); ++c)
-          acc += index.part.range_count(c, my_range.begin, my_range.end);
-        count_recv[static_cast<std::size_t>(q) * T + t2] = acc;
-      }
-    }
-    std::vector<std::uint64_t> recv_offsets(static_cast<std::size_t>(P) + 1, 0);
-    for (int q = 0; q < P; ++q) {
-      std::uint64_t tot = 0;
-      for (int t2 = 0; t2 < T; ++t2) tot += count_recv[static_cast<std::size_t>(q) * T + t2];
-      recv_offsets[static_cast<std::size_t>(q) + 1] =
-          recv_offsets[static_cast<std::size_t>(q)] + tot;
-    }
-    const std::uint64_t total_in = recv_offsets.back();
-
-    // ---- KmerGen: threads enumerate canonical k-mers from their chunks
-    // and write tuples at precomputed offsets, no synchronization. ----
-    const std::vector<std::uint16_t> dest_of_bin = bin_owner_table(rank_bounds);
-    const std::uint32_t pass_lo = plan.pass_range(s).begin;
-    const std::uint32_t pass_hi = plan.pass_range(s).end;
-    std::vector<double> io_seconds(static_cast<std::size_t>(T), 0.0);
-    std::vector<double> gen_seconds(static_cast<std::size_t>(T), 0.0);
-    const bool substitute_components = config.cc_opt && s > 0;
-
-    progress_phase(ctx, "KmerGen");
-    std::vector<std::uint64_t> skip_counts(static_cast<std::size_t>(T), 0);
-    team.run([&](int t) {
-      obs::TraceSession::set_thread_identity(p, t);
-      std::uint64_t* cur = cursor.data() + static_cast<std::size_t>(t) * P;
-      auto emit64 = [&](std::uint64_t km, std::uint32_t value) {
-        const std::uint32_t bin = kmer::prefix_bin64(km, k, m);
-        if (bin < pass_lo || bin >= pass_hi) return;
-        const std::uint16_t d = dest_of_bin[bin - pass_lo];
-        const std::uint64_t at = cur[d]++;
-        kmer_out.keys[at] = km;
-        kmer_out.vals[at] = value;
-      };
-      auto emit128 = [&](kmer::Kmer128 km, std::uint32_t value) {
-        const std::uint32_t bin = kmer::prefix_bin128(km, k, m);
-        if (bin < pass_lo || bin >= pass_hi) return;
-        const std::uint16_t d = dest_of_bin[bin - pass_lo];
-        const std::uint64_t at = cur[d]++;
-        kmer_out.keys[at] = km.lo;
-        kmer_out.keys_hi[at] = km.hi;
-        kmer_out.vals[at] = value;
-      };
-      for (std::uint32_t c = ca.thread_begin(p, t); c < ca.thread_end(p, t); ++c) {
-        skip_counts[static_cast<std::size_t>(t)] +=
-            scan_chunk(ctx, c, substitute_components,
-                       io_seconds[static_cast<std::size_t>(t)],
-                       gen_seconds[static_cast<std::size_t>(t)], emit64, emit128);
-      }
-    });
-    my.times.add("KmerGen-I/O", *std::max_element(io_seconds.begin(), io_seconds.end()));
-    my.times.add("KmerGen", *std::max_element(gen_seconds.begin(), gen_seconds.end()));
-    if (s == 0) {
-      // The first sweep visits every record exactly once, so its skip count
-      // is the number of *distinct* records lenient parsing dropped (later
-      // passes re-discover the same skips in text mode).
-      for (std::uint64_t sk : skip_counts) my.records_skipped += sk;
-    }
-
-    // Lenient parsing may have skipped records that the (clean-data) chunk
-    // histograms counted, leaving some (thread, dest) blocks under-filled.
-    // The exchange geometry is precomputed on both sides, so the gap slots
-    // ship regardless — fill them with sentinel tuples whose bin falls in
-    // the destination's range (so its partition step stays in bounds) and
-    // whose value is kInvalidRead (so LocalCC ignores them).
-    for (int t = 0; t < T; ++t) {
-      for (int d = 0; d < P; ++d) {
-        const std::size_t td = static_cast<std::size_t>(t) * P + d;
-        const std::uint64_t block_end = cursor_start[td] + count_send[td];
-        if (cursor[td] == block_end) continue;
-        const auto bin = static_cast<std::uint64_t>(rank_bounds[static_cast<std::size_t>(d)]);
-        const int shift = 2 * (k - m);
-        std::uint64_t s_lo, s_hi;
-        if (!wide) {
-          s_lo = bin << shift;
-          s_hi = 0;
-        } else if (shift >= 64) {
-          s_hi = bin << (shift - 64);
-          s_lo = 0;
-        } else {
-          s_lo = bin << shift;
-          s_hi = bin >> (64 - shift);
-        }
-        for (std::uint64_t at = cursor[td]; at < block_end; ++at) {
-          kmer_out.keys[at] = s_lo;
-          if (wide) kmer_out.keys_hi[at] = s_hi;
-          kmer_out.vals[at] = kInvalidRead;
-        }
-        cursor[td] = block_end;
-      }
-    }
-
-    // ---- KmerGen-Comm: staged All-to-all of the tuple arrays. ----
-    progress_phase(ctx, "KmerGen-Comm");
-    {
-      obs::TraceSpan comm_span("KmerGen-Comm");
-      WallTimer comm_timer;
-      if (P == 1) {
-        kmer_in.swap(kmer_out);
-        kmer_out.resize(kmer_in.size());
-      } else {
-        kmer_in.resize(total_in);
-        const int tag_base = (s * 3) * (P + 1) + 1000;
-        auto byte_offsets = [&](std::span<const std::uint64_t> elems, std::size_t esize) {
-          std::vector<std::uint64_t> out(elems.size());
-          for (std::size_t i = 0; i < elems.size(); ++i) out[i] = elems[i] * esize;
-          return out;
-        };
-        const auto so8 = byte_offsets(send_offsets, 8);
-        const auto ro8 = byte_offsets(recv_offsets, 8);
-        const auto so4 = byte_offsets(send_offsets, 4);
-        const auto ro4 = byte_offsets(recv_offsets, 4);
-        comm.alltoallv_staged(kmer_out.keys.data(), so8, kmer_in.keys.data(), ro8, tag_base);
-        comm.alltoallv_staged(kmer_out.vals.data(), so4, kmer_in.vals.data(), ro4,
-                              tag_base + (P + 1));
-        if (wide) {
-          comm.alltoallv_staged(kmer_out.keys_hi.data(), so8, kmer_in.keys_hi.data(), ro8,
-                                tag_base + 2 * (P + 1));
-        }
-        // Exchange-volume accounting (cross-rank tuples only, matching the
-        // traffic matrix); uncompressed, so shipped == raw.
-        const std::uint64_t cross =
-            total_out - (send_offsets[static_cast<std::size_t>(p) + 1] -
-                         send_offsets[static_cast<std::size_t>(p)]);
-        my.exchange_bytes += cross * (wide ? 20u : 12u);
-        my.exchange_bytes_raw += cross * (wide ? 20u : 12u);
-        kmer_out.resize(total_in);  // becomes the partition/sort buffer
-      }
-      my.times.add("KmerGen-Comm", comm_timer.seconds());
-    }
-    kmer_in.mem_account();
-    kmer_out.mem_account();
-    my.max_buffer_bytes = std::max(my.max_buffer_bytes, kmer_in.bytes() + kmer_out.bytes());
-    phase_boundary(ctx, "KmerGen-Comm");
-
-    // ---- LocalSort (§3.4): parallel range partitioning into T disjoint
-    // thread ranges, then serial radix sort per thread. ----
-    progress_phase(ctx, "LocalSort");
-    {
-      const double sort_t0 = span_begin(tr);
-      WallTimer sort_timer;
-      // Source blocks: one per (src rank, src thread), layout known from
-      // the recv offsets; bin distribution known from FASTQPart.
-      const int nblocks = P * T;
-      std::vector<std::uint64_t> block_start(static_cast<std::size_t>(nblocks) + 1, 0);
-      {
-        std::size_t bi = 0;
-        std::uint64_t off = 0;
-        for (int q = 0; q < P; ++q) {
-          for (int t2 = 0; t2 < T; ++t2) {
-            block_start[bi++] = off;
-            off += count_recv[static_cast<std::size_t>(q) * T + t2];
-          }
-        }
-        block_start[static_cast<std::size_t>(nblocks)] = off;
-      }
-      // Scatter counts per (block, dest thread range).
-      std::vector<std::uint64_t> count_part(static_cast<std::size_t>(nblocks) * T, 0);
-      {
-        std::size_t bi = 0;
-        for (int q = 0; q < P; ++q) {
-          for (int t2 = 0; t2 < T; ++t2, ++bi) {
-            for (std::uint32_t c = ca.thread_begin(q, t2); c < ca.thread_end(q, t2); ++c) {
-              index.part.add_range_counts(
-                  c, thread_bounds,
-                  std::span(count_part).subspan(bi * T, static_cast<std::size_t>(T)));
-            }
-          }
-        }
-      }
-      // Dest-range starts and per-(block, dest) cursors.
-      std::vector<std::uint64_t> dest_start(static_cast<std::size_t>(T) + 1, 0);
-      for (int t = 0; t < T; ++t) {
-        std::uint64_t tot = 0;
-        for (int b = 0; b < nblocks; ++b) tot += count_part[static_cast<std::size_t>(b) * T + t];
-        dest_start[static_cast<std::size_t>(t) + 1] = dest_start[static_cast<std::size_t>(t)] + tot;
-      }
-      std::vector<std::uint64_t> part_cursor(static_cast<std::size_t>(nblocks) * T, 0);
-      for (int t = 0; t < T; ++t) {
-        std::uint64_t off = dest_start[static_cast<std::size_t>(t)];
-        for (int b = 0; b < nblocks; ++b) {
-          part_cursor[static_cast<std::size_t>(b) * T + t] = off;
-          off += count_part[static_cast<std::size_t>(b) * T + t];
-        }
-      }
-
-      const std::vector<std::uint16_t> thread_of_bin = bin_owner_table(thread_bounds);
-      const std::uint32_t range_lo = my_range.begin;
-      const auto block_bounds = util::split_range(static_cast<std::size_t>(nblocks), T);
-
-      // Phase 1: parallel partition kmer_in -> kmer_out.
-      team.run([&](int t) {
-        for (std::size_t b = block_bounds[static_cast<std::size_t>(t)];
-             b < block_bounds[static_cast<std::size_t>(t) + 1]; ++b) {
-          std::uint64_t* cur = part_cursor.data() + b * T;
-          for (std::uint64_t i = block_start[b]; i < block_start[b + 1]; ++i) {
-            const std::uint32_t bin =
-                wide ? kmer::prefix_bin128({kmer_in.keys_hi[i], kmer_in.keys[i]}, k, m)
-                     : kmer::prefix_bin64(kmer_in.keys[i], k, m);
-            const std::uint16_t d = thread_of_bin[bin - range_lo];
-            const std::uint64_t at = cur[d]++;
-            kmer_out.keys[at] = kmer_in.keys[i];
-            kmer_out.vals[at] = kmer_in.vals[i];
-            if (wide) kmer_out.keys_hi[at] = kmer_in.keys_hi[i];
-          }
-        }
-      });
-
-      // Phase 2: serial radix sort per thread range, scratch = kmer_in
-      // (the paper reuses the send buffer as the out-of-place buffer).
-      team.run([&](int t) {
-        const std::uint64_t lo = dest_start[static_cast<std::size_t>(t)];
-        const std::uint64_t hi = dest_start[static_cast<std::size_t>(t) + 1];
-        const std::size_t n = hi - lo;
-        if (n == 0) return;
-        if (!wide) {
-          sort::radix_sort_kv64(std::span(kmer_out.keys).subspan(lo, n),
-                                std::span(kmer_out.vals).subspan(lo, n),
-                                std::span(kmer_in.keys).subspan(lo, n),
-                                std::span(kmer_in.vals).subspan(lo, n), 2 * k,
-                                config.sort_digit_bits);
-        } else {
-          sort::radix_sort_kv128(std::span(kmer_out.keys_hi).subspan(lo, n),
-                                 std::span(kmer_out.keys).subspan(lo, n),
-                                 std::span(kmer_out.vals).subspan(lo, n),
-                                 std::span(kmer_in.keys_hi).subspan(lo, n),
-                                 std::span(kmer_in.keys).subspan(lo, n),
-                                 std::span(kmer_in.vals).subspan(lo, n), 2 * k,
-                                 config.sort_digit_bits);
-        }
-      });
-      my.times.add("LocalSort", sort_timer.seconds());
-      span_end(tr, "LocalSort", sort_t0);
-      phase_boundary(ctx, "LocalSort");
-
-      // ---- LocalCC (§3.5, Algorithm 1): runs of equal k-mers become
-      // read-graph edges; union-find with buffered re-verification. ----
-      progress_phase(ctx, "LocalCC");
-      const double cc_t0 = span_begin(tr);
-      WallTimer cc_timer;
-      std::vector<int> thread_iters(static_cast<std::size_t>(T), 0);
-      team.run([&](int t) {
-        const std::uint64_t lo = dest_start[static_cast<std::size_t>(t)];
-        const std::uint64_t hi = dest_start[static_cast<std::size_t>(t) + 1];
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> pending;
-        std::uint64_t i = lo;
-        while (i < hi) {
-          std::uint64_t j = i + 1;
-          if (!wide) {
-            while (j < hi && kmer_out.keys[j] == kmer_out.keys[i]) ++j;
-          } else {
-            while (j < hi && kmer_out.keys[j] == kmer_out.keys[i] &&
-                   kmer_out.keys_hi[j] == kmer_out.keys_hi[i])
-              ++j;
-          }
-          const std::uint64_t freq = j - i;
-          if (config.filter.accepts(freq)) {
-            for (std::uint64_t x = i + 1; x < j; ++x) {
-              const std::uint32_t u = kmer_out.vals[x - 1];
-              const std::uint32_t v = kmer_out.vals[x];
-              if (u == v) continue;
-              if (u == kInvalidRead || v == kInvalidRead) continue;
-              const std::uint32_t ru = local_cc.find(u);
-              const std::uint32_t rv = local_cc.find(v);
-              if (ru != rv) {
-                local_cc.unite_once(ru, rv);
-                pending.emplace_back(u, v);
-              }
-            }
-          }
-          i = j;
-        }
-        thread_iters[static_cast<std::size_t>(t)] =
-            1 + dsu::process_edges_algorithm1(local_cc, pending);
-        m_cc_edges.add(pending.size());
-      });
-      my.times.add("LocalCC", cc_timer.seconds());
-      span_end(tr, "LocalCC", cc_t0);
-      phase_boundary(ctx, "LocalCC");
-      my.cc_iterations =
-          std::max(my.cc_iterations,
-                   *std::max_element(thread_iters.begin(), thread_iters.end()));
-    }
-    m_rss.set_max(static_cast<double>(util::current_rss_bytes()));
-    span_end(tr, "Pass", pass_t0);
-  }  // passes
-}
-
-// ---------------------------------------------------------------------------
-// Overlap (pipelined) schedule.
+// The pass engine (DESIGN.md "Pass engine (W, codec)").
 //
-// Passes run in groups of two.  One chunk read + k-mer scan generates both
-// passes' tuple sets — pass s+1's KmerGen rides inside pass s's
-// KmerGen-Comm window — the exchange is posted with async isend/irecv and
-// completed lazily, and KmerGen partitions tuples at (dest rank, dest
-// thread) granularity so the receive buffer IS the sort buffer and
-// LocalSort's partition copy disappears.  All tuple arrays are leased from
-// util::BufferPool and recycled across passes and groups.
+// Passes run in groups of W: W = 1 is the paper's barrier schedule, W = 2
+// the pipelined one.  Each group does one fused chunk sweep that generates
+// every pass of the group (an emitted k-mer's routing bin places it in one
+// pass), posts each pass's exchange, then drains pass by pass: complete
+// the receive, expand it when the codec is records, sort, then union.
 //
-// Equivalence to the barrier schedule (the differential grid asserts it):
-// within a dest-thread region, tuples are laid out ordered by (src rank,
-// src thread, generation order) — exactly the sequence the barrier
-// partition copy produces — and the radix sort is stable, so LocalSort
-// emits the same tuple sequence and LocalCC performs the same unions.  The
-// one visible difference is §3.5.1 staleness: pass s+1 substitutes
-// component IDs as of pass s-1 instead of pass s.  A stale root is still a
-// member of the same component, so the union structure — and therefore the
-// final partition — is unchanged (only label representatives may differ).
+// Every pass routes at (dest rank, dest thread) granularity: P·T slots,
+// slot d·T+dt.  The receiver lays its T sort regions out by src rank, and
+// within a src rank by src thread and generation order — the order the
+// paper's LocalSort partition step produces — so the receive buffer IS the
+// sort buffer and the stable radix sort sees the barrier schedule's input.
+//
+// Wire codecs:
+//  - fixed tuples (comm_compress none): every size is precomputed from the
+//    FASTQPart tables on both sides.  Per (stage, pass, tuple array) rank p
+//    sends exactly one message to (p+stage) mod P, even when empty — the
+//    dest rank's T contiguous slot sections — which is the paper's staged
+//    all-to-all shape; the receiver checks its size against the geometry
+//    and copies the T sections into its T regions.
+//  - records (superkmer / bloom / both): one message per (src, dest, pass)
+//    with a u64 lens[T] header, then the T dest-thread sections; the
+//    receiver sizes its regions from the headers and expands in parallel.
 // ---------------------------------------------------------------------------
 
-/// Exchange geometry of one pass at (dest rank, dest thread) granularity,
-/// fully precomputed from the index tables (the overlap-mode analogue of
-/// the barrier schedule's send/recv offset vectors).
-struct OverlapGeom {
-  std::uint32_t pass_lo = 0, pass_hi = 0;
-  std::vector<std::uint32_t> slot_bounds;   ///< P*T+1 concatenated thread bounds
-  std::vector<std::uint16_t> slot_of_bin;   ///< bin - pass_lo -> slot d*T+dt
-  // Send side: slot-major layout, ordered by my thread t within a slot.
-  std::vector<std::uint64_t> count_send;    ///< [t][slot]
-  std::vector<std::uint64_t> slot_start;    ///< P*T+1 element offsets
-  std::vector<std::uint64_t> cursor_start;  ///< [t][slot]
-  std::uint64_t total_out = 0;
-  // Recv side: T regions (one per dest thread), each ordered by src rank q,
-  // within q by src thread — the barrier partition's output order.
-  std::vector<std::uint64_t> count_recv;    ///< [q][dt]
-  std::vector<std::uint64_t> region_start;  ///< T+1 element offsets
-  std::vector<std::uint64_t> block_start;   ///< [q][dt] absolute element offsets
-  std::uint64_t total_in = 0;
+/// Tags of the KmerGen exchange: one per (pass, tuple array), above the
+/// MergeCC range (1 << 20).  The records codec uses array 0 only.
+constexpr int kKmerGenTagBase = 2'000'000;
+inline int kmergen_tag(int s, int arr) { return kKmerGenTagBase + 3 * s + arr; }
+
+/// Routing of one pass: its bin range and the bin -> slot table.
+struct PassRoute {
+  std::uint32_t lo = 0, hi = 0;
+  std::vector<std::uint32_t> slot_bounds;  ///< P*T+1 bin bounds
+  std::vector<std::uint16_t> slot_of_bin;  ///< bin - lo -> slot d*T+dt
 };
 
-OverlapGeom overlap_geometry(const PassCtx& ctx, int s) {
+/// Run-wide engine settings: fusion width, wire codec and routing.
+struct EnginePlan {
+  int W = 1;               ///< passes fused per chunk sweep
+  bool records = false;    ///< wire codec: variable-size records, else fixed tuples
+  bool superkmer = false;  ///< records are super-k-mers, else (k-mer, value) records
+  int minimizer_len = 0;
+  std::vector<PassRoute> routes;  ///< S entries, tiling the bin space in order
+  /// bloom / both: P destination-owned counting Blooms (shared-memory
+  /// stand-in for an MPI-3 one-sided accumulate window; DESIGN.md).
+  std::vector<kmer::CountingBloom>* blooms = nullptr;
+};
+
+/// Per-pass routes.  Prefix bins follow the PassPlan (pass ⊃ rank ⊃
+/// thread); super-k-mer records use minimizer-hash bins split uniformly
+/// over passes and slots (prefix bins cannot route a run of consecutive
+/// k-mers).
+std::vector<PassRoute> make_routes(const PassPlan& plan, int S, int P, int T,
+                                   bool minimizer_bins) {
+  const std::size_t nslots = static_cast<std::size_t>(P) * T;
+  const auto mz_pass = util::split_range(kmer::kNumMinimizerBins, S);
+  std::vector<PassRoute> routes(static_cast<std::size_t>(S));
+  for (int s = 0; s < S; ++s) {
+    PassRoute& r = routes[static_cast<std::size_t>(s)];
+    r.slot_bounds.reserve(nslots + 1);
+    if (minimizer_bins) {
+      r.lo = static_cast<std::uint32_t>(mz_pass[static_cast<std::size_t>(s)]);
+      r.hi = static_cast<std::uint32_t>(mz_pass[static_cast<std::size_t>(s) + 1]);
+      const auto rel = util::split_range(r.hi - r.lo, static_cast<int>(nslots));
+      for (std::size_t i = 0; i <= nslots; ++i)
+        r.slot_bounds.push_back(r.lo + static_cast<std::uint32_t>(rel[i]));
+    } else {
+      r.lo = plan.pass_range(s).begin;
+      r.hi = plan.pass_range(s).end;
+      r.slot_bounds.push_back(plan.thread_bounds(s, 0).front());
+      for (int d = 0; d < P; ++d) {
+        const auto& tb = plan.thread_bounds(s, d);
+        for (int t = 1; t <= T; ++t) r.slot_bounds.push_back(tb[static_cast<std::size_t>(t)]);
+      }
+    }
+    r.slot_of_bin = bin_owner_table(r.slot_bounds);
+  }
+  return routes;
+}
+
+/// One pass of a group, from generation to union.
+struct PassWork {
+  int s = 0;
+  const PassRoute* route = nullptr;
+  double t0 = -1.0;
+  // Receive layout: T sort regions, region dt = blocks [q][dt] by src rank.
+  std::vector<std::uint64_t> recv_count;  ///< [q][dt] tuples from src rank q
+  std::vector<std::uint64_t> recv_block;  ///< [q][dt] element offsets
+  std::vector<std::uint64_t> region;      ///< T+1 region offsets
+  TupleBuffer* recv = nullptr;
+  // Fixed codec: send geometry from the index tables.
+  std::vector<std::uint64_t> cursor;      ///< [t][slot] write cursors of my thread t
+  std::vector<std::uint64_t> send_end;    ///< [t][slot] where each cursor must end
+  std::vector<std::uint64_t> slot_start;  ///< P*T+1: slot-major, by my thread within a slot
+  TupleBuffer* send = nullptr;
+  // Records codec: per (my thread, slot) byte streams, then my own message.
+  std::vector<std::vector<std::vector<std::byte>>> streams;  ///< [t][slot]
+  std::vector<std::byte> self_msg;
+};
+
+/// Fixed codec: send and receive geometry of one pass from the FASTQPart
+/// tables (O(chunks × P × T) bounded counts, each O(1)).
+void fixed_geometry(const PassCtx& ctx, PassWork& w) {
   const int P = ctx.P, T = ctx.T, p = ctx.p;
   const std::size_t nslots = static_cast<std::size_t>(P) * T;
-  OverlapGeom g;
-  g.pass_lo = ctx.plan.pass_range(s).begin;
-  g.pass_hi = ctx.plan.pass_range(s).end;
-  g.slot_bounds.reserve(nslots + 1);
-  g.slot_bounds.push_back(ctx.plan.thread_bounds(s, 0).front());
-  for (int d = 0; d < P; ++d) {
-    const auto& tb = ctx.plan.thread_bounds(s, d);
-    for (int t = 1; t <= T; ++t) g.slot_bounds.push_back(tb[static_cast<std::size_t>(t)]);
-  }
-  g.slot_of_bin = bin_owner_table(g.slot_bounds);
-
-  g.count_send.assign(static_cast<std::size_t>(ctx.T) * nslots, 0);
+  const auto& bounds = w.route->slot_bounds;
+  std::vector<std::uint64_t> send_count(static_cast<std::size_t>(T) * nslots, 0);  // [t][slot]
   for (int t = 0; t < T; ++t) {
     for (std::uint32_t c = ctx.ca.thread_begin(p, t); c < ctx.ca.thread_end(p, t); ++c) {
       ctx.index.part.add_range_counts(
-          c, g.slot_bounds,
-          std::span(g.count_send).subspan(static_cast<std::size_t>(t) * nslots, nslots));
+          c, bounds, std::span(send_count).subspan(static_cast<std::size_t>(t) * nslots, nslots));
     }
   }
-  g.slot_start.assign(nslots + 1, 0);
-  for (std::size_t slot = 0; slot < nslots; ++slot) {
-    std::uint64_t tot = 0;
-    for (int t = 0; t < T; ++t) tot += g.count_send[static_cast<std::size_t>(t) * nslots + slot];
-    g.slot_start[slot + 1] = g.slot_start[slot] + tot;
-  }
-  g.cursor_start.assign(static_cast<std::size_t>(T) * nslots, 0);
-  for (std::size_t slot = 0; slot < nslots; ++slot) {
-    std::uint64_t off = g.slot_start[slot];
-    for (int t = 0; t < T; ++t) {
-      g.cursor_start[static_cast<std::size_t>(t) * nslots + slot] = off;
-      off += g.count_send[static_cast<std::size_t>(t) * nslots + slot];
-    }
-  }
-  g.total_out = g.slot_start[nslots];
-
-  const auto& my_tb = ctx.plan.thread_bounds(s, p);
-  g.count_recv.assign(static_cast<std::size_t>(P) * T, 0);
+  column_major_offsets(send_count, static_cast<std::size_t>(T), nslots, w.cursor, w.slot_start);
+  w.send_end = w.cursor;
+  for (std::size_t i = 0; i < send_count.size(); ++i) w.send_end[i] += send_count[i];
+  const auto my_bounds =
+      std::span(bounds).subspan(static_cast<std::size_t>(p) * T, static_cast<std::size_t>(T) + 1);
+  w.recv_count.assign(static_cast<std::size_t>(P) * T, 0);
   for (int q = 0; q < P; ++q) {
     for (std::uint32_t c = ctx.ca.rank_begin(q); c < ctx.ca.rank_end(q); ++c) {
       ctx.index.part.add_range_counts(
-          c, my_tb,
-          std::span(g.count_recv).subspan(static_cast<std::size_t>(q) * T, T));
+          c, my_bounds, std::span(w.recv_count).subspan(static_cast<std::size_t>(q) * T, T));
     }
   }
-  g.region_start.assign(static_cast<std::size_t>(T) + 1, 0);
-  for (int dt = 0; dt < T; ++dt) {
-    std::uint64_t tot = 0;
-    for (int q = 0; q < P; ++q) tot += g.count_recv[static_cast<std::size_t>(q) * T + dt];
-    g.region_start[static_cast<std::size_t>(dt) + 1] =
-        g.region_start[static_cast<std::size_t>(dt)] + tot;
+  column_major_offsets(w.recv_count, static_cast<std::size_t>(P), static_cast<std::size_t>(T),
+                       w.recv_block, w.region);
+}
+
+/// Fixed codec, lenient parsing: records the (clean-data) chunk histograms
+/// counted but the parser skipped leave under-filled (thread, slot) blocks,
+/// and the precomputed geometry ships them regardless.  Fill the gaps with
+/// sentinel tuples keyed by the slot's first bin (so every key stays in its
+/// dest thread's bin range) whose value is kInvalidRead (so LocalCC ignores
+/// them).
+void fill_sentinels(const PassCtx& ctx, PassWork& w) {
+  const std::size_t nslots = static_cast<std::size_t>(ctx.P) * ctx.T;
+  TupleBuffer& buf = *w.send;
+  const int shift = 2 * (ctx.k - ctx.m);
+  for (std::size_t ts = 0; ts < w.cursor.size(); ++ts) {
+    const std::uint64_t block_end = w.send_end[ts];
+    if (w.cursor[ts] == block_end) continue;
+    const auto bin = static_cast<std::uint64_t>(w.route->slot_bounds[ts % nslots]);
+    std::uint64_t s_lo, s_hi;
+    if (!ctx.wide) {
+      s_lo = bin << shift;
+      s_hi = 0;
+    } else if (shift >= 64) {
+      s_hi = bin << (shift - 64);
+      s_lo = 0;
+    } else {
+      s_lo = bin << shift;
+      s_hi = bin >> (64 - shift);
+    }
+    for (std::uint64_t at = w.cursor[ts]; at < block_end; ++at) {
+      buf.keys[at] = s_lo;
+      if (ctx.wide) buf.keys_hi[at] = s_hi;
+      buf.vals[at] = kInvalidRead;
+    }
+    w.cursor[ts] = block_end;
   }
-  g.block_start.assign(static_cast<std::size_t>(P) * T, 0);
-  for (int dt = 0; dt < T; ++dt) {
-    std::uint64_t off = g.region_start[static_cast<std::size_t>(dt)];
-    for (int q = 0; q < P; ++q) {
-      g.block_start[static_cast<std::size_t>(q) * T + dt] = off;
-      off += g.count_recv[static_cast<std::size_t>(q) * T + dt];
-    }
-  }
-  g.total_in = g.region_start[static_cast<std::size_t>(T)];
-  return g;
 }
 
-/// Tags for the fine-grained async exchange: unique per (pass, tuple array,
-/// dest thread), disjoint from the barrier all-to-all (1000+) and MergeCC
-/// (1<<20) ranges.
-constexpr int kOverlapTagBase = 2'000'000;
-inline int overlap_tag(int s, int arr, int dt, int T) {
-  return kOverlapTagBase + (s * 3 + arr) * T + dt;
-}
-
-/// Post the pass-s exchange: self sub-blocks copy inline, every remote
-/// sub-block is isend'ed now (buffered) and its irecv lands directly at the
-/// tuple's final sort position.  Zero-length sub-blocks are not shipped —
-/// both sides derive the same sizes from the index tables, so the skip is
-/// symmetric.  Returns immediately; the caller owns the pending receives.
-void post_overlap_exchange(PassCtx& ctx, int s, const OverlapGeom& g,
-                           const TupleBuffer& sendb, TupleBuffer& recvb,
-                           std::vector<mpsim::Request>& pending) {
-  const int P = ctx.P, T = ctx.T, p = ctx.p;
-  auto post_array = [&](int arr, const void* sdata, void* rdata, std::size_t esz) {
-    const auto* sb = static_cast<const std::byte*>(sdata);
-    auto* rb = static_cast<std::byte*>(rdata);
-    for (int dt = 0; dt < T; ++dt) {
-      const std::size_t self = static_cast<std::size_t>(p) * T + dt;
-      const std::uint64_t len = g.count_recv[self];
-      if (len == 0) continue;
-      std::memcpy(rb + g.block_start[self] * esz, sb + g.slot_start[self] * esz, len * esz);
-    }
-    // Staged schedule (§3.3): stage i sends to (p+i)%P, receives from
-    // (p-i+P)%P, one message per destination thread.
-    for (int stage = 1; stage < P; ++stage) {
-      const int d = (p + stage) % P;
-      const int q = (p - stage + P) % P;
-      for (int dt = 0; dt < T; ++dt) {
-        const std::size_t dslot = static_cast<std::size_t>(d) * T + dt;
-        const std::uint64_t slen = g.slot_start[dslot + 1] - g.slot_start[dslot];
-        if (slen > 0) {
-          ctx.comm.isend(d, overlap_tag(s, arr, dt, T), sb + g.slot_start[dslot] * esz,
-                         slen * esz);
-        }
-        const std::size_t qslot = static_cast<std::size_t>(q) * T + dt;
-        const std::uint64_t rlen = g.count_recv[qslot];
-        if (rlen > 0) {
-          pending.push_back(ctx.comm.irecv(q, overlap_tag(s, arr, dt, T),
-                                           rb + g.block_start[qslot] * esz, rlen * esz));
-        }
-      }
-    }
-  };
-  post_array(0, sendb.keys.data(), recvb.keys.data(), 8);
-  post_array(1, sendb.vals.data(), recvb.vals.data(), 4);
-  if (sendb.wide) post_array(2, sendb.keys_hi.data(), recvb.keys_hi.data(), 8);
-}
-
-void run_passes_overlap(PassCtx& ctx) {
-  const MetaprepConfig& config = ctx.config;
-  const ChunkAssignment& ca = ctx.ca;
-  mpsim::Comm& comm = ctx.comm;
-  ThreadTeam& team = ctx.team;
-  dsu::AtomicDSU& local_cc = ctx.local_cc;
-  RankShared& my = ctx.my;
-  obs::TraceSession& tr = ctx.tr;
-  const int p = ctx.p, P = ctx.P, T = ctx.T, S = ctx.S, k = ctx.k, m = ctx.m;
-  const bool wide = ctx.wide;
-  const std::size_t nslots = static_cast<std::size_t>(P) * T;
-  if (nslots > 0xFFFF)
-    throw util::config_error("overlap mode: P*T must fit the 16-bit slot table");
-
-  util::BufferPool& pool =
-      config.buffer_pool != nullptr ? *config.buffer_pool : util::BufferPool::global();
-  std::uint64_t live_bytes = 0;
-  auto tuple_bytes_of = [wide](std::size_t n) { return n * (wide ? 20ull : 12ull); };
-  auto acquire_tuples = [&](std::size_t n) {
-    const obs::MemScope tuples_scope("tuples");  // tags the pool lease below
-    TupleBuffer b;
-    b.wide = wide;
-    b.keys = pool.acquire_u64(n);
-    if (wide) b.keys_hi = pool.acquire_u64(n);
-    b.vals = pool.acquire_u32(n);
-    live_bytes += tuple_bytes_of(n);
-    my.max_buffer_bytes = std::max(my.max_buffer_bytes, live_bytes);
-    return b;
-  };
-  auto release_tuples = [&](TupleBuffer&& b) {
-    const obs::MemScope tuples_scope("tuples");
-    live_bytes -= tuple_bytes_of(b.size());
-    pool.release(std::move(b.keys));
-    // keys_hi is only leased for wide keys; releasing the empty vector would
-    // (correctly) trip the pool's double-release check.
-    if (b.wide) pool.release(std::move(b.keys_hi));
-    pool.release(std::move(b.vals));
-  };
-
-  for (int s0 = 0; s0 < S; s0 += 2) {
-    util::throw_if_cancelled(config.cancel_token, "overlap pass group");
-    const int npasses = std::min(2, S - s0);
-    std::array<double, 2> pass_t0{span_begin(tr), -1.0};
-    std::array<OverlapGeom, 2> geom;
-    std::array<TupleBuffer, 2> send_buf;
-    std::array<TupleBuffer, 2> recv_buf;
-    // Liveness flags + guard: any exception leaving this group (cancel,
-    // comm poison, CheckError) releases whatever is still leased.  Flags
-    // rather than emptiness tests so a zero-tuple lease is still returned.
-    std::array<bool, 2> send_live{false, false};
-    std::array<bool, 2> recv_live{false, false};
-    ScopeExit lease_guard([&] {
-      for (std::size_t i = 0; i < 2; ++i) {
-        if (send_live[i]) release_tuples(std::move(send_buf[i]));
-        if (recv_live[i]) release_tuples(std::move(recv_buf[i]));
-      }
-    });
-    std::array<std::vector<mpsim::Request>, 2> pending;
-    std::array<std::vector<std::uint64_t>, 2> cursor;
-    for (int i = 0; i < npasses; ++i) {
-      geom[static_cast<std::size_t>(i)] = overlap_geometry(ctx, s0 + i);
-      send_buf[static_cast<std::size_t>(i)] =
-          acquire_tuples(geom[static_cast<std::size_t>(i)].total_out);
-      send_live[static_cast<std::size_t>(i)] = true;
-      cursor[static_cast<std::size_t>(i)] = geom[static_cast<std::size_t>(i)].cursor_start;
-      my.tuples += geom[static_cast<std::size_t>(i)].total_out;
-      ctx.m_tuples.add(geom[static_cast<std::size_t>(i)].total_out);
-    }
-
-    // ---- Fused KmerGen: one chunk read + scan fills every pass buffer in
-    // the group (pass s0+1's generation overlaps pass s0's comm window). ----
-    const bool substitute_components = config.cc_opt && s0 > 0;
-    const std::uint32_t lo = geom[0].pass_lo;
-    const std::uint32_t mid = geom[0].pass_hi;
-    const std::uint32_t hi = geom[static_cast<std::size_t>(npasses) - 1].pass_hi;
-    std::vector<double> io_seconds(static_cast<std::size_t>(T), 0.0);
-    std::vector<double> gen_seconds(static_cast<std::size_t>(T), 0.0);
-    std::vector<std::uint64_t> skip_counts(static_cast<std::size_t>(T), 0);
-    progress_phase(ctx, "KmerGen");
-    team.run([&](int t) {
-      obs::TraceSession::set_thread_identity(p, t);
-      std::uint64_t* cur0 = cursor[0].data() + static_cast<std::size_t>(t) * nslots;
-      std::uint64_t* cur1 =
-          npasses > 1 ? cursor[1].data() + static_cast<std::size_t>(t) * nslots : nullptr;
-      TupleBuffer& out0 = send_buf[0];
-      TupleBuffer& out1 = send_buf[1];
-      auto emit64 = [&](std::uint64_t km, std::uint32_t value) {
-        const std::uint32_t bin = kmer::prefix_bin64(km, k, m);
-        if (bin < lo || bin >= hi) return;
-        if (bin < mid) {
-          const std::uint64_t at = cur0[geom[0].slot_of_bin[bin - lo]]++;
-          out0.keys[at] = km;
-          out0.vals[at] = value;
-        } else {
-          const std::uint64_t at = cur1[geom[1].slot_of_bin[bin - mid]]++;
-          out1.keys[at] = km;
-          out1.vals[at] = value;
-        }
-      };
-      auto emit128 = [&](kmer::Kmer128 km, std::uint32_t value) {
-        const std::uint32_t bin = kmer::prefix_bin128(km, k, m);
-        if (bin < lo || bin >= hi) return;
-        if (bin < mid) {
-          const std::uint64_t at = cur0[geom[0].slot_of_bin[bin - lo]]++;
-          out0.keys[at] = km.lo;
-          out0.keys_hi[at] = km.hi;
-          out0.vals[at] = value;
-        } else {
-          const std::uint64_t at = cur1[geom[1].slot_of_bin[bin - mid]]++;
-          out1.keys[at] = km.lo;
-          out1.keys_hi[at] = km.hi;
-          out1.vals[at] = value;
-        }
-      };
-      // §3.5.1 substitution happens inside scan_chunk, one group staler
-      // than barrier mode (components as of pass s0-1 for both passes in
-      // the group).
-      for (std::uint32_t c = ca.thread_begin(p, t); c < ca.thread_end(p, t); ++c) {
-        skip_counts[static_cast<std::size_t>(t)] +=
-            scan_chunk(ctx, c, substitute_components,
-                       io_seconds[static_cast<std::size_t>(t)],
-                       gen_seconds[static_cast<std::size_t>(t)], emit64, emit128);
-      }
-    });
-    my.times.add("KmerGen-I/O", *std::max_element(io_seconds.begin(), io_seconds.end()));
-    my.times.add("KmerGen", *std::max_element(gen_seconds.begin(), gen_seconds.end()));
-    if (s0 == 0) {
-      // First chunk sweep == one visit per record: distinct-skip count.
-      for (std::uint64_t sk : skip_counts) my.records_skipped += sk;
-    }
-    phase_boundary(ctx, "KmerGen");
-
-    // Sentinel fill (lenient-parsing gaps), per pass: same rule as barrier
-    // mode, except the key is the slot's first bin (the sub-block must stay
-    // inside its dest thread's range; see DESIGN.md).
-    for (int i = 0; i < npasses; ++i) {
-      const OverlapGeom& g = geom[static_cast<std::size_t>(i)];
-      TupleBuffer& buf = send_buf[static_cast<std::size_t>(i)];
-      auto& cur = cursor[static_cast<std::size_t>(i)];
-      for (int t = 0; t < T; ++t) {
-        for (std::size_t slot = 0; slot < nslots; ++slot) {
-          const std::size_t ts = static_cast<std::size_t>(t) * nslots + slot;
-          const std::uint64_t block_end = g.cursor_start[ts] + g.count_send[ts];
-          if (cur[ts] == block_end) continue;
-          const auto bin = static_cast<std::uint64_t>(g.slot_bounds[slot]);
-          const int shift = 2 * (k - m);
-          std::uint64_t s_lo, s_hi;
-          if (!wide) {
-            s_lo = bin << shift;
-            s_hi = 0;
-          } else if (shift >= 64) {
-            s_hi = bin << (shift - 64);
-            s_lo = 0;
-          } else {
-            s_lo = bin << shift;
-            s_hi = bin >> (64 - shift);
-          }
-          for (std::uint64_t at = cur[ts]; at < block_end; ++at) {
-            buf.keys[at] = s_lo;
-            if (wide) buf.keys_hi[at] = s_hi;
-            buf.vals[at] = kInvalidRead;
-          }
-          cur[ts] = block_end;
-        }
-      }
-    }
-
-    // ---- Post every pass's exchange; sends are buffered, so the send
-    // buffers go back to the pool immediately (the mailbox owns the
-    // in-flight copies — DESIGN.md "Buffer-pool ownership"). ----
-    progress_phase(ctx, "KmerGen-Comm");
-    for (int i = 0; i < npasses; ++i) {
-      obs::TraceSpan comm_span("KmerGen-Comm");
-      WallTimer comm_timer;
-      const std::size_t si = static_cast<std::size_t>(i);
-      if (P == 1) {
-        // Slot layout == region layout at P == 1: the generation buffer IS
-        // the sort buffer; no exchange, no copy.
-        recv_buf[si] = std::move(send_buf[si]);
-        send_buf[si] = TupleBuffer{};
-        recv_live[si] = send_live[si];
-        send_live[si] = false;
-      } else {
-        recv_buf[si] = acquire_tuples(geom[si].total_in);
-        recv_live[si] = true;
-        post_overlap_exchange(ctx, s0 + i, geom[si], send_buf[si], recv_buf[si], pending[si]);
-        release_tuples(std::move(send_buf[si]));
-        send_buf[si] = TupleBuffer{};
-        send_live[si] = false;
-        // Cross-rank tuples = everything outside my own P*T slot block.
-        const std::uint64_t cross =
-            geom[si].total_out -
-            (geom[si].slot_start[(static_cast<std::size_t>(p) + 1) * T] -
-             geom[si].slot_start[static_cast<std::size_t>(p) * T]);
-        my.exchange_bytes += cross * (wide ? 20u : 12u);
-        my.exchange_bytes_raw += cross * (wide ? 20u : 12u);
-      }
-      my.times.add("KmerGen-Comm", comm_timer.seconds());
-    }
-    phase_boundary(ctx, "KmerGen-Comm");
-
-    // ---- Drain the group: while pass s0 sorts and unions, pass s0+1's
-    // exchange stays in flight (straggler ranks may still be generating
-    // it); its wait_all is the pipeline's only synchronization. ----
-    const double window_t0 = span_begin(tr);
-    for (int i = 0; i < npasses; ++i) {
-      util::throw_if_cancelled(config.cancel_token, "overlap drain");
-      const std::size_t si = static_cast<std::size_t>(i);
-      const OverlapGeom& g = geom[si];
-      TupleBuffer& tuples = recv_buf[si];
-      if (i == npasses - 1) span_end(tr, "Overlap-Window", window_t0);
-      if (pass_t0[si] < 0.0) pass_t0[si] = span_begin(tr);
-      if (P > 1) {
-        obs::TraceSpan wait_span("KmerGen-Comm");
-        WallTimer wait_timer;
-        comm.wait_all(pending[si]);
-        pending[si].clear();
-        my.times.add("KmerGen-Comm", wait_timer.seconds());
-      }
-
-      // ---- LocalSort: the fine-grained exchange already delivered every
-      // tuple into its dest thread's region, so only the stable radix sort
-      // remains (barrier mode's partition copy is structurally gone). ----
-      progress_phase(ctx, "LocalSort");
-      {
-        const double sort_t0 = span_begin(tr);
-        WallTimer sort_timer;
-        TupleBuffer scratch = acquire_tuples(g.total_in);
-        ScopeExit scratch_guard([&] { release_tuples(std::move(scratch)); });
-        team.run([&](int t) {
-          const std::uint64_t rlo = g.region_start[static_cast<std::size_t>(t)];
-          const std::uint64_t rhi = g.region_start[static_cast<std::size_t>(t) + 1];
-          const std::size_t n = rhi - rlo;
-          if (n == 0) return;
-          if (!wide) {
-            sort::radix_sort_kv64(std::span(tuples.keys).subspan(rlo, n),
-                                  std::span(tuples.vals).subspan(rlo, n),
-                                  std::span(scratch.keys).subspan(rlo, n),
-                                  std::span(scratch.vals).subspan(rlo, n), 2 * k,
-                                  config.sort_digit_bits);
-          } else {
-            sort::radix_sort_kv128(std::span(tuples.keys_hi).subspan(rlo, n),
-                                   std::span(tuples.keys).subspan(rlo, n),
-                                   std::span(tuples.vals).subspan(rlo, n),
-                                   std::span(scratch.keys_hi).subspan(rlo, n),
-                                   std::span(scratch.keys).subspan(rlo, n),
-                                   std::span(scratch.vals).subspan(rlo, n), 2 * k,
-                                   config.sort_digit_bits);
-          }
-        });
-        scratch_guard.dismiss();
-        release_tuples(std::move(scratch));
-        my.times.add("LocalSort", sort_timer.seconds());
-        span_end(tr, "LocalSort", sort_t0);
-        phase_boundary(ctx, "LocalSort");
-      }
-
-      // ---- LocalCC: identical to barrier mode, over the sorted regions. ----
-      progress_phase(ctx, "LocalCC");
-      {
-        const double cc_t0 = span_begin(tr);
-        WallTimer cc_timer;
-        std::vector<int> thread_iters(static_cast<std::size_t>(T), 0);
-        team.run([&](int t) {
-          const std::uint64_t rlo = g.region_start[static_cast<std::size_t>(t)];
-          const std::uint64_t rhi = g.region_start[static_cast<std::size_t>(t) + 1];
-          std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-          std::uint64_t i2 = rlo;
-          while (i2 < rhi) {
-            std::uint64_t j = i2 + 1;
-            if (!wide) {
-              while (j < rhi && tuples.keys[j] == tuples.keys[i2]) ++j;
-            } else {
-              while (j < rhi && tuples.keys[j] == tuples.keys[i2] &&
-                     tuples.keys_hi[j] == tuples.keys_hi[i2])
-                ++j;
-            }
-            const std::uint64_t freq = j - i2;
-            if (config.filter.accepts(freq)) {
-              for (std::uint64_t x = i2 + 1; x < j; ++x) {
-                const std::uint32_t u = tuples.vals[x - 1];
-                const std::uint32_t v = tuples.vals[x];
-                if (u == v) continue;
-                if (u == kInvalidRead || v == kInvalidRead) continue;
-                const std::uint32_t ru = local_cc.find(u);
-                const std::uint32_t rv = local_cc.find(v);
-                if (ru != rv) {
-                  local_cc.unite_once(ru, rv);
-                  edges.emplace_back(u, v);
-                }
-              }
-            }
-            i2 = j;
-          }
-          thread_iters[static_cast<std::size_t>(t)] =
-              1 + dsu::process_edges_algorithm1(local_cc, edges);
-          ctx.m_cc_edges.add(edges.size());
-        });
-        my.times.add("LocalCC", cc_timer.seconds());
-        span_end(tr, "LocalCC", cc_t0);
-        phase_boundary(ctx, "LocalCC");
-        my.cc_iterations =
-            std::max(my.cc_iterations,
-                     *std::max_element(thread_iters.begin(), thread_iters.end()));
-      }
-
-      release_tuples(std::move(tuples));
-      recv_buf[si] = TupleBuffer{};
-      recv_live[si] = false;
-      ctx.m_rss.set_max(static_cast<double>(util::current_rss_bytes()));
-      span_end(tr, "Pass", pass_t0[si]);
-    }
-  }  // pass groups
-}
-
-// ---------------------------------------------------------------------------
-// Compressed exchange (--comm-compress): super-k-mer aggregation and/or the
-// counting-Bloom singleton prefilter over a variable-size staged exchange.
-//
-// Routing.  superkmer/both route whole runs by minimizer-hash bin
-// (kmer::minimizer_bin): the minimizer is a deterministic function of the
-// canonical k-mer, so every occurrence of a k-mer lands on one
-// (pass, rank, thread) and frequency counting stays global.  bloom-only
-// keeps the prefix-bin routing of the uncompressed schedules.  Payloads are
-// variable-size, so the precomputed-offset all-to-all is replaced by exactly
-// one isend per (src, dest, pass) — sent even when empty, so the receive
-// loop has a deterministic message count and World::finalize_check stays
-// clean.
-//
-// Message layout per (src -> dest, pass): u64 lens[T] header (bytes per
-// dest-thread section), then section dt = 0..T-1, each the concatenation of
-// the source's T thread streams for slot d*T+dt.  The receiver sizes T sort
-// regions (one per dest thread, blocks ordered by src rank — the same order
-// the uncompressed schedules produce), expands records at exact offsets,
-// then LocalSort/LocalCC run unchanged.  Equivalence arguments: DESIGN.md
-// "Exchange compression".
-// ---------------------------------------------------------------------------
-
-/// Tag space disjoint from barrier (1000+), overlap (2'000'000+), and
-/// MergeCC (1<<20): one tag per pass.
-constexpr int kCompressTagBase = 3'000'000;
-
-/// Little-endian byte append/read for the message headers.
+/// Little-endian byte append/read for the record-codec framing.
 inline void append_le(std::vector<std::byte>& out, std::uint64_t v, int nbytes) {
   for (int b = 0; b < nbytes; ++b)
     out.push_back(static_cast<std::byte>((v >> (8 * b)) & 0xFF));
@@ -1246,582 +564,673 @@ void fill_canonical_kmers(SuperKmerScratch& sc, const RecordView& rec, int k, bo
   const std::uint32_t nwin = rec.len - static_cast<std::uint32_t>(k) + 1;
   sc.km_lo.resize(nwin);
   if (wide) sc.km_hi.resize(nwin);
-  auto put64 = [&](std::uint64_t km, std::size_t pos) { sc.km_lo[pos] = km; };
-  auto put128 = [&](kmer::Kmer128 km, std::size_t pos) {
-    sc.km_lo[pos] = km.lo;
-    sc.km_hi[pos] = km.hi;
-  };
-  if (rec.words != nullptr) {
-    if (!wide) {
-      kmer::for_each_canonical_kmer64_packed(rec.words, rec.len, rec.npos, rec.ncount, k, put64);
-    } else {
-      kmer::for_each_canonical_kmer128_packed(rec.words, rec.len, rec.npos, rec.ncount, k,
-                                              put128);
-    }
-  } else {
-    const std::string_view seq(rec.text, rec.len);
-    if (!wide) {
-      kmer::for_each_canonical_kmer64(seq, k, put64);
-    } else {
-      kmer::for_each_canonical_kmer128(seq, k, put128);
-    }
-  }
+  for_each_kmer(
+      rec, k, wide, [&](std::uint64_t km, std::size_t pos) { sc.km_lo[pos] = km; },
+      [&](kmer::Kmer128 km, std::size_t pos) {
+        sc.km_lo[pos] = km.lo;
+        sc.km_hi[pos] = km.hi;
+      });
 }
 
-/// One pass's routing geometry for the compressed exchange: the bin range
-/// plus a bin -> slot (d*T+dt) table, uniform over minimizer-hash bins in
-/// superkmer modes, the PassPlan's prefix-bin geometry in bloom-only mode.
-struct CompressPassGeom {
-  std::uint32_t lo = 0, hi = 0;
-  std::vector<std::uint16_t> slot_of_bin;  ///< bin - lo -> slot d*T+dt
-};
+inline std::uint64_t kmer_hash_at(const SuperKmerScratch& sc, std::uint32_t pos, bool wide) {
+  return wide ? kmer::kmer_hash128(sc.km_hi[pos], sc.km_lo[pos])
+              : kmer::kmer_hash64(sc.km_lo[pos]);
+}
 
-struct CompressPlan {
-  bool superkmer = false;
-  bool bloom = false;
-  std::uint32_t nbins = 0;
-  std::vector<CompressPassGeom> pass;      ///< S entries
-  std::vector<std::uint16_t> rank_of_bin;  ///< global bin -> owner rank
-};
-
-CompressPlan make_compress_plan(const PassPlan& plan, int S, int P, int T,
-                                std::uint32_t prefix_nbins, bool superkmer,
-                                bool bloom) {
-  CompressPlan cp;
-  cp.superkmer = superkmer;
-  cp.bloom = bloom;
-  const std::size_t nslots = static_cast<std::size_t>(P) * T;
-  cp.pass.resize(static_cast<std::size_t>(S));
-  if (superkmer) {
-    cp.nbins = kmer::kNumMinimizerBins;
-    const auto pass_bounds = util::split_range(cp.nbins, S);
-    for (int s = 0; s < S; ++s) {
-      CompressPassGeom& pg = cp.pass[static_cast<std::size_t>(s)];
-      pg.lo = static_cast<std::uint32_t>(pass_bounds[static_cast<std::size_t>(s)]);
-      pg.hi = static_cast<std::uint32_t>(pass_bounds[static_cast<std::size_t>(s) + 1]);
-      const auto slot_rel = util::split_range(pg.hi - pg.lo, static_cast<int>(nslots));
-      std::vector<std::uint32_t> bounds(nslots + 1);
-      for (std::size_t i = 0; i <= nslots; ++i)
-        bounds[i] = pg.lo + static_cast<std::uint32_t>(slot_rel[i]);
-      pg.slot_of_bin = bin_owner_table(bounds);
-    }
-  } else {
-    cp.nbins = prefix_nbins;
-    for (int s = 0; s < S; ++s) {
-      CompressPassGeom& pg = cp.pass[static_cast<std::size_t>(s)];
-      pg.lo = plan.pass_range(s).begin;
-      pg.hi = plan.pass_range(s).end;
-      std::vector<std::uint32_t> bounds;
-      bounds.reserve(nslots + 1);
-      bounds.push_back(plan.thread_bounds(s, 0).front());
-      for (int d = 0; d < P; ++d) {
-        const auto& tb = plan.thread_bounds(s, d);
-        for (int t = 1; t <= T; ++t) bounds.push_back(tb[static_cast<std::size_t>(t)]);
+/// BloomCount: one extra scan over this rank's chunks inserting every k-mer
+/// occurrence into its destination rank's filter, so counts are global
+/// before any drop decision.  The barrier publishes all inserts (count() is
+/// read-only afterwards); a k-mer seen once on each of two ranks still
+/// counts 2 at its single destination, so only true global singletons can
+/// be suppressed.
+void bloom_count(PassCtx& ctx, const EnginePlan& ep) {
+  const int p = ctx.p, k = ctx.k, m = ctx.m, T = ctx.T;
+  const bool wide = ctx.wide;
+  std::vector<kmer::CountingBloom>& blooms = *ep.blooms;
+  std::vector<std::uint16_t> rank_of_bin(ep.routes.back().hi, 0);
+  for (const PassRoute& r : ep.routes) {
+    for (std::uint32_t b = r.lo; b < r.hi; ++b)
+      rank_of_bin[b] = static_cast<std::uint16_t>(r.slot_of_bin[b - r.lo] / T);
+  }
+  progress_phase(ctx, "BloomCount");
+  const double bc_t0 = span_begin(ctx.tr);
+  WallTimer bc_timer;
+  ctx.team.run([&](int t) {
+    obs::TraceSession::set_thread_identity(p, t);
+    double io_s = 0.0, gen_s = 0.0;  // folded into BloomCount's own step wall
+    SuperKmerScratch sc;
+    auto on_record = [&](std::uint32_t, const RecordView& rec) {
+      if (ep.superkmer) {
+        fill_canonical_kmers(sc, rec, k, wide);
+        for_each_run(sc, rec, k, ep.minimizer_len,
+                     [&](std::uint32_t start, std::uint32_t count, std::uint64_t mz) {
+                       kmer::CountingBloom& bl = blooms[rank_of_bin[kmer::minimizer_bin(mz)]];
+                       for (std::uint32_t j = 0; j < count; ++j)
+                         bl.insert(kmer_hash_at(sc, start + j, wide));
+                     });
+      } else {
+        for_each_kmer(
+            rec, k, wide,
+            [&](std::uint64_t km, std::size_t) {
+              blooms[rank_of_bin[kmer::prefix_bin64(km, k, m)]].insert(kmer::kmer_hash64(km));
+            },
+            [&](kmer::Kmer128 km, std::size_t) {
+              blooms[rank_of_bin[kmer::prefix_bin128(km, k, m)]].insert(
+                  kmer::kmer_hash128(km.hi, km.lo));
+            });
       }
-      pg.slot_of_bin = bin_owner_table(bounds);
-    }
-  }
-  cp.rank_of_bin.assign(cp.nbins, 0);
-  for (int s = 0; s < S; ++s) {
-    const CompressPassGeom& pg = cp.pass[static_cast<std::size_t>(s)];
-    for (std::uint32_t b = pg.lo; b < pg.hi; ++b) {
-      cp.rank_of_bin[b] =
-          static_cast<std::uint16_t>(pg.slot_of_bin[b - pg.lo] / static_cast<unsigned>(T));
-    }
-  }
-  return cp;
+    };
+    for (std::uint32_t c = ctx.ca.thread_begin(p, t); c < ctx.ca.thread_end(p, t); ++c)
+      scan_chunk(ctx, c, false, io_s, gen_s, false, on_record);
+  });
+  ctx.comm.barrier();  // happens-before: all inserts visible to all readers
+  ctx.my.times.add("BloomCount", bc_timer.seconds());
+  span_end(ctx.tr, "BloomCount", bc_t0);
+  phase_boundary(ctx, "BloomCount");
 }
 
-/// The compressed pass scheduler.  Barrier mode runs one pass per group;
-/// overlap mode fuses two passes per chunk sweep (same grouping as
-/// run_passes_overlap, same one-group-staler §3.5.1 substitution).
-/// @p blooms is non-null in bloom/both modes: P destination-owned counting
-/// Blooms, globally counted in a pre-scan below (shared-memory stand-in for
-/// an MPI-3 one-sided accumulate window; DESIGN.md).
-void run_passes_compressed(PassCtx& ctx, const CompressPlan& cplan,
-                           std::vector<kmer::CountingBloom>* blooms) {
-  const MetaprepConfig& config = ctx.config;
-  const ChunkAssignment& ca = ctx.ca;
-  mpsim::Comm& comm = ctx.comm;
-  ThreadTeam& team = ctx.team;
+/// Per-thread tallies of one fused KmerGen sweep.
+struct SweepCounts {
+  std::uint64_t skipped = 0;  ///< lenient-parse skips
+  std::uint64_t raw = 0;      ///< cross-rank k-mer occurrences (records codec)
+  std::uint64_t kept = 0;     ///< k-mer occurrences shipped (records codec)
+  std::uint64_t records = 0;  ///< super-k-mer records emitted
+  std::uint64_t dropped = 0;  ///< Bloom-dropped occurrences
+};
+
+/// Fused KmerGen: one chunk read + scan generates every pass of the group.
+void kmergen_sweep(PassCtx& ctx, const EnginePlan& ep, std::span<PassWork> group,
+                   bool substitute) {
+  const int p = ctx.p, T = ctx.T, k = ctx.k, m = ctx.m;
+  const bool wide = ctx.wide;
+  const std::size_t nslots = static_cast<std::size_t>(ctx.P) * T;
+  // A routing bin in [lo, hi) belongs to group pass (bin >= mid): routes
+  // tile the bin space in pass order.
+  const std::uint32_t lo = group.front().route->lo;
+  const std::uint32_t mid = group.front().route->hi;
+  const std::uint32_t hi = group.back().route->hi;
+  std::vector<double> io_seconds(static_cast<std::size_t>(T), 0.0);
+  std::vector<double> gen_seconds(static_cast<std::size_t>(T), 0.0);
+  std::vector<SweepCounts> counts(static_cast<std::size_t>(T));
+  progress_phase(ctx, "KmerGen");
+  ctx.team.run([&](int t) {
+    obs::TraceSession::set_thread_identity(p, t);
+    const std::size_t ut = static_cast<std::size_t>(t);
+    // Tallies and write cursors live on this thread's stack or heap for
+    // the sweep and are stored back once: the shared per-thread rows sit
+    // a few words apart, and incrementing them per k-mer would bounce
+    // their cache lines between the cores of the team.
+    SweepCounts n;
+    auto sweep = [&](auto&& on_record) {
+      for (std::uint32_t c = ctx.ca.thread_begin(p, t); c < ctx.ca.thread_end(p, t); ++c) {
+        n.skipped +=
+            scan_chunk(ctx, c, substitute, io_seconds[ut], gen_seconds[ut], true, on_record);
+      }
+    };
+    if (!ep.records) {
+      // Fixed tuples written at this thread's precomputed cursors.  Plain
+      // per-pass locals and an explicit branch keep pass 0's pointers in
+      // registers on the per-k-mer path (W = 1 never takes the else).
+      struct Out {
+        const std::uint16_t* slot_of_bin = nullptr;
+        std::uint64_t* cur = nullptr;
+        std::uint64_t* keys = nullptr;
+        std::uint64_t* keys_hi = nullptr;
+        std::uint32_t* vals = nullptr;
+      };
+      // A cache line of padding on each side of the copy: it shares no
+      // line with other threads' data, whatever the allocator does.
+      constexpr std::size_t kPad = 64 / sizeof(std::uint64_t);
+      std::array<std::vector<std::uint64_t>, 2> cursors;
+      auto out_of = [&](std::size_t i) {
+        if (i >= group.size()) return Out{};
+        cursors[i].assign(nslots + 2 * kPad, 0);
+        const auto row = group[i].cursor.begin() + static_cast<std::ptrdiff_t>(ut * nslots);
+        std::copy(row, row + static_cast<std::ptrdiff_t>(nslots), cursors[i].begin() + kPad);
+        TupleBuffer& b = *group[i].send;
+        return Out{group[i].route->slot_of_bin.data(), cursors[i].data() + kPad, b.keys.data(),
+                   b.keys_hi.data(), b.vals.data()};
+      };
+      const Out o0 = out_of(0);
+      const Out o1 = out_of(1);
+      auto put = [](const Out& o, std::uint32_t rel_bin, std::uint64_t key, std::uint32_t value) {
+        const std::uint64_t at = o.cur[o.slot_of_bin[rel_bin]]++;
+        o.keys[at] = key;
+        o.vals[at] = value;
+        return at;
+      };
+      sweep([&](std::uint32_t value, const RecordView& rec) {
+        for_each_kmer(
+            rec, k, wide,
+            [&](std::uint64_t km, std::size_t) {
+              const std::uint32_t bin = kmer::prefix_bin64(km, k, m);
+              if (bin < lo || bin >= hi) return;
+              if (bin < mid) {
+                put(o0, bin - lo, km, value);
+              } else {
+                put(o1, bin - mid, km, value);
+              }
+            },
+            [&](kmer::Kmer128 km, std::size_t) {
+              const std::uint32_t bin = kmer::prefix_bin128(km, k, m);
+              if (bin < lo || bin >= hi) return;
+              if (bin < mid) {
+                o0.keys_hi[put(o0, bin - lo, km.lo, value)] = km.hi;
+              } else {
+                o1.keys_hi[put(o1, bin - mid, km.lo, value)] = km.hi;
+              }
+            });
+      });
+      for (std::size_t i = 0; i < group.size(); ++i) {
+        const auto mine = cursors[i].begin() + kPad;
+        std::copy(mine, mine + static_cast<std::ptrdiff_t>(nslots),
+                  group[i].cursor.begin() + static_cast<std::ptrdiff_t>(ut * nslots));
+      }
+      counts[ut] = n;
+      return;
+    }
+    // Records: this thread's per-(group pass, slot) streams, in rows it
+    // allocates itself (their headers change on every append) and hands
+    // to the group when the sweep ends.
+    std::array<std::vector<std::vector<std::byte>>, 2> rows;
+    for (std::size_t i = 0; i < group.size(); ++i) rows[i].resize(nslots);
+    auto finish_records = [&] {
+      for (std::size_t i = 0; i < group.size(); ++i) group[i].streams[ut] = std::move(rows[i]);
+      counts[ut] = n;
+    };
+    // Route a bin to (group pass, slot), or nullptr outside the group.
+    auto stream_of = [&](std::uint32_t bin, std::uint16_t& slot) -> std::vector<std::byte>* {
+      if (bin < lo || bin >= hi) return nullptr;
+      const std::size_t i = bin >= mid ? 1 : 0;
+      slot = group[i].route->slot_of_bin[bin - group[i].route->lo];
+      return &rows[i][slot];
+    };
+    if (ep.superkmer) {
+      SuperKmerScratch sc;
+      sweep([&](std::uint32_t value, const RecordView& rec) {
+        // Only the Bloom filter probes k-mers by position; plain
+        // super-k-mer emission needs the minimizer scan alone.
+        if (ep.blooms != nullptr) fill_canonical_kmers(sc, rec, k, wide);
+        for_each_run(sc, rec, k, ep.minimizer_len,
+                     [&](std::uint32_t start, std::uint32_t count, std::uint64_t mz) {
+          std::uint16_t slot = 0;
+          std::vector<std::byte>* stream = stream_of(kmer::minimizer_bin(mz), slot);
+          if (stream == nullptr) return;
+          const int d = slot / T;
+          if (d != p) n.raw += count;
+          auto emit_subrun = [&](std::uint32_t a, std::uint32_t cnt) {
+            n.kept += cnt;
+            while (cnt > 0) {
+              const std::uint32_t take = std::min(cnt, kmer::kMaxSuperKmerRun);
+              rec.append_record(*stream, value, start + a, take, k);
+              ++n.records;
+              a += take;
+              cnt -= take;
+            }
+          };
+          if (ep.blooms == nullptr) {
+            emit_subrun(0, count);
+            return;
+          }
+          // Bloom-surviving maximal sub-runs: every k-mer in a kept sub-run
+          // has global count >= 2 at its (single) destination.
+          const kmer::CountingBloom& bl = (*ep.blooms)[static_cast<std::size_t>(d)];
+          std::uint32_t a = 0;
+          while (a < count) {
+            if (bl.count(kmer_hash_at(sc, start + a, wide)) < 2) {
+              ++n.dropped;
+              ++a;
+              continue;
+            }
+            std::uint32_t b = a + 1;
+            while (b < count && bl.count(kmer_hash_at(sc, start + b, wide)) >= 2) ++b;
+            emit_subrun(a, b - a);
+            a = b;
+          }
+        });
+      });
+      finish_records();
+      return;
+    }
+    // bloom-only: prefix-bin routing, fixed-size (k-mer, value) records.
+    auto emit = [&](std::uint32_t bin, std::uint64_t km_lo, std::uint64_t km_hi,
+                    std::uint64_t hash, std::uint32_t value) {
+      std::uint16_t slot = 0;
+      std::vector<std::byte>* stream = stream_of(bin, slot);
+      if (stream == nullptr) return;
+      const int d = slot / T;
+      if (d != p) ++n.raw;
+      if ((*ep.blooms)[static_cast<std::size_t>(d)].count(hash) < 2) {
+        ++n.dropped;
+        return;
+      }
+      ++n.kept;
+      append_le(*stream, km_lo, 8);
+      if (wide) append_le(*stream, km_hi, 8);
+      append_le(*stream, value, 4);
+    };
+    sweep([&](std::uint32_t value, const RecordView& rec) {
+      for_each_kmer(
+          rec, k, wide,
+          [&](std::uint64_t km, std::size_t) {
+            emit(kmer::prefix_bin64(km, k, m), km, 0, kmer::kmer_hash64(km), value);
+          },
+          [&](kmer::Kmer128 km, std::size_t) {
+            emit(kmer::prefix_bin128(km, k, m), km.lo, km.hi, kmer::kmer_hash128(km.hi, km.lo),
+                 value);
+          });
+    });
+    finish_records();
+  });
+  RankShared& my = ctx.my;
+  my.times.add("KmerGen-I/O", *std::max_element(io_seconds.begin(), io_seconds.end()));
+  my.times.add("KmerGen", *std::max_element(gen_seconds.begin(), gen_seconds.end()));
+  const std::uint64_t tuple_bytes = ctx.wide ? 20 : 12;
+  for (const SweepCounts& n : counts) {
+    // The first sweep visits every record exactly once, so its skip count
+    // is the number of *distinct* records lenient parsing dropped (later
+    // sweeps re-discover the same skips in text mode).
+    if (group.front().s == 0) my.records_skipped += n.skipped;
+    if (!ep.records) continue;
+    my.exchange_bytes_raw += n.raw * tuple_bytes;
+    my.tuples += n.kept;
+    my.bloom_dropped += n.dropped;
+    my.superkmer_records += n.records;
+    ctx.m_tuples.add(n.kept);
+  }
+  phase_boundary(ctx, "KmerGen");
+}
+
+/// Fixed codec: tuple array @p arr of a buffer as bytes (0 keys, 1 vals,
+/// 2 keys_hi) and its element size.
+std::pair<std::byte*, std::size_t> tuple_array(TupleBuffer& b, int arr) {
+  if (arr == 1) return {reinterpret_cast<std::byte*>(b.vals.data()), 4};
+  return {reinterpret_cast<std::byte*>(arr == 0 ? b.keys.data() : b.keys_hi.data()), 8};
+}
+
+/// Fixed codec, one step of the paper's staged all-to-all (§3.3): in stage
+/// i rank p sends (p+i) mod P one message per tuple array — the dest rank's
+/// T contiguous slot sections, sent even when empty.
+void fixed_send(PassCtx& ctx, PassWork& w, int arr, int stage) {
+  const int P = ctx.P, T = ctx.T;
+  const std::size_t d = static_cast<std::size_t>((ctx.p + stage) % P);
+  const auto [sb, esz] = tuple_array(*w.send, arr);
+  const std::uint64_t begin = w.slot_start[d * T];
+  ctx.comm.isend(static_cast<int>(d), kmergen_tag(w.s, arr), sb + begin * esz,
+                 (w.slot_start[(d + 1) * T] - begin) * esz);
+}
+
+/// ... and receives (p-i) mod P's message, checks its size against the
+/// geometry and copies its T sections into the T sort regions.
+void fixed_recv(PassCtx& ctx, PassWork& w, int arr, int stage) {
+  const int P = ctx.P, T = ctx.T;
+  const int q = (ctx.p - stage + P) % P;
+  const std::size_t qs = static_cast<std::size_t>(q) * T;
+  const auto [rb, esz] = tuple_array(*w.recv, arr);
+  const std::vector<std::byte> msg = ctx.comm.recv_any_size(q, kmergen_tag(w.s, arr));
+  std::uint64_t expected = 0;
+  for (int dt = 0; dt < T; ++dt) expected += w.recv_count[qs + dt] * esz;
+  if (msg.size() != expected) {
+    throw util::comm_error("KmerGen-Comm: message from rank " + std::to_string(q) + " has " +
+                           std::to_string(msg.size()) + " bytes, geometry expects " +
+                           std::to_string(expected));
+  }
+  std::uint64_t off = 0;
+  for (int dt = 0; dt < T; ++dt) {
+    const std::uint64_t len = w.recv_count[qs + dt] * esz;
+    if (len > 0) std::memcpy(rb + w.recv_block[qs + dt] * esz, msg.data() + off, len);
+    off += len;
+  }
+}
+
+/// Post one pass's exchange.  Sends are buffered (the mailbox owns the
+/// in-flight copies — DESIGN.md "Buffer-pool ownership"), so the send side
+/// is done when this returns and drain_receive completes the receives.  At
+/// W = 1 nothing runs between post and drain, so the fixed codec completes
+/// each stage's receive right after its send, as the paper's staged
+/// all-to-all does: at most one message per rank is in flight.
+void post_exchange(PassCtx& ctx, const EnginePlan& ep, PassWork& w, TupleArena& arena) {
+  const int P = ctx.P, T = ctx.T, p = ctx.p;
+  RankShared& my = ctx.my;
+  if (ep.records) {
+    // One message per (dest, pass), always sent: the u64 lens[T] header
+    // makes even an empty message well-formed and keeps the receive count
+    // deterministic.
+    for (int d = 0; d < P; ++d) {
+      std::vector<std::byte> msg;
+      std::size_t total = 8u * static_cast<std::size_t>(T);
+      for (int dt = 0; dt < T; ++dt) {
+        for (int t = 0; t < T; ++t) {
+          total += w.streams[static_cast<std::size_t>(t)][static_cast<std::size_t>(d) * T + dt]
+                       .size();
+        }
+      }
+      msg.reserve(total);
+      for (int dt = 0; dt < T; ++dt) {
+        std::uint64_t len = 0;
+        for (int t = 0; t < T; ++t) {
+          len += w.streams[static_cast<std::size_t>(t)][static_cast<std::size_t>(d) * T + dt]
+                     .size();
+        }
+        append_le(msg, len, 8);
+      }
+      for (int dt = 0; dt < T; ++dt) {
+        for (int t = 0; t < T; ++t) {
+          auto& st = w.streams[static_cast<std::size_t>(t)][static_cast<std::size_t>(d) * T + dt];
+          msg.insert(msg.end(), st.begin(), st.end());
+          std::vector<std::byte>().swap(st);
+        }
+      }
+      if (d == p) {
+        w.self_msg = std::move(msg);
+      } else {
+        my.exchange_bytes += msg.size();
+        ctx.comm.isend(d, kmergen_tag(w.s, 0), msg.data(), msg.size());
+      }
+    }
+    return;
+  }
+  fill_sentinels(ctx, w);
+  if (P == 1) {
+    // Slot layout == region layout at P == 1: the generation buffer IS the
+    // sort buffer; no exchange, no copy.
+    w.recv = w.send;
+    w.send = nullptr;
+    return;
+  }
+  w.recv = &arena.acquire(w.region.back());
+  const std::size_t my_slot = static_cast<std::size_t>(p) * T;
+  for (int arr = 0; arr < (ctx.wide ? 3 : 2); ++arr) {
+    const auto [sb, esz] = tuple_array(*w.send, arr);
+    std::byte* rb = tuple_array(*w.recv, arr).first;
+    for (int dt = 0; dt < T; ++dt) {  // stage 0: my own sections, plain copy
+      const std::uint64_t len = w.recv_count[my_slot + dt];
+      if (len > 0) {
+        std::memcpy(rb + w.recv_block[my_slot + dt] * esz,
+                    sb + w.slot_start[my_slot + dt] * esz, len * esz);
+      }
+    }
+    for (int stage = 1; stage < P; ++stage) {
+      fixed_send(ctx, w, arr, stage);
+      if (ep.W == 1) fixed_recv(ctx, w, arr, stage);
+    }
+  }
+  // Exchange-volume accounting (cross-rank tuples only, matching the
+  // traffic matrix); uncompressed, so shipped == raw.
+  const std::uint64_t cross =
+      w.slot_start.back() - (w.slot_start[my_slot + T] - w.slot_start[my_slot]);
+  my.exchange_bytes += cross * (ctx.wide ? 20u : 12u);
+  my.exchange_bytes_raw += cross * (ctx.wide ? 20u : 12u);
+  arena.release(*w.send);
+  w.send = nullptr;
+}
+
+/// Complete one pass's receive into its T sort regions.  Fixed tuples at
+/// W = 2: one message per (stage, array).  Records: size the regions from
+/// the headers, validate and count every record, then decode at exact
+/// offsets in parallel.
+void drain_receive(PassCtx& ctx, const EnginePlan& ep, PassWork& w, TupleArena& arena) {
+  const int P = ctx.P, T = ctx.T, p = ctx.p, k = ctx.k;
+  const bool wide = ctx.wide;
+  if (!ep.records) {
+    if (P == 1 || ep.W == 1) return;
+    obs::TraceSpan wait_span("KmerGen-Comm");
+    WallTimer wait_timer;
+    for (int arr = 0; arr < (wide ? 3 : 2); ++arr) {
+      for (int stage = 1; stage < P; ++stage) fixed_recv(ctx, w, arr, stage);
+    }
+    ctx.my.times.add("KmerGen-Comm", wait_timer.seconds());
+    return;
+  }
+
+  std::vector<std::vector<std::byte>> msgs(static_cast<std::size_t>(P));
+  msgs[static_cast<std::size_t>(p)] = std::move(w.self_msg);
+  if (P > 1) {
+    obs::TraceSpan wait_span("KmerGen-Comm");
+    WallTimer wait_timer;
+    for (int stage = 1; stage < P; ++stage) {
+      const int q = (p - stage + P) % P;
+      msgs[static_cast<std::size_t>(q)] = ctx.comm.recv_any_size(q, kmergen_tag(w.s, 0));
+    }
+    ctx.my.times.add("KmerGen-Comm", wait_timer.seconds());
+  }
+  std::uint64_t msg_bytes = 0;
+  for (const auto& msg : msgs) msg_bytes += msg.size();
+  const obs::MemCharge msgs_mem("comm", msg_bytes);
+
+  progress_phase(ctx, "Expand");
+  const double ex_t0 = span_begin(ctx.tr);
+  WallTimer ex_timer;
+  const std::size_t nslots = static_cast<std::size_t>(P) * T;
+  const std::size_t fixed_rec = wide ? 20 : 12;  ///< bloom-only record size
+  std::vector<std::uint64_t> sec_off(nslots, 0);
+  std::vector<std::uint64_t> sec_len(nslots, 0);
+  for (int q = 0; q < P; ++q) {
+    const auto& msg = msgs[static_cast<std::size_t>(q)];
+    if (msg.size() < 8u * static_cast<std::size_t>(T))
+      throw util::parse_error("comm-compress: message shorter than its header");
+    std::uint64_t off = 8u * static_cast<std::size_t>(T);
+    for (int dt = 0; dt < T; ++dt) {
+      const std::uint64_t len = read_le(msg.data() + 8 * dt, 8);
+      if (len > msg.size() - off)
+        throw util::parse_error("comm-compress: section overruns message");
+      sec_off[static_cast<std::size_t>(q) * T + dt] = off;
+      sec_len[static_cast<std::size_t>(q) * T + dt] = len;
+      off += len;
+    }
+    if (off != msg.size())
+      throw util::parse_error("comm-compress: trailing bytes after last section");
+  }
+  w.recv_count.assign(nslots, 0);
+  ctx.team.run([&](int t) {
+    for (int q = 0; q < P; ++q) {
+      const std::size_t idx = static_cast<std::size_t>(q) * T + t;
+      const std::byte* data = msgs[static_cast<std::size_t>(q)].data() + sec_off[idx];
+      if (ep.superkmer) {
+        w.recv_count[idx] = kmer::count_superkmer_stream(data, sec_len[idx], k).kmers;
+      } else {
+        if (sec_len[idx] % fixed_rec != 0)
+          throw util::parse_error("comm-compress: truncated tuple record");
+        w.recv_count[idx] = sec_len[idx] / fixed_rec;
+      }
+    }
+  });
+  column_major_offsets(w.recv_count, static_cast<std::size_t>(P), static_cast<std::size_t>(T),
+                       w.recv_block, w.region);
+  TupleBuffer& tuples = arena.acquire(w.region.back());
+  w.recv = &tuples;
+  const std::uint32_t R = ctx.index.total_reads;
+  ctx.team.run([&](int t) {
+    obs::TraceSession::set_thread_identity(p, t);
+    for (int q = 0; q < P; ++q) {
+      const std::size_t idx = static_cast<std::size_t>(q) * T + t;
+      const std::byte* data = msgs[static_cast<std::size_t>(q)].data() + sec_off[idx];
+      std::uint64_t at = w.recv_block[idx];
+      if (ep.superkmer) {
+        kmer::SuperKmerReader reader(data, sec_len[idx], k);
+        while (!reader.done()) {
+          reader.next_header();
+          const std::uint32_t value = reader.value();
+          if (value >= R) throw util::parse_error("comm-compress: record value out of range");
+          if (!wide) {
+            reader.expand64([&](std::uint64_t km) {
+              tuples.keys[at] = km;
+              tuples.vals[at] = value;
+              ++at;
+            });
+          } else {
+            reader.expand128([&](kmer::Kmer128 km) {
+              tuples.keys[at] = km.lo;
+              tuples.keys_hi[at] = km.hi;
+              tuples.vals[at] = value;
+              ++at;
+            });
+          }
+        }
+      } else {
+        for (const std::byte* rp = data; rp != data + sec_len[idx]; rp += fixed_rec) {
+          const auto value = static_cast<std::uint32_t>(read_le(rp + fixed_rec - 4, 4));
+          if (value >= R) throw util::parse_error("comm-compress: record value out of range");
+          tuples.keys[at] = read_le(rp, 8);
+          if (wide) tuples.keys_hi[at] = read_le(rp + 8, 8);
+          tuples.vals[at] = value;
+          ++at;
+        }
+      }
+    }
+  });
+  ctx.my.times.add("Expand", ex_timer.seconds());
+  span_end(ctx.tr, "Expand", ex_t0);
+  phase_boundary(ctx, "Expand");
+}
+
+/// LocalSort (§3.4): one stable radix sort per dest-thread region, with a
+/// leased scratch as the out-of-place buffer.
+void sort_regions(PassCtx& ctx, TupleBuffer& tuples, const std::vector<std::uint64_t>& region,
+                  TupleArena& arena) {
+  progress_phase(ctx, "LocalSort");
+  const double sort_t0 = span_begin(ctx.tr);
+  WallTimer sort_timer;
+  TupleBuffer& scratch = arena.acquire(tuples.size());
+  const int bits = 2 * ctx.k;
+  const int digit = ctx.config.sort_digit_bits;
+  ctx.team.run([&](int t) {
+    const std::uint64_t lo = region[static_cast<std::size_t>(t)];
+    const std::size_t n = region[static_cast<std::size_t>(t) + 1] - lo;
+    if (n == 0) return;
+    if (!ctx.wide) {
+      sort::radix_sort_kv64(std::span(tuples.keys).subspan(lo, n),
+                            std::span(tuples.vals).subspan(lo, n),
+                            std::span(scratch.keys).subspan(lo, n),
+                            std::span(scratch.vals).subspan(lo, n), bits, digit);
+    } else {
+      sort::radix_sort_kv128(std::span(tuples.keys_hi).subspan(lo, n),
+                             std::span(tuples.keys).subspan(lo, n),
+                             std::span(tuples.vals).subspan(lo, n),
+                             std::span(scratch.keys_hi).subspan(lo, n),
+                             std::span(scratch.keys).subspan(lo, n),
+                             std::span(scratch.vals).subspan(lo, n), bits, digit);
+    }
+  });
+  arena.release(scratch);
+  ctx.my.times.add("LocalSort", sort_timer.seconds());
+  span_end(ctx.tr, "LocalSort", sort_t0);
+  phase_boundary(ctx, "LocalSort");
+}
+
+/// LocalCC (§3.5, Algorithm 1): runs of equal k-mers in each sorted region
+/// become read-graph edges; union-find with buffered re-verification.
+/// Sentinel tuples (kInvalidRead) never form an edge.
+void union_regions(PassCtx& ctx, const TupleBuffer& tuples,
+                   const std::vector<std::uint64_t>& region) {
+  progress_phase(ctx, "LocalCC");
+  const double cc_t0 = span_begin(ctx.tr);
+  WallTimer cc_timer;
   dsu::AtomicDSU& local_cc = ctx.local_cc;
+  const KmerFreqFilter& filter = ctx.config.filter;
+  std::vector<int> thread_iters(static_cast<std::size_t>(ctx.T), 0);
+  ctx.team.run([&](int t) {
+    const std::uint64_t hi = region[static_cast<std::size_t>(t) + 1];
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+    std::uint64_t i = region[static_cast<std::size_t>(t)];
+    while (i < hi) {
+      std::uint64_t j = i + 1;
+      if (!ctx.wide) {
+        while (j < hi && tuples.keys[j] == tuples.keys[i]) ++j;
+      } else {
+        while (j < hi && tuples.keys[j] == tuples.keys[i] && tuples.keys_hi[j] == tuples.keys_hi[i])
+          ++j;
+      }
+      if (filter.accepts(j - i)) {
+        for (std::uint64_t x = i + 1; x < j; ++x) {
+          const std::uint32_t u = tuples.vals[x - 1];
+          const std::uint32_t v = tuples.vals[x];
+          if (u == v) continue;
+          if (u == kInvalidRead || v == kInvalidRead) continue;
+          const std::uint32_t ru = local_cc.find(u);
+          const std::uint32_t rv = local_cc.find(v);
+          if (ru != rv) {
+            local_cc.unite_once(ru, rv);
+            edges.emplace_back(u, v);
+          }
+        }
+      }
+      i = j;
+    }
+    thread_iters[static_cast<std::size_t>(t)] =
+        1 + dsu::process_edges_algorithm1(local_cc, edges);
+    ctx.m_cc_edges.add(edges.size());
+  });
+  ctx.my.times.add("LocalCC", cc_timer.seconds());
+  span_end(ctx.tr, "LocalCC", cc_t0);
+  phase_boundary(ctx, "LocalCC");
+  ctx.my.cc_iterations = std::max(ctx.my.cc_iterations,
+                                  *std::max_element(thread_iters.begin(), thread_iters.end()));
+}
+
+/// The pass loop: groups of W passes, each one fused sweep, W posts, then
+/// W drains.  With cc_opt every pass of a group substitutes component IDs
+/// as of the group start (at W = 2, pass s+1 reads roots one pass stale —
+/// still members of the same component, so the partition is unchanged).
+void run_passes(PassCtx& ctx, const EnginePlan& ep) {
+  const MetaprepConfig& config = ctx.config;
   RankShared& my = ctx.my;
   obs::TraceSession& tr = ctx.tr;
-  const int p = ctx.p, P = ctx.P, T = ctx.T, S = ctx.S, k = ctx.k, m = ctx.m;
-  const bool wide = ctx.wide;
-  const int msk = config.superkmer_minimizer_len;
-  const std::uint64_t tuple_bytes = wide ? 20 : 12;
-  const std::size_t fixed_rec = wide ? 20 : 12;  ///< bloom-only record size
-  const std::uint32_t R = ctx.index.total_reads;
-  const std::size_t nslots = static_cast<std::size_t>(P) * T;
-  const int group_sz = config.pipeline_mode == PipelineMode::kOverlap ? 2 : 1;
+  const int T = ctx.T, S = ctx.S;
+  util::BufferPool& pool =
+      config.buffer_pool != nullptr ? *config.buffer_pool : util::BufferPool::global();
+  TupleArena arena(pool, ctx.wide, my.max_buffer_bytes);
+  if (ep.blooms != nullptr) bloom_count(ctx, ep);
 
-  auto hash_at = [&](const SuperKmerScratch& sc, std::uint32_t pos) {
-    return wide ? kmer::kmer_hash128(sc.km_hi[pos], sc.km_lo[pos])
-                : kmer::kmer_hash64(sc.km_lo[pos]);
-  };
-
-  // ---- BloomCount: one extra scan over this rank's chunks inserting every
-  // k-mer occurrence into its destination rank's filter, so counts are
-  // global before any drop decision.  The barrier publishes all inserts
-  // (count() is read-only afterwards); a k-mer seen once on each of two
-  // ranks still counts 2 at its single destination, so only true global
-  // singletons can be suppressed. ----
-  if (blooms != nullptr) {
-    progress_phase(ctx, "BloomCount");
-    const double bc_t0 = span_begin(tr);
-    WallTimer bc_timer;
-    team.run([&](int t) {
-      obs::TraceSession::set_thread_identity(p, t);
-      double io_s = 0.0, gen_s = 0.0;  // folded into BloomCount's own step wall
-      if (cplan.superkmer) {
-        SuperKmerScratch sc;
-        for (std::uint32_t c = ca.thread_begin(p, t); c < ca.thread_end(p, t); ++c) {
-          scan_chunk_records(
-              ctx, c, false, io_s, gen_s, false,
-              [&](std::uint32_t, const RecordView& rec) {
-                fill_canonical_kmers(sc, rec, k, wide);
-                for_each_run(sc, rec, k, msk,
-                             [&](std::uint32_t start, std::uint32_t count, std::uint64_t mz) {
-                               kmer::CountingBloom& bl =
-                                   (*blooms)[cplan.rank_of_bin[kmer::minimizer_bin(mz)]];
-                               for (std::uint32_t j = 0; j < count; ++j)
-                                 bl.insert(hash_at(sc, start + j));
-                             });
-              });
-        }
-      } else {
-        auto count64 = [&](std::uint64_t km, std::uint32_t) {
-          const std::uint32_t bin = kmer::prefix_bin64(km, k, m);
-          (*blooms)[cplan.rank_of_bin[bin]].insert(kmer::kmer_hash64(km));
-        };
-        auto count128 = [&](kmer::Kmer128 km, std::uint32_t) {
-          const std::uint32_t bin = kmer::prefix_bin128(km, k, m);
-          (*blooms)[cplan.rank_of_bin[bin]].insert(kmer::kmer_hash128(km.hi, km.lo));
-        };
-        for (std::uint32_t c = ca.thread_begin(p, t); c < ca.thread_end(p, t); ++c) {
-          scan_chunk(ctx, c, false, io_s, gen_s, count64, count128, false);
-        }
+  for (int s0 = 0; s0 < S; s0 += ep.W) {
+    util::throw_if_cancelled(config.cancel_token, "pass group");
+    const int npasses = std::min(ep.W, S - s0);
+    std::array<PassWork, 2> work;
+    const std::span<PassWork> group(work.data(), static_cast<std::size_t>(npasses));
+    group.front().t0 = span_begin(tr);
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      PassWork& w = group[i];
+      w.s = s0 + static_cast<int>(i);
+      w.route = &ep.routes[static_cast<std::size_t>(w.s)];
+      if (ep.records) {
+        w.streams.assign(static_cast<std::size_t>(T), {});  // filled by the sweep
+        continue;
       }
-    });
-    comm.barrier();  // happens-before: all inserts visible to all readers
-    my.times.add("BloomCount", bc_timer.seconds());
-    span_end(tr, "BloomCount", bc_t0);
-    phase_boundary(ctx, "BloomCount");
-  }
-
-  TupleBuffer tuples;
-  TupleBuffer scratch;
-  tuples.wide = wide;
-  scratch.wide = wide;
-
-  for (int s0 = 0; s0 < S; s0 += group_sz) {
-    util::throw_if_cancelled(ctx.config.cancel_token, "compressed pass group");
-    const int npasses = std::min(group_sz, S - s0);
-    std::array<double, 2> pass_t0{span_begin(tr), -1.0};
-    const std::uint32_t g0lo = cplan.pass[static_cast<std::size_t>(s0)].lo;
-    const std::uint32_t g0hi = cplan.pass[static_cast<std::size_t>(s0)].hi;
-    const std::uint32_t g1lo =
-        npasses > 1 ? cplan.pass[static_cast<std::size_t>(s0) + 1].lo : 0;
-    const std::uint32_t g1hi =
-        npasses > 1 ? cplan.pass[static_cast<std::size_t>(s0) + 1].hi : 0;
-
-    // Per (pass-in-group, my thread, slot) byte streams; concatenated into
-    // one message per (dest, pass) below.
-    std::array<std::vector<std::vector<std::vector<std::byte>>>, 2> streams;
-    for (int i = 0; i < npasses; ++i) {
-      streams[static_cast<std::size_t>(i)].assign(
-          static_cast<std::size_t>(T), std::vector<std::vector<std::byte>>(nslots));
+      fixed_geometry(ctx, w);
+      // Room for the receive count too: once posted, the send buffer's
+      // storage comes back as this rank's LocalSort scratch.
+      w.send = &arena.acquire(w.slot_start.back(), w.region.back());
+      my.tuples += w.slot_start.back();
+      ctx.m_tuples.add(w.slot_start.back());
     }
 
-    // ---- KmerGen (fused over the group in overlap mode): emit wire
-    // records instead of fixed tuples.  Lenient-parse skips simply emit
-    // nothing — variable-size messages need no sentinel padding. ----
-    const bool substitute_components = config.cc_opt && s0 > 0;
-    std::vector<double> io_seconds(static_cast<std::size_t>(T), 0.0);
-    std::vector<double> gen_seconds(static_cast<std::size_t>(T), 0.0);
-    std::vector<std::uint64_t> skip_counts(static_cast<std::size_t>(T), 0);
-    std::vector<std::uint64_t> raw_counts(static_cast<std::size_t>(T), 0);
-    std::vector<std::uint64_t> kept_counts(static_cast<std::size_t>(T), 0);
-    std::vector<std::uint64_t> rec_counts(static_cast<std::size_t>(T), 0);
-    std::vector<std::uint64_t> drop_counts(static_cast<std::size_t>(T), 0);
-    progress_phase(ctx, "KmerGen");
-    team.run([&](int t) {
-      obs::TraceSession::set_thread_identity(p, t);
-      const std::size_t ut = static_cast<std::size_t>(t);
-      // pass-in-group of a routing bin, or -1 when outside the group.
-      auto group_pass_of = [&](std::uint32_t bin) -> int {
-        if (bin >= g0lo && bin < g0hi) return 0;
-        if (npasses > 1 && bin >= g1lo && bin < g1hi) return 1;
-        return -1;
-      };
-      if (cplan.superkmer) {
-        SuperKmerScratch sc;
-        auto handle_record = [&](std::uint32_t value, const RecordView& rec) {
-          // Only the Bloom filter probes k-mers by position; plain
-          // super-k-mer emission needs the minimizer scan alone.
-          if (blooms != nullptr) fill_canonical_kmers(sc, rec, k, wide);
-          for_each_run(sc, rec, k, msk,
-                       [&](std::uint32_t start, std::uint32_t count, std::uint64_t mz) {
-            const std::uint32_t bin = kmer::minimizer_bin(mz);
-            const int i = group_pass_of(bin);
-            if (i < 0) return;
-            const CompressPassGeom& pg = cplan.pass[static_cast<std::size_t>(s0 + i)];
-            const std::uint16_t slot = pg.slot_of_bin[bin - pg.lo];
-            const int d = slot / T;
-            std::vector<std::byte>& stream =
-                streams[static_cast<std::size_t>(i)][ut][slot];
-            if (d != p) raw_counts[ut] += count;
-            auto emit_subrun = [&](std::uint32_t a, std::uint32_t cnt) {
-              while (cnt > 0) {
-                const std::uint32_t take = std::min(cnt, kmer::kMaxSuperKmerRun);
-                rec.append_record(stream, value, start + a, take, k);
-                ++rec_counts[ut];
-                a += take;
-                cnt -= take;
-              }
-            };
-            if (blooms == nullptr) {
-              kept_counts[ut] += count;
-              emit_subrun(0, count);
-            } else {
-              // Bloom-surviving maximal sub-runs: every k-mer in a kept
-              // sub-run has global count >= 2 at its (single) destination.
-              const kmer::CountingBloom& bl = (*blooms)[d];
-              std::uint32_t a = 0;
-              while (a < count) {
-                if (bl.count(hash_at(sc, start + a)) < 2) {
-                  ++drop_counts[ut];
-                  ++a;
-                  continue;
-                }
-                std::uint32_t b = a + 1;
-                while (b < count && bl.count(hash_at(sc, start + b)) >= 2) ++b;
-                kept_counts[ut] += b - a;
-                emit_subrun(a, b - a);
-                a = b;
-              }
-            }
-          });
-        };
-        for (std::uint32_t c = ca.thread_begin(p, t); c < ca.thread_end(p, t); ++c) {
-          skip_counts[ut] += scan_chunk_records(ctx, c, substitute_components,
-                                                io_seconds[ut], gen_seconds[ut],
-                                                true, handle_record);
-        }
-      } else {
-        // bloom-only: prefix-bin routing, fixed-size (k-mer, value) records.
-        auto route = [&](std::uint32_t bin) -> std::pair<int, std::vector<std::byte>*> {
-          const int i = group_pass_of(bin);
-          if (i < 0) return {-1, nullptr};
-          const CompressPassGeom& pg = cplan.pass[static_cast<std::size_t>(s0 + i)];
-          const std::uint16_t slot = pg.slot_of_bin[bin - pg.lo];
-          return {slot / T, &streams[static_cast<std::size_t>(i)][ut][slot]};
-        };
-        auto emit64 = [&](std::uint64_t km, std::uint32_t value) {
-          const auto [d, stream] = route(kmer::prefix_bin64(km, k, m));
-          if (d < 0) return;
-          if (d != p) ++raw_counts[ut];
-          if ((*blooms)[d].count(kmer::kmer_hash64(km)) < 2) {
-            ++drop_counts[ut];
-            return;
-          }
-          ++kept_counts[ut];
-          append_le(*stream, km, 8);
-          append_le(*stream, value, 4);
-        };
-        auto emit128 = [&](kmer::Kmer128 km, std::uint32_t value) {
-          const auto [d, stream] = route(kmer::prefix_bin128(km, k, m));
-          if (d < 0) return;
-          if (d != p) ++raw_counts[ut];
-          if ((*blooms)[d].count(kmer::kmer_hash128(km.hi, km.lo)) < 2) {
-            ++drop_counts[ut];
-            return;
-          }
-          ++kept_counts[ut];
-          append_le(*stream, km.lo, 8);
-          append_le(*stream, km.hi, 8);
-          append_le(*stream, value, 4);
-        };
-        for (std::uint32_t c = ca.thread_begin(p, t); c < ca.thread_end(p, t); ++c) {
-          skip_counts[ut] += scan_chunk(ctx, c, substitute_components, io_seconds[ut],
-                                        gen_seconds[ut], emit64, emit128);
-        }
-      }
-    });
-    my.times.add("KmerGen-I/O", *std::max_element(io_seconds.begin(), io_seconds.end()));
-    my.times.add("KmerGen", *std::max_element(gen_seconds.begin(), gen_seconds.end()));
-    if (s0 == 0) {
-      for (std::uint64_t sk : skip_counts) my.records_skipped += sk;
-    }
-    for (int t = 0; t < T; ++t) {
-      const std::size_t ut = static_cast<std::size_t>(t);
-      my.exchange_bytes_raw += raw_counts[ut] * tuple_bytes;
-      my.tuples += kept_counts[ut];
-      my.bloom_dropped += drop_counts[ut];
-      if (cplan.superkmer) my.superkmer_records += rec_counts[ut];
-      ctx.m_tuples.add(kept_counts[ut]);
-    }
-    phase_boundary(ctx, "KmerGen");
+    kmergen_sweep(ctx, ep, group, config.cc_opt && s0 > 0);
 
-    // ---- KmerGen-Comm: one message per (dest, pass), always sent (the
-    // u64 lens[T] header makes even an empty message well-formed and keeps
-    // the receive count deterministic). ----
     progress_phase(ctx, "KmerGen-Comm");
-    std::array<std::vector<std::byte>, 2> self_msg;
-    for (int i = 0; i < npasses; ++i) {
+    for (PassWork& w : group) {
       obs::TraceSpan comm_span("KmerGen-Comm");
       WallTimer comm_timer;
-      const std::size_t si = static_cast<std::size_t>(i);
-      for (int d = 0; d < P; ++d) {
-        std::vector<std::byte> msg;
-        std::size_t total = 8u * static_cast<std::size_t>(T);
-        for (int dt = 0; dt < T; ++dt) {
-          for (int t = 0; t < T; ++t) {
-            total += streams[si][static_cast<std::size_t>(t)]
-                            [static_cast<std::size_t>(d) * T + dt].size();
-          }
-        }
-        msg.reserve(total);
-        for (int dt = 0; dt < T; ++dt) {
-          std::uint64_t len = 0;
-          for (int t = 0; t < T; ++t) {
-            len += streams[si][static_cast<std::size_t>(t)]
-                          [static_cast<std::size_t>(d) * T + dt].size();
-          }
-          append_le(msg, len, 8);
-        }
-        for (int dt = 0; dt < T; ++dt) {
-          for (int t = 0; t < T; ++t) {
-            auto& st = streams[si][static_cast<std::size_t>(t)]
-                              [static_cast<std::size_t>(d) * T + dt];
-            msg.insert(msg.end(), st.begin(), st.end());
-            st.clear();
-            st.shrink_to_fit();
-          }
-        }
-        if (d == p) {
-          self_msg[si] = std::move(msg);
-        } else {
-          my.exchange_bytes += msg.size();
-          comm.isend(d, kCompressTagBase + s0 + i, msg.data(), msg.size());
-        }
-      }
+      post_exchange(ctx, ep, w, arena);
       my.times.add("KmerGen-Comm", comm_timer.seconds());
     }
     phase_boundary(ctx, "KmerGen-Comm");
 
-    // ---- Drain the group pass by pass: receive, expand, sort, union. ----
-    for (int i = 0; i < npasses; ++i) {
-      const std::size_t si = static_cast<std::size_t>(i);
-      if (pass_t0[si] < 0.0) pass_t0[si] = span_begin(tr);
-      std::vector<std::vector<std::byte>> msgs(static_cast<std::size_t>(P));
-      msgs[static_cast<std::size_t>(p)] = std::move(self_msg[si]);
-      if (P > 1) {
-        obs::TraceSpan wait_span("KmerGen-Comm");
-        WallTimer wait_timer;
-        for (int stage = 1; stage < P; ++stage) {
-          const int q = (p - stage + P) % P;
-          msgs[static_cast<std::size_t>(q)] =
-              comm.recv_any_size(q, kCompressTagBase + s0 + i);
-        }
-        my.times.add("KmerGen-Comm", wait_timer.seconds());
-      }
-      std::uint64_t msg_bytes = 0;
-      for (const auto& msg : msgs) msg_bytes += msg.size();
-      const obs::MemCharge msgs_mem("comm", msg_bytes);
-
-      // ---- Expand: size the T sort regions from the headers, validate
-      // and count every record, then decode at exact offsets in parallel.
-      // Region dt holds blocks ordered by src rank q ascending — the same
-      // (src rank, src thread, generation order) sequence the uncompressed
-      // schedules deliver, so the stable sort sees equivalent input. ----
-      progress_phase(ctx, "Expand");
-      const double ex_t0 = span_begin(tr);
-      WallTimer ex_timer;
-      std::vector<std::uint64_t> sec_off(nslots, 0);
-      std::vector<std::uint64_t> sec_len(nslots, 0);
-      for (int q = 0; q < P; ++q) {
-        const auto& msg = msgs[static_cast<std::size_t>(q)];
-        if (msg.size() < 8u * static_cast<std::size_t>(T))
-          throw util::parse_error("comm-compress: message shorter than its header");
-        std::uint64_t off = 8u * static_cast<std::size_t>(T);
-        for (int dt = 0; dt < T; ++dt) {
-          const std::uint64_t len = read_le(msg.data() + 8 * dt, 8);
-          if (len > msg.size() - off)
-            throw util::parse_error("comm-compress: section overruns message");
-          sec_off[static_cast<std::size_t>(q) * T + dt] = off;
-          sec_len[static_cast<std::size_t>(q) * T + dt] = len;
-          off += len;
-        }
-        if (off != msg.size())
-          throw util::parse_error("comm-compress: trailing bytes after last section");
-      }
-      std::vector<std::uint64_t> block_count(nslots, 0);
-      team.run([&](int t) {
-        for (int q = 0; q < P; ++q) {
-          const std::size_t idx = static_cast<std::size_t>(q) * T + t;
-          const std::byte* data = msgs[static_cast<std::size_t>(q)].data() + sec_off[idx];
-          if (cplan.superkmer) {
-            block_count[idx] = kmer::count_superkmer_stream(data, sec_len[idx], k).kmers;
-          } else {
-            if (sec_len[idx] % fixed_rec != 0)
-              throw util::parse_error("comm-compress: truncated tuple record");
-            block_count[idx] = sec_len[idx] / fixed_rec;
-          }
-        }
-      });
-      std::vector<std::uint64_t> region_start(static_cast<std::size_t>(T) + 1, 0);
-      for (int dt = 0; dt < T; ++dt) {
-        std::uint64_t tot = 0;
-        for (int q = 0; q < P; ++q) tot += block_count[static_cast<std::size_t>(q) * T + dt];
-        region_start[static_cast<std::size_t>(dt) + 1] =
-            region_start[static_cast<std::size_t>(dt)] + tot;
-      }
-      std::vector<std::uint64_t> block_off(nslots, 0);
-      for (int dt = 0; dt < T; ++dt) {
-        std::uint64_t off = region_start[static_cast<std::size_t>(dt)];
-        for (int q = 0; q < P; ++q) {
-          block_off[static_cast<std::size_t>(q) * T + dt] = off;
-          off += block_count[static_cast<std::size_t>(q) * T + dt];
-        }
-      }
-      const std::uint64_t total_in = region_start[static_cast<std::size_t>(T)];
-      tuples.resize(total_in);
-      tuples.mem_account();
-      scratch.resize(total_in);
-      scratch.mem_account();
-      my.max_buffer_bytes =
-          std::max(my.max_buffer_bytes, tuples.bytes() + scratch.bytes() + msg_bytes);
-      team.run([&](int t) {
-        obs::TraceSession::set_thread_identity(p, t);
-        for (int q = 0; q < P; ++q) {
-          const std::size_t idx = static_cast<std::size_t>(q) * T + t;
-          const std::byte* data = msgs[static_cast<std::size_t>(q)].data() + sec_off[idx];
-          std::uint64_t at = block_off[idx];
-          if (cplan.superkmer) {
-            kmer::SuperKmerReader reader(data, sec_len[idx], k);
-            while (!reader.done()) {
-              reader.next_header();
-              const std::uint32_t value = reader.value();
-              if (value >= R)
-                throw util::parse_error("comm-compress: record value out of range");
-              if (!wide) {
-                reader.expand64([&](std::uint64_t km) {
-                  tuples.keys[at] = km;
-                  tuples.vals[at] = value;
-                  ++at;
-                });
-              } else {
-                reader.expand128([&](kmer::Kmer128 km) {
-                  tuples.keys[at] = km.lo;
-                  tuples.keys_hi[at] = km.hi;
-                  tuples.vals[at] = value;
-                  ++at;
-                });
-              }
-            }
-          } else {
-            for (const std::byte* rp = data; rp != data + sec_len[idx]; rp += fixed_rec) {
-              const std::uint32_t value =
-                  static_cast<std::uint32_t>(read_le(rp + fixed_rec - 4, 4));
-              if (value >= R)
-                throw util::parse_error("comm-compress: record value out of range");
-              tuples.keys[at] = read_le(rp, 8);
-              if (wide) tuples.keys_hi[at] = read_le(rp + 8, 8);
-              tuples.vals[at] = value;
-              ++at;
-            }
-          }
-        }
-      });
-      my.times.add("Expand", ex_timer.seconds());
-      span_end(tr, "Expand", ex_t0);
-      phase_boundary(ctx, "Expand");
-
-      // ---- LocalSort: stable radix per dest-thread region. ----
-      progress_phase(ctx, "LocalSort");
-      {
-        const double sort_t0 = span_begin(tr);
-        WallTimer sort_timer;
-        team.run([&](int t) {
-          const std::uint64_t rlo = region_start[static_cast<std::size_t>(t)];
-          const std::uint64_t rhi = region_start[static_cast<std::size_t>(t) + 1];
-          const std::size_t n = rhi - rlo;
-          if (n == 0) return;
-          if (!wide) {
-            sort::radix_sort_kv64(std::span(tuples.keys).subspan(rlo, n),
-                                  std::span(tuples.vals).subspan(rlo, n),
-                                  std::span(scratch.keys).subspan(rlo, n),
-                                  std::span(scratch.vals).subspan(rlo, n), 2 * k,
-                                  config.sort_digit_bits);
-          } else {
-            sort::radix_sort_kv128(std::span(tuples.keys_hi).subspan(rlo, n),
-                                   std::span(tuples.keys).subspan(rlo, n),
-                                   std::span(tuples.vals).subspan(rlo, n),
-                                   std::span(scratch.keys_hi).subspan(rlo, n),
-                                   std::span(scratch.keys).subspan(rlo, n),
-                                   std::span(scratch.vals).subspan(rlo, n), 2 * k,
-                                   config.sort_digit_bits);
-          }
-        });
-        my.times.add("LocalSort", sort_timer.seconds());
-        span_end(tr, "LocalSort", sort_t0);
-        phase_boundary(ctx, "LocalSort");
-      }
-
-      // ---- LocalCC: identical to the uncompressed schedules.  Decoded
-      // values are validated < R above, so no sentinel guard is needed. ----
-      progress_phase(ctx, "LocalCC");
-      {
-        const double cc_t0 = span_begin(tr);
-        WallTimer cc_timer;
-        std::vector<int> thread_iters(static_cast<std::size_t>(T), 0);
-        team.run([&](int t) {
-          const std::uint64_t rlo = region_start[static_cast<std::size_t>(t)];
-          const std::uint64_t rhi = region_start[static_cast<std::size_t>(t) + 1];
-          std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-          std::uint64_t i2 = rlo;
-          while (i2 < rhi) {
-            std::uint64_t j = i2 + 1;
-            if (!wide) {
-              while (j < rhi && tuples.keys[j] == tuples.keys[i2]) ++j;
-            } else {
-              while (j < rhi && tuples.keys[j] == tuples.keys[i2] &&
-                     tuples.keys_hi[j] == tuples.keys_hi[i2])
-                ++j;
-            }
-            const std::uint64_t freq = j - i2;
-            if (config.filter.accepts(freq)) {
-              for (std::uint64_t x = i2 + 1; x < j; ++x) {
-                const std::uint32_t u = tuples.vals[x - 1];
-                const std::uint32_t v = tuples.vals[x];
-                if (u == v) continue;
-                const std::uint32_t ru = local_cc.find(u);
-                const std::uint32_t rv = local_cc.find(v);
-                if (ru != rv) {
-                  local_cc.unite_once(ru, rv);
-                  edges.emplace_back(u, v);
-                }
-              }
-            }
-            i2 = j;
-          }
-          thread_iters[static_cast<std::size_t>(t)] =
-              1 + dsu::process_edges_algorithm1(local_cc, edges);
-          ctx.m_cc_edges.add(edges.size());
-        });
-        my.times.add("LocalCC", cc_timer.seconds());
-        span_end(tr, "LocalCC", cc_t0);
-        phase_boundary(ctx, "LocalCC");
-        my.cc_iterations =
-            std::max(my.cc_iterations,
-                     *std::max_element(thread_iters.begin(), thread_iters.end()));
-      }
+    // Drain pass by pass: at W = 2, pass s0+1's exchange stays in flight
+    // while pass s0 sorts and unions (straggler ranks may still be
+    // generating it); its receive is the pipeline's only synchronization.
+    const double window_t0 = span_begin(tr);
+    for (PassWork& w : group) {
+      util::throw_if_cancelled(config.cancel_token, "pass drain");
+      if (ep.W > 1 && &w == &group.back()) span_end(tr, "Overlap-Window", window_t0);
+      if (w.t0 < 0.0) w.t0 = span_begin(tr);
+      drain_receive(ctx, ep, w, arena);
+      sort_regions(ctx, *w.recv, w.region, arena);
+      union_regions(ctx, *w.recv, w.region);
+      arena.release(*w.recv);
       ctx.m_rss.set_max(static_cast<double>(util::current_rss_bytes()));
-      span_end(tr, "Pass", pass_t0[si]);
+      span_end(tr, "Pass", w.t0);
     }
-  }  // pass groups
+  }
 }
 
 /// Dump the per-(src, dst) traffic matrices (--comm-matrix-out) as one JSON
@@ -1869,6 +1278,10 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
   const int P = config.num_ranks;
   const int T = config.threads_per_rank;
   if (P < 1 || T < 1) throw util::config_error("run_metaprep: P and T must be >= 1");
+  // Every mode and codec routes through a 16-bit (dest rank, dest thread)
+  // slot table; checked here, before any rank starts.
+  if (static_cast<std::size_t>(P) * static_cast<std::size_t>(T) > 0xFFFF)
+    throw util::config_error("run_metaprep: P*T must fit the 16-bit slot table (<= 65535)");
   if (config.output_bins < 0 || config.output_bins > 0xFFFF)
     throw util::config_error("run_metaprep: output_bins must be in [0, 65535]");
   const bool compress = config.comm_compress != CommCompress::kNone;
@@ -1877,8 +1290,6 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
   const bool cp_bloom = config.comm_compress == CommCompress::kBloom ||
                         config.comm_compress == CommCompress::kBoth;
   if (compress) {
-    if (static_cast<std::size_t>(P) * static_cast<std::size_t>(T) > 0xFFFF)
-      throw util::config_error("comm-compress: P*T must fit the 16-bit slot table");
     if (cp_superkmer &&
         (config.superkmer_minimizer_len < 1 ||
          config.superkmer_minimizer_len > std::min(k, 31)))
@@ -1965,18 +1376,18 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
 
   const PassPlan plan(index.mer_hist, S, P, T);
   const ChunkAssignment ca(index.part.num_chunks(), P, T);
-  const std::size_t nbins = index.mer_hist.counts.size();
 
-  // Exchange-compression routing plan and (bloom modes) the P destination-
-  // owned counting filters.  Each filter is sized for its rank's expected
-  // share of k-mer occurrences; the bloom bytes are charged to their own
-  // memory subsystem and are deliberately NOT wire traffic (a shared-memory
+  // Pass engine settings, and (bloom modes) the P destination-owned
+  // counting filters.  Each filter is sized for its rank's expected share of
+  // k-mer occurrences; the bloom bytes are charged to their own memory
+  // subsystem and are deliberately NOT wire traffic (a shared-memory
   // stand-in for an MPI-3 one-sided accumulate window; DESIGN.md).
-  CompressPlan cplan;
-  if (compress) {
-    cplan = make_compress_plan(plan, S, P, T, static_cast<std::uint32_t>(nbins),
-                               cp_superkmer, cp_bloom);
-  }
+  EnginePlan engine;
+  engine.W = config.pipeline_mode == PipelineMode::kOverlap ? 2 : 1;
+  engine.records = compress;
+  engine.superkmer = cp_superkmer;
+  engine.minimizer_len = config.superkmer_minimizer_len;
+  engine.routes = make_routes(plan, S, P, T, cp_superkmer);
   std::vector<kmer::CountingBloom> blooms;
   std::uint64_t bloom_bytes = 0;
   if (cp_bloom) {
@@ -1989,6 +1400,7 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
       bloom_bytes += blooms.back().memory_bytes();
     }
     obs::mem_charge("bloom", bloom_bytes);
+    engine.blooms = &blooms;
   }
 
   // Observability: when the config names output files, this run owns its
@@ -2018,14 +1430,12 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
     memreg.set_enabled(true);
   }
   // --progress: one stderr line driven by the pipeline's phase boundaries.
-  // Total ticks = chunk reads per KmerGen sweep (overlap mode reads each
-  // chunk once per pass *group*) plus the CC-I/O sweep when output is on.
+  // Total ticks = chunk reads per KmerGen sweep (one sweep per group of W
+  // passes) plus the CC-I/O sweep when output is on.
   obs::Progress& prog = obs::Progress::global();
   if (config.progress) {
     const std::uint64_t nchunks = index.part.num_chunks();
-    const std::uint64_t sweeps = config.pipeline_mode == PipelineMode::kOverlap
-                                     ? (static_cast<std::uint64_t>(S) + 1) / 2
-                                     : static_cast<std::uint64_t>(S);
+    const auto sweeps = static_cast<std::uint64_t>((S + engine.W - 1) / engine.W);
     prog.set_enabled(true);
     prog.begin_run(nchunks * sweeps + (config.write_output ? nchunks : 0));
   }
@@ -2120,13 +1530,7 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
                 m_peak, packed_store.is_open() ? &packed_store : nullptr,
                 p,      P,      T,      S,
                 k,      m,      wide};
-    if (compress) {
-      run_passes_compressed(ctx, cplan, cp_bloom ? &blooms : nullptr);
-    } else if (config.pipeline_mode == PipelineMode::kOverlap) {
-      run_passes_overlap(ctx);
-    } else {
-      run_passes_barrier(ctx);
-    }
+    run_passes(ctx, engine);
 
     // ---- MergeCC (§3.6): combine rank-local component arrays. ----
     util::throw_if_cancelled(config.cancel_token, "MergeCC");

@@ -1,7 +1,10 @@
 #include "serve/proto.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cstdio>
+#include <string_view>
 
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -111,6 +114,16 @@ std::string job_to_json(const JobInfo& info, bool with_manifest) {
 
 JobSpec parse_submit(const std::string& request_line) {
   const util::JsonValue req = util::parse_json(request_line);
+  // Reject keys outside the documented set (proto.hpp), so a typo such as
+  // "thread" fails loudly instead of running with the default.
+  static constexpr std::array<std::string_view, 12> kKnownKeys = {
+      "cmd",          "index",       "ranks",         "threads",
+      "passes",       "priority",    "out",           "write_output",
+      "output_bins",  "pipeline_mode", "filter_min",  "filter_max"};
+  for (const auto& [key, value] : req.as_object()) {
+    if (std::find(kKnownKeys.begin(), kKnownKeys.end(), key) == kKnownKeys.end())
+      throw util::config_error("submit: unknown field '" + key + "'");
+  }
   JobSpec spec;
   const util::JsonValue* index = req.find("index");
   if (index == nullptr)

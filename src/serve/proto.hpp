@@ -10,6 +10,7 @@
 //   {"cmd":"submit","index":PATH, optional: "ranks","threads","passes",
 //        "priority","out",  "write_output","output_bins",
 //        "pipeline_mode":"barrier"|"overlap", "filter_min","filter_max"}
+//       (any other key is a config error naming it)
 //       -> {"ok":true,"job":ID,"predicted_bytes":N,...}
 //   {"cmd":"status","job":ID}  -> state + result summary when done
 //   {"cmd":"cancel","job":ID}
@@ -58,7 +59,7 @@ class JsonLineWriter {
 [[nodiscard]] std::string job_to_json(const JobInfo& info, bool with_manifest);
 
 /// Build a JobSpec from a parsed "submit" request object.  Throws
-/// util::Error on missing/invalid fields.
+/// util::Error on missing/invalid fields and on unknown keys.
 [[nodiscard]] JobSpec parse_submit(const std::string& request_line);
 
 /// Uniform error response: {"ok":false,"cmd":...,"error":...}.

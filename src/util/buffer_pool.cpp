@@ -39,7 +39,7 @@ BufferPool& BufferPool::global() {
 
 template <typename T>
 std::vector<T> BufferPool::acquire_from(std::vector<FreeEntry<T>>& list, LeaseMap& leases,
-                                        std::size_t n, T poison, bool* reused) {
+                                        std::size_t n, T poison) {
   const bool checked = check::enabled();
   // Best fit: smallest capacity that still holds n, so one oversized buffer
   // is not burned on a tiny request.
@@ -50,14 +50,25 @@ std::vector<T> BufferPool::acquire_from(std::vector<FreeEntry<T>>& list, LeaseMa
   }
   std::vector<T> out;
   if (best == list.size()) {
-    out.assign(n, T{});  // miss: fresh allocation
+    // Miss: every held buffer is too small.  Drop the largest before the
+    // fresh allocation, so callers whose sizes grow pass to pass hold about
+    // as many buffers as they have live leases, not a trail of undersized
+    // ones.
+    if (!list.empty()) {
+      auto largest = std::max_element(list.begin(), list.end(), [](const auto& a, const auto& b) {
+        return a.buf.capacity() < b.buf.capacity();
+      });
+      bytes_held_ -= largest->buf.capacity() * sizeof(T);
+      std::iter_swap(largest, list.end() - 1);
+      list.pop_back();
+    }
+    out.assign(n, T{});
   } else {
     FreeEntry<T> entry = std::move(list[best]);
     list[best] = std::move(list.back());
     list.pop_back();
     bytes_held_ -= entry.buf.capacity() * sizeof(T);
     ++reuse_hits_;
-    *reused = true;
     if (checked && entry.poisoned) {
       // Release filled size()==capacity() with poison; any break means a
       // caller wrote through a dangling handle while we held the storage.
@@ -81,8 +92,7 @@ std::vector<T> BufferPool::acquire_from(std::vector<FreeEntry<T>>& list, LeaseMa
 }
 
 template <typename T>
-void BufferPool::release_into(std::vector<FreeEntry<T>>& list, LeaseMap& leases,
-                              std::vector<T>&& v, T poison) {
+bool BufferPool::end_lease(LeaseMap& leases, const std::vector<T>& v) {
   if (check::enabled()) {
     if (v.capacity() == 0) {
       // An empty/moved-from vector is the signature of re-releasing a lease
@@ -97,16 +107,39 @@ void BufferPool::release_into(std::vector<FreeEntry<T>>& list, LeaseMap& leases,
                            "buffer released that the pool never leased");
     }
     leases.erase(it);
+    return true;
+  }
+  if (v.capacity() == 0) return false;
+  if (!leases.empty()) leases.erase(v.data());  // tolerate toggled-off checking
+  return true;
+}
+
+template <typename T>
+void BufferPool::release_into(std::vector<FreeEntry<T>>& list, LeaseMap& leases,
+                              std::vector<T>&& v, T poison) {
+  if (!end_lease(leases, v)) return;
+  const bool poisoned = check::enabled();
+  if (poisoned) {
     v.resize(v.capacity());
     std::fill(v.begin(), v.end(), poison);
-    bytes_held_ += v.capacity() * sizeof(T);
-    list.push_back(FreeEntry<T>{std::move(v), /*poisoned=*/true});
-  } else {
-    if (v.capacity() == 0) return;
-    if (!leases.empty()) leases.erase(v.data());  // tolerate toggled-off checking
-    bytes_held_ += v.capacity() * sizeof(T);
-    list.push_back(FreeEntry<T>{std::move(v), /*poisoned=*/false});
   }
+  bytes_held_ += v.capacity() * sizeof(T);
+  list.push_back(FreeEntry<T>{std::move(v), poisoned});
+}
+
+template <typename T>
+void BufferPool::discard_lease(std::vector<T>&& v) {
+  const std::uint64_t credited = v.capacity() * sizeof(T);
+  {
+    MutexLock lock(mutex_);
+    if constexpr (sizeof(T) == sizeof(std::uint64_t)) {
+      end_lease(leases64_, v);
+    } else {
+      end_lease(leases32_, v);
+    }
+  }
+  std::vector<T>().swap(v);  // free outside the lock
+  obs::mem_credit(obs::MemScope::current("pool"), credited);
 }
 
 // The public entry points hold mutex_ only across the free-list/lease state
@@ -121,10 +154,9 @@ std::vector<std::uint64_t> BufferPool::acquire_u64(std::size_t n) {
   std::vector<std::uint64_t> out;
   std::uint64_t bytes = 0;
   std::uint64_t hits = 0;
-  bool reused = false;
   {
     MutexLock lock(mutex_);
-    out = acquire_from(free64_, leases64_, n, kPoison64, &reused);
+    out = acquire_from(free64_, leases64_, n, kPoison64);
     bytes = bytes_held_;
     hits = reuse_hits_;
   }
@@ -132,7 +164,7 @@ std::vector<std::uint64_t> BufferPool::acquire_u64(std::size_t n) {
   // pipeline tags tuple leases with MemScope("tuples")); acquire and release
   // sites must agree on the tag for the charge to balance.
   obs::mem_charge(obs::MemScope::current("pool"), out.capacity() * sizeof(std::uint64_t));
-  if (reused) publish_gauges(bytes, hits);
+  publish_gauges(bytes, hits);
   return out;
 }
 
@@ -140,15 +172,14 @@ std::vector<std::uint32_t> BufferPool::acquire_u32(std::size_t n) {
   std::vector<std::uint32_t> out;
   std::uint64_t bytes = 0;
   std::uint64_t hits = 0;
-  bool reused = false;
   {
     MutexLock lock(mutex_);
-    out = acquire_from(free32_, leases32_, n, kPoison32, &reused);
+    out = acquire_from(free32_, leases32_, n, kPoison32);
     bytes = bytes_held_;
     hits = reuse_hits_;
   }
   obs::mem_charge(obs::MemScope::current("pool"), out.capacity() * sizeof(std::uint32_t));
-  if (reused) publish_gauges(bytes, hits);
+  publish_gauges(bytes, hits);
   return out;
 }
 
@@ -179,6 +210,10 @@ void BufferPool::release(std::vector<std::uint32_t>&& v) {
   obs::mem_credit(obs::MemScope::current("pool"), credited);
   publish_gauges(bytes, hits);
 }
+
+void BufferPool::discard(std::vector<std::uint64_t>&& v) { discard_lease(std::move(v)); }
+
+void BufferPool::discard(std::vector<std::uint32_t>&& v) { discard_lease(std::move(v)); }
 
 std::uint64_t BufferPool::bytes_held() const {
   MutexLock lock(mutex_);

@@ -1,15 +1,18 @@
 // BufferPool: process-wide recycling of the large tuple-sized arrays.
 //
 // Every METAPREP pass allocates the same shapes over and over — per-pass
-// keys/keys_hi/vals arrays, send blocks, radix scratch — and in the
-// pipelined (overlap) schedule two passes' buffers are alive at once, so
-// freeing and reallocating them each pass costs page faults and zero-fill
-// on exactly the hottest boundary.  The pool keeps released vectors on a
-// free list and hands the largest fitting one back on the next acquire:
-// storage stays paged-in and warm across passes and across Worlds.
+// keys/keys_hi/vals arrays, send blocks, radix scratch — and at fusion
+// width 2 two passes' buffers are alive at once, so freeing and
+// reallocating them each pass costs page faults and zero-fill on exactly
+// the hottest boundary.  The pool keeps released vectors on a free list and
+// hands the smallest fitting one back on the next acquire: storage stays
+// paged-in and warm across passes and across Worlds.  A miss (no held
+// buffer is large enough) drops the largest held buffer before allocating,
+// so the pool holds about as many buffers as its callers keep live.
 //
 // Ownership is move-based: acquire() transfers a vector to the caller,
-// release() transfers it back.  Nothing in the pool aliases caller memory,
+// release() transfers it back, and discard() ends a lease and frees the
+// storage (for a caller that recycles privately and has outgrown it).  Nothing in the pool aliases caller memory,
 // so a leased buffer may be handed to mpsim::Comm::isend and released as
 // soon as the post returns (the mailbox owns the in-flight copy; see
 // DESIGN.md "Buffer-pool ownership").
@@ -43,7 +46,7 @@ namespace metaprep::util {
 
 class BufferPool {
  public:
-  /// The process-wide pool used by the pipeline's overlap schedule.
+  /// The process-wide pool the pipeline's pass engine leases from.
   static BufferPool& global();
 
   BufferPool() = default;
@@ -59,6 +62,12 @@ class BufferPool {
   /// Return a buffer to the free list.  The vector is left empty.
   void release(std::vector<std::uint64_t>&& v);
   void release(std::vector<std::uint32_t>&& v);
+
+  /// End a lease without keeping the buffer: it is freed, not listed, so no
+  /// other caller can be handed it.  Checked mode applies release()'s lease
+  /// checks.  The vector is left empty.
+  void discard(std::vector<std::uint64_t>&& v);
+  void discard(std::vector<std::uint32_t>&& v);
 
   /// Bytes of capacity currently sitting on the free lists.
   [[nodiscard]] std::uint64_t bytes_held() const;
@@ -91,10 +100,16 @@ class BufferPool {
 
   template <typename T>
   std::vector<T> acquire_from(std::vector<FreeEntry<T>>& list, LeaseMap& leases,
-                              std::size_t n, T poison, bool* reused) REQUIRES(mutex_);
+                              std::size_t n, T poison) REQUIRES(mutex_);
   template <typename T>
   void release_into(std::vector<FreeEntry<T>>& list, LeaseMap& leases,
                     std::vector<T>&& v, T poison) REQUIRES(mutex_);
+  /// Retire @p v's lease (checked mode: flag a double or foreign release).
+  /// False when there is nothing to hold: an empty vector, checking off.
+  template <typename T>
+  bool end_lease(LeaseMap& leases, const std::vector<T>& v) REQUIRES(mutex_);
+  template <typename T>
+  void discard_lease(std::vector<T>&& v) EXCLUDES(mutex_);
   /// Mirror a pool-state snapshot into the obs gauges and the "pool" memory
   /// row.  Called with mutex_ released: the pool lock is a leaf in the
   /// declared order and must never be held across a registry lock.

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "check/invariants.hpp"
+#include "check/protocol.hpp"
 #include "dsu/dsu.hpp"
 #include "mpsim/comm.hpp"
 #include "util/buffer_pool.hpp"
@@ -147,6 +148,18 @@ TEST(Check, BarrierVersusRecvDeadlockIsDetected) {
   }
   EXPECT_TRUE(saw_barrier);
   EXPECT_TRUE(saw_recv);
+}
+
+TEST(Check, RankReleasedByCompletedBarrierIsNoDeadlockBeforeItWakes) {
+  // Rank 1 parks in a barrier; rank 0 arrives last, which completes the
+  // phase, leaves, and blocks on a recv from rank 1 before rank 1's thread
+  // has woken.  The completed barrier released rank 1, so this is no cycle.
+  check::ProtocolChecker checker(2);
+  checker.on_barrier_arrive(1);
+  checker.block_barrier(1);
+  checker.on_barrier_arrive(0);
+  checker.block_recv(0, 1, 7, "recv");
+  EXPECT_NO_THROW(checker.detect_deadlock([](int, int, int) { return false; }));
 }
 
 // --- double wait / out-of-order wait ------------------------------------
@@ -284,6 +297,26 @@ TEST(Check, BufferPoolCleanLeaseCycleIsSilent) {
     pool.release(std::move(b));
   }
   EXPECT_EQ(pool.buffers_held(), 2u);
+}
+
+TEST(Check, BufferPoolDiscardEndsTheLeaseWithoutHoldingTheBuffer) {
+  ScopedCheckEnable on;
+  util::BufferPool pool;
+  auto a = pool.acquire_u64(64);
+  auto b = pool.acquire_u32(32);
+  ASSERT_EQ(pool.outstanding_leases(), 2u);
+  pool.discard(std::move(a));
+  pool.discard(std::move(b));
+  EXPECT_EQ(pool.outstanding_leases(), 0u);
+  EXPECT_EQ(pool.buffers_held(), 0u);
+  EXPECT_EQ(pool.bytes_held(), 0u);
+  const CheckReport twice = expect_check_error([&] {
+    pool.discard(std::move(a));  // NOLINT(bugprone-use-after-move): the seeded bug
+  });
+  EXPECT_EQ(twice.count(ViolationKind::kDoubleRelease), 1u);
+  std::vector<std::uint32_t> never_leased(8, 1);
+  const CheckReport foreign = expect_check_error([&] { pool.discard(std::move(never_leased)); });
+  EXPECT_EQ(foreign.count(ViolationKind::kForeignRelease), 1u);
 }
 
 // --- seeded scenario 4: DSU parent cycle --------------------------------

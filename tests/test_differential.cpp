@@ -12,8 +12,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -465,6 +467,149 @@ TEST_P(CommCompressGridTest, PartitionMatchesOracle) {
 INSTANTIATE_TEST_SUITE_P(CompressGrid, CommCompressGridTest,
                          ::testing::ValuesIn(compress_grid()), compress_case_name);
 
+// ---------------------------------------------------------------------------
+// Golden pin of the fusion-width-1 pass engine against the paper's barrier
+// schedule.  The constants below were recorded from the barrier scheduler
+// that predates the single pass engine (separate barrier / overlap /
+// compressed schedulers), on this file's fixture re-indexed at k = 27 and
+// k = 41 (k = 41 covers the wide keys_hi path and radix_sort_kv128).
+// Union-by-index makes every root its component's largest read ID, so raw
+// labels are deterministic and must match exactly, as must the exchange
+// accounting and the traffic and message matrices.  sim_comm_seconds is a
+// floating-point sum that the CostModel accumulates in message-arrival
+// order; the recorded scheduler itself varied by up to 2 ulp run to run, so
+// it is compared to 1e-12 relative (one extra message would move it ~4%).
+
+struct GoldenCase {
+  int P, T, S, k;
+  std::uint64_t total_tuples;
+  std::uint64_t exchange_bytes;
+  double sim_comm_seconds;
+  std::vector<std::uint64_t> traffic;
+  std::vector<std::uint64_t> messages;
+  std::uint64_t overlap_message_count;  ///< message_count of the old overlap scheduler
+};
+
+const std::uint32_t kGoldenLabelsK27[] = {
+    218, 211, 215, 215, 215, 218, 215, 215, 219, 218, 218, 218, 218, 32, 218, 215,
+    219, 215, 218, 219, 219, 218, 218, 215, 140, 218, 219, 140, 215, 218, 215, 125,
+    32, 215, 215, 211, 158, 215, 215, 218, 215, 218, 218, 215, 218, 215, 215, 211,
+    215, 215, 218, 215, 215, 218, 219, 215, 215, 215, 218, 215, 215, 215, 218, 215,
+    218, 215, 178, 218, 215, 215, 218, 215, 218, 218, 218, 218, 218, 218, 218, 218,
+    215, 218, 219, 215, 215, 158, 218, 215, 218, 218, 218, 218, 215, 215, 215, 215,
+    96, 218, 215, 218, 218, 219, 215, 215, 215, 215, 218, 218, 215, 218, 218, 215,
+    218, 215, 218, 218, 215, 218, 178, 218, 218, 215, 215, 218, 219, 125, 218, 218,
+    218, 218, 215, 215, 218, 215, 218, 219, 218, 215, 215, 215, 140, 179, 215, 218,
+    219, 215, 215, 215, 218, 149, 215, 151, 218, 219, 215, 215, 215, 218, 158, 218,
+    219, 218, 215, 219, 218, 218, 215, 218, 218, 218, 218, 215, 215, 218, 218, 215,
+    215, 215, 178, 179, 218, 215, 218, 215, 215, 218, 218, 215, 218, 219, 215, 218,
+    218, 215, 218, 218, 218, 218, 218, 219, 218, 219, 218, 218, 215, 215, 218, 218,
+    218, 218, 218, 211, 219, 218, 218, 215, 218, 218, 218, 219,
+};
+const std::uint32_t kGoldenLabelsK41[] = {
+    218, 211, 215, 215, 215, 218, 215, 98, 219, 218, 218, 218, 218, 32, 218, 215,
+    219, 215, 218, 219, 219, 218, 218, 215, 27, 218, 219, 27, 215, 218, 215, 125,
+    32, 215, 215, 211, 158, 215, 215, 218, 215, 218, 218, 215, 218, 215, 139, 211,
+    215, 215, 218, 98, 215, 218, 219, 98, 215, 215, 218, 215, 98, 215, 218, 215,
+    218, 215, 178, 218, 68, 215, 218, 215, 218, 218, 218, 218, 218, 218, 218, 218,
+    215, 218, 219, 215, 215, 158, 218, 215, 218, 218, 218, 218, 215, 215, 215, 215,
+    96, 218, 98, 218, 218, 219, 215, 215, 215, 215, 218, 218, 215, 218, 218, 215,
+    218, 215, 218, 218, 215, 218, 178, 218, 218, 215, 215, 218, 219, 125, 218, 218,
+    218, 218, 215, 215, 218, 215, 218, 219, 218, 215, 215, 139, 140, 179, 215, 218,
+    219, 215, 215, 215, 218, 149, 183, 151, 218, 219, 215, 215, 215, 218, 158, 218,
+    219, 218, 215, 219, 218, 218, 215, 218, 218, 218, 218, 215, 215, 218, 218, 215,
+    176, 215, 178, 179, 218, 215, 218, 183, 215, 218, 218, 215, 218, 219, 215, 218,
+    218, 215, 218, 218, 218, 218, 218, 219, 218, 219, 218, 218, 215, 215, 218, 218,
+    218, 218, 218, 211, 219, 218, 218, 215, 218, 218, 218, 219,
+};
+const GoldenCase kGolden[] = {
+    {1, 1, 1, 27, 32203, 0, 0x0p+0, {0}, {0}, 0},
+    {1, 1, 3, 27, 32203, 0, 0x0p+0, {0}, {0}, 0},
+    {1, 2, 1, 27, 32203, 0, 0x0p+0, {0}, {0}, 0},
+    {1, 2, 3, 27, 32203, 0, 0x0p+0, {0}, {0}, 0},
+    {2, 1, 1, 27, 32203, 193764, 0x1.52db9a1a1d0c9p-16, {0, 97580, 97948, 0}, {0, 4, 3, 0}, 7},
+    {2, 1, 3, 27, 32203, 193008, 0x1.d783e88af6f21p-16, {0, 96836, 97936, 0}, {0, 8, 7, 0}, 15},
+    {2, 2, 1, 27, 32203, 193764, 0x1.52db9a1a1d0c9p-16, {0, 97580, 97948, 0}, {0, 4, 3, 0}, 11},
+    {2, 2, 3, 27, 32203, 193008, 0x1.d783e88af6f21p-16, {0, 96836, 97936, 0}, {0, 8, 7, 0}, 27},
+    {3, 1, 1, 27, 32203, 257076, 0x1.8ee5247645c65p-16,
+     {0, 57704, 58076, 36016, 0, 36132, 36436, 35844, 0},
+     {0, 4, 4, 3, 0, 2, 3, 2, 0}, 18},
+    {3, 1, 3, 27, 32203, 256320, 0x1.4cb57f1726263p-15,
+     {0, 58244, 57812, 36532, 0, 34932, 36880, 35052, 0},
+     {0, 8, 8, 7, 0, 6, 7, 6, 0}, 42},
+    {3, 2, 1, 27, 32203, 257076, 0x1.8ee5247645c65p-16,
+     {0, 57704, 58076, 36016, 0, 36132, 36436, 35844, 0},
+     {0, 4, 4, 3, 0, 2, 3, 2, 0}, 30},
+    {3, 2, 3, 27, 32203, 256320, 0x1.4cb57f1726263p-15,
+     {0, 58244, 57812, 36532, 0, 34932, 36880, 35052, 0},
+     {0, 8, 8, 7, 0, 6, 7, 6, 0}, 78},
+    {1, 1, 1, 41, 25969, 0, 0x0p+0, {0}, {0}, 0},
+    {1, 1, 3, 41, 25969, 0, 0x0p+0, {0}, {0}, 0},
+    {1, 2, 1, 41, 25969, 0, 0x0p+0, {0}, {0}, 0},
+    {1, 2, 3, 41, 25969, 0, 0x0p+0, {0}, {0}, 0},
+    {2, 1, 1, 41, 25969, 259260, 0x1.b8df268e00ab9p-16, {0, 130224, 130800, 0}, {0, 5, 4, 0}, 9},
+    {2, 1, 3, 41, 25969, 258620, 0x1.3ff2199e9dcb9p-15, {0, 129124, 131260, 0}, {0, 11, 10, 0}, 21},
+    {2, 2, 1, 41, 25969, 259260, 0x1.b8df268e00ab9p-16, {0, 130224, 130800, 0}, {0, 5, 4, 0}, 15},
+    {2, 2, 3, 41, 25969, 258620, 0x1.3ff2199e9dcb9p-15, {0, 129124, 131260, 0}, {0, 11, 10, 0}, 39},
+    {3, 1, 1, 41, 25969, 345040, 0x1.0a4e04115407cp-15,
+     {0, 77284, 77508, 48340, 0, 48460, 48560, 48020, 0},
+     {0, 5, 5, 4, 0, 3, 4, 3, 0}, 24},
+    {3, 1, 3, 41, 25969, 343960, 0x1.d2bac4d9dba06p-15,
+     {0, 77904, 76908, 47820, 0, 48200, 49860, 46400, 0},
+     {0, 11, 11, 10, 0, 9, 10, 9, 0}, 60},
+    {3, 2, 1, 41, 25969, 345040, 0x1.0a4e04115407cp-15,
+     {0, 77284, 77508, 48340, 0, 48460, 48560, 48020, 0},
+     {0, 5, 5, 4, 0, 3, 4, 3, 0}, 42},
+    {3, 2, 3, 41, 25969, 343960, 0x1.d2bac4d9dba08p-15,
+     {0, 77904, 76908, 47820, 0, 48200, 49860, 46400, 0},
+     {0, 11, 11, 10, 0, 9, 10, 9, 0}, 114},
+};
+
+void check_golden(int k, std::span<const std::uint32_t> golden_labels) {
+  auto& f = fixture();
+  IndexCreateOptions opt;
+  opt.k = k;
+  opt.m = 5;
+  opt.target_chunks = 9;
+  const DatasetIndex index = create_index("diff", f.files, true, opt);
+  const std::vector<std::uint32_t> labels(golden_labels.begin(), golden_labels.end());
+  int checked = 0;
+  for (const GoldenCase& g : kGolden) {
+    if (g.k != k) continue;
+    ++checked;
+    const std::string where = "P" + std::to_string(g.P) + " T" + std::to_string(g.T) + " S" +
+                              std::to_string(g.S) + " k" + std::to_string(k);
+    MetaprepConfig cfg;
+    cfg.k = k;
+    cfg.num_ranks = g.P;
+    cfg.threads_per_rank = g.T;
+    cfg.num_passes = g.S;
+    cfg.write_output = false;
+    const auto w1 = run_metaprep(index, cfg);
+    EXPECT_EQ(w1.labels, labels) << where;
+    EXPECT_EQ(w1.total_tuples, g.total_tuples) << where;
+    EXPECT_EQ(w1.exchange_bytes, g.exchange_bytes) << where;
+    EXPECT_EQ(w1.exchange_bytes_raw, g.exchange_bytes) << where;
+    EXPECT_EQ(w1.traffic_matrix, g.traffic) << where;
+    EXPECT_EQ(w1.message_matrix, g.messages) << where;
+    EXPECT_NEAR(w1.sim_comm_seconds, g.sim_comm_seconds, 1e-12 * g.sim_comm_seconds) << where;
+
+    // Fusion width 2 over the same fixed-tuple codec: same labels, tuples
+    // and wire bytes, and no more messages than the old overlap scheduler.
+    cfg.pipeline_mode = PipelineMode::kOverlap;
+    const auto w2 = run_metaprep(index, cfg);
+    EXPECT_EQ(w2.labels, labels) << where;
+    EXPECT_EQ(w2.total_tuples, g.total_tuples) << where;
+    EXPECT_EQ(w2.exchange_bytes, g.exchange_bytes) << where;
+    EXPECT_LE(w2.message_count, g.overlap_message_count) << where;
+  }
+  EXPECT_EQ(checked, 12);
+}
+
+TEST(GoldenW1, K27MatchesRecordedBarrierSchedule) { check_golden(27, kGoldenLabelsK27); }
+
+TEST(GoldenW1, K41MatchesRecordedBarrierSchedule) { check_golden(41, kGoldenLabelsK41); }
+
 TEST(Differential, CompressModesAgreeTupleForTuple) {
   // Beyond partition equality: strict super-k-mer runs must enumerate the
   // *same tuple multiset size* as the uncompressed exchange while shipping
@@ -492,25 +637,71 @@ TEST(Differential, CompressModesAgreeTupleForTuple) {
   }
 }
 
+/// The fixture's files indexed strictly while clean, then corrupted in place
+/// (same bytes per record, mangled headers): the chunk histograms count
+/// records that lenient KmerGen parsing skips, so the fixed-tuple codec must
+/// pad the gaps with sentinel tuples.
+struct SentinelFixture {
+  TempDir dir;
+  DatasetIndex index;
+
+  SentinelFixture() {
+    const auto corrupt = corrupt_copy(fixture().files, dir);
+    std::vector<std::string> files;
+    for (std::size_t fi = 0; fi < corrupt.size(); ++fi) {
+      files.push_back(dir.file("gap_" + std::to_string(fi) + ".fastq"));
+      std::filesystem::copy_file(fixture().files[fi], files.back());
+    }
+    IndexCreateOptions opt;
+    opt.k = kK;
+    opt.m = 5;
+    opt.target_chunks = 9;
+    index = create_index("diff", files, true, opt);
+    for (std::size_t fi = 0; fi < files.size(); ++fi) {
+      std::filesystem::copy_file(corrupt[fi], files[fi],
+                                 std::filesystem::copy_options::overwrite_existing);
+    }
+  }
+};
+
 TEST(Differential, ModesAgreeTupleForTuple) {
-  // Beyond the partition: both modes must enumerate the same number of
-  // tuples and agree on the component census.
+  // Beyond the partition: both fusion widths must enumerate the same tuples,
+  // ship the same bytes and produce the same raw labels (union-by-index makes
+  // every root its component's largest read ID).  The lenient leg forces
+  // sentinel tuples; both widths key them by the slot's first bin.
   auto& f = fixture();
-  for (int S : {1, 2}) {
-    MetaprepConfig cfg;
-    cfg.k = kK;
-    cfg.num_ranks = 2;
-    cfg.threads_per_rank = 2;
-    cfg.num_passes = S;
-    cfg.write_output = false;
-    const auto barrier = run_metaprep(f.index, cfg);
-    cfg.pipeline_mode = PipelineMode::kOverlap;
-    const auto overlap = run_metaprep(f.index, cfg);
-    EXPECT_EQ(overlap.total_tuples, barrier.total_tuples) << "S=" << S;
-    EXPECT_EQ(overlap.num_components, barrier.num_components) << "S=" << S;
-    EXPECT_EQ(test::normalize_partition(overlap.labels),
-              test::normalize_partition(barrier.labels))
-        << "S=" << S;
+  const SentinelFixture gaps;
+  for (const bool lenient : {false, true}) {
+    for (int S : {1, 2}) {
+      MetaprepConfig cfg;
+      cfg.k = kK;
+      cfg.num_ranks = 2;
+      cfg.threads_per_rank = 2;
+      cfg.num_passes = S;
+      cfg.write_output = false;
+      if (lenient) cfg.parse_mode = io::ParseMode::kLenient;
+      const DatasetIndex& index = lenient ? gaps.index : f.index;
+      const std::string where = (lenient ? "lenient S=" : "strict S=") + std::to_string(S);
+      const auto barrier = run_metaprep(index, cfg);
+      cfg.pipeline_mode = PipelineMode::kOverlap;
+      const auto overlap = run_metaprep(index, cfg);
+      EXPECT_EQ(overlap.total_tuples, barrier.total_tuples) << where;
+      EXPECT_EQ(overlap.exchange_bytes, barrier.exchange_bytes) << where;
+      EXPECT_EQ(overlap.num_components, barrier.num_components) << where;
+      EXPECT_EQ(overlap.labels, barrier.labels) << where;
+      if (lenient) {
+        // Skipped records are what forces the sentinels; the partition still
+        // matches the brute-force reference under the same parse mode.
+        EXPECT_GT(barrier.records_skipped, 0u) << where;
+        EXPECT_EQ(overlap.records_skipped, barrier.records_skipped) << where;
+        EXPECT_EQ(test::normalize_partition(barrier.labels),
+                  test::normalize_partition(reference_components(
+                      index, KmerFreqFilter{}, io::ParseMode::kLenient)))
+            << where;
+      } else {
+        EXPECT_EQ(test::normalize_partition(barrier.labels), f.oracle) << where;
+      }
+    }
   }
 }
 

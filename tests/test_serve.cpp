@@ -496,6 +496,33 @@ TEST(Proto, ParseSubmitValidatesFields) {
   EXPECT_EQ(spec.config.pipeline_mode, core::PipelineMode::kOverlap);
 }
 
+TEST(Proto, ParseSubmitRejectsUnknownKeys) {
+  // A typo'd key must fail with a config error naming it, not silently run
+  // with the default thread count.
+  try {
+    (void)parse_submit(R"({"cmd":"submit","index":"i.bin","thread":4})");
+    FAIL() << "unknown key accepted";
+  } catch (const util::Error& e) {
+    EXPECT_EQ(e.category(), util::ErrorCategory::kConfig);
+    EXPECT_NE(std::string(e.what()).find("'thread'"), std::string::npos) << e.what();
+  }
+  // Every one of the 12 documented keys is accepted together.
+  const JobSpec spec = parse_submit(
+      R"({"cmd":"submit","index":"i.bin","ranks":2,"threads":3,"passes":4,"priority":5,)"
+      R"("out":"o","write_output":false,"output_bins":6,"pipeline_mode":"barrier",)"
+      R"("filter_min":2,"filter_max":9})");
+  EXPECT_EQ(spec.config.num_ranks, 2);
+  EXPECT_EQ(spec.config.threads_per_rank, 3);
+  EXPECT_EQ(spec.config.num_passes, 4);
+  EXPECT_EQ(spec.priority, 5);
+  EXPECT_EQ(spec.config.output_dir, "o");
+  EXPECT_FALSE(spec.config.write_output);
+  EXPECT_EQ(spec.config.output_bins, 6);
+  EXPECT_EQ(spec.config.pipeline_mode, core::PipelineMode::kBarrier);
+  EXPECT_EQ(spec.config.filter.min_freq, 2u);
+  EXPECT_EQ(spec.config.filter.max_freq, 9u);
+}
+
 TEST(Daemon, HandleRequestCoversProtocolErrors) {
   TempDir dir;
   DaemonOptions opt;
