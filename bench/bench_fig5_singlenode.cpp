@@ -171,26 +171,26 @@ int main() {
   }
   rs.print();
 
-  // Exchange-compression axis (XL-mini): --comm-compress=both vs none at
-  // P=4, where cross-rank traffic exists (at P=1 every block is a
+  // Exchange-compression axis (XL-mini): --comm-compress=superkmer vs none
+  // at P=4, where cross-rank traffic exists (at P=1 every block is a
   // self-send and the wire ships nothing).  bench_guard.sh records the
-  // achieved alltoallv byte reduction (1 - both/none) in the committed
+  // achieved alltoallv byte reduction (1 - superkmer/none) in the committed
   // baseline on every run and, with METAPREP_GATE_COMM_BYTES=1, gates it
   // at >= 30%.  Two interleaved samples per mode; the byte counters are
   // deterministic, only the walls jitter.
   bench::print_title(
       "Figure 5 (comm axis): exchange compression, XL-mini, P=4 T=2, 2 passes");
   util::TablePrinter cc({"Compress", "Wall (ms)", "Shipped (KiB)", "Raw (KiB)",
-                         "Ratio", "Records", "Dropped"});
-  for (const char* compress : {"comm_none", "comm_both", "comm_none", "comm_both"}) {
+                         "Ratio", "Records"});
+  for (const char* compress : {"comm_none", "comm_superkmer", "comm_none", "comm_superkmer"}) {
     core::MetaprepConfig cfg;
     cfg.k = 27;
     cfg.num_ranks = 4;
     cfg.threads_per_rank = 2;
     cfg.num_passes = 2;
     cfg.write_output = false;
-    cfg.comm_compress = std::string(compress) == "comm_both"
-                            ? core::CommCompress::kBoth
+    cfg.comm_compress = std::string(compress) == "comm_superkmer"
+                            ? core::CommCompress::kSuperKmer
                             : core::CommCompress::kNone;
     const auto run = bench::timed_run(xl.index, cfg);
     const auto& r = run.result;
@@ -199,7 +199,7 @@ int main() {
                 util::TablePrinter::fmt(
                     static_cast<double>(r.exchange_bytes_raw) / 1024.0, 1),
                 util::TablePrinter::fmt(r.superkmer_ratio, 3),
-                std::to_string(r.superkmer_records), std::to_string(r.bloom_dropped)});
+                std::to_string(r.superkmer_records)});
     json.add_row()
         .str("mode", compress)
         .num("passes", 2)
@@ -208,8 +208,7 @@ int main() {
         .num("tuples", r.total_tuples)
         .num("alltoallv_bytes", r.exchange_bytes)
         .num("alltoallv_bytes_raw", r.exchange_bytes_raw)
-        .num("superkmer_records", r.superkmer_records)
-        .num("bloom_dropped", r.bloom_dropped);
+        .num("superkmer_records", r.superkmer_records);
   }
   cc.print();
 

@@ -73,7 +73,7 @@ int usage() {
                "--memory-gb --filter-min --filter-max --out --no-output --output-bins=B "
                "--parse-mode=strict|lenient --pipeline-mode=barrier|overlap "
                "--read-store=text|packed --packed-store=ARENA.mprs "
-               "--comm-compress=none|superkmer|bloom|both --superkmer-minimizer-len=M "
+               "--comm-compress=none|superkmer --superkmer-minimizer-len=M "
                "--trace-out=T.json --metrics-out=M.jsonl --attr-out=A.json "
                "--comm-matrix-out=C.json --progress "
                "--fault-seed=N --fault-read-rate=P --fault-corrupt-rate=P "
@@ -108,10 +108,7 @@ core::CommCompress comm_compress_arg(const util::Args& args) {
   const std::string mode = args.get("comm-compress", "none");
   if (mode == "none") return core::CommCompress::kNone;
   if (mode == "superkmer") return core::CommCompress::kSuperKmer;
-  if (mode == "bloom") return core::CommCompress::kBloom;
-  if (mode == "both") return core::CommCompress::kBoth;
-  throw util::config_error("--comm-compress must be 'none', 'superkmer', 'bloom', or 'both' "
-                           "(got '" + mode + "')");
+  throw util::config_error("--comm-compress must be 'none' or 'superkmer' (got '" + mode + "')");
 }
 
 core::PipelineMode pipeline_mode_arg(const util::Args& args) {
@@ -231,12 +228,11 @@ int cmd_run(const util::Args& args) {
               result.largest_fraction * 100.0);
   if (cfg.comm_compress != core::CommCompress::kNone) {
     std::printf("exchange: %llu bytes shipped (%llu raw, ratio %.3f), "
-                "%llu super-k-mer records, %llu singletons dropped\n",
+                "%llu super-k-mer records\n",
                 static_cast<unsigned long long>(result.exchange_bytes),
                 static_cast<unsigned long long>(result.exchange_bytes_raw),
                 result.superkmer_ratio,
-                static_cast<unsigned long long>(result.superkmer_records),
-                static_cast<unsigned long long>(result.bloom_dropped));
+                static_cast<unsigned long long>(result.superkmer_records));
   }
   util::TablePrinter table({"Step", "ms (max over ranks)"});
   for (const auto& [step, seconds] : result.step_times.map()) {

@@ -33,8 +33,9 @@
 #     recorded per row).
 #
 #   * (opt-in, METAPREP_GATE_COMM_BYTES=1) the compressed exchange stopped
-#     paying for itself: on the XL-mini P=4 comm rows, --comm-compress=both
-#     must ship >= 30% fewer alltoallv bytes than none.  The achieved
+#     paying for itself: on the XL-mini P=4 comm rows,
+#     --comm-compress=superkmer must ship >= 30% fewer alltoallv bytes than
+#     none.  The achieved
 #     reduction is always recorded in the baseline as "comm_bytes_reduction";
 #     the byte counters are deterministic, so this invariant is noise-free.
 #
@@ -90,7 +91,7 @@ CRIT = ("crit_path_s", "crit_wait_s", "crit_compute_s")
 # dataset/config, so min-of-N is just dedup.  The derived reduction is
 # recorded in the baseline every run; the >= 30% gate is opt-in via
 # METAPREP_GATE_COMM_BYTES=1 (invariant 1c below).
-COMM = ("alltoallv_bytes", "alltoallv_bytes_raw", "superkmer_records", "bloom_dropped")
+COMM = ("alltoallv_bytes", "alltoallv_bytes_raw", "superkmer_records")
 mins = {}
 hits = {}
 phase_mins = {}
@@ -228,26 +229,24 @@ else:
 # invariant beds in, so a machine can re-baseline before it hardens.
 gate_comm = os.environ.get("METAPREP_GATE_COMM_BYTES") == "1"
 comm_none = comm_vals.get(("comm_none", 2, 2), {})
-comm_both = comm_vals.get(("comm_both", 2, 2), {})
-if comm_none.get("alltoallv_bytes") and comm_both.get("alltoallv_bytes") is not None:
-    reduction = 1.0 - comm_both["alltoallv_bytes"] / comm_none["alltoallv_bytes"]
+comm_sk = comm_vals.get(("comm_superkmer", 2, 2), {})
+if comm_none.get("alltoallv_bytes") and comm_sk.get("alltoallv_bytes") is not None:
+    reduction = 1.0 - comm_sk["alltoallv_bytes"] / comm_none["alltoallv_bytes"]
     result["comm_bytes_reduction"] = round(reduction, 4)
     print(f"  comm axis: none={comm_none['alltoallv_bytes']}B "
-          f"both={comm_both['alltoallv_bytes']}B reduction={reduction:.1%}"
+          f"superkmer={comm_sk['alltoallv_bytes']}B reduction={reduction:.1%}"
           + ("" if gate_comm else " (recorded, not gated)"))
     if gate_comm:
         if reduction < 0.30:
             failures.append(
                 f"comm compression ships only {reduction:.1%} fewer bytes "
                 f"(need >= 30%): none={comm_none['alltoallv_bytes']} "
-                f"both={comm_both['alltoallv_bytes']}"
+                f"superkmer={comm_sk['alltoallv_bytes']}"
             )
-        if comm_both.get("bloom_dropped", 0) <= 0:
-            failures.append("comm_both run reported bloom_dropped == 0")
-        if comm_both.get("superkmer_records", 0) <= 0:
-            failures.append("comm_both run reported superkmer_records == 0")
+        if comm_sk.get("superkmer_records", 0) <= 0:
+            failures.append("comm_superkmer run reported superkmer_records == 0")
 elif gate_comm:
-    failures.append("missing comm_none/comm_both passes=2 rows in bench output")
+    failures.append("missing comm_none/comm_superkmer passes=2 rows in bench output")
 
 # Invariant 2: no config regressed > 10% (+0.02 s absolute slack for tiny
 # rows) against the committed baseline.

@@ -20,8 +20,8 @@
 #      with UBSan notes fatal), FASTQ parsing (test_fastq), packed-arena
 #      (test_packed_store), index loading (test_indices: truncated and
 #      hostile index files), radix sort (test_sort: MSD bucket offsets), and
-#      exchange-compression (test_superkmer, test_bloom, the comm-compress
-#      differential grid) and pass-engine (GoldenW1 +
+#      exchange-compression (test_superkmer, the comm-compress differential
+#      grid) and pass-engine (GoldenW1 +
 #      Differential.ModesAgree*) suites — the paths that do raw buffer
 #      arithmetic and deliberately corrupt / truncate input, including the
 #      super-k-mer wire decode and the fixed-tuple receive split's offset
@@ -70,9 +70,8 @@ echo "=== tier 1: packed-vs-text differential (read-store grid + lenient consist
 ./build/tests/test_differential --gtest_filter='*Packed*'
 ./build/tests/test_packed_store
 
-echo "=== tier 1: exchange-compression unit suites (super-k-mer records + counting Bloom) ==="
+echo "=== tier 1: exchange-compression unit suite (super-k-mer records) ==="
 ./build/tests/test_superkmer
-./build/tests/test_bloom
 
 echo "=== tier 1: checked comm-compress differential (protocol checker over compressed payloads) ==="
 METAPREP_CHECK=1 ./build/tests/test_differential --gtest_filter='CompressGrid/*'
@@ -205,7 +204,7 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_serve
 echo "=== tier 1: ASan+UBSan build (test_faults + test_fastq + test_packed_store + test_sort + compress legs) ==="
 cmake --preset asan
 cmake --build --preset asan "${JOBS}" --target test_faults test_fastq test_packed_store \
-  test_superkmer test_bloom test_differential test_indices test_sort
+  test_superkmer test_differential test_indices test_sort
 
 echo "=== tier 1: ASan+UBSan test_faults (UBSan notes fail the gate) ==="
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_faults
@@ -217,9 +216,8 @@ echo "=== tier 1: ASan test_indices (truncated + hostile index fixtures) ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_indices
 echo "=== tier 1: ASan test_sort (two-level radix sort bucket offsets) ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_sort
-echo "=== tier 1: ASan exchange-compression (wire encode/decode + Bloom probe bounds) ==="
+echo "=== tier 1: ASan exchange-compression (super-k-mer wire encode/decode) ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_superkmer
-ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_bloom
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_differential \
   --gtest_filter='CompressGrid/*'
 echo "=== tier 1: ASan+UBSan pass engine (fixed-tuple receive split over wire messages) ==="

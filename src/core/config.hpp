@@ -63,9 +63,9 @@ enum class PipelineMode {
 };
 
 /// Exchange compression for the KmerGen all-to-all (CLI --comm-compress).
-/// All modes produce the same component partition as kNone (differential
-/// grid); see DESIGN.md "Exchange compression" for the record formats and
-/// the equivalence arguments.
+/// Both codecs produce the same raw labels (differential grid); see
+/// DESIGN.md "Exchange compression" for the record format and the
+/// equivalence argument.
 enum class CommCompress {
   /// Fixed-size (k-mer, value) tuples at offsets precomputed from the index
   /// tables, in the paper's staged all-to-all shape: one message per
@@ -75,12 +75,6 @@ enum class CommCompress {
   /// minimizer ship as one (value, n_kmers, packed bases) payload that the
   /// receiver re-expands before LocalSort.
   kSuperKmer,
-  /// Per-destination-rank counting-Bloom prefilter: k-mers whose global
-  /// frequency is 1 (overwhelmingly sequencing errors) are suppressed from
-  /// the exchange — singletons cannot create read-graph edges.
-  kBloom,
-  /// Both: Bloom-surviving sub-runs ship as super-k-mer records.
-  kBoth,
 };
 
 /// Where KmerGen gets its records each pass (CLI --read-store).
@@ -142,25 +136,17 @@ struct MetaprepConfig {
   /// Pass scheduling (CLI --pipeline-mode=barrier|overlap).
   PipelineMode pipeline_mode = PipelineMode::kBarrier;
 
-  /// Exchange compression (CLI --comm-compress=none|superkmer|bloom|both).
+  /// Exchange compression (CLI --comm-compress=none|superkmer).
   /// Default off: the wire format and byte accounting of existing runs are
   /// unchanged.
   CommCompress comm_compress = CommCompress::kNone;
 
-  /// Minimizer length for super-k-mer grouping (comm_compress superkmer /
-  /// both).  Independent of the index's routing m-mer: compressed runs are
-  /// routed by minimizer-hash bins, not prefix bins.  Must be in
-  /// [1, min(k, 31)]; longer minimizers shorten runs, shorter ones skew the
-  /// run-length distribution.
+  /// Minimizer length for super-k-mer grouping (comm_compress superkmer).
+  /// Independent of the index's routing m-mer: compressed runs are routed
+  /// by minimizer-hash bins, not prefix bins.  Must be in [1, min(k, 31)];
+  /// longer minimizers shorten runs, shorter ones skew the run-length
+  /// distribution.
   int superkmer_minimizer_len = 10;
-
-  /// Counting-Bloom sizing (comm_compress bloom / both): counters per
-  /// expected k-mer occurrence and probe count.  8 counters x 2 probes keeps
-  /// the false-positive rate (which only *retains* harmless singletons,
-  /// never drops a repeated k-mer) under ~2% at full load; see DESIGN.md.
-  int bloom_counters_per_key = 8;
-  int bloom_hashes = 2;
-  std::uint64_t bloom_seed = 0x6d70726570ULL;
 
   /// Record source for the KmerGen scans (CLI --read-store=text|packed).
   /// Text is the default and bit-identical to the historical behaviour;

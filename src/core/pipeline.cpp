@@ -21,7 +21,6 @@
 #include "core/plan.hpp"
 #include "dsu/dsu.hpp"
 #include "io/fastq.hpp"
-#include "kmer/bloom.hpp"
 #include "kmer/scanner.hpp"
 #include "kmer/superkmer.hpp"
 #include "mpsim/comm.hpp"
@@ -206,7 +205,6 @@ struct RankShared {
   std::uint64_t exchange_bytes = 0;      ///< cross-rank KmerGen-Comm bytes shipped
   std::uint64_t exchange_bytes_raw = 0;  ///< uncompressed-equivalent of the same traffic
   std::uint64_t superkmer_records = 0;   ///< wire records this rank emitted
-  std::uint64_t bloom_dropped = 0;       ///< k-mer occurrences the Bloom prefilter dropped
 };
 
 /// Everything the per-rank pass engine and merge tail need from the run.
@@ -308,7 +306,7 @@ void for_each_kmer(const RecordView& rec, int k, bool wide, F64&& f64, F128&& f1
 /// packed mode: ingest already recorded them in the arena).
 template <typename RecFn>
 std::uint64_t scan_chunk(PassCtx& ctx, std::uint32_t c, bool substitute, double& io_s,
-                         double& gen_s, bool tick_progress, RecFn&& rec_fn) {
+                         double& gen_s, RecFn&& rec_fn) {
   util::throw_if_cancelled(ctx.config.cancel_token, "KmerGen chunk");
   const DatasetIndex& index = ctx.index;
   dsu::AtomicDSU& local_cc = ctx.local_cc;
@@ -354,7 +352,7 @@ std::uint64_t scan_chunk(PassCtx& ctx, std::uint32_t c, bool substitute, double&
     gen_s += gen_timer.seconds();
     skipped = stats.skipped;
   }
-  if (tick_progress) obs::Progress::global().chunk_done();
+  obs::Progress::global().chunk_done();
   return skipped;
 }
 
@@ -365,7 +363,7 @@ std::uint64_t scan_chunk(PassCtx& ctx, std::uint32_t c, bool substitute, double&
 // the pipelined one.  Each group does one fused chunk sweep that generates
 // every pass of the group (an emitted k-mer's routing bin places it in one
 // pass), posts each pass's exchange, then drains pass by pass: complete
-// the receive, expand it when the codec is records, sort, then union.
+// the receive, expand it when the codec is super-k-mers, sort, then union.
 //
 // Every pass routes at (dest rank, dest thread) granularity: P·T slots,
 // slot d·T+dt.  The receiver lays its T sort regions out by src rank, and
@@ -380,13 +378,14 @@ std::uint64_t scan_chunk(PassCtx& ctx, std::uint32_t c, bool substitute, double&
 //    dest rank's T contiguous slot sections — which is the paper's staged
 //    all-to-all shape; the receiver checks its size against the geometry
 //    and copies the T sections into its T regions.
-//  - records (superkmer / bloom / both): one message per (src, dest, pass)
-//    with a u64 lens[T] header, then the T dest-thread sections; the
-//    receiver sizes its regions from the headers and expands in parallel.
+//  - super-k-mer records (comm_compress superkmer): one message per (src,
+//    dest, pass) with a u64 lens[T] header, then the T dest-thread
+//    sections; the receiver sizes its regions from the headers and expands
+//    in parallel.
 // ---------------------------------------------------------------------------
 
 /// Tags of the KmerGen exchange: one per (pass, tuple array), above the
-/// MergeCC range (1 << 20).  The records codec uses array 0 only.
+/// MergeCC range (1 << 20).  The super-k-mer codec uses array 0 only.
 constexpr int kKmerGenTagBase = 2'000'000;
 inline int kmergen_tag(int s, int arr) { return kKmerGenTagBase + 3 * s + arr; }
 
@@ -400,13 +399,9 @@ struct PassRoute {
 /// Run-wide engine settings: fusion width, wire codec and routing.
 struct EnginePlan {
   int W = 1;               ///< passes fused per chunk sweep
-  bool records = false;    ///< wire codec: variable-size records, else fixed tuples
-  bool superkmer = false;  ///< records are super-k-mers, else (k-mer, value) records
+  bool superkmer = false;  ///< wire codec: super-k-mer records, else fixed tuples
   int minimizer_len = 0;
   std::vector<PassRoute> routes;  ///< S entries, tiling the bin space in order
-  /// bloom / both: P destination-owned counting Blooms (shared-memory
-  /// stand-in for an MPI-3 one-sided accumulate window; DESIGN.md).
-  std::vector<kmer::CountingBloom>* blooms = nullptr;
 };
 
 /// Per-pass routes.  Prefix bins follow the PassPlan (pass ⊃ rank ⊃
@@ -456,7 +451,7 @@ struct PassWork {
   std::vector<std::uint64_t> send_end;    ///< [t][slot] where each cursor must end
   std::vector<std::uint64_t> slot_start;  ///< P*T+1: slot-major, by my thread within a slot
   TupleBuffer* send = nullptr;
-  // Records codec: per (my thread, slot) byte streams, then my own message.
+  // Super-k-mer codec: per (my thread, slot) byte streams, then my own message.
   std::vector<std::vector<std::vector<std::byte>>> streams;  ///< [t][slot]
   std::vector<std::byte> self_msg;
 };
@@ -536,106 +531,23 @@ inline std::uint64_t read_le(const std::byte* p, int nbytes) {
   return v;
 }
 
-/// Reusable per-thread scratch for the super-k-mer emit path: the scanner's
-/// window state plus, on the Bloom paths only, the record's canonical k-mers
-/// indexed by window start (runs only cover valid windows, so only those
-/// slots are read).
-struct SuperKmerScratch {
-  kmer::SuperKmerScanner scanner;
-  std::vector<std::uint64_t> km_lo;
-  std::vector<std::uint64_t> km_hi;
-};
-
 /// Enumerate a record's super-k-mer runs; fn(start, kmer_count, minimizer).
 template <typename Fn>
-void for_each_run(SuperKmerScratch& sc, const RecordView& rec, int k, int msk, Fn&& fn) {
+void for_each_run(kmer::SuperKmerScanner& scanner, const RecordView& rec, int k, int msk,
+                  Fn&& fn) {
   if (rec.words != nullptr) {
-    sc.scanner.scan_packed(rec.words, rec.len, rec.npos, rec.ncount, k, msk,
-                           std::forward<Fn>(fn));
+    scanner.scan_packed(rec.words, rec.len, rec.npos, rec.ncount, k, msk, std::forward<Fn>(fn));
   } else {
-    sc.scanner.scan(std::string_view(rec.text, rec.len), k, msk, std::forward<Fn>(fn));
+    scanner.scan(std::string_view(rec.text, rec.len), k, msk, std::forward<Fn>(fn));
   }
-}
-
-/// Fill sc.km_lo/km_hi with the record's canonical k-mer per window so the
-/// Bloom paths can hash a run's k-mers by position.
-void fill_canonical_kmers(SuperKmerScratch& sc, const RecordView& rec, int k, bool wide) {
-  if (rec.len < static_cast<std::uint32_t>(k)) return;
-  const std::uint32_t nwin = rec.len - static_cast<std::uint32_t>(k) + 1;
-  sc.km_lo.resize(nwin);
-  if (wide) sc.km_hi.resize(nwin);
-  for_each_kmer(
-      rec, k, wide, [&](std::uint64_t km, std::size_t pos) { sc.km_lo[pos] = km; },
-      [&](kmer::Kmer128 km, std::size_t pos) {
-        sc.km_lo[pos] = km.lo;
-        sc.km_hi[pos] = km.hi;
-      });
-}
-
-inline std::uint64_t kmer_hash_at(const SuperKmerScratch& sc, std::uint32_t pos, bool wide) {
-  return wide ? kmer::kmer_hash128(sc.km_hi[pos], sc.km_lo[pos])
-              : kmer::kmer_hash64(sc.km_lo[pos]);
-}
-
-/// BloomCount: one extra scan over this rank's chunks inserting every k-mer
-/// occurrence into its destination rank's filter, so counts are global
-/// before any drop decision.  The barrier publishes all inserts (count() is
-/// read-only afterwards); a k-mer seen once on each of two ranks still
-/// counts 2 at its single destination, so only true global singletons can
-/// be suppressed.
-void bloom_count(PassCtx& ctx, const EnginePlan& ep) {
-  const int p = ctx.p, k = ctx.k, m = ctx.m, T = ctx.T;
-  const bool wide = ctx.wide;
-  std::vector<kmer::CountingBloom>& blooms = *ep.blooms;
-  std::vector<std::uint16_t> rank_of_bin(ep.routes.back().hi, 0);
-  for (const PassRoute& r : ep.routes) {
-    for (std::uint32_t b = r.lo; b < r.hi; ++b)
-      rank_of_bin[b] = static_cast<std::uint16_t>(r.slot_of_bin[b - r.lo] / T);
-  }
-  progress_phase(ctx, "BloomCount");
-  const double bc_t0 = span_begin(ctx.tr);
-  WallTimer bc_timer;
-  ctx.team.run([&](int t) {
-    obs::TraceSession::set_thread_identity(p, t);
-    double io_s = 0.0, gen_s = 0.0;  // folded into BloomCount's own step wall
-    SuperKmerScratch sc;
-    auto on_record = [&](std::uint32_t, const RecordView& rec) {
-      if (ep.superkmer) {
-        fill_canonical_kmers(sc, rec, k, wide);
-        for_each_run(sc, rec, k, ep.minimizer_len,
-                     [&](std::uint32_t start, std::uint32_t count, std::uint64_t mz) {
-                       kmer::CountingBloom& bl = blooms[rank_of_bin[kmer::minimizer_bin(mz)]];
-                       for (std::uint32_t j = 0; j < count; ++j)
-                         bl.insert(kmer_hash_at(sc, start + j, wide));
-                     });
-      } else {
-        for_each_kmer(
-            rec, k, wide,
-            [&](std::uint64_t km, std::size_t) {
-              blooms[rank_of_bin[kmer::prefix_bin64(km, k, m)]].insert(kmer::kmer_hash64(km));
-            },
-            [&](kmer::Kmer128 km, std::size_t) {
-              blooms[rank_of_bin[kmer::prefix_bin128(km, k, m)]].insert(
-                  kmer::kmer_hash128(km.hi, km.lo));
-            });
-      }
-    };
-    for (std::uint32_t c = ctx.ca.thread_begin(p, t); c < ctx.ca.thread_end(p, t); ++c)
-      scan_chunk(ctx, c, false, io_s, gen_s, false, on_record);
-  });
-  ctx.comm.barrier();  // happens-before: all inserts visible to all readers
-  ctx.my.times.add("BloomCount", bc_timer.seconds());
-  span_end(ctx.tr, "BloomCount", bc_t0);
-  phase_boundary(ctx, "BloomCount");
 }
 
 /// Per-thread tallies of one fused KmerGen sweep.
 struct SweepCounts {
   std::uint64_t skipped = 0;  ///< lenient-parse skips
-  std::uint64_t raw = 0;      ///< cross-rank k-mer occurrences (records codec)
-  std::uint64_t kept = 0;     ///< k-mer occurrences shipped (records codec)
+  std::uint64_t raw = 0;      ///< cross-rank k-mer occurrences (super-k-mer codec)
+  std::uint64_t kept = 0;     ///< k-mer occurrences shipped (super-k-mer codec)
   std::uint64_t records = 0;  ///< super-k-mer records emitted
-  std::uint64_t dropped = 0;  ///< Bloom-dropped occurrences
 };
 
 /// Fused KmerGen: one chunk read + scan generates every pass of the group.
@@ -663,11 +575,10 @@ void kmergen_sweep(PassCtx& ctx, const EnginePlan& ep, std::span<PassWork> group
     SweepCounts n;
     auto sweep = [&](auto&& on_record) {
       for (std::uint32_t c = ctx.ca.thread_begin(p, t); c < ctx.ca.thread_end(p, t); ++c) {
-        n.skipped +=
-            scan_chunk(ctx, c, substitute, io_seconds[ut], gen_seconds[ut], true, on_record);
+        n.skipped += scan_chunk(ctx, c, substitute, io_seconds[ut], gen_seconds[ut], on_record);
       }
     };
-    if (!ep.records) {
+    if (!ep.superkmer) {
       // Fixed tuples written at this thread's precomputed cursors.  Plain
       // per-pass locals and an explicit branch keep pass 0's pointers in
       // registers on the per-k-mer path (W = 1 never takes the else).
@@ -729,98 +640,32 @@ void kmergen_sweep(PassCtx& ctx, const EnginePlan& ep, std::span<PassWork> group
       counts[ut] = n;
       return;
     }
-    // Records: this thread's per-(group pass, slot) streams, in rows it
-    // allocates itself (their headers change on every append) and hands
-    // to the group when the sweep ends.
+    // Super-k-mer records: this thread's per-(group pass, slot) streams,
+    // in rows it allocates itself (their headers change on every append)
+    // and hands to the group when the sweep ends.
     std::array<std::vector<std::vector<std::byte>>, 2> rows;
     for (std::size_t i = 0; i < group.size(); ++i) rows[i].resize(nslots);
-    auto finish_records = [&] {
-      for (std::size_t i = 0; i < group.size(); ++i) group[i].streams[ut] = std::move(rows[i]);
-      counts[ut] = n;
-    };
-    // Route a bin to (group pass, slot), or nullptr outside the group.
-    auto stream_of = [&](std::uint32_t bin, std::uint16_t& slot) -> std::vector<std::byte>* {
-      if (bin < lo || bin >= hi) return nullptr;
-      const std::size_t i = bin >= mid ? 1 : 0;
-      slot = group[i].route->slot_of_bin[bin - group[i].route->lo];
-      return &rows[i][slot];
-    };
-    if (ep.superkmer) {
-      SuperKmerScratch sc;
-      sweep([&](std::uint32_t value, const RecordView& rec) {
-        // Only the Bloom filter probes k-mers by position; plain
-        // super-k-mer emission needs the minimizer scan alone.
-        if (ep.blooms != nullptr) fill_canonical_kmers(sc, rec, k, wide);
-        for_each_run(sc, rec, k, ep.minimizer_len,
-                     [&](std::uint32_t start, std::uint32_t count, std::uint64_t mz) {
-          std::uint16_t slot = 0;
-          std::vector<std::byte>* stream = stream_of(kmer::minimizer_bin(mz), slot);
-          if (stream == nullptr) return;
-          const int d = slot / T;
-          if (d != p) n.raw += count;
-          auto emit_subrun = [&](std::uint32_t a, std::uint32_t cnt) {
-            n.kept += cnt;
-            while (cnt > 0) {
-              const std::uint32_t take = std::min(cnt, kmer::kMaxSuperKmerRun);
-              rec.append_record(*stream, value, start + a, take, k);
-              ++n.records;
-              a += take;
-              cnt -= take;
-            }
-          };
-          if (ep.blooms == nullptr) {
-            emit_subrun(0, count);
-            return;
-          }
-          // Bloom-surviving maximal sub-runs: every k-mer in a kept sub-run
-          // has global count >= 2 at its (single) destination.
-          const kmer::CountingBloom& bl = (*ep.blooms)[static_cast<std::size_t>(d)];
-          std::uint32_t a = 0;
-          while (a < count) {
-            if (bl.count(kmer_hash_at(sc, start + a, wide)) < 2) {
-              ++n.dropped;
-              ++a;
-              continue;
-            }
-            std::uint32_t b = a + 1;
-            while (b < count && bl.count(kmer_hash_at(sc, start + b, wide)) >= 2) ++b;
-            emit_subrun(a, b - a);
-            a = b;
-          }
-        });
-      });
-      finish_records();
-      return;
-    }
-    // bloom-only: prefix-bin routing, fixed-size (k-mer, value) records.
-    auto emit = [&](std::uint32_t bin, std::uint64_t km_lo, std::uint64_t km_hi,
-                    std::uint64_t hash, std::uint32_t value) {
-      std::uint16_t slot = 0;
-      std::vector<std::byte>* stream = stream_of(bin, slot);
-      if (stream == nullptr) return;
-      const int d = slot / T;
-      if (d != p) ++n.raw;
-      if ((*ep.blooms)[static_cast<std::size_t>(d)].count(hash) < 2) {
-        ++n.dropped;
-        return;
-      }
-      ++n.kept;
-      append_le(*stream, km_lo, 8);
-      if (wide) append_le(*stream, km_hi, 8);
-      append_le(*stream, value, 4);
-    };
+    kmer::SuperKmerScanner scanner;
     sweep([&](std::uint32_t value, const RecordView& rec) {
-      for_each_kmer(
-          rec, k, wide,
-          [&](std::uint64_t km, std::size_t) {
-            emit(kmer::prefix_bin64(km, k, m), km, 0, kmer::kmer_hash64(km), value);
-          },
-          [&](kmer::Kmer128 km, std::size_t) {
-            emit(kmer::prefix_bin128(km, k, m), km.lo, km.hi, kmer::kmer_hash128(km.hi, km.lo),
-                 value);
-          });
+      for_each_run(scanner, rec, k, ep.minimizer_len,
+                   [&](std::uint32_t start, std::uint32_t count, std::uint64_t mz) {
+        const std::uint32_t bin = kmer::minimizer_bin(mz);
+        if (bin < lo || bin >= hi) return;
+        const std::size_t i = bin >= mid ? 1 : 0;
+        const std::uint16_t slot = group[i].route->slot_of_bin[bin - group[i].route->lo];
+        std::vector<std::byte>& stream = rows[i][slot];
+        if (slot / T != p) n.raw += count;
+        n.kept += count;
+        for (std::uint32_t a = 0; a < count;) {
+          const std::uint32_t take = std::min(count - a, kmer::kMaxSuperKmerRun);
+          rec.append_record(stream, value, start + a, take, k);
+          ++n.records;
+          a += take;
+        }
+      });
     });
-    finish_records();
+    for (std::size_t i = 0; i < group.size(); ++i) group[i].streams[ut] = std::move(rows[i]);
+    counts[ut] = n;
   });
   RankShared& my = ctx.my;
   my.times.add("KmerGen-I/O", *std::max_element(io_seconds.begin(), io_seconds.end()));
@@ -831,10 +676,9 @@ void kmergen_sweep(PassCtx& ctx, const EnginePlan& ep, std::span<PassWork> group
     // is the number of *distinct* records lenient parsing dropped (later
     // sweeps re-discover the same skips in text mode).
     if (group.front().s == 0) my.records_skipped += n.skipped;
-    if (!ep.records) continue;
+    if (!ep.superkmer) continue;
     my.exchange_bytes_raw += n.raw * tuple_bytes;
     my.tuples += n.kept;
-    my.bloom_dropped += n.dropped;
     my.superkmer_records += n.records;
     ctx.m_tuples.add(n.kept);
   }
@@ -892,7 +736,7 @@ void fixed_recv(PassCtx& ctx, PassWork& w, int arr, int stage) {
 void post_exchange(PassCtx& ctx, const EnginePlan& ep, PassWork& w, TupleArena& arena) {
   const int P = ctx.P, T = ctx.T, p = ctx.p;
   RankShared& my = ctx.my;
-  if (ep.records) {
+  if (ep.superkmer) {
     // One message per (dest, pass), always sent: the u64 lens[T] header
     // makes even an empty message well-formed and keeps the receive count
     // deterministic.
@@ -966,13 +810,13 @@ void post_exchange(PassCtx& ctx, const EnginePlan& ep, PassWork& w, TupleArena& 
 }
 
 /// Complete one pass's receive into its T sort regions.  Fixed tuples at
-/// W = 2: one message per (stage, array).  Records: size the regions from
-/// the headers, validate and count every record, then decode at exact
-/// offsets in parallel.
+/// W = 2: one message per (stage, array).  Super-k-mer records: size the
+/// regions from the headers, validate and count every record, then decode
+/// at exact offsets in parallel.
 void drain_receive(PassCtx& ctx, const EnginePlan& ep, PassWork& w, TupleArena& arena) {
   const int P = ctx.P, T = ctx.T, p = ctx.p, k = ctx.k;
   const bool wide = ctx.wide;
-  if (!ep.records) {
+  if (!ep.superkmer) {
     if (P == 1 || ep.W == 1) return;
     obs::TraceSpan wait_span("KmerGen-Comm");
     WallTimer wait_timer;
@@ -1002,7 +846,6 @@ void drain_receive(PassCtx& ctx, const EnginePlan& ep, PassWork& w, TupleArena& 
   const double ex_t0 = span_begin(ctx.tr);
   WallTimer ex_timer;
   const std::size_t nslots = static_cast<std::size_t>(P) * T;
-  const std::size_t fixed_rec = wide ? 20 : 12;  ///< bloom-only record size
   std::vector<std::uint64_t> sec_off(nslots, 0);
   std::vector<std::uint64_t> sec_len(nslots, 0);
   for (int q = 0; q < P; ++q) {
@@ -1026,13 +869,7 @@ void drain_receive(PassCtx& ctx, const EnginePlan& ep, PassWork& w, TupleArena& 
     for (int q = 0; q < P; ++q) {
       const std::size_t idx = static_cast<std::size_t>(q) * T + t;
       const std::byte* data = msgs[static_cast<std::size_t>(q)].data() + sec_off[idx];
-      if (ep.superkmer) {
-        w.recv_count[idx] = kmer::count_superkmer_stream(data, sec_len[idx], k).kmers;
-      } else {
-        if (sec_len[idx] % fixed_rec != 0)
-          throw util::parse_error("comm-compress: truncated tuple record");
-        w.recv_count[idx] = sec_len[idx] / fixed_rec;
-      }
+      w.recv_count[idx] = kmer::count_superkmer_stream(data, sec_len[idx], k).kmers;
     }
   });
   column_major_offsets(w.recv_count, static_cast<std::size_t>(P), static_cast<std::size_t>(T),
@@ -1046,35 +883,24 @@ void drain_receive(PassCtx& ctx, const EnginePlan& ep, PassWork& w, TupleArena& 
       const std::size_t idx = static_cast<std::size_t>(q) * T + t;
       const std::byte* data = msgs[static_cast<std::size_t>(q)].data() + sec_off[idx];
       std::uint64_t at = w.recv_block[idx];
-      if (ep.superkmer) {
-        kmer::SuperKmerReader reader(data, sec_len[idx], k);
-        while (!reader.done()) {
-          reader.next_header();
-          const std::uint32_t value = reader.value();
-          if (value >= R) throw util::parse_error("comm-compress: record value out of range");
-          if (!wide) {
-            reader.expand64([&](std::uint64_t km) {
-              tuples.keys[at] = km;
-              tuples.vals[at] = value;
-              ++at;
-            });
-          } else {
-            reader.expand128([&](kmer::Kmer128 km) {
-              tuples.keys[at] = km.lo;
-              tuples.keys_hi[at] = km.hi;
-              tuples.vals[at] = value;
-              ++at;
-            });
-          }
-        }
-      } else {
-        for (const std::byte* rp = data; rp != data + sec_len[idx]; rp += fixed_rec) {
-          const auto value = static_cast<std::uint32_t>(read_le(rp + fixed_rec - 4, 4));
-          if (value >= R) throw util::parse_error("comm-compress: record value out of range");
-          tuples.keys[at] = read_le(rp, 8);
-          if (wide) tuples.keys_hi[at] = read_le(rp + 8, 8);
-          tuples.vals[at] = value;
-          ++at;
+      kmer::SuperKmerReader reader(data, sec_len[idx], k);
+      while (!reader.done()) {
+        reader.next_header();
+        const std::uint32_t value = reader.value();
+        if (value >= R) throw util::parse_error("comm-compress: record value out of range");
+        if (!wide) {
+          reader.expand64([&](std::uint64_t km) {
+            tuples.keys[at] = km;
+            tuples.vals[at] = value;
+            ++at;
+          });
+        } else {
+          reader.expand128([&](kmer::Kmer128 km) {
+            tuples.keys[at] = km.lo;
+            tuples.keys_hi[at] = km.hi;
+            tuples.vals[at] = value;
+            ++at;
+          });
         }
       }
     }
@@ -1180,7 +1006,6 @@ void run_passes(PassCtx& ctx, const EnginePlan& ep) {
   util::BufferPool& pool =
       config.buffer_pool != nullptr ? *config.buffer_pool : util::BufferPool::global();
   TupleArena arena(pool, ctx.wide, my.max_buffer_bytes);
-  if (ep.blooms != nullptr) bloom_count(ctx, ep);
 
   for (int s0 = 0; s0 < S; s0 += ep.W) {
     util::throw_if_cancelled(config.cancel_token, "pass group");
@@ -1192,7 +1017,7 @@ void run_passes(PassCtx& ctx, const EnginePlan& ep) {
       PassWork& w = group[i];
       w.s = s0 + static_cast<int>(i);
       w.route = &ep.routes[static_cast<std::size_t>(w.s)];
-      if (ep.records) {
+      if (ep.superkmer) {
         w.streams.assign(static_cast<std::size_t>(T), {});  // filled by the sweep
         continue;
       }
@@ -1231,6 +1056,10 @@ void run_passes(PassCtx& ctx, const EnginePlan& ep) {
       span_end(tr, "Pass", w.t0);
     }
   }
+  // The arena hands its spares back to the shared pool when it dies.  A
+  // rank that finished early must not do so while another rank still leases
+  // for its last pass, or that lease would reuse the early rank's buffer.
+  ctx.comm.barrier();
 }
 
 /// Dump the per-(src, dst) traffic matrices (--comm-matrix-out) as one JSON
@@ -1278,28 +1107,18 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
   const int P = config.num_ranks;
   const int T = config.threads_per_rank;
   if (P < 1 || T < 1) throw util::config_error("run_metaprep: P and T must be >= 1");
+  if (config.num_passes < 0)
+    throw util::config_error("run_metaprep: num_passes must be >= 0 (0 = derive from budget)");
   // Every mode and codec routes through a 16-bit (dest rank, dest thread)
   // slot table; checked here, before any rank starts.
   if (static_cast<std::size_t>(P) * static_cast<std::size_t>(T) > 0xFFFF)
     throw util::config_error("run_metaprep: P*T must fit the 16-bit slot table (<= 65535)");
   if (config.output_bins < 0 || config.output_bins > 0xFFFF)
     throw util::config_error("run_metaprep: output_bins must be in [0, 65535]");
-  const bool compress = config.comm_compress != CommCompress::kNone;
-  const bool cp_superkmer = config.comm_compress == CommCompress::kSuperKmer ||
-                            config.comm_compress == CommCompress::kBoth;
-  const bool cp_bloom = config.comm_compress == CommCompress::kBloom ||
-                        config.comm_compress == CommCompress::kBoth;
-  if (compress) {
-    if (cp_superkmer &&
-        (config.superkmer_minimizer_len < 1 ||
-         config.superkmer_minimizer_len > std::min(k, 31)))
-      throw util::config_error(
-          "comm-compress: superkmer_minimizer_len must be in [1, min(k, 31)]");
-    if (cp_bloom && (config.bloom_counters_per_key < 1 || config.bloom_hashes < 1 ||
-                     config.bloom_hashes > 8))
-      throw util::config_error(
-          "comm-compress: bloom_counters_per_key must be >= 1 and bloom_hashes in [1, 8]");
-  }
+  const bool superkmer = config.comm_compress == CommCompress::kSuperKmer;
+  if (superkmer && (config.superkmer_minimizer_len < 1 ||
+                    config.superkmer_minimizer_len > std::min(k, 31)))
+    throw util::config_error("comm-compress: superkmer_minimizer_len must be in [1, min(k, 31)]");
   const bool wide = k > kmer::kMaxK64;
   const int tuple_bytes = wide ? 20 : 12;
   const std::uint32_t R = index.total_reads;
@@ -1377,31 +1196,11 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
   const PassPlan plan(index.mer_hist, S, P, T);
   const ChunkAssignment ca(index.part.num_chunks(), P, T);
 
-  // Pass engine settings, and (bloom modes) the P destination-owned
-  // counting filters.  Each filter is sized for its rank's expected share of
-  // k-mer occurrences; the bloom bytes are charged to their own memory
-  // subsystem and are deliberately NOT wire traffic (a shared-memory
-  // stand-in for an MPI-3 one-sided accumulate window; DESIGN.md).
   EnginePlan engine;
   engine.W = config.pipeline_mode == PipelineMode::kOverlap ? 2 : 1;
-  engine.records = compress;
-  engine.superkmer = cp_superkmer;
+  engine.superkmer = superkmer;
   engine.minimizer_len = config.superkmer_minimizer_len;
-  engine.routes = make_routes(plan, S, P, T, cp_superkmer);
-  std::vector<kmer::CountingBloom> blooms;
-  std::uint64_t bloom_bytes = 0;
-  if (cp_bloom) {
-    const std::uint64_t expected =
-        std::max<std::uint64_t>(1, mm.total_tuples / static_cast<std::uint64_t>(P));
-    blooms.reserve(static_cast<std::size_t>(P));
-    for (int d = 0; d < P; ++d) {
-      blooms.emplace_back(expected, config.bloom_counters_per_key, config.bloom_hashes,
-                          config.bloom_seed + static_cast<std::uint64_t>(d));
-      bloom_bytes += blooms.back().memory_bytes();
-    }
-    obs::mem_charge("bloom", bloom_bytes);
-    engine.blooms = &blooms;
-  }
+  engine.routes = make_routes(plan, S, P, T, superkmer);
 
   // Observability: when the config names output files, this run owns its
   // session's tracer/metrics (cleared + enabled here, exported after the
@@ -1835,11 +1634,6 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
     prog.finish();
     prog.set_enabled(false);
   }
-  if (cp_bloom) {
-    blooms.clear();
-    blooms.shrink_to_fit();
-    obs::mem_credit("bloom", bloom_bytes);
-  }
   if (packed_store.is_open() && packed_is_temp) {
     // Drop the in-memory arena before assembling the result so its pages
     // are returned (and the packed mem subsystem credited) inside the run.
@@ -1879,7 +1673,6 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
     result.exchange_bytes += rs.exchange_bytes;
     result.exchange_bytes_raw += rs.exchange_bytes_raw;
     result.superkmer_records += rs.superkmer_records;
-    result.bloom_dropped += rs.bloom_dropped;
   }
   if (result.exchange_bytes_raw > 0) {
     result.superkmer_ratio = static_cast<double>(result.exchange_bytes) /
@@ -1938,7 +1731,6 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
     m.counter("comm.alltoallv_bytes").add(result.exchange_bytes);
     m.counter("comm.alltoallv_bytes_raw").add(result.exchange_bytes_raw);
     m.counter("comm.superkmer_records").add(result.superkmer_records);
-    m.counter("comm.bloom_dropped").add(result.bloom_dropped);
     if (result.exchange_bytes_raw > 0)
       m.gauge("comm.superkmer_ratio").set(result.superkmer_ratio);
   }

@@ -58,13 +58,12 @@ struct PipelineResult {
   // Exchange compression (--comm-compress).  exchange_bytes counts the
   // cross-rank KmerGen-Comm payload actually shipped (self-blocks excluded,
   // consistent with the traffic matrix); exchange_bytes_raw is the
-  // uncompressed-equivalent volume — expanded tuples, pre-Bloom-drop — of
-  // the same traffic, so ratio = bytes/raw isolates the compression from
-  // routing differences.  Under kNone the two are equal.
+  // uncompressed-equivalent volume — the expanded tuples — of the same
+  // traffic, so ratio = bytes/raw isolates the compression from routing
+  // differences.  Under kNone the two are equal.
   std::uint64_t exchange_bytes = 0;
   std::uint64_t exchange_bytes_raw = 0;
-  std::uint64_t superkmer_records = 0;   ///< wire records emitted (superkmer/both)
-  std::uint64_t bloom_dropped = 0;       ///< k-mer occurrences suppressed (bloom/both)
+  std::uint64_t superkmer_records = 0;   ///< wire records emitted (superkmer)
   double superkmer_ratio = 0.0;          ///< exchange_bytes / exchange_bytes_raw (0 if raw 0)
 
   // Parse accounting + packed read store (--read-store=packed).

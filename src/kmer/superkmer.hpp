@@ -55,13 +55,6 @@ constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   return x;
 }
 
-/// Hash of a canonical k-mer for the counting-Bloom prefilter (k <= 32).
-constexpr std::uint64_t kmer_hash64(std::uint64_t km) noexcept { return mix64(km); }
-/// Wide (k > 32) variant over both words.
-constexpr std::uint64_t kmer_hash128(std::uint64_t hi, std::uint64_t lo) noexcept {
-  return mix64(lo ^ mix64(hi));
-}
-
 /// Routing-bin space for minimizer-routed super-k-mers.  All occurrences of
 /// a canonical k-mer share its minimizer, hence its bin — so uniform splits
 /// of bin space over (pass, rank, thread) keep frequency counting global.

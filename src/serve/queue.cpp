@@ -34,6 +34,7 @@ namespace {
 /// pass derivation so the admission decision matches what the run would do.
 [[nodiscard]] std::uint64_t predict_job_bytes(const core::DatasetIndex& index,
                                               const core::MetaprepConfig& config) {
+  if (config.num_passes < 0) throw util::config_error("submit: num_passes must be >= 0");
   core::MemoryModelInput mm;
   mm.total_tuples = index.mer_hist.total();
   mm.total_reads = index.total_reads;

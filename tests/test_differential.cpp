@@ -382,19 +382,9 @@ struct CompressCase {
   io::ParseMode parse;
 };
 
-std::string compress_tag(CommCompress c) {
-  switch (c) {
-    case CommCompress::kNone: return "Cnone";
-    case CommCompress::kSuperKmer: return "Csuperkmer";
-    case CommCompress::kBloom: return "Cbloom";
-    case CommCompress::kBoth: return "Cboth";
-  }
-  return "C?";
-}
-
 std::string compress_case_name(const ::testing::TestParamInfo<CompressCase>& info) {
   const auto& c = info.param;
-  return compress_tag(c.compress) +
+  return std::string(c.compress == CommCompress::kNone ? "Cnone" : "Csuperkmer") +
          (c.mode == PipelineMode::kOverlap ? "overlap" : "barrier") +
          (c.store == ReadStore::kPacked ? "Packed" : "Text") +
          (c.parse == io::ParseMode::kLenient ? "Lenient" : "Strict");
@@ -402,8 +392,7 @@ std::string compress_case_name(const ::testing::TestParamInfo<CompressCase>& inf
 
 std::vector<CompressCase> compress_grid() {
   std::vector<CompressCase> cases;
-  for (auto compress : {CommCompress::kNone, CommCompress::kSuperKmer, CommCompress::kBloom,
-                        CommCompress::kBoth}) {
+  for (auto compress : {CommCompress::kNone, CommCompress::kSuperKmer}) {
     for (auto mode : {PipelineMode::kBarrier, PipelineMode::kOverlap}) {
       for (auto store : {ReadStore::kText, ReadStore::kPacked}) {
         for (auto parse : {io::ParseMode::kStrict, io::ParseMode::kLenient}) {
@@ -443,24 +432,16 @@ TEST_P(CommCompressGridTest, PartitionMatchesOracle) {
   if (c.compress == CommCompress::kNone) {
     EXPECT_EQ(result.exchange_bytes, result.exchange_bytes_raw);
     EXPECT_EQ(result.superkmer_records, 0u);
-    EXPECT_EQ(result.bloom_dropped, 0u);
   } else {
-    EXPECT_GT(result.exchange_bytes_raw, 0u);
-    EXPECT_LE(result.exchange_bytes, result.exchange_bytes_raw);
-  }
-  const bool superkmer =
-      c.compress == CommCompress::kSuperKmer || c.compress == CommCompress::kBoth;
-  const bool bloom = c.compress == CommCompress::kBloom || c.compress == CommCompress::kBoth;
-  if (superkmer) {
     EXPECT_GT(result.superkmer_records, 0u);
     // Aggregation must actually shrink the wire volume on this corpus.
+    EXPECT_GT(result.exchange_bytes_raw, 0u);
     EXPECT_LT(result.exchange_bytes, result.exchange_bytes_raw);
-  }
-  if (bloom) { EXPECT_GT(result.bloom_dropped, 0u); }
-  if (c.compress == CommCompress::kSuperKmer && !lenient) {
-    // Strict super-k-mer-only runs re-expand every k-mer occurrence: the
-    // tuple census equals the index's global k-mer histogram exactly.
-    EXPECT_EQ(result.total_tuples, index.mer_hist.total());
+    if (!lenient) {
+      // Strict super-k-mer runs re-expand every k-mer occurrence: the tuple
+      // census equals the index's global k-mer histogram exactly.
+      EXPECT_EQ(result.total_tuples, index.mer_hist.total());
+    }
   }
 }
 
@@ -611,29 +592,41 @@ TEST(GoldenW1, K27MatchesRecordedBarrierSchedule) { check_golden(27, kGoldenLabe
 TEST(GoldenW1, K41MatchesRecordedBarrierSchedule) { check_golden(41, kGoldenLabelsK41); }
 
 TEST(Differential, CompressModesAgreeTupleForTuple) {
-  // Beyond partition equality: strict super-k-mer runs must enumerate the
-  // *same tuple multiset size* as the uncompressed exchange while shipping
-  // strictly fewer bytes, and `both` must ship no more than `superkmer`.
+  // The super-k-mer codec changes only the wire: it must enumerate the same
+  // tuples and produce the same raw labels as fixed tuples (union-by-index
+  // makes every root its component's largest read ID) while shipping
+  // strictly fewer bytes.  The fixture is re-indexed as for GoldenW1; the
+  // k = 41 leg expands wide records (expand128).
   auto& f = fixture();
-  for (int S : {1, 2}) {
-    MetaprepConfig cfg;
-    cfg.k = kK;
-    cfg.num_ranks = 4;
-    cfg.threads_per_rank = 2;
-    cfg.num_passes = S;
-    cfg.write_output = false;
-    const auto none = run_metaprep(f.index, cfg);
-    cfg.comm_compress = CommCompress::kSuperKmer;
-    const auto sk = run_metaprep(f.index, cfg);
-    cfg.comm_compress = CommCompress::kBoth;
-    const auto both = run_metaprep(f.index, cfg);
+  for (int k : {27, 41}) {
+    IndexCreateOptions opt;
+    opt.k = k;
+    opt.m = 5;
+    opt.target_chunks = 9;
+    const DatasetIndex index = create_index("diff", f.files, true, opt);
+    for (int S : {1, 2}) {
+      for (auto mode : {PipelineMode::kBarrier, PipelineMode::kOverlap}) {
+        const std::string where = "k=" + std::to_string(k) + " S=" + std::to_string(S) +
+                                  (mode == PipelineMode::kOverlap ? " overlap" : " barrier");
+        MetaprepConfig cfg;
+        cfg.k = k;
+        cfg.num_ranks = 4;
+        cfg.threads_per_rank = 2;
+        cfg.num_passes = S;
+        cfg.pipeline_mode = mode;
+        cfg.write_output = false;
+        const auto none = run_metaprep(index, cfg);
+        cfg.comm_compress = CommCompress::kSuperKmer;
+        const auto sk = run_metaprep(index, cfg);
 
-    EXPECT_EQ(none.exchange_bytes, none.exchange_bytes_raw) << "S=" << S;
-    EXPECT_EQ(sk.total_tuples, none.total_tuples) << "S=" << S;
-    EXPECT_LT(sk.exchange_bytes, none.exchange_bytes) << "S=" << S;
-    EXPECT_LE(both.exchange_bytes, sk.exchange_bytes) << "S=" << S;
-    EXPECT_EQ(test::normalize_partition(sk.labels), f.oracle) << "S=" << S;
-    EXPECT_EQ(test::normalize_partition(both.labels), f.oracle) << "S=" << S;
+        EXPECT_EQ(sk.labels, none.labels) << where;
+        EXPECT_EQ(sk.num_components, none.num_components) << where;
+        EXPECT_EQ(sk.total_tuples, none.total_tuples) << where;
+        EXPECT_EQ(none.exchange_bytes, none.exchange_bytes_raw) << where;
+        EXPECT_LT(sk.exchange_bytes, sk.exchange_bytes_raw) << where;
+        EXPECT_LT(sk.exchange_bytes, none.exchange_bytes) << where;
+      }
+    }
   }
 }
 

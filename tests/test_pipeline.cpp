@@ -182,14 +182,32 @@ TEST(Pipeline, MismatchedKThrows) {
   EXPECT_THROW(run_metaprep(fixture.index, cfg), metaprep::util::Error);
 }
 
+TEST(Pipeline, NegativePassCountIsAConfigError) {
+  // num_passes < 0 is rejected before any work: on an empty index (R == 0,
+  // which would otherwise short-circuit to an empty result) and on a
+  // non-empty one (which would otherwise reach PassPlan).
+  for (const std::uint64_t pairs : {std::uint64_t{0}, std::uint64_t{50}}) {
+    Fixture fixture(15, pairs);
+    ASSERT_EQ(fixture.index.total_reads == 0, pairs == 0);
+    auto cfg = base_config(15, fixture.dir.str());
+    cfg.num_passes = -2;
+    try {
+      (void)run_metaprep(fixture.index, cfg);
+      ADD_FAILURE() << "num_passes = -2 accepted with " << pairs << " pairs";
+    } catch (const util::Error& e) {
+      EXPECT_EQ(e.category(), util::ErrorCategory::kConfig) << e.what();
+      EXPECT_NE(std::string(e.what()).find("num_passes"), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(Pipeline, SlotTableLimitIsCheckedUpFront) {
   // P*T = 65536 overflows the 16-bit (dest rank, dest thread) slot table
   // every mode and codec routes through: a config error before any rank
   // (or any of its 256 threads) starts.
   Fixture fixture(15, 50);
   for (auto mode : {PipelineMode::kBarrier, PipelineMode::kOverlap}) {
-    for (auto compress : {CommCompress::kNone, CommCompress::kSuperKmer, CommCompress::kBloom,
-                          CommCompress::kBoth}) {
+    for (auto compress : {CommCompress::kNone, CommCompress::kSuperKmer}) {
       auto cfg = base_config(15, fixture.dir.str());
       cfg.num_ranks = 256;
       cfg.threads_per_rank = 256;

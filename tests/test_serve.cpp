@@ -367,6 +367,25 @@ TEST(JobQueue, AdmissionRejectsWhenPredictionExceedsBudget) {
   EXPECT_THROW(queue.submit(spec), util::Error);
 }
 
+TEST(JobQueue, AdmissionRejectsNegativePassCount) {
+  Fixture fx;
+  TempDir jobs;
+  JobQueueOptions opt;
+  opt.job_dir = jobs.str();
+  JobQueue queue(opt);
+  JobSpec spec;
+  spec.index_path = fx.save_index();
+  spec.config = fx.config();
+  spec.config.num_passes = -2;
+  try {
+    (void)queue.submit(spec);
+    ADD_FAILURE() << "num_passes = -2 admitted";
+  } catch (const util::Error& e) {
+    EXPECT_EQ(e.category(), util::ErrorCategory::kConfig) << e.what();
+  }
+  EXPECT_TRUE(queue.list().empty());
+}
+
 TEST(JobQueue, ThreadBudgetClampsAndRejects) {
   Fixture fx;
   TempDir jobs;
