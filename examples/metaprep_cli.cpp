@@ -19,8 +19,8 @@
 //       env var ("1", or an output path) enables tracing for any subcommand.
 //       --attr-out writes the structured performance-attribution artifact
 //       (phase walls, imbalance, critical path, memory high-water) that
-//       tools/metaprep-report ingests; --comm-matrix-out dumps the
-//       per-(src,dst) bytes/messages matrix; --progress draws a one-line
+//       tools/metaprep-report ingests (its comm section holds the
+//       per-(src,dst) bytes/messages matrix); --progress draws a one-line
 //       stderr progress indicator.
 //
 //   sim    --out=DIR [--preset=HG|LL|MM|IS] [--sim-scale=0.05]
@@ -40,6 +40,9 @@
 //       status takes --wait to poll to a terminal state), list, pause,
 //       resume, shutdown.  Each invocation sends one JSON request line and
 //       prints the daemon's one-line JSON response.
+//
+// Every subcommand rejects a flag outside its documented set, and a
+// malformed number, with a [config] error naming the flag.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -75,11 +78,11 @@ int usage() {
                "--read-store=text|packed --packed-store=ARENA.mprs "
                "--comm-compress=none|superkmer --superkmer-minimizer-len=M "
                "--trace-out=T.json --metrics-out=M.jsonl --attr-out=A.json "
-               "--comm-matrix-out=C.json --progress "
+               "--progress "
                "--fault-seed=N --fault-read-rate=P --fault-corrupt-rate=P "
                "--fault-comm-drop-rate=P --fault-comm-delay-rate=P]\n"
                "       metaprep_cli sim --out=DIR [--preset=HG|LL|MM|IS|XL --sim-scale=S]\n"
-               "       metaprep_cli info --index=INDEX.bin\n"
+               "       metaprep_cli info --index=INDEX.bin [--ranks --threads]\n"
                "       metaprep_cli diginorm --out=PREFIX [--k --cutoff] R1.fastq R2.fastq\n"
                "       metaprep_cli daemon ping|submit|status|cancel|fetch|list|pause|resume|"
                "shutdown --socket=SOCK\n"
@@ -141,6 +144,7 @@ bool arm_fault_plan(const util::Args& args) {
 }
 
 int cmd_diginorm(const util::Args& args) {
+  args.reject_unknown("diginorm", {"out", "k", "cutoff"});
   if (args.positional().size() != 3 || !args.has("out")) return usage();
   norm::DiginormOptions opt;
   opt.k = static_cast<int>(args.get_int("k", 20));
@@ -155,6 +159,7 @@ int cmd_diginorm(const util::Args& args) {
 }
 
 int cmd_index(const util::Args& args) {
+  args.reject_unknown("index", {"out", "k", "m", "chunks", "single-end", "parse-mode"});
   if (args.positional().size() < 2 || !args.has("out")) return usage();
   const std::vector<std::string> files(args.positional().begin() + 1,
                                        args.positional().end());
@@ -177,6 +182,13 @@ int cmd_index(const util::Args& args) {
 }
 
 int cmd_run(const util::Args& args) {
+  args.reject_unknown(
+      "run", {"index", "ranks", "threads", "passes", "memory-gb", "filter-min", "filter-max",
+              "out", "no-output", "verify", "output-bins", "parse-mode", "pipeline-mode",
+              "read-store", "packed-store", "comm-compress", "superkmer-minimizer-len",
+              "trace-out", "metrics-out", "attr-out", "progress", "fault-seed",
+              "fault-read-rate", "fault-corrupt-rate", "fault-comm-drop-rate",
+              "fault-comm-delay-rate"});
   if (!args.has("index")) return usage();
   const auto index = core::load_index(args.get("index", ""));
   core::MetaprepConfig cfg;
@@ -205,7 +217,6 @@ int cmd_run(const util::Args& args) {
   cfg.trace_out = args.get("trace-out", "");
   cfg.metrics_out = args.get("metrics-out", "");
   cfg.attr_out = args.get("attr-out", "");
-  cfg.comm_matrix_out = args.get("comm-matrix-out", "");
   cfg.progress = args.has("progress");
   std::filesystem::create_directories(cfg.output_dir);
   const bool faults_armed = arm_fault_plan(args);
@@ -274,6 +285,7 @@ int cmd_run(const util::Args& args) {
 }
 
 int cmd_sim(const util::Args& args) {
+  args.reject_unknown("sim", {"out", "preset", "sim-scale"});
   if (!args.has("out")) return usage();
   const std::string preset_str = args.get("preset", "HG");
   sim::Preset preset;
@@ -295,6 +307,7 @@ int cmd_sim(const util::Args& args) {
 }
 
 int cmd_info(const util::Args& args) {
+  args.reject_unknown("info", {"index", "ranks", "threads"});
   if (!args.has("index")) return usage();
   const auto index = core::load_index(args.get("index", ""));
   std::printf("Dataset %s: %zu files (%s), k=%d, m=%d\n", index.name.c_str(),
@@ -340,6 +353,10 @@ std::string daemon_roundtrip(const std::string& socket_path, const std::string& 
 }
 
 int cmd_daemon(const util::Args& args) {
+  args.reject_unknown("daemon",
+                      {"socket", "job", "wait", "index", "ranks", "threads", "passes", "priority",
+                       "out", "no-output", "output-bins", "pipeline-mode", "filter-min",
+                       "filter-max"});
   if (args.positional().size() < 2 || !args.has("socket")) return usage();
   const std::string verb = args.positional()[1];
   const std::string socket_path = args.get("socket", "");
@@ -386,8 +403,8 @@ int cmd_daemon(const util::Args& args) {
   if (verb == "status" && args.has("wait")) {
     // Poll the job to a terminal state (done/failed/cancelled).  A bare
     // --wait flag parses as "1"; treat it as the default timeout.
-    const std::string wait_val = args.get("wait", "");
-    const double timeout_s = (wait_val.empty() || wait_val == "1") ? 120.0 : std::stod(wait_val);
+    const double wait_s = args.get_double("wait", 1.0);
+    const double timeout_s = wait_s == 1.0 ? 120.0 : wait_s;
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::duration<double>(timeout_s);
     for (;;) {

@@ -9,38 +9,21 @@
 //
 // Usage: verify_partition --k=27 [--filter-min=N --filter-max=N]
 //                         <partition1.fastq> <partition2.fastq> ...
-// Files sharing the same suffix class (".lc.", ".cN.", ".other.") are
-// treated as one partition; otherwise each file is its own partition.
+// Files sharing one CC-I/O slot tag (core::partition_class_of: ".lc.",
+// ".other.", ".b<j>.") are treated as one partition; any other file is its
+// own partition.
 #include <cstdio>
 #include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "core/manifest.hpp"
 #include "io/fastq.hpp"
 #include "kmer/scanner.hpp"
 #include "util/cli.hpp"
 
-namespace {
-
 using namespace metaprep;
-
-std::string partition_class(const std::string& path) {
-  for (const char* tag : {".lc.", ".other."}) {
-    if (path.find(tag) != std::string::npos) return tag;
-  }
-  const auto c = path.find(".c");
-  if (c != std::string::npos) {
-    auto end = c + 2;
-    while (end < path.size() && std::isdigit(static_cast<unsigned char>(path[end]))) ++end;
-    if (end > c + 2 && end < path.size() && path[end] == '.') {
-      return path.substr(c, end - c + 1);
-    }
-  }
-  return path;  // standalone partition
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
@@ -65,7 +48,8 @@ int main(int argc, char** argv) {
 
   std::uint64_t reads = 0;
   for (const auto& path : args.positional()) {
-    const auto cls = partition_class(path);
+    std::string cls = core::partition_class_of(path);
+    if (cls == "unknown") cls = path;  // standalone partition
     const auto [it, inserted] = class_ids.try_emplace(cls, static_cast<int>(class_ids.size()));
     const int pid = it->second;
     (void)inserted;

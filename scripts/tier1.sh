@@ -85,8 +85,7 @@ trap 'if [ -n "${DPID:-}" ]; then kill "${DPID}" 2>/dev/null || true; fi; rm -rf
 ./build/examples/metaprep_cli run --index="${REPORT_DIR}/idx.bin" \
   --ranks=4 --threads=4 --passes=2 --out="${REPORT_DIR}/out" \
   --attr-out="${REPORT_DIR}/attr.json" --trace-out="${REPORT_DIR}/trace.json" \
-  --metrics-out="${REPORT_DIR}/metrics.jsonl" \
-  --comm-matrix-out="${REPORT_DIR}/comm.json" >/dev/null
+  --metrics-out="${REPORT_DIR}/metrics.jsonl" >/dev/null
 # Human-readable path must render; offline trace re-analysis must agree on
 # the phase set; the JSON document must satisfy the attribution schema.
 ./build/tools/metaprep-report --attr="${REPORT_DIR}/attr.json" >/dev/null
@@ -94,7 +93,8 @@ trap 'if [ -n "${DPID:-}" ]; then kill "${DPID}" 2>/dev/null || true; fi; rm -rf
   --metrics="${REPORT_DIR}/metrics.jsonl" >/dev/null
 ./build/tools/metaprep-report --attr="${REPORT_DIR}/attr.json" --json \
   > "${REPORT_DIR}/report.json"
-python3 - "${REPORT_DIR}/report.json" "${REPORT_DIR}/comm.json" <<'PYEOF'
+python3 - "${REPORT_DIR}/report.json" "${REPORT_DIR}/attr.json" \
+  "${REPORT_DIR}/metrics.jsonl" <<'PYEOF'
 import json, sys
 
 d = json.load(open(sys.argv[1]))
@@ -117,8 +117,17 @@ assert abs(cp["wait_s"] + cp["compute_s"] - cp["length_s"]) < 1e-6
 comm = d["comm"]
 assert comm["ranks"] == 4 and len(comm["bytes"]) == 4 and len(comm["msgs"]) == 4
 assert comm["skew"] > 0, "no off-diagonal traffic recorded"
-side = json.load(open(sys.argv[2]))
-assert side["bytes"] == comm["bytes"], "comm-matrix-out disagrees with attr.json"
+# The two comm-matrix exports must agree: attr.json's non-zero off-diagonal
+# byte cells are exactly what the mpsim.comm_matrix histogram recorded, and
+# its skew is the mpsim.comm_matrix_skew gauge.
+attr_comm = json.load(open(sys.argv[2]))["comm"]
+cells = [v for i, row in enumerate(attr_comm["bytes"]) for j, v in enumerate(row)
+         if i != j and v > 0]
+metrics = {m["name"]: m for m in map(json.loads, open(sys.argv[3]))}
+hist = metrics["mpsim.comm_matrix"]
+assert (hist["count"], hist["sum"]) == (len(cells), sum(cells)), (hist, len(cells), sum(cells))
+assert metrics["mpsim.comm_matrix_skew"]["value"] == attr_comm["skew"], \
+    (metrics["mpsim.comm_matrix_skew"], attr_comm["skew"])
 
 mem = {m["name"]: m for m in d["memory"]["subsystems"]}
 for name in ("tuples", "dsu", "io"):
@@ -129,6 +138,14 @@ assert d["memory"]["rss_samples"], "no phase-boundary RSS samples"
 print("report leg: schema OK "
       f"({len(phases)} phases, crit path {cp['length_s']:.3f}s of {d['wall_s']:.3f}s)")
 PYEOF
+# Independent partition check from the FASTQ files alone: the paper split
+# (.lc/.other) and a binned run of the same index must share no k-mer
+# across partitions.
+./build/examples/verify_partition --k=27 "${REPORT_DIR}"/out/*.fastq >/dev/null
+./build/examples/metaprep_cli run --index="${REPORT_DIR}/idx.bin" \
+  --ranks=4 --threads=4 --passes=2 --output-bins=3 --out="${REPORT_DIR}/outb" >/dev/null
+./build/examples/verify_partition --k=27 "${REPORT_DIR}"/outb/*.fastq >/dev/null
+echo "report leg: verify_partition OK (paper split and 3 output bins)"
 
 echo "=== tier 1: metaprepd daemon smoke (submit/status/fetch/cancel over AF_UNIX) ==="
 DSOCK="${REPORT_DIR}/metaprepd.sock"

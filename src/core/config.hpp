@@ -35,18 +35,6 @@ struct KmerFreqFilter {
   }
 };
 
-/// How rank-local component arrays are combined (paper §3.6 + §5).
-enum class MergeStrategy {
-  /// The paper's method (Figure 4): ceil(log P) pairwise rounds; each round
-  /// ships a full 4R-byte component array down the tree.
-  kPairwiseTree,
-  /// The paper's future-work direction ("adopting the component graph
-  /// contraction methods described in [16]"): each rank contracts its local
-  /// forest to the non-trivial (vertex, root) pairs and ships only those to
-  /// rank 0 in one round — bytes proportional to merged vertices, not R.
-  kContraction,
-};
-
 /// How the S I/O passes are scheduled (§3.2-§3.5 loop): the pass engine's
 /// fusion width W.  Both widths share one slot layout, one wire format per
 /// codec and one BufferPool lease path, and produce identical labels (see
@@ -118,20 +106,13 @@ struct MetaprepConfig {
   bool write_output = true;
   std::string output_dir = ".";
 
-  /// Number of top components written to individual files.  1 reproduces
-  /// the paper's split (".lc" + ".other"); N > 1 writes ".c0".."".cN-1"
-  /// plus ".other" (the future-work "alternate component-splitting
-  /// strategies").  Ignored when output_bins >= 1.
-  int output_top_components = 1;
-
   /// Load-balanced output partitioning (CLI --output-bins).  0 keeps the
-  /// legacy top-N split above; B >= 1 greedily bin-packs *all* components
-  /// into B bins by estimated total bp (src/part) and writes per-(rank,
-  /// thread, bin) ".b<j>.fastq" files plus a "<dataset>.bins.json" manifest
-  /// describing every bin.
+  /// paper's split: the largest component goes to ".lc", every other read
+  /// to ".other".  B >= 1 greedily bin-packs *all* components into B bins by
+  /// estimated total bp (src/part) and writes per-(rank, thread, bin)
+  /// ".b<j>.fastq" files plus a "<dataset>.bins.json" manifest describing
+  /// every bin.
   int output_bins = 0;
-
-  MergeStrategy merge_strategy = MergeStrategy::kPairwiseTree;
 
   /// Pass scheduling (CLI --pipeline-mode=barrier|overlap).
   PipelineMode pipeline_mode = PipelineMode::kBarrier;
@@ -175,10 +156,8 @@ struct MetaprepConfig {
   /// non-empty the run is traced (even without @ref trace_out) and the
   /// structured attribution report — phase walls, imbalance factors,
   /// critical path, comm matrix, memory by subsystem — is written there as
-  /// JSON (`metaprep-report` ingests it).  @ref comm_matrix_out dumps just
-  /// the per-(src,dst) bytes/messages matrices.  Both default off.
+  /// JSON (`metaprep-report` ingests it).  Default off.
   std::string attr_out;
-  std::string comm_matrix_out;
 
   /// One-line stderr progress (phase, % chunks, elapsed; CLI --progress).
   /// Off by default and silent in tests.

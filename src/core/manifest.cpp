@@ -1,5 +1,6 @@
 #include "core/manifest.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -18,17 +19,15 @@ std::uint64_t Manifest::total_records() const {
 }
 
 std::string partition_class_of(const std::string& path) {
-  if (path.find(".lc.") != std::string::npos) return "lc";
-  if (path.find(".other.") != std::string::npos) return "other";
-  // ".c<digits>." between rank/thread tags and "fastq".
-  for (std::size_t pos = path.find(".c"); pos != std::string::npos;
-       pos = path.find(".c", pos + 1)) {
-    std::size_t end = pos + 2;
-    while (end < path.size() && std::isdigit(static_cast<unsigned char>(path[end]))) ++end;
-    if (end > pos + 2 && end < path.size() && path[end] == '.') {
-      return path.substr(pos + 1, end - pos - 1);
-    }
-  }
+  // CC-I/O names its files "<...>.<tag>.fastq".
+  constexpr std::string_view kSuffix = ".fastq";
+  if (!path.ends_with(kSuffix)) return "unknown";
+  const std::string_view stem(path.data(), path.size() - kSuffix.size());
+  const std::string_view tag = stem.substr(stem.rfind('.') + 1);
+  const bool bin = tag.size() > 1 && tag[0] == 'b' &&
+                   std::all_of(tag.begin() + 1, tag.end(),
+                               [](char c) { return std::isdigit(static_cast<unsigned char>(c)); });
+  if (tag == "lc" || tag == "other" || bin) return std::string(tag);
   return "unknown";
 }
 

@@ -18,7 +18,7 @@ namespace metaprep::core {
 
 struct ManifestEntry {
   std::string path;
-  std::string partition;        ///< "lc", "c<N>", or "other"
+  std::string partition;        ///< "lc", "other", or "b<j>"
   std::uint64_t records = 0;    ///< FASTQ records in the file
   std::uint64_t bases = 0;
   std::uint64_t skipped = 0;    ///< lenient-verify resync events in the file
@@ -51,8 +51,8 @@ Manifest build_manifest(const DatasetIndex& index, const PipelineResult& result,
 void save_manifest(const Manifest& manifest, const std::string& path);
 Manifest load_manifest(const std::string& path);
 
-/// Partition class of an output path ("lc", "c<N>", "other"), derived from
-/// the file-name suffix convention the pipeline uses.
+/// Partition class of an output path: the CC-I/O slot tag before
+/// ".fastq" ("lc", "other" or "b<j>"), or "unknown" for any other name.
 std::string partition_class_of(const std::string& path);
 
 }  // namespace metaprep::core

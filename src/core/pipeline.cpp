@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <list>
@@ -189,15 +188,20 @@ void column_major_offsets(std::span<const std::uint64_t> count, std::size_t rows
   }
 }
 
+/// One CC-I/O output file: its path, the records written to it, and the
+/// root->slot table slot whose reads it holds.
+struct OutputFile {
+  part::BinFile file;
+  std::uint16_t slot = part::RootSlotTable::kNoSlot;
+};
+
 struct RankShared {
   StepTimes times;
-  std::vector<std::string> output_files;
+  std::vector<OutputFile> output_files;  ///< in (thread, first write) order
   int cc_iterations = 0;
   std::uint64_t tuples = 0;
   std::uint64_t max_buffer_bytes = 0;
   std::uint64_t merge_comm_bytes = 0;
-  std::vector<part::BinFile> bin_files;       ///< binned-output files this rank wrote
-  std::vector<std::uint16_t> bin_file_bins;   ///< bin of bin_files[i]
   std::vector<obs::RssSample> rss_samples;    ///< rank 0 only: peak RSS per phase boundary
   std::uint64_t records_skipped = 0;  ///< distinct records lenient parsing dropped
                                       ///< (first KmerGen sweep over this rank's chunks)
@@ -1062,38 +1066,270 @@ void run_passes(PassCtx& ctx, const EnginePlan& ep) {
   ctx.comm.barrier();
 }
 
-/// Dump the per-(src, dst) traffic matrices (--comm-matrix-out) as one JSON
-/// object: {"ranks": P, "skew": s, "bytes": [[..]], "msgs": [[..]]}.
-void write_comm_matrix(const std::string& path, int ranks,
-                       const std::vector<std::uint64_t>& bytes,
-                       const std::vector<std::uint64_t>& msgs, double skew) {
-  std::string out = "{\n  \"ranks\": " + std::to_string(ranks) + ",\n  \"skew\": ";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6g", skew);
-  out += buf;
-  auto emit = [&](const char* name, const std::vector<std::uint64_t>& mat) {
-    out += ",\n  \"";
-    out += name;
-    out += "\": [";
-    for (int i = 0; i < ranks; ++i) {
-      out += i > 0 ? ",\n    [" : "\n    [";
-      for (int j = 0; j < ranks; ++j) {
-        if (j > 0) out += ",";
-        out += std::to_string(mat[static_cast<std::size_t>(i) * ranks + j]);
+/// Label-slice geometry for the merge tail's scatter: rank q's chunks cover
+/// the read-ID interval [off[q], off[q] + len[q]).  Derived from the shared
+/// chunk table, so every rank computes identical slices.  Paired-end
+/// libraries interleave the per-rank intervals (mates share one ID), which
+/// is why the slices may overlap and each rank's slice spans roughly 2R/P
+/// IDs instead of R/P.
+struct LabelSlices {
+  std::vector<std::uint64_t> off;
+  std::vector<std::uint64_t> len;
+
+  LabelSlices(const DatasetIndex& index, const ChunkAssignment& ca, int P)
+      : off(static_cast<std::size_t>(P), 0), len(static_cast<std::size_t>(P), 0) {
+    for (int q = 0; q < P; ++q) {
+      std::uint64_t lo = index.total_reads;
+      std::uint64_t hi = 0;
+      for (std::uint32_t c = ca.rank_begin(q); c < ca.rank_end(q); ++c) {
+        const ChunkRecord& chunk = index.part.chunks[c];
+        lo = std::min<std::uint64_t>(lo, chunk.first_read_id);
+        hi = std::max<std::uint64_t>(hi, chunk.first_read_id + chunk.record_count);
       }
-      out += "]";
+      if (hi > lo) {
+        off[static_cast<std::size_t>(q)] = lo;
+        len[static_cast<std::size_t>(q)] = hi - lo;
+      }
     }
-    out += "\n  ]";
-  };
-  emit("bytes", bytes);
-  emit("msgs", msgs);
-  out += "\n}\n";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) throw util::io_error("comm matrix: cannot open for writing", path);
-  const std::size_t written = std::fwrite(out.data(), 1, out.size(), f);
-  const int rc = std::fclose(f);
-  if (written != out.size() || rc != 0)
-    throw util::io_error("comm matrix: short write", path);
+  }
+};
+
+/// What rank 0's MergeCC flatten learns about the global components.
+struct ComponentSummary {
+  std::vector<std::uint32_t> labels;        ///< final root per read
+  std::uint64_t num_components = 0;
+  std::uint32_t largest_root = 0;           ///< ties: smallest root
+  std::vector<std::uint64_t> top_sizes;     ///< up to 10, descending
+  std::vector<part::Component> components;  ///< output bins only
+  part::BinPlan bin_plan;                   ///< output bins only
+};
+
+/// What MergeCC leaves on every rank for CC-I/O.
+struct RankLabels {
+  std::vector<std::uint32_t> slice;  ///< root per read ID of this rank's label slice
+  part::RootSlotTable table;         ///< root -> output slot; kNoSlot is ".other"
+};
+
+/// MergeCC (§3.6).  The paper's pairwise tree (Figure 4) combines the
+/// rank-local forests over ceil(log P) rounds, each shipping a full 4R-byte
+/// component array.  Rank 0 then flattens labels and counts component sizes
+/// across the thread team and fills @p summary.  Each rank receives only
+/// the label slice covering its own chunk ranges plus the root->slot table
+/// — the scaled form of "The global components list in Rank 0 is broadcast
+/// to all other tasks" that ships O(R/P + #components) per rank instead of
+/// O(R).  The paper's split table is {largest root -> 0}, built on every
+/// rank from the broadcast 4-byte largest root; --output-bins=B broadcasts
+/// the LPT table of all components (count, roots, slots).
+RankLabels merge_cc(PassCtx& ctx, const LabelSlices& slices, ComponentSummary& summary) {
+  const MetaprepConfig& config = ctx.config;
+  mpsim::Comm& comm = ctx.comm;
+  RankShared& my = ctx.my;
+  obs::TraceSession& tr = ctx.tr;
+  const int p = ctx.p, P = ctx.P, T = ctx.T;
+  const std::uint32_t R = ctx.index.total_reads;
+  const bool bin_mode = config.output_bins >= 1;
+  util::throw_if_cancelled(config.cancel_token, "MergeCC");
+  progress_phase(ctx, "MergeCC");
+
+  std::vector<std::uint32_t> parents = ctx.local_cc.parents();
+  constexpr int kMergeTag = 1 << 20;
+  int round = 0;
+  for (int step = 1; step < P; step <<= 1, ++round) {
+    if (p % (2 * step) == step) {
+      const double send_t0 = span_begin(tr);
+      WallTimer send_timer;
+      comm.send(p - step, kMergeTag + round, parents.data(),
+                parents.size() * sizeof(std::uint32_t));
+      my.times.add("Merge-Comm", send_timer.seconds());
+      span_end(tr, "Merge-Comm", send_t0);
+      my.merge_comm_bytes += parents.size() * sizeof(std::uint32_t);
+      break;  // this rank is inactive in later rounds
+    }
+    if (p % (2 * step) == 0 && p + step < P) {
+      const double recv_t0 = span_begin(tr);
+      WallTimer recv_timer;
+      std::vector<std::uint32_t> incoming(R);
+      comm.recv(p + step, kMergeTag + round, incoming.data(),
+                incoming.size() * sizeof(std::uint32_t));
+      my.times.add("Merge-Comm", recv_timer.seconds());
+      span_end(tr, "Merge-Comm", recv_t0);
+      const double merge_t0 = span_begin(tr);
+      WallTimer merge_timer;
+      // Each entry is an edge (i, p'[i]); union into the local forest.
+      dsu::SerialDSU merged(std::move(parents));
+      for (std::uint32_t i = 0; i < R; ++i) {
+        if (incoming[i] != i) merged.unite(i, incoming[i]);
+      }
+      parents = merged.take_parents();
+      my.times.add("MergeCC", merge_timer.seconds());
+      span_end(tr, "MergeCC", merge_t0);
+    }
+  }
+
+  RankLabels out;
+  if (p == 0) {
+    const double flatten_t0 = span_begin(tr);
+    WallTimer flatten_timer;
+    std::vector<std::uint32_t>& labels = summary.labels;
+    labels.assign(R, 0);
+    dsu::AtomicDSU final_dsu{std::span<const std::uint32_t>(parents)};
+    std::vector<std::uint32_t> sizes(R, 0);
+    const auto id_bounds = util::split_range(R, T);
+    // Parallel find with path splitting; per-thread counts land directly
+    // in the global size array via atomic increments, and the thread that
+    // first touches a root claims it for the (deterministic-set) root
+    // list — no O(R) post-scan, no O(R*T) per-thread arrays.
+    std::vector<std::vector<std::uint32_t>> thread_roots(static_cast<std::size_t>(T));
+    ctx.team.run([&](int t) {
+      auto& my_roots = thread_roots[static_cast<std::size_t>(t)];
+      for (std::size_t i = id_bounds[static_cast<std::size_t>(t)];
+           i < id_bounds[static_cast<std::size_t>(t) + 1]; ++i) {
+        const std::uint32_t root = final_dsu.find(static_cast<std::uint32_t>(i));
+        labels[i] = root;
+        const std::uint32_t prev =
+            std::atomic_ref<std::uint32_t>(sizes[root]).fetch_add(1, std::memory_order_relaxed);
+        if (prev == 0) my_roots.push_back(root);
+      }
+    });
+    std::vector<std::uint32_t> roots;
+    for (auto& tr_roots : thread_roots) {
+      roots.insert(roots.end(), tr_roots.begin(), tr_roots.end());
+    }
+    if (check::enabled()) {
+      // The merged forest must still be a forest (union-by-index promises
+      // acyclicity even under the CAS races of LocalCC), and the per-root
+      // size counts must conserve the read count: every read labeled once.
+      check::verify_parent_forest(parents, "MergeCC merged forest (rank 0)");
+      std::uint64_t labeled = 0;
+      for (std::uint32_t root : roots) labeled += sizes[root];
+      check::verify_size_conservation(labeled, R, "MergeCC flatten component sizes");
+    }
+    // Largest components first (size desc, root asc): the first is the
+    // ".lc" component, the first ten sizes are the reported top sizes.
+    const auto top = std::min<std::size_t>(10, roots.size());
+    std::partial_sort(roots.begin(), roots.begin() + static_cast<std::ptrdiff_t>(top),
+                      roots.end(), [&](std::uint32_t a, std::uint32_t b) {
+                        return sizes[a] != sizes[b] ? sizes[a] > sizes[b] : a < b;
+                      });
+    summary.num_components = roots.size();
+    summary.largest_root = roots.front();
+    for (std::size_t i = 0; i < top; ++i) summary.top_sizes.push_back(sizes[roots[i]]);
+    if (bin_mode) {
+      // Component weights in estimated bp: reads * mean bases per read
+      // (per-read lengths are not in the index; DESIGN.md documents the
+      // proxy).  128-bit intermediate so huge datasets cannot overflow.
+      summary.components.reserve(roots.size());
+      for (std::uint32_t root : roots) {
+        summary.components.push_back(part::Component{
+            root, sizes[root],
+            static_cast<std::uint64_t>(static_cast<unsigned __int128>(sizes[root]) *
+                                       ctx.index.total_bases / R)});
+      }
+      summary.bin_plan = part::greedy_bin_pack(summary.components, config.output_bins);
+      out.table = part::make_root_slot_table(summary.components, summary.bin_plan);
+    }
+    my.times.add("MergeCC", flatten_timer.seconds());
+    span_end(tr, "MergeCC", flatten_t0);
+  }
+
+  out.slice.resize(slices.len[static_cast<std::size_t>(p)]);
+  {
+    obs::TraceSpan bc_span("Merge-Comm");
+    WallTimer bc_timer;
+    // Label scatter: every rank gets the slice its CC-I/O chunks index.
+    std::vector<std::uint64_t> byte_off(static_cast<std::size_t>(P));
+    std::vector<std::uint64_t> byte_len(static_cast<std::size_t>(P));
+    for (std::size_t q = 0; q < byte_off.size(); ++q) {
+      byte_off[q] = slices.off[q] * sizeof(std::uint32_t);
+      byte_len[q] = slices.len[q] * sizeof(std::uint32_t);
+    }
+    // summary is rank 0's to read: the other ranks learn it from rank 0.
+    comm.scatterv(p == 0 ? summary.labels.data() : nullptr, byte_off, byte_len,
+                  out.slice.data(), 0);
+    std::uint32_t largest_root = p == 0 ? summary.largest_root : 0;
+    comm.broadcast(&largest_root, sizeof(largest_root), 0);
+    if (!bin_mode) {
+      out.table.roots = {largest_root};
+      out.table.slots = {0};
+    } else if (P > 1) {
+      // Compact root -> bin table: O(#components), not O(R).
+      std::uint64_t ncomp = out.table.roots.size();
+      comm.broadcast(&ncomp, sizeof(ncomp), 0);
+      out.table.roots.resize(ncomp);
+      out.table.slots.resize(ncomp);
+      if (ncomp > 0) {
+        comm.broadcast(out.table.roots.data(), ncomp * sizeof(std::uint32_t), 0);
+        comm.broadcast(out.table.slots.data(), ncomp * sizeof(std::uint16_t), 0);
+      }
+    }
+    if (p != 0) my.times.add("Merge-Comm", bc_timer.seconds());
+  }
+  phase_boundary(ctx, "MergeCC");
+  return out;
+}
+
+/// CC-I/O (§3.6): each thread re-reads its FASTQ chunks and appends every
+/// record to "<dataset>.p<rank>.t<thread>.<tag>.fastq", where the tag names
+/// the table slot of the record's root: "lc" for the paper split's slot 0,
+/// "b<j>" for output bin j, and "other" for roots not in the table.  A file
+/// is opened the first time a record lands in it, so no thread leaves empty
+/// files behind.  Labels come from the scattered slice, indexed relative to
+/// this rank's slice offset.
+void write_partitions(PassCtx& ctx, const RankLabels& labels, std::uint64_t slice_off) {
+  const MetaprepConfig& config = ctx.config;
+  const DatasetIndex& index = ctx.index;
+  const int p = ctx.p;
+  const bool bin_mode = config.output_bins >= 1;
+  progress_phase(ctx, "CC-I/O");
+  obs::TraceSpan io_span("CC-I/O");
+  WallTimer io_timer;
+  // Writer per slot; the extra last entry stands for kNoSlot.
+  const std::size_t nslots = bin_mode ? static_cast<std::size_t>(config.output_bins) : 1;
+  constexpr std::size_t kClosed = static_cast<std::size_t>(-1);
+  std::vector<std::vector<OutputFile>> thread_files(static_cast<std::size_t>(ctx.T));
+  ctx.team.run([&](int t) {
+    const std::string base = config.output_dir + "/" + index.name + ".p" + std::to_string(p) +
+                             ".t" + std::to_string(t) + ".";
+    auto& files = thread_files[static_cast<std::size_t>(t)];
+    std::vector<std::unique_ptr<io::FastqWriter>> writers;
+    std::vector<std::size_t> writer_of(nslots + 1, kClosed);
+    for (std::uint32_t c = ctx.ca.thread_begin(p, t); c < ctx.ca.thread_end(p, t); ++c) {
+      util::throw_if_cancelled(config.cancel_token, "CC-I/O chunk");
+      const ChunkRecord& chunk = index.part.chunks[c];
+      const auto buffer = io::read_file_range(index.files[chunk.file], chunk.offset, chunk.size);
+      const obs::MemCharge io_mem("io", buffer.size());
+      std::uint32_t read_id = chunk.first_read_id;
+      io::ParseOptions popt{config.parse_mode, index.files[chunk.file], chunk.offset,
+                            [&read_id] { ++read_id; }};
+      io::for_each_record_in_buffer(
+          std::string_view(buffer.data(), buffer.size()),
+          [&](std::string_view id, std::string_view seq, std::string_view qual) {
+            const std::uint16_t slot = labels.table.slot_of(labels.slice[read_id - slice_off]);
+            const bool other = slot == part::RootSlotTable::kNoSlot;
+            std::size_t& w = writer_of[other ? nslots : slot];
+            if (w == kClosed) {
+              std::string path = base + (other ? "other" : bin_mode ? "b" : "lc");
+              if (!other && bin_mode) path += std::to_string(slot);
+              files.push_back({{path + ".fastq", 0}, slot});
+              writers.push_back(std::make_unique<io::FastqWriter>(files.back().file.path));
+              w = writers.size() - 1;
+            }
+            writers[w]->write(id, seq, qual);
+            ++files[w].file.records;
+            ++read_id;
+          },
+          popt);
+      obs::Progress::global().chunk_done();
+    }
+    // Explicit close so a failed flush (e.g. ENOSPC) surfaces as a typed
+    // Error instead of being swallowed by the destructor.
+    for (auto& w : writers) w->close();
+  });
+  for (auto& files : thread_files) {
+    for (auto& f : files) ctx.my.output_files.push_back(std::move(f));
+  }
+  ctx.my.times.add("CC-I/O", io_timer.seconds());
+  phase_boundary(ctx, "CC-I/O");
 }
 
 }  // namespace
@@ -1185,11 +1421,6 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
       empty.passes = S;
       empty.write_json(config.attr_out);
     }
-    if (!config.comm_matrix_out.empty()) {
-      write_comm_matrix(config.comm_matrix_out, P,
-                        std::vector<std::uint64_t>(static_cast<std::size_t>(P) * P, 0),
-                        std::vector<std::uint64_t>(static_cast<std::size_t>(P) * P, 0), 0.0);
-    }
     return result;
   }
 
@@ -1243,43 +1474,11 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
   obs::Counter& m_cc_edges = obs::metrics().counter("pipeline.cc_edges_total");
   obs::Gauge& m_rss = obs::metrics().gauge("mem.rss_peak");
   obs::Gauge& m_peak = obs::metrics().gauge("proc.peak_rss_bytes");
-  // Manual span markers for steps whose lifetime doesn't match a C++ scope.
-  auto span_begin = [&tr]() { return tr.enabled() ? tr.now_us() : -1.0; };
-  auto span_end = [&tr](const char* name, double t0) {
-    if (t0 >= 0.0) tr.record(name, t0, tr.now_us() - t0);
-  };
+  const LabelSlices slices(index, ca, P);
 
-  // Label-slice geometry for the merge tail's scatter: rank q's chunks
-  // cover the read-ID interval [sl_off[q], sl_off[q] + sl_len[q]).  Derived
-  // from the shared chunk table, so every rank computes identical slices.
-  // Paired-end libraries interleave the per-rank intervals (mates share one
-  // ID), which is why the slices may overlap and each rank's slice spans
-  // roughly 2R/P IDs instead of R/P.
-  std::vector<std::uint64_t> slice_off(static_cast<std::size_t>(P), 0);
-  std::vector<std::uint64_t> slice_len(static_cast<std::size_t>(P), 0);
-  {
-    for (int q = 0; q < P; ++q) {
-      std::uint64_t lo = R;
-      std::uint64_t hi = 0;
-      for (std::uint32_t c = ca.rank_begin(q); c < ca.rank_end(q); ++c) {
-        const ChunkRecord& chunk = index.part.chunks[c];
-        lo = std::min<std::uint64_t>(lo, chunk.first_read_id);
-        hi = std::max<std::uint64_t>(hi, chunk.first_read_id + chunk.record_count);
-      }
-      if (hi > lo) {
-        slice_off[static_cast<std::size_t>(q)] = lo;
-        slice_len[static_cast<std::size_t>(q)] = hi - lo;
-      }
-    }
-  }
-
-  const bool bin_mode = config.output_bins >= 1;
   mpsim::World world(P, config.cost_model);
   std::vector<RankShared> shared(static_cast<std::size_t>(P));
-  std::vector<std::uint32_t> final_labels(R);
-  std::uint32_t largest_root_shared = 0;
-  std::vector<part::Component> components_shared;  // written by rank 0 only
-  part::BinPlan bin_plan_shared;                   // written by rank 0 only
+  ComponentSummary summary;  // written by rank 0 only
 
   WallTimer run_timer;  // measured wall for the attribution report
 
@@ -1303,7 +1502,7 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
     const int ingest_threads = std::clamp(
         static_cast<int>(std::thread::hardware_concurrency()), 1, P * T);
     WallTimer ingest_timer;
-    const double ingest_t0 = span_begin();
+    const double ingest_t0 = span_begin(tr);
     if (packed_is_temp) {
       packed_store = build_packed_store_in_memory(index, config.parse_mode,
                                                   ingest_threads, &packed_stats);
@@ -1312,7 +1511,7 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
                                         config.parse_mode, ingest_threads);
       packed_store = io::PackedStore::open(config.packed_store_path);
     }
-    span_end("PackedIngest", ingest_t0);
+    span_end(tr, "PackedIngest", ingest_t0);
     packed_ingest_s = ingest_timer.seconds();
   }
 
@@ -1330,303 +1529,9 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
                 p,      P,      T,      S,
                 k,      m,      wide};
     run_passes(ctx, engine);
-
-    // ---- MergeCC (§3.6): combine rank-local component arrays. ----
-    util::throw_if_cancelled(config.cancel_token, "MergeCC");
-    progress_phase(ctx, "MergeCC");
-    std::vector<std::uint32_t> parents = local_cc.parents();
-    if (config.merge_strategy == MergeStrategy::kPairwiseTree) {
-      // The paper's method (Figure 4): pairwise merge over ceil(log P)
-      // rounds; rank 0 ends with the global components.
-      constexpr int kMergeTag = 1 << 20;
-      int round = 0;
-      for (int step = 1; step < P; step <<= 1, ++round) {
-        if (p % (2 * step) == step) {
-          const double send_t0 = span_begin();
-          WallTimer send_timer;
-          comm.send(p - step, kMergeTag + round, parents.data(),
-                    parents.size() * sizeof(std::uint32_t));
-          my.times.add("Merge-Comm", send_timer.seconds());
-          span_end("Merge-Comm", send_t0);
-          my.merge_comm_bytes += parents.size() * sizeof(std::uint32_t);
-          break;  // this rank is inactive in later rounds
-        }
-        if (p % (2 * step) == 0 && p + step < P) {
-          const double recv_t0 = span_begin();
-          WallTimer recv_timer;
-          std::vector<std::uint32_t> incoming(R);
-          comm.recv(p + step, kMergeTag + round, incoming.data(),
-                    incoming.size() * sizeof(std::uint32_t));
-          my.times.add("Merge-Comm", recv_timer.seconds());
-          span_end("Merge-Comm", recv_t0);
-          const double merge_t0 = span_begin();
-          WallTimer merge_timer;
-          // Each entry is an edge (i, p'[i]); union into the local forest.
-          dsu::SerialDSU merged(std::move(parents));
-          for (std::uint32_t i = 0; i < R; ++i) {
-            if (incoming[i] != i) merged.unite(i, incoming[i]);
-          }
-          parents = merged.take_parents();
-          my.times.add("MergeCC", merge_timer.seconds());
-          span_end("MergeCC", merge_t0);
-        }
-      }
-    } else if (P > 1) {
-      // Contraction (§5 future work, after Iverson et al.): ship only the
-      // non-trivial (vertex, parent) pairs — the contracted component
-      // graph — to rank 0 in a single round.
-      constexpr int kContractTag = (1 << 20) + 4096;
-      if (p != 0) {
-        const double send_t0 = span_begin();
-        WallTimer send_timer;
-        std::vector<std::uint32_t> edges;
-        for (std::uint32_t i = 0; i < R; ++i) {
-          if (parents[i] != i) {
-            edges.push_back(i);
-            edges.push_back(parents[i]);
-          }
-        }
-        comm.send(0, kContractTag, edges.data(), edges.size() * sizeof(std::uint32_t));
-        my.times.add("Merge-Comm", send_timer.seconds());
-        span_end("Merge-Comm", send_t0);
-        my.merge_comm_bytes += edges.size() * sizeof(std::uint32_t);
-      } else {
-        dsu::SerialDSU merged(std::move(parents));
-        for (int q = 1; q < P; ++q) {
-          const double recv_t0 = span_begin();
-          WallTimer recv_timer;
-          const auto payload = comm.recv_any_size(q, kContractTag);
-          my.times.add("Merge-Comm", recv_timer.seconds());
-          span_end("Merge-Comm", recv_t0);
-          const double merge_t0 = span_begin();
-          WallTimer merge_timer;
-          std::vector<std::uint32_t> edges(payload.size() / sizeof(std::uint32_t));
-          std::memcpy(edges.data(), payload.data(), payload.size());
-          for (std::size_t i = 0; i + 1 < edges.size(); i += 2) {
-            merged.unite(edges[i], edges[i + 1]);
-          }
-          my.times.add("MergeCC", merge_timer.seconds());
-          span_end("MergeCC", merge_t0);
-        }
-        parents = merged.take_parents();
-      }
-    }
-
-    // Rank 0 flattens labels and ranks component sizes across the thread
-    // team; each rank then receives only the label slice covering its own
-    // chunk ranges plus compact component tables — the scaled form of "The
-    // global components list in Rank 0 is broadcast to all other tasks"
-    // (§3.6) that ships O(R/P + #components) per rank instead of O(R).
-    const int top_n = std::max(1, config.output_top_components);
-    std::vector<std::uint32_t> labels;  // full array lives on rank 0 only
-    std::vector<std::uint32_t> top_roots(static_cast<std::size_t>(top_n), 0xFFFFFFFFu);
-    part::RootSlotTable root_table;  // bin mode: root -> output bin
-    if (p == 0) {
-      const double flatten_t0 = span_begin();
-      WallTimer flatten_timer;
-      labels.assign(R, 0);
-      dsu::AtomicDSU final_dsu{std::span<const std::uint32_t>(parents)};
-      std::vector<std::uint32_t> sizes(R, 0);
-      const auto id_bounds = util::split_range(R, T);
-      // Parallel find with path splitting; per-thread counts land directly
-      // in the global size array via atomic increments, and the thread that
-      // first touches a root claims it for the (deterministic-set) root
-      // list — no O(R) post-scan, no O(R*T) per-thread arrays.
-      std::vector<std::vector<std::uint32_t>> thread_roots(static_cast<std::size_t>(T));
-      team.run([&](int t) {
-        auto& my_roots = thread_roots[static_cast<std::size_t>(t)];
-        for (std::size_t i = id_bounds[static_cast<std::size_t>(t)];
-             i < id_bounds[static_cast<std::size_t>(t) + 1]; ++i) {
-          const std::uint32_t root = final_dsu.find(static_cast<std::uint32_t>(i));
-          labels[i] = root;
-          const std::uint32_t prev =
-              std::atomic_ref<std::uint32_t>(sizes[root])
-                  .fetch_add(1, std::memory_order_relaxed);
-          if (prev == 0) my_roots.push_back(root);
-        }
-      });
-      std::vector<std::uint32_t> roots;
-      for (auto& tr_roots : thread_roots) {
-        roots.insert(roots.end(), tr_roots.begin(), tr_roots.end());
-      }
-      if (check::enabled()) {
-        // The merged forest must still be a forest (union-by-index promises
-        // acyclicity even under the CAS races of LocalCC), and the per-root
-        // size counts must conserve the read count: every read labeled once.
-        check::verify_parent_forest(parents, "MergeCC merged forest (rank 0)");
-        std::uint64_t labeled = 0;
-        for (std::uint32_t root : roots) labeled += sizes[root];
-        check::verify_size_conservation(labeled, R, "MergeCC flatten component sizes");
-      }
-      // Top-N roots by component size (N is small; partial selection).
-      const auto take = std::min<std::size_t>(static_cast<std::size_t>(top_n), roots.size());
-      std::partial_sort(roots.begin(), roots.begin() + static_cast<std::ptrdiff_t>(take),
-                        roots.end(), [&](std::uint32_t a, std::uint32_t b) {
-                          return sizes[a] != sizes[b] ? sizes[a] > sizes[b] : a < b;
-                        });
-      for (std::size_t i = 0; i < take; ++i) top_roots[i] = roots[i];
-      final_labels = labels;
-      largest_root_shared = top_roots[0];
-      if (bin_mode) {
-        // Component weights in estimated bp: reads * mean bases per read
-        // (per-read lengths are not in the index; DESIGN.md documents the
-        // proxy).  128-bit intermediate so huge datasets cannot overflow.
-        components_shared.reserve(roots.size());
-        for (std::uint32_t root : roots) {
-          part::Component comp;
-          comp.root = root;
-          comp.reads = sizes[root];
-          comp.weight_bp = static_cast<std::uint64_t>(
-              static_cast<unsigned __int128>(sizes[root]) * index.total_bases / R);
-          components_shared.push_back(comp);
-        }
-        bin_plan_shared = part::greedy_bin_pack(components_shared, config.output_bins);
-        root_table = part::make_root_slot_table(components_shared, bin_plan_shared);
-      }
-      my.times.add("MergeCC", flatten_timer.seconds());
-      span_end("MergeCC", flatten_t0);
-    }
-    std::vector<std::uint32_t> label_slice(slice_len[static_cast<std::size_t>(p)]);
-    {
-      obs::TraceSpan bc_span("Merge-Comm");
-      WallTimer bc_timer;
-      // Label scatter: every rank gets the slice its CC-I/O chunks index,
-      // byte geometry shared via the chunk table (see slice_off above).
-      std::vector<std::uint64_t> byte_off(static_cast<std::size_t>(P));
-      std::vector<std::uint64_t> byte_len(static_cast<std::size_t>(P));
-      for (int q = 0; q < P; ++q) {
-        byte_off[static_cast<std::size_t>(q)] = slice_off[static_cast<std::size_t>(q)] * 4;
-        byte_len[static_cast<std::size_t>(q)] = slice_len[static_cast<std::size_t>(q)] * 4;
-      }
-      comm.scatterv(labels.data(), byte_off, byte_len, label_slice.data(), 0);
-      comm.broadcast(top_roots.data(), top_roots.size() * sizeof(std::uint32_t), 0);
-      if (bin_mode && P > 1) {
-        // Compact root -> bin table: O(#components), not O(R).
-        std::uint64_t ncomp = root_table.roots.size();
-        comm.broadcast(&ncomp, sizeof(ncomp), 0);
-        if (p != 0) {
-          root_table.roots.resize(ncomp);
-          root_table.slots.resize(ncomp);
-        }
-        if (ncomp > 0) {
-          comm.broadcast(root_table.roots.data(), ncomp * sizeof(std::uint32_t), 0);
-          comm.broadcast(root_table.slots.data(), ncomp * sizeof(std::uint16_t), 0);
-        }
-      }
-      if (p != 0) my.times.add("Merge-Comm", bc_timer.seconds());
-    }
-    phase_boundary(ctx, "MergeCC");
-
-    // ---- CC-I/O (§3.6): each thread extracts reads from its FASTQ chunks
-    // and writes them to per-thread output files.  Labels come from the
-    // scattered slice, indexed relative to this rank's slice offset. ----
+    const RankLabels labels = merge_cc(ctx, slices, summary);
     if (config.write_output) {
-      progress_phase(ctx, "CC-I/O");
-      obs::TraceSpan io_span("CC-I/O");
-      WallTimer io_timer;
-      const std::uint64_t my_slice_off = slice_off[static_cast<std::size_t>(p)];
-      std::vector<std::vector<std::string>> thread_files(static_cast<std::size_t>(T));
-      std::vector<std::vector<part::BinFile>> thread_bin_files(static_cast<std::size_t>(T));
-      std::vector<std::vector<std::uint16_t>> thread_bin_of(static_cast<std::size_t>(T));
-      team.run([&](int t) {
-        if (ca.thread_begin(p, t) >= ca.thread_end(p, t)) return;
-        const std::string base = config.output_dir + "/" + index.name + ".p" +
-                                 std::to_string(p) + ".t" + std::to_string(t);
-        std::vector<std::string> names;
-        std::vector<std::unique_ptr<io::FastqWriter>> writers;
-        std::vector<std::uint64_t> writer_records;
-        std::vector<std::uint16_t> writer_bin;
-        std::size_t other_slot = 0;
-        // Bin mode: one lazily-opened writer per output bin this thread
-        // actually touches (no ghost files for bins with no local reads).
-        // kNoSlot maps bin index -> writer index.
-        std::vector<std::size_t> bin_writer;
-        if (bin_mode) {
-          bin_writer.assign(static_cast<std::size_t>(config.output_bins),
-                            static_cast<std::size_t>(-1));
-        } else {
-          // Legacy split: one writer per top component plus the remainder.
-          // N == 1 keeps the paper's ".lc"/".other" naming.
-          for (int j = 0; j < top_n; ++j) {
-            if (top_roots[static_cast<std::size_t>(j)] == 0xFFFFFFFFu) break;
-            names.push_back(base + (top_n == 1 ? ".lc" : ".c" + std::to_string(j)) + ".fastq");
-            writers.push_back(std::make_unique<io::FastqWriter>(names.back()));
-          }
-          names.push_back(base + ".other.fastq");
-          writers.push_back(std::make_unique<io::FastqWriter>(names.back()));
-          other_slot = writers.size() - 1;
-        }
-
-        auto legacy_slot_of = [&](std::uint32_t root) -> std::size_t {
-          for (std::size_t j = 0; j < other_slot; ++j) {
-            if (top_roots[j] == root) return j;
-          }
-          return other_slot;
-        };
-        auto bin_writer_of = [&](std::uint32_t root) -> std::size_t {
-          const std::uint16_t bin = root_table.slot_of(root);
-          auto& w = bin_writer[bin];
-          if (w == static_cast<std::size_t>(-1)) {
-            names.push_back(base + ".b" + std::to_string(bin) + ".fastq");
-            writers.push_back(std::make_unique<io::FastqWriter>(names.back()));
-            writer_records.push_back(0);
-            writer_bin.push_back(bin);
-            w = writers.size() - 1;
-          }
-          return w;
-        };
-
-        for (std::uint32_t c = ca.thread_begin(p, t); c < ca.thread_end(p, t); ++c) {
-          util::throw_if_cancelled(config.cancel_token, "CC-I/O chunk");
-          const ChunkRecord& chunk = index.part.chunks[c];
-          const auto buffer =
-              io::read_file_range(index.files[chunk.file], chunk.offset, chunk.size);
-          const obs::MemCharge io_mem("io", buffer.size());
-          std::uint32_t read_id = chunk.first_read_id;
-          io::ParseOptions popt{config.parse_mode, index.files[chunk.file], chunk.offset,
-                                [&read_id] { ++read_id; }};
-          io::for_each_record_in_buffer(
-              std::string_view(buffer.data(), buffer.size()),
-              [&](std::string_view id, std::string_view seq, std::string_view qual) {
-                const std::uint32_t root = label_slice[read_id - my_slice_off];
-                if (bin_mode) {
-                  const std::size_t w = bin_writer_of(root);
-                  writers[w]->write(id, seq, qual);
-                  ++writer_records[w];
-                } else {
-                  writers[legacy_slot_of(root)]->write(id, seq, qual);
-                }
-                ++read_id;
-              },
-              popt);
-          obs::Progress::global().chunk_done();
-        }
-        // Explicit close so a failed flush (e.g. ENOSPC) surfaces as a typed
-        // Error instead of being swallowed by the destructor.
-        for (auto& w : writers) w->close();
-        writers.clear();
-        if (bin_mode) {
-          auto& bf = thread_bin_files[static_cast<std::size_t>(t)];
-          for (std::size_t j = 0; j < names.size(); ++j) {
-            bf.push_back(part::BinFile{names[j], writer_records[j]});
-          }
-          thread_bin_of[static_cast<std::size_t>(t)] = std::move(writer_bin);
-        }
-        thread_files[static_cast<std::size_t>(t)] = std::move(names);
-      });
-      for (auto& files : thread_files) {
-        for (auto& f : files) my.output_files.push_back(std::move(f));
-      }
-      for (int t = 0; t < T; ++t) {
-        auto& bf = thread_bin_files[static_cast<std::size_t>(t)];
-        auto& bb = thread_bin_of[static_cast<std::size_t>(t)];
-        for (std::size_t j = 0; j < bf.size(); ++j) {
-          my.bin_files.push_back(std::move(bf[j]));
-          my.bin_file_bins.push_back(bb[j]);
-        }
-      }
-      my.times.add("CC-I/O", io_timer.seconds());
-      phase_boundary(ctx, "CC-I/O");
+      write_partitions(ctx, labels, slices.off[static_cast<std::size_t>(p)]);
     }
   });
   const double run_wall_s = run_timer.seconds();
@@ -1643,31 +1548,26 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
   // ---- Assemble the result. ----
   PipelineResult result;
   result.num_reads = R;
-  result.labels = std::move(final_labels);
+  result.labels = std::move(summary.labels);
   result.passes_used = S;
-  result.largest_root = largest_root_shared;
-  {
-    std::vector<std::uint64_t> sizes(R, 0);
-    for (std::uint32_t l : result.labels) ++sizes[l];
-    std::vector<std::uint64_t> nonzero;
-    for (std::uint64_t v : sizes) {
-      if (v > 0) nonzero.push_back(v);
-    }
-    result.num_components = nonzero.size();
-    result.largest_size = R > 0 ? sizes[result.largest_root] : 0;
-    result.largest_fraction =
-        R > 0 ? static_cast<double>(result.largest_size) / static_cast<double>(R) : 0.0;
-    std::sort(nonzero.begin(), nonzero.end(), std::greater<>());
-    nonzero.resize(std::min<std::size_t>(nonzero.size(), 10));
-    result.top_component_sizes = std::move(nonzero);
-  }
+  result.num_components = summary.num_components;
+  result.largest_root = summary.largest_root;
+  result.largest_size = summary.top_sizes.front();
+  result.largest_fraction = static_cast<double>(result.largest_size) / static_cast<double>(R);
+  result.top_component_sizes = std::move(summary.top_sizes);
+  std::vector<part::BinFile> files;
+  std::vector<std::uint16_t> file_slots;
   for (auto& rs : shared) {
     result.step_times.merge_max(rs.times);
     result.rank_times.push_back(rs.times);
     result.total_tuples += rs.tuples;
     result.merge_comm_bytes += rs.merge_comm_bytes;
     result.max_tuple_buffer_bytes = std::max(result.max_tuple_buffer_bytes, rs.max_buffer_bytes);
-    for (auto& f : rs.output_files) result.output_files.push_back(std::move(f));
+    for (auto& f : rs.output_files) {
+      result.output_files.push_back(f.file.path);
+      files.push_back(std::move(f.file));
+      file_slots.push_back(f.slot);
+    }
     result.cc_iterations_max = std::max(result.cc_iterations_max, rs.cc_iterations);
     result.records_skipped += rs.records_skipped;
     result.exchange_bytes += rs.exchange_bytes;
@@ -1697,29 +1597,21 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
   // root->bin table broadcast — O(R/P + #components) per rank versus the
   // old O(R) full-label broadcast.
   for (int q = 1; q < P; ++q) {
-    result.label_scatter_bytes += slice_len[static_cast<std::size_t>(q)] * sizeof(std::uint32_t);
+    result.label_scatter_bytes += slices.len[static_cast<std::size_t>(q)] * sizeof(std::uint32_t);
   }
-  if (bin_mode) {
+  if (config.output_bins >= 1) {
     if (P > 1) {
       const std::uint64_t table_bytes =
           sizeof(std::uint64_t) +
-          components_shared.size() * (sizeof(std::uint32_t) + sizeof(std::uint16_t));
+          summary.num_components * (sizeof(std::uint32_t) + sizeof(std::uint16_t));
       result.root_table_bytes = static_cast<std::uint64_t>(P - 1) * table_bytes;
     }
-    result.bin_reads = bin_plan_shared.bin_reads;
-    result.bin_weights_bp = bin_plan_shared.bin_weight_bp;
-    result.bin_skew = bin_plan_shared.skew();
+    result.bin_reads = summary.bin_plan.bin_reads;
+    result.bin_weights_bp = summary.bin_plan.bin_weight_bp;
+    result.bin_skew = summary.bin_plan.skew();
     if (config.write_output) {
-      std::vector<part::BinFile> all_files;
-      std::vector<std::uint16_t> all_bins;
-      for (auto& rs : shared) {
-        for (std::size_t j = 0; j < rs.bin_files.size(); ++j) {
-          all_files.push_back(std::move(rs.bin_files[j]));
-          all_bins.push_back(rs.bin_file_bins[j]);
-        }
-      }
       const part::BinManifest manifest = part::build_bin_manifest(
-          index.name, R, components_shared, bin_plan_shared, all_files, all_bins);
+          index.name, R, summary.components, summary.bin_plan, files, file_slots);
       result.bin_manifest_path = config.output_dir + "/" + index.name + ".bins.json";
       part::save_bin_manifest(manifest, result.bin_manifest_path);
     }
@@ -1812,10 +1704,6 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
       m.set_enabled(metrics_were_enabled);
     }
     if (!config.attr_out.empty()) result.attr.write_json(config.attr_out);
-    if (!config.comm_matrix_out.empty()) {
-      write_comm_matrix(config.comm_matrix_out, P, result.traffic_matrix,
-                        result.message_matrix, comm_skew);
-    }
     if (!config.trace_out.empty()) tr.write_chrome_json(config.trace_out);
     tr.flush();  // no-op unless the session has an armed flush path
     if (want_trace && !trace_was_enabled) tr.disable();

@@ -1,9 +1,26 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
-#include <stdexcept>
+#include <algorithm>
+#include <charconv>
+
+#include "util/error.hpp"
 
 namespace metaprep::util {
+
+namespace {
+
+/// Parse all of @p value as a T, or throw a config error naming the flag.
+template <typename T>
+T parse_number(const std::string& name, const std::string& value, const char* what) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec != std::errc() || ptr != end)
+    throw config_error("--" + name + " expects " + what + " (got '" + value + "')");
+  return out;
+}
+
+}  // namespace
 
 Args::Args(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -32,13 +49,21 @@ std::string Args::get(const std::string& name, const std::string& fallback) cons
 std::int64_t Args::get_int(const std::string& name, std::int64_t fallback) const {
   auto it = named_.find(name);
   if (it == named_.end()) return fallback;
-  return std::stoll(it->second);
+  return parse_number<std::int64_t>(name, it->second, "an integer");
 }
 
 double Args::get_double(const std::string& name, double fallback) const {
   auto it = named_.find(name);
   if (it == named_.end()) return fallback;
-  return std::stod(it->second);
+  return parse_number<double>(name, it->second, "a number");
+}
+
+void Args::reject_unknown(std::string_view context,
+                          std::initializer_list<std::string_view> known) const {
+  for (const auto& [name, value] : named_) {
+    if (std::find(known.begin(), known.end(), name) == known.end())
+      throw config_error(std::string(context) + ": unknown flag '--" + name + "'");
+  }
 }
 
 }  // namespace metaprep::util

@@ -1,11 +1,15 @@
 // Minimal command-line parsing for the examples and bench binaries.
 // Accepts "--name=value" and "--flag" forms; everything else is positional.
+// Malformed numbers and (for callers that list their flags) unknown flags
+// throw a typed util::Error (config) naming the flag.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/env.hpp"  // env_double and friends moved to the blessed env layer
@@ -20,6 +24,9 @@ class Args {
   [[nodiscard]] std::string get(const std::string& name, const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
+  /// Throw a config error naming the first flag not in @p known; @p context
+  /// (e.g. the subcommand) prefixes the message.
+  void reject_unknown(std::string_view context, std::initializer_list<std::string_view> known) const;
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
   [[nodiscard]] const std::string& program() const { return program_; }
 

@@ -20,8 +20,8 @@ using test::TempDir;
 TEST(Manifest, PartitionClassOfRecognizesSuffixes) {
   EXPECT_EQ(partition_class_of("/x/ds.p0.t1.lc.fastq"), "lc");
   EXPECT_EQ(partition_class_of("/x/ds.p0.t1.other.fastq"), "other");
-  EXPECT_EQ(partition_class_of("/x/ds.p2.t0.c0.fastq"), "c0");
-  EXPECT_EQ(partition_class_of("/x/ds.p2.t0.c17.fastq"), "c17");
+  EXPECT_EQ(partition_class_of("/x/ds.p2.t0.b0.fastq"), "b0");
+  EXPECT_EQ(partition_class_of("/x/ds.p2.t0.b17.fastq"), "b17");
   EXPECT_EQ(partition_class_of("/x/random.fastq"), "unknown");
 }
 
@@ -30,7 +30,7 @@ struct ManifestFixture {
   DatasetIndex index;
   PipelineResult result;
 
-  explicit ManifestFixture(int top_n) {
+  explicit ManifestFixture(int output_bins) {
     sim::DatasetConfig cfg;
     cfg.name = "mani";
     cfg.genomes.num_species = 4;
@@ -48,14 +48,14 @@ struct ManifestFixture {
     mp.num_ranks = 2;
     mp.threads_per_rank = 2;
     mp.write_output = true;
-    mp.output_top_components = top_n;
+    mp.output_bins = output_bins;
     mp.output_dir = dir.str();
     result = run_metaprep(index, mp);
   }
 };
 
 TEST(Manifest, BuildAccountsForEveryRecord) {
-  ManifestFixture fx(1);
+  ManifestFixture fx(0);
   const auto m = build_manifest(fx.index, fx.result);
   EXPECT_EQ(m.dataset, "mani");
   EXPECT_EQ(m.k, 15);
@@ -67,17 +67,24 @@ TEST(Manifest, BuildAccountsForEveryRecord) {
   EXPECT_EQ(per_class.at("lc"), 2 * fx.result.largest_size);
 }
 
-TEST(Manifest, TopNClassesAppear) {
-  ManifestFixture fx(3);
+TEST(Manifest, BinClassesCountPlannedReads) {
+  ManifestFixture fx(2);
   const auto m = build_manifest(fx.index, fx.result);
+  EXPECT_EQ(m.total_records(), 2ull * fx.result.num_reads);
   std::map<std::string, std::uint64_t> per_class;
   for (const auto& e : m.entries) per_class[e.partition] += e.records;
-  EXPECT_GT(per_class.count("c0"), 0u);
   EXPECT_EQ(per_class.count("unknown"), 0u);
+  ASSERT_EQ(fx.result.bin_reads.size(), 2u);
+  for (std::size_t j = 0; j < fx.result.bin_reads.size(); ++j) {
+    const std::string cls = "b" + std::to_string(j);
+    const auto it = per_class.find(cls);
+    const std::uint64_t records = it == per_class.end() ? 0 : it->second;
+    EXPECT_EQ(records, 2 * fx.result.bin_reads[j]) << cls;
+  }
 }
 
 TEST(Manifest, SaveLoadRoundTrip) {
-  ManifestFixture fx(1);
+  ManifestFixture fx(0);
   const auto m = build_manifest(fx.index, fx.result);
   const std::string path = fx.dir.file("manifest.tsv");
   save_manifest(m, path);
@@ -123,7 +130,7 @@ void corrupt_first_separator(const std::string& path) {
 // the run's ParseMode, so verifying a lenient run's (or operator-damaged)
 // output threw instead of counting the skip.
 TEST(Manifest, ParseModeThreadsThroughToVerification) {
-  ManifestFixture fx(1);
+  ManifestFixture fx(0);
   ASSERT_FALSE(fx.result.output_files.empty());
   const std::string& victim = fx.result.output_files.front();
   corrupt_first_separator(victim);

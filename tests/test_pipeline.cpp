@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/index_create.hpp"
+#include "core/manifest.hpp"
 #include "core/memory_model.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
@@ -363,76 +364,40 @@ TEST(Pipeline, PairedEndsStayTogether) {
   }
 }
 
-class MergeStrategyTest : public ::testing::TestWithParam<int> {};
+class MergeTreeTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(MergeStrategyTest, ContractionMatchesPairwiseTree) {
+TEST_P(MergeTreeTest, TreeMatchesOracleAndShipsOneArrayPerRank) {
   const int P = GetParam();
   static Fixture fixture(15, 220);
   auto cfg = base_config(15, fixture.dir.str());
   cfg.num_ranks = P;
   cfg.threads_per_rank = 2;
-  cfg.merge_strategy = MergeStrategy::kPairwiseTree;
-  const auto tree = run_metaprep(fixture.index, cfg);
-  cfg.merge_strategy = MergeStrategy::kContraction;
-  const auto contraction = run_metaprep(fixture.index, cfg);
-  EXPECT_EQ(test::normalize_partition(tree.labels),
-            test::normalize_partition(contraction.labels));
-  if (P > 1) {
-    // Tree rounds ship full 4R-byte arrays; contraction ships 8 bytes per
-    // locally-merged vertex.  Each non-root rank sends exactly once in both
-    // strategies, so the tree total is (P-1) * 4R and the contraction total
-    // is bounded by (P-1) * 8R.
-    EXPECT_EQ(tree.merge_comm_bytes,
-              static_cast<std::uint64_t>(P - 1) * 4ull * tree.num_reads);
-    EXPECT_LE(contraction.merge_comm_bytes,
-              static_cast<std::uint64_t>(P - 1) * 8ull * tree.num_reads);
-    EXPECT_GT(contraction.merge_comm_bytes, 0u);
-  } else {
-    EXPECT_EQ(contraction.merge_comm_bytes, 0u);
-  }
+  const auto r = run_metaprep(fixture.index, cfg);
+  EXPECT_EQ(test::normalize_partition(r.labels),
+            test::normalize_partition(reference_components(fixture.index, cfg.filter)));
+  // The paper's tree (Figure 4): each non-root rank sends its full 4R-byte
+  // component array exactly once over the ceil(log P) rounds.
+  EXPECT_EQ(r.merge_comm_bytes, static_cast<std::uint64_t>(P - 1) * 4ull * r.num_reads);
 }
 
-INSTANTIATE_TEST_SUITE_P(RankCounts, MergeStrategyTest, ::testing::Values(1, 2, 3, 4, 8));
+INSTANTIATE_TEST_SUITE_P(RankCounts, MergeTreeTest, ::testing::Values(1, 2, 3, 4, 8));
 
-TEST(Pipeline, ContractionWinsBytesOnSparseGraphs) {
-  // Sparse regime (the one the paper's future-work citation [16] targets):
-  // an aggressive frequency band leaves almost no read-graph edges, so most
-  // reads stay singletons and the contracted (vertex, root) pairs are far
-  // smaller than the full component arrays.
-  Fixture fixture(15, 300);
-  auto cfg = base_config(15, fixture.dir.str());
-  cfg.num_ranks = 4;
-  cfg.filter.min_freq = 60;
-  cfg.filter.max_freq = 70;  // ~3x coverage data: almost no k-mer this frequent
-  cfg.merge_strategy = MergeStrategy::kPairwiseTree;
-  const auto tree = run_metaprep(fixture.index, cfg);
-  cfg.merge_strategy = MergeStrategy::kContraction;
-  const auto contraction = run_metaprep(fixture.index, cfg);
-  EXPECT_EQ(test::normalize_partition(tree.labels),
-            test::normalize_partition(contraction.labels));
-  EXPECT_LT(contraction.merge_comm_bytes, tree.merge_comm_bytes / 2);
-}
-
-TEST(Pipeline, TopNComponentOutputIsLosslessSplit) {
+TEST(Pipeline, PaperSplitIsLossless) {
   Fixture fixture(15, 250, 5, 7, 6);
   TempDir out_dir;
   auto cfg = base_config(15, out_dir.str());
   cfg.num_ranks = 2;
   cfg.threads_per_rank = 2;
   cfg.write_output = true;
-  cfg.output_top_components = 3;
   const auto r = run_metaprep(fixture.index, cfg);
 
-  // Records per suffix class.
+  // Every input record is written exactly once; only ".lc" and ".other"
+  // files exist, and the ".lc" files hold both mates of every read of the
+  // largest component.
   std::map<std::string, std::uint64_t> per_class;
   std::multiset<std::string> output_ids;
   for (const auto& path : r.output_files) {
-    std::string cls = "other";
-    for (int j = 0; j < 3; ++j) {
-      if (path.find(".c" + std::to_string(j) + ".") != std::string::npos) {
-        cls = "c" + std::to_string(j);
-      }
-    }
+    const std::string cls = partition_class_of(path);
     for (const auto& rec : test::read_all_fastq(path)) {
       per_class[cls] += 1;
       output_ids.insert(rec.id);
@@ -443,27 +408,20 @@ TEST(Pipeline, TopNComponentOutputIsLosslessSplit) {
     for (const auto& rec : test::read_all_fastq(f)) input_ids.insert(rec.id);
   }
   EXPECT_EQ(output_ids, input_ids);
-  // c0 holds the largest component (2 records per read: both mates).
-  EXPECT_EQ(per_class["c0"], 2 * r.largest_size);
-  // Components are written in non-increasing size order.
-  EXPECT_GE(per_class["c0"], per_class["c1"]);
-  EXPECT_GE(per_class["c1"], per_class["c2"]);
-  // Top-3 + other covers everything.
-  std::uint64_t total = 0;
-  for (const auto& [cls, n] : per_class) total += n;
-  EXPECT_EQ(total, 2ull * r.num_reads);
-}
-
-TEST(Pipeline, TopNLargerThanComponentCountIsSafe) {
-  Fixture fixture(15, 60, 5, 4, 2);
-  TempDir out_dir;
-  auto cfg = base_config(15, out_dir.str());
-  cfg.write_output = true;
-  cfg.output_top_components = 1000;  // far more than components exist
-  const auto r = run_metaprep(fixture.index, cfg);
-  std::uint64_t records = 0;
-  for (const auto& path : r.output_files) records += test::read_all_fastq(path).size();
-  EXPECT_EQ(records, 2ull * r.num_reads);
+  EXPECT_EQ(per_class["lc"], 2 * r.largest_size);
+  EXPECT_EQ(per_class["lc"] + per_class["other"], 2ull * r.num_reads);
+  EXPECT_EQ(per_class.size(), 2u);
+  std::size_t on_disk = 0;
+  for (const auto& e : std::filesystem::directory_iterator(out_dir.str())) {
+    const std::string name = e.path().filename().string();
+    EXPECT_TRUE(name.ends_with(".lc.fastq") || name.ends_with(".other.fastq")) << name;
+    ++on_disk;
+  }
+  // Files open on first write: none is empty, and none is missing.
+  EXPECT_EQ(on_disk, r.output_files.size());
+  for (const auto& path : r.output_files) {
+    EXPECT_GT(std::filesystem::file_size(path), 0u) << path;
+  }
 }
 
 TEST(Pipeline, StepTimesPopulated) {

@@ -2,12 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <filesystem>
 #include <fstream>
 
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/memusage.hpp"
 #include "util/prefix_sum.hpp"
 #include "util/table.hpp"
@@ -166,6 +168,54 @@ TEST(Args, FallbacksUsedWhenMissing) {
   Args args(1, argv);
   EXPECT_EQ(args.get("name", "dflt"), "dflt");
   EXPECT_EQ(args.get_int("n", -3), -3);
+}
+
+/// The category and message of the Error @p fn throws.
+template <typename Fn>
+std::pair<ErrorCategory, std::string> caught(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return {e.category(), e.what()};
+  }
+  ADD_FAILURE() << "expected util::Error";
+  return {};
+}
+
+TEST(Args, MalformedNumbersThrowConfigErrorNamingFlagAndValue) {
+  const char* argv[] = {"prog", "--ranks=abc", "--threads=3x", "--rate=0.5.1", "--n="};
+  Args args(5, argv);
+  for (const char* flag : {"ranks", "threads", "n"}) {
+    const auto [category, what] = caught([&] { (void)args.get_int(flag, 1); });
+    EXPECT_EQ(category, ErrorCategory::kConfig) << flag;
+    EXPECT_NE(what.find(std::string("--") + flag), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + args.get(flag, "") + "'"), std::string::npos) << what;
+  }
+  const auto [category, what] = caught([&] { (void)args.get_double("rate", 0.0); });
+  EXPECT_EQ(category, ErrorCategory::kConfig);
+  EXPECT_NE(what.find("--rate"), std::string::npos) << what;
+  EXPECT_NE(what.find("'0.5.1'"), std::string::npos) << what;
+}
+
+TEST(Args, NumbersParseWhole) {
+  const char* argv[] = {"prog", "--a=-12", "--b=2.5e-3", "--c=7"};
+  Args args(4, argv);
+  EXPECT_EQ(args.get_int("a", 0), -12);
+  EXPECT_DOUBLE_EQ(args.get_double("b", 0.0), 2.5e-3);
+  EXPECT_DOUBLE_EQ(args.get_double("c", 0.0), 7.0);
+}
+
+TEST(Args, RejectUnknownNamesTheFlag) {
+  const char* argv[] = {"prog", "run", "--threads=3", "--comm-matrx-out=x.json"};
+  Args args(4, argv);
+  const auto [category, what] =
+      caught([&] { args.reject_unknown("run", {"index", "threads"}); });
+  EXPECT_EQ(category, ErrorCategory::kConfig);
+  EXPECT_NE(what.find("run: unknown flag '--comm-matrx-out'"), std::string::npos) << what;
+  EXPECT_NO_THROW(args.reject_unknown("run", {"threads", "comm-matrx-out"}));
+  // A near-miss of a known flag is still unknown, not silently ignored.
+  const char* typo[] = {"prog", "--thread=3"};
+  EXPECT_THROW(Args(2, typo).reject_unknown("run", {"threads"}), Error);
 }
 
 TEST(EnvDouble, ParsesAndFallsBack) {
