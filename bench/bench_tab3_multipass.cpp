@@ -39,14 +39,7 @@ int main() {
     const auto run = bench::timed_run(ds.index, cfg);
     const auto& result = run.result;
 
-    core::MemoryModelInput mm;
-    mm.total_tuples = ds.index.mer_hist.total();
-    mm.total_reads = ds.index.total_reads;
-    mm.num_chunks = ds.index.part.num_chunks();
-    mm.max_chunk_bytes = ds.index.max_chunk_bytes();
-    mm.m = ds.index.mer_hist.m;
-    mm.num_ranks = 4;
-    mm.threads_per_rank = 4;
+    core::MemoryModelInput mm = core::memory_model_input(ds.index, 4, 4);
     mm.num_passes = s;
     const auto est = core::estimate_memory(mm);
 

@@ -158,6 +158,15 @@ int cmd_diginorm(const util::Args& args) {
   return 0;
 }
 
+/// One line on how the FASTQPart rows are stored (dense or sparse).
+void print_fastq_part_storage(const core::FastqPartTable& part) {
+  std::uint32_t dense = 0;
+  for (std::uint32_t c = 0; c < part.num_chunks(); ++c) dense += part.dense(c) ? 1 : 0;
+  std::printf("FASTQPart: %u rows (%u dense, %u sparse), %.2f MiB stored\n", part.num_chunks(),
+              dense, part.num_chunks() - dense,
+              static_cast<double>(part.stored_bytes()) / (1024.0 * 1024.0));
+}
+
 int cmd_index(const util::Args& args) {
   args.reject_unknown("index", {"out", "k", "m", "chunks", "single-end", "parse-mode"});
   if (args.positional().size() < 2 || !args.has("out")) return usage();
@@ -178,6 +187,7 @@ int cmd_index(const util::Args& args) {
               index.total_reads, static_cast<double>(index.total_bases) / 1e6,
               index.part.num_chunks(), timing.chunking_seconds, timing.histogram_seconds,
               args.get("out", "").c_str());
+  print_fastq_part_storage(index.part);
   return 0;
 }
 
@@ -318,16 +328,11 @@ int cmd_info(const util::Args& args) {
               static_cast<unsigned long long>(index.mer_hist.total()),
               index.part.num_chunks(),
               static_cast<unsigned long long>(index.max_chunk_bytes()));
+  print_fastq_part_storage(index.part);
 
-  core::MemoryModelInput mm;
-  mm.total_tuples = index.mer_hist.total();
-  mm.total_reads = index.total_reads;
-  mm.num_chunks = index.part.num_chunks();
-  mm.max_chunk_bytes = index.max_chunk_bytes();
-  mm.m = index.mer_hist.m;
-  mm.num_ranks = static_cast<int>(args.get_int("ranks", 1));
-  mm.threads_per_rank = static_cast<int>(args.get_int("threads", 4));
-  mm.tuple_bytes = index.k <= 32 ? 12 : 20;
+  core::MemoryModelInput mm =
+      core::memory_model_input(index, static_cast<int>(args.get_int("ranks", 1)),
+                               static_cast<int>(args.get_int("threads", 4)));
 
   util::TablePrinter table({"Passes", "kmerOut+kmerIn (MB)", "Total/task (MB)"});
   for (int s : {1, 2, 4, 8}) {

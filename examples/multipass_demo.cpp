@@ -85,14 +85,8 @@ int main(int argc, char** argv) {
     } catch (const std::exception& e) {
       // The fixed terms (index tables, FASTQ buffers, component arrays)
       // alone exceed the budget — more passes cannot help (§3.7).
-      core::MemoryModelInput mm;
-      mm.total_tuples = index.mer_hist.total();
-      mm.total_reads = index.total_reads;
-      mm.num_chunks = index.part.num_chunks();
-      mm.max_chunk_bytes = index.max_chunk_bytes();
-      mm.m = index.mer_hist.m;
-      mm.num_ranks = mp.num_ranks;
-      mm.threads_per_rank = mp.threads_per_rank;
+      core::MemoryModelInput mm =
+          core::memory_model_input(index, mp.num_ranks, mp.threads_per_rank);
       mm.num_passes = 64;
       const auto floor = core::estimate_memory(mm);
       std::printf("Budget %.0f MB/task is infeasible (%s); the pass-independent terms\n"

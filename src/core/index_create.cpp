@@ -1,9 +1,11 @@
 #include "core/index_create.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "io/fastq.hpp"
 #include "kmer/scanner.hpp"
@@ -54,6 +56,30 @@ FileScan chunk_file(const std::string& path, std::uint32_t file_index,
     scan.chunks.push_back(current);
   }
   return scan;
+}
+
+/// Sort @p bins, each below 2^@p bits, in place by LSD counting passes of
+/// at most 11 bits, with @p tmp (bins.size() entries) as the other buffer.
+/// A chunk's few thousand first-touched bins sort in a few linear sweeps
+/// instead of a comparison sort's n log n unpredictable branches.
+void sort_bins(std::span<std::uint32_t> bins, std::span<std::uint32_t> tmp, int bits) {
+  constexpr int kMaxDigit = 11;
+  const int passes = std::max(1, (bits + kMaxDigit - 1) / kMaxDigit);
+  const int digit = (bits + passes - 1) / passes;
+  const std::uint32_t mask = (std::uint32_t{1} << digit) - 1;
+  std::array<std::uint32_t, std::size_t{1} << kMaxDigit> count{};
+  std::uint32_t* src = bins.data();
+  std::uint32_t* dst = tmp.data();
+  for (int pass = 0; pass < passes; ++pass) {
+    const int shift = pass * digit;
+    std::fill_n(count.begin(), std::size_t{mask} + 1, 0u);
+    for (std::size_t i = 0; i < bins.size(); ++i) ++count[(src[i] >> shift) & mask];
+    std::uint32_t sum = 0;
+    for (std::size_t d = 0; d <= mask; ++d) sum += std::exchange(count[d], sum);
+    for (std::size_t i = 0; i < bins.size(); ++i) dst[count[(src[i] >> shift) & mask]++] = src[i];
+    std::swap(src, dst);
+  }
+  if (src != bins.data()) std::copy_n(src, bins.size(), bins.data());
 }
 
 }  // namespace
@@ -135,52 +161,101 @@ DatasetIndex create_index(const std::string& name, const std::vector<std::string
 
   // --- Phase 2: per-chunk m-mer histograms of canonical k-mer prefixes.
   // Chunk rows are independent, so threads take disjoint contiguous chunk
-  // ranges (the same static partitioning KmerGen uses).  Each row is made
-  // cumulative right after it is counted, while it is still in cache, and
-  // its raw counts go into the thread's merHist accumulator; merHist is the
-  // sum of the accumulators. ---
+  // ranges (the same static partitioning KmerGen uses).  Each thread counts
+  // a chunk into one dense scratch row, noting the bins it touches, then
+  // appends the row in its stored form to the thread's pool while it is
+  // still in cache, adds the raw counts into the thread's merHist
+  // accumulator and clears the scratch (append_chunk_row).  The pools are
+  // concatenated in chunk order; merHist is the sum of the accumulators. ---
   util::WallTimer hist_timer;
   const std::size_t nbins = std::size_t{1} << (2 * options.m);
-  index.part.histograms.assign(index.part.chunks.size() * nbins, 0);
+  const std::uint32_t nchunks = index.part.num_chunks();
 
   const int k = options.k;
   const int m = options.m;
   const int threads = std::max(1, options.threads);
   std::vector<std::uint64_t> bases_per_thread(static_cast<std::size_t>(threads), 0);
   std::vector<std::vector<std::uint32_t>> mer_acc(static_cast<std::size_t>(threads));
+  std::vector<std::vector<std::uint32_t>> pools(static_cast<std::size_t>(threads));
+  std::vector<std::uint64_t> row_len(nchunks, 0);
   {
     util::ThreadTeam team(threads);
-    const auto bounds = util::split_range(index.part.num_chunks(), threads);
+    const auto bounds = util::split_range(nchunks, threads);
     team.run([&](int t) {
       std::vector<std::uint32_t>& acc = mer_acc[static_cast<std::size_t>(t)];
+      std::vector<std::uint32_t>& pool = pools[static_cast<std::size_t>(t)];
       acc.assign(nbins, 0);
+      // Reserve the pool for the longest rows the chunks allow (a row has
+      // at most 4^m entries and at most two per k-mer, and a chunk holds
+      // fewer k-mers than bytes), so appending never reallocates.  The
+      // unused tail is never touched, so it costs address space only, and
+      // is not shrunk away: that would copy the pool and hand the old block
+      // back to the allocator, still resident.
+      std::uint64_t reserve = 0;
+      for (std::size_t c = bounds[static_cast<std::size_t>(t)];
+           c < bounds[static_cast<std::size_t>(t) + 1]; ++c)
+        reserve += std::min<std::uint64_t>(nbins, 2 * index.part.chunks[c].size);
+      pool.reserve(reserve);
+      std::vector<std::uint32_t> hist(nbins, 0);
+      // A small chunk's non-empty bins, then the buffer that sorts them.
+      std::vector<std::uint32_t> touched;
       std::uint64_t bases = 0;
       for (std::size_t c = bounds[static_cast<std::size_t>(t)];
            c < bounds[static_cast<std::size_t>(t) + 1]; ++c) {
         const ChunkRecord& chunk = index.part.chunks[c];
         const auto buffer =
             io::read_file_range(index.files[chunk.file], chunk.offset, chunk.size);
-        const std::span<std::uint32_t> hist(index.part.histograms.data() + c * nbins, nbins);
-        io::for_each_record_in_buffer(
-            std::string_view(buffer.data(), buffer.size()),
-            [&](std::string_view, std::string_view seq, std::string_view) {
-              bases += seq.size();
-              if (k <= kmer::kMaxK64) {
-                kmer::for_each_canonical_kmer64(seq, k, [&](std::uint64_t km, std::size_t) {
-                  ++hist[kmer::prefix_bin64(km, k, m)];
-                });
-              } else {
-                kmer::for_each_canonical_kmer128(seq, k,
-                                                 [&](kmer::Kmer128 km, std::size_t) {
-                                                   ++hist[kmer::prefix_bin128(km, k, m)];
-                                                 });
-              }
-            },
-            io::ParseOptions{options.parse_mode, index.files[chunk.file], chunk.offset});
-        cumulate_chunk_row(static_cast<std::uint32_t>(c), hist, acc);
+        auto scan = [&](auto&& count) {
+          io::for_each_record_in_buffer(
+              std::string_view(buffer.data(), buffer.size()),
+              [&](std::string_view, std::string_view seq, std::string_view) {
+                bases += seq.size();
+                if (k <= kmer::kMaxK64) {
+                  kmer::for_each_canonical_kmer64(seq, k, [&](std::uint64_t km, std::size_t) {
+                    count(kmer::prefix_bin64(km, k, m));
+                  });
+                } else {
+                  kmer::for_each_canonical_kmer128(seq, k,
+                                                   [&](kmer::Kmer128 km, std::size_t) {
+                                                     count(kmer::prefix_bin128(km, k, m));
+                                                   });
+                }
+              },
+              io::ParseOptions{options.parse_mode, index.files[chunk.file], chunk.offset});
+        };
+        // A chunk holds fewer k-mers than bytes.  One under half as many
+        // bytes as bins cannot fill half the bins, so its row is sparse and
+        // its bins are noted as they are first touched, without a branch:
+        // every k-mer writes its bin at the end and only a first touch keeps
+        // it; the list's second half then sorts them.  A larger chunk is
+        // counted plainly, and append_chunk_row finds its bins by one sweep,
+        // which costs no more than the chunk's scan.
+        std::size_t ntouched = 0;
+        if (2 * chunk.size < nbins) {
+          if (touched.size() < 2 * chunk.size) touched.resize(2 * chunk.size);
+          scan([&](std::uint32_t b) {
+            touched[ntouched] = b;
+            ntouched += hist[b]++ == 0 ? 1 : 0;
+          });
+          sort_bins(std::span(touched).first(ntouched),
+                    std::span(touched).subspan(ntouched, ntouched), 2 * m);
+        } else {
+          scan([&](std::uint32_t b) { ++hist[b]; });
+        }
+        row_len[c] = append_chunk_row(static_cast<std::uint32_t>(c), hist,
+                                      std::span(touched).first(ntouched), acc, pool);
       }
       bases_per_thread[static_cast<std::size_t>(t)] = bases;
     });
+  }
+  index.part.row_begin.assign(nchunks + std::size_t{1}, 0);
+  for (std::uint32_t c = 0; c < nchunks; ++c)
+    index.part.row_begin[c + 1] = index.part.row_begin[c] + row_len[c];
+  index.part.histograms = std::move(pools[0]);
+  index.part.histograms.reserve(index.part.row_begin.back());
+  for (std::size_t t = 1; t < pools.size(); ++t) {
+    index.part.histograms.insert(index.part.histograms.end(), pools[t].begin(), pools[t].end());
+    std::vector<std::uint32_t>().swap(pools[t]);
   }
   for (std::uint64_t b : bases_per_thread) index.total_bases += b;
   index.mer_hist.counts.assign(nbins, 0);

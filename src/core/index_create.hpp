@@ -6,9 +6,11 @@
 //     approximately equal byte size at record boundaries and recording the
 //     global read ID of each chunk's first read ("FASTQPart" column);
 //  2. histogram — stream the chunks, enumerate canonical k-mers, and count
-//     m-mer prefixes per chunk; each row is then turned into its prefix sum
-//     (the stored FASTQPart format) while its raw counts are added into
-//     merHist, the column-sum of the chunk histograms ("merHist" column).
+//     m-mer prefixes per chunk into one dense scratch row per thread; each
+//     row is then stored dense or sparse, whichever is smaller (the
+//     FASTQPart format), while its raw counts are added into merHist, the
+//     column-sum of the chunk histograms ("merHist" column).  No C x 4^m
+//     table is ever allocated.
 //
 // Paired-end handling: both mates of pair i carry global read ID i ("we use
 // a single read identifier for both ends of a paired-end read", §3.2).  We

@@ -6,13 +6,15 @@
 #include <string>
 
 #include "io/binary.hpp"
+#include "kmer/kmer128.hpp"
 #include "util/error.hpp"
 
 namespace metaprep::core {
 
 namespace {
 constexpr std::uint32_t kIndexMagic = 0x4D505249;  // "MPRI"
-constexpr std::uint32_t kIndexVersion = 4;  // v4: cumulative FASTQPart rows
+// v5: dense-or-sparse FASTQPart rows, checksum trailer
+constexpr std::uint32_t kIndexVersion = 5;
 }  // namespace
 
 std::uint64_t MerHist::total() const {
@@ -21,16 +23,50 @@ std::uint64_t MerHist::total() const {
   return t;
 }
 
-void cumulate_chunk_row(std::uint32_t chunk, std::span<std::uint32_t> row,
-                        std::span<std::uint32_t> mer_acc) {
+std::size_t append_chunk_row(std::uint32_t chunk, std::span<std::uint32_t> scratch,
+                             std::span<const std::uint32_t> touched,
+                             std::span<std::uint32_t> mer_acc,
+                             std::vector<std::uint32_t>& pool) {
   std::uint64_t total = 0;
   bool acc_wrapped = false;
-  for (std::size_t b = 0; b < row.size(); ++b) {
-    const std::uint32_t raw = row[b];
+  // Bin b's running total, after adding its raw count into mer_acc.
+  auto cumulate = [&](std::size_t b) {
+    const std::uint32_t raw = scratch[b];
     total += raw;
-    row[b] = static_cast<std::uint32_t>(total);
     mer_acc[b] += raw;
     acc_wrapped |= mer_acc[b] < raw;
+    return static_cast<std::uint32_t>(total);
+  };
+  const std::size_t nbins = scratch.size();
+  const std::size_t at = pool.size();
+  const std::size_t nnz =
+      !touched.empty()
+          ? touched.size()
+          : static_cast<std::size_t>(std::count_if(scratch.begin(), scratch.end(),
+                                                   [](std::uint32_t v) { return v != 0; }));
+  if (2 * nnz >= nbins) {
+    // Dense: cumulated in place, copied out, cleared whole.
+    for (std::size_t b = 0; b < nbins; ++b) scratch[b] = cumulate(b);
+    pool.insert(pool.end(), scratch.begin(), scratch.end());
+    std::fill(scratch.begin(), scratch.end(), 0u);
+  } else {
+    pool.resize(at + 2 * nnz);
+    std::uint32_t* bins = pool.data() + at;
+    if (touched.empty() && nnz > 0) {
+      // Branch-free: every bin is written at the cursor, and only a
+      // non-empty one advances it (into the counts' half, filled below).
+      std::size_t i = 0;
+      for (std::uint32_t b = 0; b < nbins; ++b) {
+        bins[i] = b;
+        i += scratch[b] != 0 ? 1 : 0;
+      }
+    } else {
+      std::copy(touched.begin(), touched.end(), bins);
+    }
+    for (std::size_t i = 0; i < nnz; ++i) {
+      bins[nnz + i] = cumulate(bins[i]);
+      scratch[bins[i]] = 0;
+    }
   }
   if (total > std::numeric_limits<std::uint32_t>::max()) {
     throw util::config_error("create_index: chunk " + std::to_string(chunk) + " holds " +
@@ -39,6 +75,7 @@ void cumulate_chunk_row(std::uint32_t chunk, std::span<std::uint32_t> row,
                              "split the input into more chunks (--chunks)");
   }
   if (acc_wrapped) throw mer_hist_overflow();
+  return pool.size() - at;
 }
 
 util::Error mer_hist_overflow() {
@@ -77,6 +114,7 @@ void save_index(const DatasetIndex& index, const std::string& path) {
     w.write_u32(c.first_read_id);
     w.write_u32(c.record_count);
   }
+  w.write_vector<std::uint64_t>(index.part.row_begin);
   w.write_vector<std::uint32_t>(index.part.histograms);
   w.close();  // surface a failed flush as a typed Error, not a logged one
 }
@@ -96,28 +134,61 @@ void validate_index(const DatasetIndex& index, const std::string& path) {
   };
   const int m = index.part.m;
   if (m < 1 || m > 15 || index.mer_hist.m != m) fail("m out of range or inconsistent");
-  const std::size_t nbins = std::size_t{1} << (2 * m);
+  // KmerGen sizes its slot blocks from histograms counted for mer_hist.k and
+  // writes the k-mers of index.k: the two must agree.
+  if (index.k != index.mer_hist.k) fail("k disagrees with the k merHist was counted for");
+  if (index.k < m || index.k > kmer::kMaxK128) fail("k out of range [m, 63]");
+  const std::uint32_t nbins = index.part.num_bins();
   if (index.mer_hist.counts.size() != nbins) fail("merHist size does not match 4^m");
-  // Overflow-safe form of histograms.size() == chunks.size() * nbins.
-  const std::size_t nchunks = index.part.chunks.size();
-  if (index.part.histograms.size() % nbins != 0 ||
-      index.part.histograms.size() / nbins != nchunks)
-    fail("inconsistent FASTQPart histogram size");
 
-  // Cumulative rows: non-decreasing (a decreasing row would wrap a bounded
-  // count), a total no larger than the chunk's bytes (each k-mer needs at
-  // least one byte), and raw counts whose column sums are merHist, which
-  // sizes the tuple buffers.
-  std::vector<std::uint32_t> mer_left = index.mer_hist.counts;
+  const std::size_t nchunks = index.part.chunks.size();
+  const auto& pool = index.part.histograms;
+  const auto& begin = index.part.row_begin;
+  if (begin.size() != nchunks + 1) fail("FASTQPart row offsets do not match the chunk count");
+  if (begin.front() != 0) fail("FASTQPart row offsets do not start at 0");
+  if (begin.back() != pool.size()) fail("FASTQPart row offsets do not end at the pool size");
   for (std::size_t c = 0; c < nchunks; ++c) {
-    const std::uint32_t* row = index.part.histograms.data() + c * nbins;
+    if (begin[c + 1] < begin[c]) fail("FASTQPart row offsets decrease");
+    const std::uint64_t len = begin[c + 1] - begin[c];
+    if (len != nbins && (len % 2 != 0 || len > nbins))
+      fail("FASTQPart row " + std::to_string(c) + " has length " + std::to_string(len) +
+           ", neither 4^m nor an even length below it");
+  }
+
+  // Rows: cumulative counts that never decrease (a decreasing row would
+  // wrap a bounded count), sparse bins in range and strictly increasing
+  // with strictly increasing counts (only non-empty bins are listed), a
+  // total no larger than the chunk's bytes (each k-mer needs at least one
+  // byte), and raw counts whose column sums are merHist, which sizes the
+  // tuple buffers.  One pass over the stored entries, with one 4^m
+  // remainder array.
+  std::vector<std::uint32_t> mer_left = index.mer_hist.counts;
+  auto take = [&](std::uint32_t b, std::uint32_t raw) {
+    if (raw > mer_left[b]) fail("merHist is not the column sum of the FASTQPart rows");
+    mer_left[b] -= raw;
+  };
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    const std::uint32_t* row = pool.data() + begin[c];
+    const std::uint64_t len = begin[c + 1] - begin[c];
     std::uint32_t prev = 0;
-    for (std::size_t b = 0; b < nbins; ++b) {
-      if (row[b] < prev) fail("FASTQPart row " + std::to_string(c) + " decreases");
-      const std::uint32_t raw = row[b] - prev;
-      if (raw > mer_left[b]) fail("merHist is not the column sum of the FASTQPart rows");
-      mer_left[b] -= raw;
-      prev = row[b];
+    if (len == nbins) {
+      for (std::uint32_t b = 0; b < nbins; ++b) {
+        if (row[b] < prev) fail("FASTQPart row " + std::to_string(c) + " decreases");
+        take(b, row[b] - prev);
+        prev = row[b];
+      }
+    } else {
+      const std::size_t nnz = len / 2;
+      const std::uint32_t* cum = row + nnz;
+      for (std::size_t i = 0; i < nnz; ++i) {
+        if (row[i] >= nbins) fail("FASTQPart row " + std::to_string(c) + " has a bin past 4^m");
+        if (i > 0 && row[i] <= row[i - 1])
+          fail("FASTQPart row " + std::to_string(c) + " has sparse bins out of order");
+        if (cum[i] <= prev)
+          fail("FASTQPart row " + std::to_string(c) + " has sparse counts that do not increase");
+        take(row[i], cum[i] - prev);
+        prev = cum[i];
+      }
     }
     if (prev > index.part.chunks[c].size)
       fail("FASTQPart row " + std::to_string(c) + " counts more k-mers than its chunk has bytes");
@@ -189,7 +260,9 @@ DatasetIndex load_index(const std::string& path) {
     c.first_read_id = r.read_u32();
     c.record_count = r.read_u32();
   }
+  index.part.row_begin = r.read_vector<std::uint64_t>();
   index.part.histograms = r.read_vector<std::uint32_t>();
+  r.finish();
   validate_index(index, path);
   return index;
 }

@@ -15,6 +15,7 @@
 // platforms").
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -52,31 +53,46 @@ struct ChunkRecord {
 
 /// FASTQPart table (§3.1.2): chunk records plus per-chunk m-mer histograms.
 ///
-/// Each histogram row is stored as its inclusive prefix sum, in place:
-/// entry b of chunk c's row counts c's k-mers whose m-mer bin is <= b.  A
-/// bounded count is then one subtraction, so the pipeline's per-pass
-/// send/recv/partition geometry costs O(chunks x P x T) lookups rather
-/// than a sweep over every bin.  IndexCreate rejects a chunk whose total
-/// does not fit 32 bits (see cumulate_chunk_row).
+/// Each chunk's row is stored in whichever of two forms is smaller, and the
+/// row's length tells which:
+///   - dense (length exactly 4^m): the row's inclusive prefix sum, so entry
+///     b counts the chunk's k-mers whose m-mer bin is <= b;
+///   - sparse (an even length 2·nnz < 4^m): the nnz non-empty bins in
+///     strictly increasing order, then their nnz inclusive prefix sums.
+/// A bounded count is one lookup per bound on a dense row and one
+/// binary search (O(log nnz)) on a sparse one, so the pipeline's per-pass
+/// send/recv/partition geometry costs O(chunks x P x T) lookups rather than
+/// a sweep over every bin, and a small dataset at a large m stores only its
+/// non-empty bins.  IndexCreate rejects a chunk whose total does not fit 32
+/// bits (see append_chunk_row).
 struct FastqPartTable {
   int m = 10;
   std::vector<ChunkRecord> chunks;
-  /// Row-major [chunk][bin] cumulative counts, chunks.size() * 4^m entries.
+  /// Row pool: every chunk's row back to back, row c being entries
+  /// [row_begin[c], row_begin[c + 1]).
   std::vector<std::uint32_t> histograms;
+  /// chunks.size() + 1 offsets into histograms.
+  std::vector<std::uint64_t> row_begin{0};
 
   [[nodiscard]] std::uint32_t num_chunks() const noexcept {
     return static_cast<std::uint32_t>(chunks.size());
   }
-  [[nodiscard]] std::uint32_t num_bins() const noexcept {
-    return chunks.empty() ? 0
-                          : static_cast<std::uint32_t>(histograms.size() / chunks.size());
+  [[nodiscard]] std::uint32_t num_bins() const noexcept { return 1u << (2 * m); }
+  /// Whether chunk @p c's row is stored dense (else sparse).
+  [[nodiscard]] bool dense(std::uint32_t c) const {
+    return row_begin[c + 1] - row_begin[c] == num_bins();
+  }
+  /// Bytes the row pool and its offsets occupy.
+  [[nodiscard]] std::uint64_t stored_bytes() const noexcept {
+    return histograms.size() * sizeof(std::uint32_t) + row_begin.size() * sizeof(std::uint64_t);
   }
   /// Number of chunk @p c's k-mers in bins [bin_begin, bin_end); 0 when the
-  /// range is empty.  O(1).
+  /// range is empty.  O(1) on a dense row, O(log nnz) on a sparse one.
   [[nodiscard]] std::uint64_t range_count(std::uint32_t c, std::uint32_t bin_begin,
                                           std::uint32_t bin_end) const {
-    const std::uint32_t* r = row(c);
-    return bin_end <= bin_begin ? 0 : prefix(r, bin_end) - prefix(r, bin_begin);
+    if (bin_end <= bin_begin) return 0;
+    const Row r = row(c);
+    return r.prefix(bin_end) - r.prefix(bin_begin);
   }
   /// counts[i] += range_count(c, bounds[i], bounds[i + 1]) for every i, one
   /// lookup per bound.  @p bounds is non-decreasing and @p counts holds
@@ -84,32 +100,51 @@ struct FastqPartTable {
   void add_range_counts(std::uint32_t c, std::span<const std::uint32_t> bounds,
                         std::span<std::uint64_t> counts) const {
     if (bounds.empty()) return;
-    const std::uint32_t* r = row(c);
-    std::uint32_t lo = prefix(r, bounds[0]);
+    const Row r = row(c);
+    std::uint32_t lo = r.prefix(bounds[0]);
     for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
-      const std::uint32_t hi = prefix(r, bounds[i + 1]);
+      const std::uint32_t hi = r.prefix(bounds[i + 1]);
       counts[i] += hi - lo;
       lo = hi;
     }
   }
 
  private:
-  [[nodiscard]] const std::uint32_t* row(std::uint32_t c) const {
-    return histograms.data() + static_cast<std::size_t>(c) * num_bins();
-  }
-  /// k-mers in bins [0, bin) of cumulative row @p r.
-  static std::uint32_t prefix(const std::uint32_t* r, std::uint32_t bin) {
-    return bin == 0 ? 0 : r[bin - 1];
+  /// One stored row: n cumulative counts, keyed by position (dense) or by
+  /// the n bins before them (sparse).
+  struct Row {
+    bool dense;
+    const std::uint32_t* bins;
+    const std::uint32_t* cum;
+    std::size_t n;
+    /// k-mers in bins [0, bin).
+    [[nodiscard]] std::uint32_t prefix(std::uint32_t bin) const {
+      if (dense) return bin == 0 ? 0 : cum[bin - 1];
+      const std::uint32_t* it = std::lower_bound(bins, bins + n, bin);
+      return it == bins ? 0 : cum[it - bins - 1];
+    }
+  };
+  [[nodiscard]] Row row(std::uint32_t c) const {
+    const std::uint32_t* base = histograms.data() + row_begin[c];
+    const std::size_t len = row_begin[c + 1] - row_begin[c];
+    if (len == num_bins()) return {true, base, base, len};
+    return {false, base, base + len / 2, len / 2};
   }
 };
 
-/// Turn chunk @p chunk's raw m-mer histogram @p row into its inclusive prefix
-/// sum in place (the FASTQPart row format) and add the raw counts into
-/// @p mer_acc (one bin per row entry).  Throws a config util::Error naming
-/// the chunk when its k-mer total does not fit a 32-bit row entry, and
-/// mer_hist_overflow() when a @p mer_acc bin passes 2^32 - 1.
-void cumulate_chunk_row(std::uint32_t chunk, std::span<std::uint32_t> row,
-                        std::span<std::uint32_t> mer_acc);
+/// Append chunk @p chunk's row to @p pool in whichever form is smaller and
+/// return its length.  @p scratch holds the chunk's raw m-mer counts (4^m
+/// bins) and is left zeroed for the next chunk; @p touched lists each of
+/// its non-empty bins once, in increasing order, or is empty to have them
+/// found by a sweep of @p scratch.  The raw counts are added into
+/// @p mer_acc.  A row touching half the bins or more is stored dense and
+/// its scratch cleared whole; a sparser one touches only its own bins.  Throws a config util::Error naming the chunk when
+/// its k-mer total does not fit a 32-bit row entry, and mer_hist_overflow()
+/// when a @p mer_acc bin passes 2^32 - 1.
+std::size_t append_chunk_row(std::uint32_t chunk, std::span<std::uint32_t> scratch,
+                             std::span<const std::uint32_t> touched,
+                             std::span<std::uint32_t> mer_acc,
+                             std::vector<std::uint32_t>& pool);
 
 /// The config util::Error for a merHist bin holding 2^32 or more k-mers.
 util::Error mer_hist_overflow();
@@ -130,13 +165,15 @@ struct DatasetIndex {
   [[nodiscard]] std::uint64_t max_chunk_bytes() const;
 };
 
-/// Serialize / deserialize the index (binary, versioned; format v4 stores
-/// the cumulative FASTQPart rows).  load_index treats the file as
-/// untrusted: a length the rest of the file cannot hold, a chunk naming a
-/// missing file, chunk read-ID ranges that do not tile [0, total_reads),
-/// tables whose sizes disagree with m, a decreasing row, a row total above
-/// its chunk's byte size, or a merHist that is not the column sum of the
-/// rows throw a parse util::Error before anything is sized from them.
+/// Serialize / deserialize the index (binary, versioned; format v5 stores
+/// the dense-or-sparse FASTQPart rows and ends in a checksum).  load_index
+/// treats the file as untrusted: a checksum mismatch or trailing bytes, a
+/// length the rest of the file cannot hold, a chunk naming a missing file,
+/// chunk read-ID ranges that do not tile [0, total_reads), a k the merHist
+/// was not counted for, tables whose sizes disagree with m, a malformed row
+/// (see validate_index in indices.cpp), a row total above its chunk's byte
+/// size, or a merHist that is not the column sum of the rows throw a parse
+/// util::Error before anything is sized from them.
 void save_index(const DatasetIndex& index, const std::string& path);
 DatasetIndex load_index(const std::string& path);
 

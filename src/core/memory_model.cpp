@@ -2,7 +2,23 @@
 
 #include <stdexcept>
 
+#include "kmer/codec.hpp"
+
 namespace metaprep::core {
+
+MemoryModelInput memory_model_input(const DatasetIndex& index, int num_ranks,
+                                    int threads_per_rank) {
+  MemoryModelInput in;
+  in.total_tuples = index.mer_hist.total();
+  in.total_reads = index.total_reads;
+  in.fastq_part_bytes = index.part.stored_bytes();
+  in.max_chunk_bytes = index.max_chunk_bytes();
+  in.m = index.mer_hist.m;
+  in.num_ranks = num_ranks;
+  in.threads_per_rank = threads_per_rank;
+  in.tuple_bytes = index.k <= kmer::kMaxK64 ? 12 : 20;
+  return in;
+}
 
 MemoryBreakdown estimate_memory(const MemoryModelInput& in) {
   if (in.num_ranks < 1 || in.threads_per_rank < 1 || in.num_passes < 1)
@@ -10,7 +26,7 @@ MemoryBreakdown estimate_memory(const MemoryModelInput& in) {
   MemoryBreakdown b;
   const std::uint64_t bins4 = std::uint64_t{4} << (2 * in.m);  // 4^{m+1}
   b.mer_hist = bins4;
-  b.fastq_part = bins4 * in.num_chunks;
+  b.fastq_part = in.fastq_part_bytes;
   b.fastq_buffer = static_cast<std::uint64_t>(in.threads_per_rank) * in.max_chunk_bytes;
   const std::uint64_t tuples_per_task_pass =
       in.total_tuples / (static_cast<std::uint64_t>(in.num_passes) *

@@ -1356,7 +1356,6 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
                     config.superkmer_minimizer_len > std::min(k, 31)))
     throw util::config_error("comm-compress: superkmer_minimizer_len must be in [1, min(k, 31)]");
   const bool wide = k > kmer::kMaxK64;
-  const int tuple_bytes = wide ? 20 : 12;
   const std::uint32_t R = index.total_reads;
   const int m = index.mer_hist.m;
 
@@ -1373,15 +1372,7 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
 
   // Memory-model input, shared by pass derivation (S == 0) and the
   // attribution report's predicted-vs-actual reconciliation.
-  MemoryModelInput mm;
-  mm.total_tuples = index.mer_hist.total();
-  mm.total_reads = R;
-  mm.num_chunks = index.part.num_chunks();
-  mm.max_chunk_bytes = index.max_chunk_bytes();
-  mm.m = m;
-  mm.num_ranks = P;
-  mm.threads_per_rank = T;
-  mm.tuple_bytes = tuple_bytes;
+  MemoryModelInput mm = memory_model_input(index, P, T);
 
   int S = config.num_passes;
   if (S == 0) {

@@ -30,7 +30,8 @@ void BinaryWriter::close() {
   if (file_ == nullptr) return;
   std::FILE* f = file_;
   file_ = nullptr;  // the handle is gone even if the flush fails
-  if (std::fclose(f) != 0) {
+  const bool trailer_ok = std::fwrite(&hash_, 1, sizeof(hash_), f) == sizeof(hash_);
+  if (std::fclose(f) != 0 || !trailer_ok) {
     const int err = errno;
     throw util::io_error("binary index: close failed, buffered data may be lost", path_,
                          util::Error::kNoOffset, err);
@@ -43,6 +44,7 @@ void BinaryWriter::write_bytes(const void* data, std::size_t size) {
     const int err = errno;
     throw util::io_error("binary index: short write", path_, util::Error::kNoOffset, err);
   }
+  hash_ = fnv1a(data, size, hash_);
 }
 
 void BinaryWriter::write_u32(std::uint32_t v) { write_bytes(&v, sizeof(v)); }
@@ -63,7 +65,8 @@ BinaryReader::BinaryReader(const std::string& path, std::uint32_t magic, std::ui
     throw util::io_error("binary index: cannot open for reading", path_, 0, errno);
   if (!S_ISREG(st.st_mode))
     throw util::io_error("binary index: must be a regular file", path_, 0);
-  size_ = static_cast<std::uint64_t>(st.st_size);
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+  end_ = size < sizeof(hash_) ? 0 : size - sizeof(hash_);
   file_ = std::fopen(path.c_str(), "rb");
   if (file_ == nullptr)
     throw util::io_error("binary index: cannot open for reading", path_, 0, errno);
@@ -94,6 +97,18 @@ void BinaryReader::read_bytes(void* data, std::size_t size) {
     throw util::io_error("binary index: short read", path_, pos_, err);
   }
   pos_ += size;
+  hash_ = fnv1a(data, size, hash_);
+}
+
+void BinaryReader::finish() {
+  if (pos_ != end_)
+    throw util::parse_error("binary index: " + std::to_string(end_ - pos_) +
+                                " trailing bytes after the last field",
+                            path_, pos_);
+  std::uint64_t stored = 0;
+  if (std::fread(&stored, 1, sizeof(stored), file_) != sizeof(stored))
+    throw util::parse_error("binary index: missing checksum", path_, pos_);
+  if (stored != hash_) throw util::parse_error("binary index: checksum mismatch", path_, pos_);
 }
 
 std::uint64_t BinaryReader::read_count(std::size_t min_bytes_each) {

@@ -2,8 +2,9 @@
 //
 // IndexCreate writes the merHist and FASTQPart tables "to disk in binary
 // format" for reuse across runs and platforms (paper §3.1).  These helpers
-// give every table a magic + version header and length-prefixed fields so a
-// stale or truncated index fails loudly instead of corrupting a run.
+// give every table a magic + version header, length-prefixed fields and a
+// trailing FNV-1a checksum of every preceding byte, so a stale, truncated,
+// extended or bit-flipped index fails loudly instead of corrupting a run.
 // Values are little-endian (asserted at build time; the reproduction targets
 // x86-64/AArch64 Linux).
 #pragma once
@@ -19,6 +20,31 @@ static_assert(std::endian::native == std::endian::little,
               "metaprep binary indices assume a little-endian host");
 
 namespace metaprep::io {
+
+inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+/// 64-bit FNV-1a of @p size bytes, continuing from hash @p h.
+inline std::uint64_t fnv1a(const void* data, std::size_t size,
+                           std::uint64_t h = kFnvOffset) noexcept {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    h ^= p[i];
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+/// FNV-1a folded over 64-bit words instead of bytes: one multiply per word,
+/// for payloads that are a whole number of 8-byte words.
+inline std::uint64_t fnv1a_words(const std::uint64_t* words, std::uint64_t count) noexcept {
+  std::uint64_t h = kFnvOffset;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    h ^= words[i];
+    h *= kFnvPrime;
+  }
+  return h;
+}
 
 class BinaryWriter {
  public:
@@ -39,19 +65,23 @@ class BinaryWriter {
     write_bytes(v.data(), v.size_bytes());
   }
 
-  /// Flush and close; throws util::Error (category io) if the flush fails.
-  /// The destructor closes too but only logs failures; callers that must
-  /// not lose an index should close() explicitly.
+  /// Append the checksum of every byte written, flush and close; throws
+  /// util::Error (category io) if the write or flush fails.  The destructor
+  /// closes too but only logs failures; callers that must not lose an index
+  /// should close() explicitly.
   void close();
 
  private:
   std::string path_;
   std::FILE* file_ = nullptr;
+  std::uint64_t hash_ = kFnvOffset;  ///< FNV-1a of every byte written so far
 };
 
 class BinaryReader {
  public:
-  /// Opens @p path and validates magic + version.  Throws on mismatch.
+  /// Opens @p path and validates magic + version.  Throws on mismatch.  The
+  /// last 8 bytes of the file are the checksum trailer, which no read
+  /// reaches: finish() checks it.
   BinaryReader(const std::string& path, std::uint32_t magic, std::uint32_t version);
   BinaryReader(const BinaryReader&) = delete;
   BinaryReader& operator=(const BinaryReader&) = delete;
@@ -76,13 +106,19 @@ class BinaryReader {
     return v;
   }
 
+  /// Call after the last field: throws a parse Error when bytes are left
+  /// between it and the trailer, or when the trailer is not the checksum of
+  /// every byte before it.
+  void finish();
+
  private:
-  [[nodiscard]] std::uint64_t remaining() const noexcept { return size_ - pos_; }
+  [[nodiscard]] std::uint64_t remaining() const noexcept { return end_ - pos_; }
 
   std::string path_;
   std::FILE* file_ = nullptr;
-  std::uint64_t size_ = 0;  ///< file size at open
-  std::uint64_t pos_ = 0;   ///< bytes consumed so far
+  std::uint64_t end_ = 0;  ///< where the checksum trailer starts
+  std::uint64_t pos_ = 0;  ///< bytes consumed so far
+  std::uint64_t hash_ = kFnvOffset;  ///< FNV-1a of the bytes consumed
 };
 
 }  // namespace metaprep::io

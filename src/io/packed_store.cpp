@@ -1,5 +1,6 @@
 #include "io/packed_store.hpp"
 
+#include "io/binary.hpp"
 #include "kmer/codec.hpp"
 #include "obs/mem.hpp"
 #include "util/error.hpp"
@@ -39,31 +40,6 @@ struct ArenaHeader {
   std::uint64_t header_checksum;
 };
 static_assert(sizeof(ArenaHeader) == 72, "arena header layout drifted");
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a(const void* data, std::size_t size,
-                    std::uint64_t h = kFnvOffset) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-/// FNV-1a folded over 64-bit words: the payload is always a whole number of
-/// 8-byte words (every section is 8-byte aligned), and one multiply per word
-/// instead of per byte keeps the ingest checksum off the critical path.
-std::uint64_t fnv1a_words(const std::uint64_t* words, std::uint64_t count) noexcept {
-  std::uint64_t h = kFnvOffset;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    h ^= words[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 constexpr std::uint64_t pad8(std::uint64_t bytes) noexcept {
   return (bytes + 7) & ~std::uint64_t{7};

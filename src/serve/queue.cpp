@@ -35,15 +35,8 @@ namespace {
 [[nodiscard]] std::uint64_t predict_job_bytes(const core::DatasetIndex& index,
                                               const core::MetaprepConfig& config) {
   if (config.num_passes < 0) throw util::config_error("submit: num_passes must be >= 0");
-  core::MemoryModelInput mm;
-  mm.total_tuples = index.mer_hist.total();
-  mm.total_reads = index.total_reads;
-  mm.num_chunks = index.part.num_chunks();
-  mm.max_chunk_bytes = index.max_chunk_bytes();
-  mm.m = index.mer_hist.m;
-  mm.num_ranks = config.num_ranks;
-  mm.threads_per_rank = config.threads_per_rank;
-  mm.tuple_bytes = config.k <= 32 ? 12 : 20;
+  core::MemoryModelInput mm =
+      core::memory_model_input(index, config.num_ranks, config.threads_per_rank);
   int S = config.num_passes;
   if (S == 0) {
     S = core::min_passes_for_budget(mm, config.memory_budget_bytes);

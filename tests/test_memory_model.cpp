@@ -16,7 +16,7 @@ MemoryModelInput paper_is_input() {
   in.total_reads = 1'130'000'000ULL;
   // ~1.3e9 tuples/task/pass * 8 passes * 16 tasks.
   in.total_tuples = 1'300'000'000ULL * 8 * 16;
-  in.num_chunks = 1536;
+  in.fastq_part_bytes = (std::uint64_t{4} << 20) * 1536;  // dense rows: 4^{11} * C
   in.max_chunk_bytes = 300'000'000ULL;  // ~0.3 GB
   in.m = 10;
   in.num_ranks = 16;

@@ -155,14 +155,8 @@ TEST(Pipeline, AutoPassSelectionFromBudget) {
   const auto r = run_metaprep(fixture.index, cfg);
   EXPECT_EQ(r.passes_used, 1);
   // A budget barely above the fixed terms should force multiple passes.
-  MemoryModelInput mm;
-  mm.total_tuples = fixture.index.mer_hist.total();
-  mm.total_reads = fixture.index.total_reads;
-  mm.num_chunks = fixture.index.part.num_chunks();
-  mm.max_chunk_bytes = fixture.index.max_chunk_bytes();
-  mm.m = fixture.index.mer_hist.m;
-  mm.num_passes = 1;
-  const auto one_pass = estimate_memory(mm);
+  const auto one_pass =
+      estimate_memory(memory_model_input(fixture.index, cfg.num_ranks, cfg.threads_per_rank));
   cfg.memory_budget_bytes = one_pass.total - one_pass.kmer_out / 2;
   const auto r2 = run_metaprep(fixture.index, cfg);
   EXPECT_GT(r2.passes_used, 1);
