@@ -18,19 +18,7 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-namespace {
-
 using namespace metaprep;
-
-sim::Preset parse_preset(const std::string& name) {
-  if (name == "HG") return sim::Preset::HG;
-  if (name == "LL") return sim::Preset::LL;
-  if (name == "MM") return sim::Preset::MM;
-  if (name == "IS") return sim::Preset::IS;
-  throw std::invalid_argument("unknown preset: " + name);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
@@ -41,7 +29,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> files = args.positional();
   const bool simulated = files.empty();
   if (simulated) {
-    const auto ds = sim::make_preset(parse_preset(args.get("preset", "MM")),
+    const auto ds = sim::make_preset(sim::parse_preset(args.get("preset", "MM")),
                                      args.get_double("scale", 1.0), out);
     files = ds.files;
   }

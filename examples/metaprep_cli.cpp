@@ -1,48 +1,18 @@
-// metaprep_cli: the command-line front end for real FASTQ data.
+// metaprep_cli: the command-line front end for real FASTQ data.  Run it with
+// no arguments for every subcommand's flags; `run` and `daemon submit` take
+// the run fields of core/run_fields.hpp.
 //
-// Subcommands:
-//   index  --out=INDEX.bin [--k=27] [--m=10] [--chunks=384] [--single-end]
-//          R1.fastq R2.fastq [R1b.fastq R2b.fastq ...]
-//       Build and save the merHist/FASTQPart index for a dataset.
-//
-//   run    --index=INDEX.bin [--ranks=1] [--threads=4] [--passes=1]
-//          [--memory-gb=0] [--filter-min=0] [--filter-max=0] [--out=DIR]
-//          [--no-output] [--verify] [--trace-out=T.json] [--metrics-out=M.jsonl]
-//       Run the preprocessing pipeline.  --passes=0 with --memory-gb picks
-//       the minimum pass count fitting the per-task budget (§3.7).
-//       --filter-min/--filter-max enable the k-mer frequency filter (§4.4).
-//       --verify recomputes the partition with a brute-force in-memory
-//       reference and compares (small datasets only — quadratic memory).
-//       --trace-out records per-rank/per-thread step spans as Chrome
-//       trace_event JSON (open in chrome://tracing or ui.perfetto.dev);
-//       --metrics-out writes a JSONL metrics snapshot.  The METAPREP_TRACE
-//       env var ("1", or an output path) enables tracing for any subcommand.
-//       --attr-out writes the structured performance-attribution artifact
-//       (phase walls, imbalance, critical path, memory high-water) that
-//       tools/metaprep-report ingests (its comm section holds the
-//       per-(src,dst) bytes/messages matrix); --progress draws a one-line
-//       stderr progress indicator.
-//
-//   sim    --out=DIR [--preset=HG|LL|MM|IS] [--sim-scale=0.05]
-//       Generate a synthetic Table 2 dataset (see src/sim/presets.hpp) and
-//       print the FASTQ paths — feeds `index` when no real data is at hand.
-//
-//   info   --index=INDEX.bin
-//       Print index statistics and the memory-model table.
-//
-//   diginorm --out=PREFIX [--k=20] [--cutoff=20] R1.fastq R2.fastq
-//       Digital normalization (the companion Howe et al. strategy): stream
-//       the pairs, keep those whose estimated median k-mer abundance is
-//       below the cutoff, write PREFIX_1.fastq / PREFIX_2.fastq.
-//   daemon <verb> --socket=SOCK ...
-//       Client for a running metaprepd (tools/metaprepd).  Verbs: ping,
-//       submit (--index plus run-style flags), status/cancel/fetch (--job=N;
-//       status takes --wait to poll to a terminal state), list, pause,
-//       resume, shutdown.  Each invocation sends one JSON request line and
-//       prints the daemon's one-line JSON response.
+//   index     build and save the merHist/FASTQPart index of FASTQ files
+//   run       run the preprocessing pipeline on an index (--verify compares
+//             with a brute-force reference, for small datasets only)
+//   sim       write a synthetic Table 2 dataset (src/sim/presets.hpp)
+//   info      print index statistics and the memory-model table
+//   diginorm  digital normalization (the companion Howe et al. strategy)
+//   daemon    one request to a running metaprepd (tools/metaprepd); prints
+//             its one-line JSON response
 //
 // Every subcommand rejects a flag outside its documented set, and a
-// malformed number, with a [config] error naming the flag.
+// malformed or out-of-range value, with a [config] error naming the flag.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -54,6 +24,7 @@
 #include "core/manifest.hpp"
 #include "core/memory_model.hpp"
 #include "core/pipeline.hpp"
+#include "core/run_fields.hpp"
 #include "norm/diginorm.hpp"
 #include "serve/proto.hpp"
 #include "sim/presets.hpp"
@@ -72,13 +43,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: metaprep_cli index --out=INDEX.bin [--k --m --chunks --single-end "
                "--parse-mode=strict|lenient] FASTQ...\n"
-               "       metaprep_cli run --index=INDEX.bin [--ranks --threads --passes "
-               "--memory-gb --filter-min --filter-max --out --no-output --output-bins=B "
-               "--parse-mode=strict|lenient --pipeline-mode=barrier|overlap "
-               "--read-store=text|packed --packed-store=ARENA.mprs "
-               "--comm-compress=none|superkmer --superkmer-minimizer-len=M "
-               "--trace-out=T.json --metrics-out=M.jsonl --attr-out=A.json "
-               "--progress "
+               "       metaprep_cli run --index=INDEX.bin [run fields] [--verify --progress "
                "--fault-seed=N --fault-read-rate=P --fault-corrupt-rate=P "
                "--fault-comm-drop-rate=P --fault-comm-delay-rate=P]\n"
                "       metaprep_cli sim --out=DIR [--preset=HG|LL|MM|IS|XL --sim-scale=S]\n"
@@ -86,40 +51,17 @@ int usage() {
                "       metaprep_cli diginorm --out=PREFIX [--k --cutoff] R1.fastq R2.fastq\n"
                "       metaprep_cli daemon ping|submit|status|cancel|fetch|list|pause|resume|"
                "shutdown --socket=SOCK\n"
-               "           submit: --index=INDEX.bin [--ranks --threads --passes --priority "
-               "--out=DIR --no-output --output-bins=B --pipeline-mode=barrier|overlap "
-               "--filter-min --filter-max]\n"
-               "           status|cancel|fetch: --job=N  (status: [--wait[=SECONDS]])\n");
+               "           submit: --index=INDEX.bin [run fields] [--priority=N]\n"
+               "           status|cancel|fetch: --job=N  (status: [--wait[=SECONDS]])\n"
+               "run fields (JSON key: the flag with '-' -> '_'):\n%s",
+               core::run_fields_usage().c_str());
   return 2;
 }
 
-io::ParseMode parse_mode_arg(const util::Args& args) {
-  const std::string mode = args.get("parse-mode", "strict");
-  if (mode == "strict") return io::ParseMode::kStrict;
-  if (mode == "lenient") return io::ParseMode::kLenient;
-  throw util::config_error("--parse-mode must be 'strict' or 'lenient' (got '" + mode + "')");
-}
-
-core::ReadStore read_store_arg(const util::Args& args) {
-  const std::string store = args.get("read-store", "text");
-  if (store == "text") return core::ReadStore::kText;
-  if (store == "packed") return core::ReadStore::kPacked;
-  throw util::config_error("--read-store must be 'text' or 'packed' (got '" + store + "')");
-}
-
-core::CommCompress comm_compress_arg(const util::Args& args) {
-  const std::string mode = args.get("comm-compress", "none");
-  if (mode == "none") return core::CommCompress::kNone;
-  if (mode == "superkmer") return core::CommCompress::kSuperKmer;
-  throw util::config_error("--comm-compress must be 'none' or 'superkmer' (got '" + mode + "')");
-}
-
-core::PipelineMode pipeline_mode_arg(const util::Args& args) {
-  const std::string mode = args.get("pipeline-mode", "barrier");
-  if (mode == "barrier") return core::PipelineMode::kBarrier;
-  if (mode == "overlap") return core::PipelineMode::kOverlap;
-  throw util::config_error("--pipeline-mode must be 'barrier' or 'overlap' (got '" + mode +
-                           "')");
+/// The run field @p name from @p args, or its table default.
+core::FieldValue run_flag(const util::Args& args, std::string_view name) {
+  const core::RunField& f = *core::find_run_field(name);
+  return core::parse_field(f, args.get(std::string(name), std::string(f.default_value)));
 }
 
 /// Arm the global FaultPlan from --fault-* flags; returns true if any rate
@@ -176,7 +118,7 @@ int cmd_index(const util::Args& args) {
   opt.k = static_cast<int>(args.get_int("k", 27));
   opt.m = static_cast<int>(args.get_int("m", 10));
   opt.target_chunks = static_cast<std::uint32_t>(args.get_int("chunks", 384));
-  opt.parse_mode = parse_mode_arg(args);
+  opt.parse_mode = static_cast<io::ParseMode>(run_flag(args, "parse-mode").i);
   const bool paired = !args.has("single-end");
   core::IndexCreateTiming timing;
   const auto index = core::create_index(
@@ -192,41 +134,13 @@ int cmd_index(const util::Args& args) {
 }
 
 int cmd_run(const util::Args& args) {
-  args.reject_unknown(
-      "run", {"index", "ranks", "threads", "passes", "memory-gb", "filter-min", "filter-max",
-              "out", "no-output", "verify", "output-bins", "parse-mode", "pipeline-mode",
-              "read-store", "packed-store", "comm-compress", "superkmer-minimizer-len",
-              "trace-out", "metrics-out", "attr-out", "progress", "fault-seed",
-              "fault-read-rate", "fault-corrupt-rate", "fault-comm-drop-rate",
-              "fault-comm-delay-rate"});
+  core::MetaprepConfig cfg = core::default_run_config();
+  core::apply_run_args(cfg, args, "run",
+                       {"index", "verify", "progress", "fault-seed", "fault-read-rate",
+                        "fault-corrupt-rate", "fault-comm-drop-rate", "fault-comm-delay-rate"});
   if (!args.has("index")) return usage();
   const auto index = core::load_index(args.get("index", ""));
-  core::MetaprepConfig cfg;
   cfg.k = index.k;
-  cfg.num_ranks = static_cast<int>(args.get_int("ranks", 1));
-  cfg.threads_per_rank = static_cast<int>(args.get_int("threads", 4));
-  cfg.num_passes = static_cast<int>(args.get_int("passes", 1));
-  const double memory_gb = args.get_double("memory-gb", 0.0);
-  if (memory_gb > 0.0) {
-    cfg.num_passes = 0;
-    cfg.memory_budget_bytes = static_cast<std::uint64_t>(memory_gb * 1e9);
-  }
-  cfg.filter.min_freq = static_cast<std::uint32_t>(args.get_int("filter-min", 0));
-  const auto fmax = args.get_int("filter-max", 0);
-  if (fmax > 0) cfg.filter.max_freq = static_cast<std::uint32_t>(fmax);
-  cfg.write_output = !args.has("no-output");
-  cfg.output_dir = args.get("out", ".");
-  cfg.output_bins = static_cast<int>(args.get_int("output-bins", 0));
-  cfg.parse_mode = parse_mode_arg(args);
-  cfg.pipeline_mode = pipeline_mode_arg(args);
-  cfg.read_store = read_store_arg(args);
-  cfg.comm_compress = comm_compress_arg(args);
-  cfg.superkmer_minimizer_len =
-      static_cast<int>(args.get_int("superkmer-minimizer-len", 10));
-  cfg.packed_store_path = args.get("packed-store", "");
-  cfg.trace_out = args.get("trace-out", "");
-  cfg.metrics_out = args.get("metrics-out", "");
-  cfg.attr_out = args.get("attr-out", "");
   cfg.progress = args.has("progress");
   std::filesystem::create_directories(cfg.output_dir);
   const bool faults_armed = arm_fault_plan(args);
@@ -262,18 +176,14 @@ int cmd_run(const util::Args& args) {
   table.print();
   if (args.has("verify")) {
     const auto reference = core::reference_components(index, cfg.filter, cfg.parse_mode);
-    // Compare as partitions (labels may differ by renaming).
-    auto normalize = [](const std::vector<std::uint32_t>& labels) {
-      std::vector<std::uint32_t> out(labels.size());
-      std::map<std::uint32_t, std::uint32_t> rep;
-      for (std::uint32_t i = 0; i < labels.size(); ++i) {
-        auto [it, ins] = rep.try_emplace(labels[i], i);
-        (void)ins;
-        out[i] = it->second;
-      }
-      return out;
-    };
-    if (normalize(result.labels) == normalize(reference)) {
+    // The same partition iff (ours, reference) label pairs form a bijection.
+    std::map<std::uint32_t, std::uint32_t> fwd, back;
+    bool same = result.labels.size() == reference.size();
+    for (std::size_t i = 0; same && i < reference.size(); ++i) {
+      same = fwd.try_emplace(result.labels[i], reference[i]).first->second == reference[i] &&
+             back.try_emplace(reference[i], result.labels[i]).first->second == result.labels[i];
+    }
+    if (same) {
       std::printf("verify: OK — partition matches the brute-force reference.\n");
     } else {
       std::printf("verify: MISMATCH against the brute-force reference!\n");
@@ -297,14 +207,7 @@ int cmd_run(const util::Args& args) {
 int cmd_sim(const util::Args& args) {
   args.reject_unknown("sim", {"out", "preset", "sim-scale"});
   if (!args.has("out")) return usage();
-  const std::string preset_str = args.get("preset", "HG");
-  sim::Preset preset;
-  if (preset_str == "HG") preset = sim::Preset::HG;
-  else if (preset_str == "LL") preset = sim::Preset::LL;
-  else if (preset_str == "MM") preset = sim::Preset::MM;
-  else if (preset_str == "IS") preset = sim::Preset::IS;
-  else if (preset_str == "XL") preset = sim::Preset::XL;
-  else throw util::config_error("--preset must be HG, LL, MM, IS or XL (got '" + preset_str + "')");
+  const sim::Preset preset = sim::parse_preset(args.get("preset", "HG"));
   const double scale = args.get_double("sim-scale", 0.05);
   const std::string dir = args.get("out", ".");
   std::filesystem::create_directories(dir);
@@ -331,8 +234,8 @@ int cmd_info(const util::Args& args) {
   print_fastq_part_storage(index.part);
 
   core::MemoryModelInput mm =
-      core::memory_model_input(index, static_cast<int>(args.get_int("ranks", 1)),
-                               static_cast<int>(args.get_int("threads", 4)));
+      core::memory_model_input(index, static_cast<int>(run_flag(args, "ranks").i),
+                               static_cast<int>(run_flag(args, "threads").i));
 
   util::TablePrinter table({"Passes", "kmerOut+kmerIn (MB)", "Total/task (MB)"});
   for (int s : {1, 2, 4, 8}) {
@@ -358,10 +261,6 @@ std::string daemon_roundtrip(const std::string& socket_path, const std::string& 
 }
 
 int cmd_daemon(const util::Args& args) {
-  args.reject_unknown("daemon",
-                      {"socket", "job", "wait", "index", "ranks", "threads", "passes", "priority",
-                       "out", "no-output", "output-bins", "pipeline-mode", "filter-min",
-                       "filter-max"});
   if (args.positional().size() < 2 || !args.has("socket")) return usage();
   const std::string verb = args.positional()[1];
   const std::string socket_path = args.get("socket", "");
@@ -369,47 +268,22 @@ int cmd_daemon(const util::Args& args) {
   std::string request;
   if (verb == "submit") {
     if (!args.has("index")) return usage();
-    serve::JsonLineWriter w;
-    w.field("cmd", std::string("submit"));
-    w.field("index", args.get("index", ""));
-    if (args.has("ranks")) w.field("ranks", static_cast<std::int64_t>(args.get_int("ranks", 1)));
-    if (args.has("threads"))
-      w.field("threads", static_cast<std::int64_t>(args.get_int("threads", 1)));
-    if (args.has("passes"))
-      w.field("passes", static_cast<std::int64_t>(args.get_int("passes", 1)));
-    if (args.has("priority"))
-      w.field("priority", static_cast<std::int64_t>(args.get_int("priority", 0)));
-    if (args.has("out")) w.field("out", args.get("out", "."));
-    if (args.has("no-output")) w.field("write_output", false);
-    if (args.has("output-bins"))
-      w.field("output_bins", static_cast<std::int64_t>(args.get_int("output-bins", 0)));
-    if (args.has("pipeline-mode")) w.field("pipeline_mode", args.get("pipeline-mode", ""));
-    if (args.has("filter-min"))
-      w.field("filter_min", static_cast<std::int64_t>(args.get_int("filter-min", 0)));
-    if (args.has("filter-max"))
-      w.field("filter_max", static_cast<std::int64_t>(args.get_int("filter-max", 0)));
-    request = w.finish();
-  } else if (verb == "status" || verb == "cancel" || verb == "fetch") {
-    if (!args.has("job")) return usage();
-    serve::JsonLineWriter w;
-    w.field("cmd", verb);
-    w.field("job", static_cast<std::int64_t>(args.get_int("job", 0)));
-    request = w.finish();
-  } else if (verb == "ping" || verb == "list" || verb == "pause" || verb == "resume" ||
-             verb == "shutdown") {
-    serve::JsonLineWriter w;
-    w.field("cmd", verb);
-    request = w.finish();
+    request = serve::submit_request(args);
   } else {
-    return usage();
+    // Every other verb is {"cmd":verb} plus --job; the daemon names an
+    // unknown verb or a missing job in its error response.
+    args.reject_unknown("daemon " + verb, {"socket", "job", "wait"});
+    serve::JsonLineWriter w;
+    w.field("cmd", verb);
+    if (args.has("job")) w.field("job", args.get_int("job", 0));
+    request = w.finish();
   }
 
   std::string response = daemon_roundtrip(socket_path, request);
   if (verb == "status" && args.has("wait")) {
-    // Poll the job to a terminal state (done/failed/cancelled).  A bare
-    // --wait flag parses as "1"; treat it as the default timeout.
-    const double wait_s = args.get_double("wait", 1.0);
-    const double timeout_s = wait_s == 1.0 ? 120.0 : wait_s;
+    // Poll the job to a terminal state (done/failed/cancelled); a bare
+    // --wait waits up to 120 s.
+    const double timeout_s = args.bare("wait") ? 120.0 : args.get_double("wait", 120.0);
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::duration<double>(timeout_s);
     for (;;) {

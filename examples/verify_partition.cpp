@@ -9,6 +9,7 @@
 //
 // Usage: verify_partition --k=27 [--filter-min=N --filter-max=N]
 //                         <partition1.fastq> <partition2.fastq> ...
+// The filter flags are the run fields of the same name (0 = no bound).
 // Files sharing one CC-I/O slot tag (core::partition_class_of: ".lc.",
 // ".other.", ".b<j>.") are treated as one partition; any other file is its
 // own partition.
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "core/manifest.hpp"
+#include "core/run_fields.hpp"
 #include "io/fastq.hpp"
 #include "kmer/scanner.hpp"
 #include "util/cli.hpp"
@@ -33,9 +35,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   const int k = static_cast<int>(args.get_int("k", 27));
-  const std::uint64_t fmin = static_cast<std::uint64_t>(args.get_int("filter-min", 0));
-  std::uint64_t fmax = static_cast<std::uint64_t>(args.get_int("filter-max", 0));
-  if (fmax == 0) fmax = ~0ull;
+  core::MetaprepConfig run = core::default_run_config();
+  core::apply_run_args(run, args, "verify_partition", {"k"});
+  const core::KmerFreqFilter filter = run.filter;
 
   // Partition id per file.
   std::map<std::string, int> class_ids;
@@ -74,7 +76,7 @@ int main(int argc, char** argv) {
   for (const auto& [km, info] : kmers) {
     if (!info.crosses) continue;
     ++crossing;
-    if (info.freq >= fmin && info.freq <= fmax) ++crossing_filtered;
+    if (filter.accepts(info.freq)) ++crossing_filtered;
   }
 
   std::printf("%llu reads, %zu partitions, %zu distinct %d-mers\n",
@@ -83,7 +85,8 @@ int main(int argc, char** argv) {
               "filter band [%llu, %llu]\n",
               static_cast<unsigned long long>(crossing),
               static_cast<unsigned long long>(crossing_filtered),
-              static_cast<unsigned long long>(fmin), static_cast<unsigned long long>(fmax));
+              static_cast<unsigned long long>(filter.min_freq),
+              static_cast<unsigned long long>(filter.max_freq));
   if (crossing_filtered == 0) {
     std::printf("OK: partition is edge-free under the given filter — components are "
                 "independent.\n");

@@ -21,14 +21,16 @@
 #      (test_packed_store), index loading (test_indices: truncated and
 #      hostile index files), radix sort (test_sort: MSD bucket offsets), and
 #      exchange-compression (test_superkmer, the comm-compress differential
-#      grid) and pass-engine (GoldenW1 +
-#      Differential.ModesAgree*) suites — the paths that do raw buffer
+#      grid), pass-engine (GoldenW1 +
+#      Differential.ModesAgree*) and run-field (test_run_fields: hostile
+#      integers and doubles on the CLI and JSON surfaces) suites — the paths that do raw buffer
 #      arithmetic and deliberately corrupt / truncate input, including the
 #      super-k-mer wire decode and the fixed-tuple receive split's offset
 #      arithmetic on wire messages.
 #   4. metaprepd daemon smoke: start the job-queue daemon on an AF_UNIX
 #      socket, submit a job via `metaprep_cli daemon`, poll it to
-#      completion, fetch the partition manifest, cancel a queued job under
+#      completion, fetch the partition manifest, send a ranks=0 submit to
+#      its --max-threads clamp and ping it, cancel a queued job under
 #      pause, shut down cleanly — failing on a leaked child process or
 #      socket file.
 #   5. Correctness tooling: the metaprep-lint analyzer (scripts/lint.sh
@@ -149,7 +151,7 @@ echo "report leg: verify_partition OK (paper split and 3 output bins)"
 
 echo "=== tier 1: metaprepd daemon smoke (submit/status/fetch/cancel over AF_UNIX) ==="
 DSOCK="${REPORT_DIR}/metaprepd.sock"
-./build/tools/metaprepd --socket="${DSOCK}" --job-dir="${REPORT_DIR}/jobs" &
+./build/tools/metaprepd --socket="${DSOCK}" --job-dir="${REPORT_DIR}/jobs" --max-threads=4 &
 DPID=$!
 for _ in $(seq 1 100); do
   [ -S "${DSOCK}" ] && break
@@ -171,6 +173,27 @@ echo "${STATUS_OUT}" | grep -q '"state":"done"' \
 test -s "${REPORT_DIR}/jobs/job-1.trace.json"
 test -s "${REPORT_DIR}/jobs/job-1.metrics.jsonl"
 test -s "${REPORT_DIR}/dout/manifest.tsv"
+# A rank count below 1 is a config error on both sides of the socket: the
+# client refuses --ranks=0, and a raw request with "ranks":0 gets an error
+# response instead of reaching the --max-threads clamp's division (which
+# once killed the daemon with SIGFPE).  The ping proves the daemon lives.
+if ./build/examples/metaprep_cli daemon submit --socket="${DSOCK}" \
+     --index="${REPORT_DIR}/idx.bin" --ranks=0 2>"${REPORT_DIR}/ranks0.err"; then
+  echo "daemon smoke: client accepted --ranks=0"; exit 1
+fi
+grep -q '\[config\] --ranks' "${REPORT_DIR}/ranks0.err" \
+  || { echo "daemon smoke: --ranks=0 not a config error: $(cat "${REPORT_DIR}/ranks0.err")"; exit 1; }
+python3 - "${DSOCK}" "${REPORT_DIR}/idx.bin" <<'PYEOF'
+import json, socket, sys
+
+conn = socket.socket(socket.AF_UNIX)
+conn.connect(sys.argv[1])
+conn.sendall((json.dumps({"cmd": "submit", "index": sys.argv[2], "ranks": 0}) + "\n").encode())
+resp = json.loads(conn.makefile().readline())
+assert resp["ok"] is False and "[config]" in resp["error"], resp
+PYEOF
+./build/examples/metaprep_cli daemon ping --socket="${DSOCK}" >/dev/null \
+  || { echo "daemon smoke: daemon died on a ranks=0 submit"; exit 1; }
 # Deterministic queued-job cancel: pause dispatch so the worker never starts it.
 ./build/examples/metaprep_cli daemon pause --socket="${DSOCK}" >/dev/null
 ./build/examples/metaprep_cli daemon submit --socket="${DSOCK}" \
@@ -190,7 +213,7 @@ DPID=""
 if [ -e "${DSOCK}" ]; then
   echo "daemon smoke: leaked socket file ${DSOCK}"; exit 1
 fi
-echo "daemon smoke: OK (submit/status/fetch/cancel/shutdown, no leaks)"
+echo "daemon smoke: OK (submit/status/fetch/ranks=0/cancel/shutdown, no leaks)"
 
 echo "=== tier 1: ThreadSanitizer build (test_obs + test_mpsim + test_dsu + test_differential + test_serve + test_indices) ==="
 cmake --preset tsan
@@ -218,13 +241,15 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_indices \
 echo "=== tier 1: TSan service layer (concurrent sessions + cancel + job queue) ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_serve
 
-echo "=== tier 1: ASan+UBSan build (test_faults + test_fastq + test_packed_store + test_sort + compress legs) ==="
+echo "=== tier 1: ASan+UBSan build (test_faults + test_fastq + test_packed_store + test_sort + test_run_fields + compress legs) ==="
 cmake --preset asan
 cmake --build --preset asan "${JOBS}" --target test_faults test_fastq test_packed_store \
-  test_superkmer test_differential test_indices test_sort
+  test_superkmer test_differential test_indices test_sort test_run_fields
 
 echo "=== tier 1: ASan+UBSan test_faults (UBSan notes fail the gate) ==="
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_faults
+echo "=== tier 1: ASan+UBSan test_run_fields (hostile run-field values, CLI and JSON) ==="
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_run_fields
 echo "=== tier 1: ASan test_fastq ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_fastq
 echo "=== tier 1: ASan test_packed_store (arena corruption + packed scan bounds) ==="

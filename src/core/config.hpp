@@ -1,4 +1,5 @@
-// METAPREP run configuration.
+// METAPREP run configuration.  The fields a user sets from the CLI or the
+// daemon, with their flags, ranges and defaults, are in core/run_fields.hpp.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +51,7 @@ enum class PipelineMode {
   kOverlap,
 };
 
-/// Exchange compression for the KmerGen all-to-all (CLI --comm-compress).
+/// Exchange compression for the KmerGen all-to-all.
 /// Both codecs produce the same raw labels (differential grid); see
 /// DESIGN.md "Exchange compression" for the record format and the
 /// equivalence argument.
@@ -65,7 +66,7 @@ enum class CommCompress {
   kSuperKmer,
 };
 
-/// Where KmerGen gets its records each pass (CLI --read-store).
+/// Where KmerGen gets its records each pass.
 enum class ReadStore {
   /// Re-read and re-parse FASTQ text per chunk every pass (the paper's
   /// behaviour; parse cost is paid S times).
@@ -85,11 +86,10 @@ struct MetaprepConfig {
 
   KmerFreqFilter filter;
 
-  /// FASTQ failure handling.  Strict (default): a malformed record anywhere
-  /// in the run throws a typed util::Error naming the file, byte offset,
-  /// and category.  Lenient: the parser resynchronizes on the next '@'
-  /// header, counts the skip in io.records_skipped, and the run completes
-  /// with the parseable reads labeled (degraded but labeled).
+  /// FASTQ failure handling.  Strict: a malformed record throws a typed
+  /// util::Error naming the file, byte offset and category.  Lenient: the
+  /// parser resynchronizes on the next '@' header, counts the skip in
+  /// io.records_skipped, and the parseable reads are labeled.
   io::ParseMode parse_mode = io::ParseMode::kStrict;
 
   /// Multipass optimization (paper §3.5.1): from the second pass on,
@@ -106,38 +106,26 @@ struct MetaprepConfig {
   bool write_output = true;
   std::string output_dir = ".";
 
-  /// Load-balanced output partitioning (CLI --output-bins).  0 keeps the
-  /// paper's split: the largest component goes to ".lc", every other read
-  /// to ".other".  B >= 1 greedily bin-packs *all* components into B bins by
-  /// estimated total bp (src/part) and writes per-(rank, thread, bin)
-  /// ".b<j>.fastq" files plus a "<dataset>.bins.json" manifest describing
-  /// every bin.
+  /// Load-balanced output partitioning.  0 keeps the paper's split (the
+  /// largest component to ".lc", every other read to ".other").  B >= 1
+  /// bin-packs all components into B bins by estimated bp (src/part), writes
+  /// per-(rank, thread, bin) ".b<j>.fastq" files and a "<dataset>.bins.json".
   int output_bins = 0;
 
-  /// Pass scheduling (CLI --pipeline-mode=barrier|overlap).
   PipelineMode pipeline_mode = PipelineMode::kBarrier;
-
-  /// Exchange compression (CLI --comm-compress=none|superkmer).
-  /// Default off: the wire format and byte accounting of existing runs are
-  /// unchanged.
   CommCompress comm_compress = CommCompress::kNone;
 
   /// Minimizer length for super-k-mer grouping (comm_compress superkmer).
   /// Independent of the index's routing m-mer: compressed runs are routed
-  /// by minimizer-hash bins, not prefix bins.  Must be in [1, min(k, 31)];
-  /// longer minimizers shorten runs, shorter ones skew the run-length
-  /// distribution.
+  /// by minimizer-hash bins, not prefix bins.  Must be in [1, min(k, 31)].
   int superkmer_minimizer_len = 10;
 
-  /// Record source for the KmerGen scans (CLI --read-store=text|packed).
-  /// Text is the default and bit-identical to the historical behaviour;
-  /// packed builds the arena once (PackedIngest step) and produces the same
+  /// Record source for the KmerGen scans; both stores produce the same
   /// components and output bins (differential-tested).
   ReadStore read_store = ReadStore::kText;
 
-  /// Packed mode only: where to write the arena file.  Empty (default)
-  /// uses a unique file under the system temp directory, deleted when the
-  /// run finishes; non-empty paths are kept for reuse/inspection.
+  /// Packed mode only: where to keep the arena file.  Empty: the arena stays
+  /// in memory for the run.
   std::string packed_store_path;
 
   /// Interconnect cost model for the simulated-comm-seconds report.
@@ -147,8 +135,8 @@ struct MetaprepConfig {
   /// recorded into the global TraceSession (cleared first) and exported as
   /// Chrome trace_event JSON to that path; when @ref metrics_out is
   /// non-empty the global metrics registry is enabled (values reset first)
-  /// and a JSONL snapshot is written there after the run.  Both default off,
-  /// leaving only a relaxed-atomic check in the hot paths.
+  /// and a JSONL snapshot is written there after the run.  Empty leaves
+  /// only a relaxed-atomic check in the hot paths.
   std::string trace_out;
   std::string metrics_out;
 
@@ -156,11 +144,10 @@ struct MetaprepConfig {
   /// non-empty the run is traced (even without @ref trace_out) and the
   /// structured attribution report — phase walls, imbalance factors,
   /// critical path, comm matrix, memory by subsystem — is written there as
-  /// JSON (`metaprep-report` ingests it).  Default off.
+  /// JSON (`metaprep-report` ingests it).
   std::string attr_out;
 
-  /// One-line stderr progress (phase, % chunks, elapsed; CLI --progress).
-  /// Off by default and silent in tests.
+  /// One-line stderr progress (phase, % chunks, elapsed).
   bool progress = false;
 
   /// Session plumbing (src/serve).  All default null, which preserves the

@@ -1335,26 +1335,15 @@ void write_partitions(PassCtx& ctx, const RankLabels& labels, std::uint64_t slic
 }  // namespace
 
 PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& config) {
+  // Validation and S: one plan, shared with daemon admission.  Its memory
+  // input also feeds the attribution report's predicted-vs-actual table.
+  const RunPlan run_plan = plan_run(config, index);
+  const MemoryModelInput& mm = run_plan.memory;
+  const int S = run_plan.num_passes;
   const int k = config.k;
-  if (k != index.k)
-    throw util::config_error("run_metaprep: config.k differs from the index's k");
-  if (k < index.mer_hist.m || k > kmer::kMaxK128)
-    throw util::config_error("run_metaprep: k out of range");
   const int P = config.num_ranks;
   const int T = config.threads_per_rank;
-  if (P < 1 || T < 1) throw util::config_error("run_metaprep: P and T must be >= 1");
-  if (config.num_passes < 0)
-    throw util::config_error("run_metaprep: num_passes must be >= 0 (0 = derive from budget)");
-  // Every mode and codec routes through a 16-bit (dest rank, dest thread)
-  // slot table; checked here, before any rank starts.
-  if (static_cast<std::size_t>(P) * static_cast<std::size_t>(T) > 0xFFFF)
-    throw util::config_error("run_metaprep: P*T must fit the 16-bit slot table (<= 65535)");
-  if (config.output_bins < 0 || config.output_bins > 0xFFFF)
-    throw util::config_error("run_metaprep: output_bins must be in [0, 65535]");
   const bool superkmer = config.comm_compress == CommCompress::kSuperKmer;
-  if (superkmer && (config.superkmer_minimizer_len < 1 ||
-                    config.superkmer_minimizer_len > std::min(k, 31)))
-    throw util::config_error("comm-compress: superkmer_minimizer_len must be in [1, min(k, 31)]");
   const bool wide = k > kmer::kMaxK64;
   const std::uint32_t R = index.total_reads;
   const int m = index.mer_hist.m;
@@ -1369,18 +1358,6 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
   if (config.metrics_registry != nullptr) session_ctx.metrics = config.metrics_registry;
   if (config.mem_registry != nullptr) session_ctx.mem = config.mem_registry;
   const util::ScopedSessionContext session_bind(session_ctx);
-
-  // Memory-model input, shared by pass derivation (S == 0) and the
-  // attribution report's predicted-vs-actual reconciliation.
-  MemoryModelInput mm = memory_model_input(index, P, T);
-
-  int S = config.num_passes;
-  if (S == 0) {
-    S = min_passes_for_budget(mm, config.memory_budget_bytes);
-    if (S == 0)
-      throw util::config_error("run_metaprep: memory budget too small for any pass count");
-  }
-  mm.num_passes = S;
 
   // Zero-component hardening: an empty dataset short-circuits to a fully
   // formed empty result in either pipeline mode — no passes, no comm, no

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "kmer/kmer128.hpp"
+#include "util/error.hpp"
 #include "util/thread_team.hpp"
 
 namespace metaprep::core {
@@ -114,6 +116,39 @@ std::uint32_t ChunkAssignment::thread_begin(int p, int t) const {
 }
 std::uint32_t ChunkAssignment::thread_end(int p, int t) const {
   return thread_bounds_[static_cast<std::size_t>(p)][static_cast<std::size_t>(t) + 1];
+}
+
+RunPlan plan_run(const MetaprepConfig& config, const DatasetIndex& index) {
+  const int k = config.k;
+  const int P = config.num_ranks;
+  const int T = config.threads_per_rank;
+  auto check = [](bool ok, const std::string& what) {
+    if (!ok) throw util::config_error("run config: " + what);
+  };
+  check(k == index.k, "k " + std::to_string(k) + " differs from the index's k");
+  check(k >= index.mer_hist.m && k <= kmer::kMaxK128, "k out of range");
+  check(P >= 1 && T >= 1, "num_ranks and threads_per_rank must be >= 1 (got " +
+                              std::to_string(P) + ", " + std::to_string(T) + ")");
+  // Every mode and codec routes through a 16-bit (dest rank, dest thread)
+  // slot table.
+  check(static_cast<std::int64_t>(P) * T <= 0xFFFF, "P*T must fit the 16-bit slot table");
+  check(config.output_bins >= 0 && config.output_bins <= 0xFFFF,
+        "output_bins must be in [0, 65535]");
+  check(config.comm_compress != CommCompress::kSuperKmer ||
+            (config.superkmer_minimizer_len >= 1 &&
+             config.superkmer_minimizer_len <= std::min(k, 31)),
+        "superkmer_minimizer_len must be in [1, min(k, 31)]");
+  check(config.num_passes >= 0, "num_passes must be >= 0 (0 = derive from the memory budget)");
+
+  RunPlan plan;
+  plan.memory = memory_model_input(index, P, T);
+  plan.num_passes = config.num_passes;
+  if (plan.num_passes == 0) {
+    plan.num_passes = min_passes_for_budget(plan.memory, config.memory_budget_bytes);
+    check(plan.num_passes > 0, "memory budget too small for any pass count");
+  }
+  plan.memory.num_passes = plan.num_passes;
+  return plan;
 }
 
 }  // namespace metaprep::core

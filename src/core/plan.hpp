@@ -15,7 +15,9 @@
 #include <span>
 #include <vector>
 
+#include "core/config.hpp"
 #include "core/indices.hpp"
+#include "core/memory_model.hpp"
 
 namespace metaprep::core {
 
@@ -84,5 +86,18 @@ class ChunkAssignment {
   std::vector<std::uint32_t> rank_bounds_;                  // P+1
   std::vector<std::vector<std::uint32_t>> thread_bounds_;   // per rank: T+1
 };
+
+/// What a run of a config on an index will be, fixed before it starts.
+struct RunPlan {
+  int num_passes = 0;       ///< S; derived from the budget when config.num_passes == 0
+  MemoryModelInput memory;  ///< the §3.7 model input at P, T and S
+  [[nodiscard]] std::uint64_t predicted_bytes() const { return estimate_memory(memory).total; }
+};
+
+/// Validate @p config against @p index — k, P and T >= 1, P*T within the
+/// 16-bit slot table, output bins, minimizer length, S >= 0 — and derive S
+/// from the per-task budget when num_passes is 0.  Throws config_error.
+/// run_metaprep and daemon admission both plan through here.
+[[nodiscard]] RunPlan plan_run(const MetaprepConfig& config, const DatasetIndex& index);
 
 }  // namespace metaprep::core

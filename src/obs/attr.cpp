@@ -41,41 +41,6 @@ struct Track {
   std::vector<int> seg_index;        // global segment indices, time order
 };
 
-void append_escaped(std::ostringstream& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
-/// Shortest representation that round-trips a double (same idiom as the
-/// metrics registry's gauge export).
-std::string json_num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  double parsed = 0.0;
-  std::sscanf(buf, "%lf", &parsed);
-  if (parsed == v) {
-    char shorter[64];
-    std::snprintf(shorter, sizeof(shorter), "%.15g", v);
-    std::sscanf(shorter, "%lf", &parsed);
-    if (parsed == v) return shorter;
-  }
-  return buf;
-}
-
 std::string human_bytes(std::uint64_t b) {
   char buf[48];
   const double v = static_cast<double>(b);
@@ -373,48 +338,46 @@ AttrReport PhaseAccountant::analyze(const std::vector<TraceEvent>& events,
 
 std::string AttrReport::to_json() const {
   std::ostringstream out;
-  out << "{\"wall_s\":" << json_num(wall_s)
-      << ",\"trace_span_s\":" << json_num(trace_span_s) << ",\"ranks\":" << ranks
+  out << "{\"wall_s\":" << json_number(wall_s)
+      << ",\"trace_span_s\":" << json_number(trace_span_s) << ",\"ranks\":" << ranks
       << ",\"threads\":" << threads << ",\"passes\":" << passes;
 
   out << ",\"phases\":[";
   for (std::size_t i = 0; i < phases.size(); ++i) {
     const PhaseStat& p = phases[i];
     if (i > 0) out << ',';
-    out << "{\"name\":\"";
-    append_escaped(out, p.name);
-    out << "\",\"self_s\":" << json_num(p.self_s)
-        << ",\"max_rank_s\":" << json_num(p.max_rank_s)
-        << ",\"mean_rank_s\":" << json_num(p.mean_rank_s)
-        << ",\"imbalance\":" << json_num(p.imbalance)
-        << ",\"wall_frac\":" << json_num(p.wall_frac) << ",\"per_rank\":{";
+    out << "{\"name\":\"" << json_escape(p.name);
+    out << "\",\"self_s\":" << json_number(p.self_s)
+        << ",\"max_rank_s\":" << json_number(p.max_rank_s)
+        << ",\"mean_rank_s\":" << json_number(p.mean_rank_s)
+        << ",\"imbalance\":" << json_number(p.imbalance)
+        << ",\"wall_frac\":" << json_number(p.wall_frac) << ",\"per_rank\":{";
     bool first = true;
     for (const auto& [rank, sec] : p.rank_self_s) {
       if (!first) out << ',';
       first = false;
-      out << '"' << rank << "\":" << json_num(sec);
+      out << '"' << rank << "\":" << json_number(sec);
     }
     out << "}}";
   }
   out << ']';
 
-  out << ",\"critical_path\":{\"length_s\":" << json_num(critical_path.length_s)
-      << ",\"wait_s\":" << json_num(critical_path.wait_s)
-      << ",\"compute_s\":" << json_num(critical_path.compute_s) << ",\"steps\":[";
+  out << ",\"critical_path\":{\"length_s\":" << json_number(critical_path.length_s)
+      << ",\"wait_s\":" << json_number(critical_path.wait_s)
+      << ",\"compute_s\":" << json_number(critical_path.compute_s) << ",\"steps\":[";
   for (std::size_t i = 0; i < critical_path.steps.size(); ++i) {
     const CritStep& s = critical_path.steps[i];
     if (i > 0) out << ',';
-    out << "{\"name\":\"";
-    append_escaped(out, s.name);
+    out << "{\"name\":\"" << json_escape(s.name);
     out << "\",\"pid\":" << s.pid << ",\"tid\":" << s.tid
-        << ",\"start_us\":" << json_num(s.start_us)
-        << ",\"dur_us\":" << json_num(s.dur_us)
+        << ",\"start_us\":" << json_number(s.start_us)
+        << ",\"dur_us\":" << json_number(s.dur_us)
         << ",\"wait\":" << (s.wait ? "true" : "false")
         << ",\"via_flow\":" << (s.via_flow ? "true" : "false") << '}';
   }
   out << "]}";
 
-  out << ",\"comm\":{\"ranks\":" << comm_ranks << ",\"skew\":" << json_num(comm_skew)
+  out << ",\"comm\":{\"ranks\":" << comm_ranks << ",\"skew\":" << json_number(comm_skew)
       << ",\"bytes\":[";
   for (int r = 0; r < comm_ranks; ++r) {
     if (r > 0) out << ',';
@@ -442,8 +405,7 @@ std::string AttrReport::to_json() const {
   out << ",\"memory\":{\"subsystems\":[";
   for (std::size_t i = 0; i < memory.size(); ++i) {
     if (i > 0) out << ',';
-    out << "{\"name\":\"";
-    append_escaped(out, memory[i].name);
+    out << "{\"name\":\"" << json_escape(memory[i].name);
     out << "\",\"high_water_bytes\":" << memory[i].high_water_bytes
         << ",\"predicted_bytes\":" << memory[i].predicted_bytes << '}';
   }
@@ -451,8 +413,7 @@ std::string AttrReport::to_json() const {
       << ",\"peak_rss_bytes\":" << peak_rss_bytes << ",\"rss_samples\":[";
   for (std::size_t i = 0; i < rss_samples.size(); ++i) {
     if (i > 0) out << ',';
-    out << "{\"phase\":\"";
-    append_escaped(out, rss_samples[i].phase);
+    out << "{\"phase\":\"" << json_escape(rss_samples[i].phase);
     out << "\",\"peak_rss_bytes\":" << rss_samples[i].peak_rss_bytes << '}';
   }
   out << "]}}";

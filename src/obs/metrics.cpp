@@ -4,17 +4,11 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/trace.hpp"
+
 namespace metaprep::obs {
 
 namespace {
-
-/// Format a double the way JSON expects (no trailing garbage, full
-/// round-trip precision for counters stored as gauges).
-std::string json_number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 std::uint64_t next_registry_id() noexcept {
   static std::atomic<std::uint64_t> next{1};

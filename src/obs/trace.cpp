@@ -44,26 +44,44 @@ void flush_trace_at_exit() {
   }
 }
 
-void append_escaped(std::ostringstream& out, const std::string& s) {
-  for (char c : s) {
+}  // namespace
+
+std::string json_escape(const std::string& text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  for (const char c : text) {
     switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
         } else {
-          out << c;
+          out += c;
         }
     }
   }
+  return out;
 }
 
-}  // namespace
+std::string json_number(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  double parsed = 0.0;
+  std::sscanf(buf, "%lf", &parsed);
+  if (parsed == v) {
+    char shorter[64];
+    std::snprintf(shorter, sizeof(shorter), "%.15g", v);
+    std::sscanf(shorter, "%lf", &parsed);
+    if (parsed == v) return shorter;
+  }
+  return buf;
+}
 
 TraceSession::TraceSession()
     : id_(next_session_id()),
@@ -186,8 +204,7 @@ std::string TraceSession::to_chrome_json() const {
   auto emit = [&](const char* ph, const TraceEvent& ev, double ts) {
     if (!first) out << ',';
     first = false;
-    out << "{\"name\":\"";
-    append_escaped(out, ev.name);
+    out << "{\"name\":\"" << json_escape(ev.name);
     char buf[200];
     if (ev.flow_dir != 0) {
       // Flow events: Chrome requires a shared cat+id to join the "s" start

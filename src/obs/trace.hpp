@@ -28,6 +28,12 @@
 
 namespace metaprep::obs {
 
+/// @p text escaped for the inside of a JSON string (quotes, backslash and
+/// control bytes); the one escaper every JSON exporter in the repo uses.
+[[nodiscard]] std::string json_escape(const std::string& text);
+/// The shortest of %.15g / %.17g that reads back as @p v exactly.
+[[nodiscard]] std::string json_number(double v);
+
 /// One closed span: [ts_us, ts_us + dur_us) on (pid, tid), timestamps in
 /// microseconds since the session epoch.  dur_us < 0 marks a point event:
 /// either a plain instant (flow_dir == 0) or a cross-thread flow marker

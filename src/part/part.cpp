@@ -1,14 +1,14 @@
 #include "part/part.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <numeric>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace metaprep::part {
 
@@ -108,129 +108,10 @@ BinManifest build_bin_manifest(const std::string& dataset, std::uint64_t total_r
   return m;
 }
 
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-}
-
-/// Minimal cursor over the manifest's own JSON dialect (objects, arrays,
-/// strings with \" and \\ escapes, numbers) — enough to read back exactly
-/// what save_bin_manifest writes.
-struct JsonCursor {
-  const std::string& text;
-  const std::string& path;
-  std::size_t i = 0;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw util::parse_error("bin manifest: " + what, path, i);
-  }
-  void skip_ws() {
-    while (i < text.size() && (text[i] == ' ' || text[i] == '\n' || text[i] == '\t' ||
-                               text[i] == '\r'))
-      ++i;
-  }
-  char peek() {
-    skip_ws();
-    if (i >= text.size()) fail("unexpected end of input");
-    return text[i];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++i;
-  }
-  bool consume_if(char c) {
-    if (peek() != c) return false;
-    ++i;
-    return true;
-  }
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (i < text.size() && text[i] != '"') {
-      if (text[i] == '\\') {
-        ++i;
-        if (i >= text.size()) fail("dangling escape");
-      }
-      out.push_back(text[i++]);
-    }
-    if (i >= text.size()) fail("unterminated string");
-    ++i;  // closing quote
-    return out;
-  }
-  std::string parse_raw_number() {
-    skip_ws();
-    const std::size_t start = i;
-    while (i < text.size() && (std::isdigit(static_cast<unsigned char>(text[i])) != 0 ||
-                               text[i] == '-' || text[i] == '+' || text[i] == '.' ||
-                               text[i] == 'e' || text[i] == 'E'))
-      ++i;
-    if (i == start) fail("expected a number");
-    return text.substr(start, i - start);
-  }
-  std::uint64_t parse_u64() { return std::strtoull(parse_raw_number().c_str(), nullptr, 10); }
-  double parse_double() { return std::strtod(parse_raw_number().c_str(), nullptr); }
-};
-
-BinFile parse_file(JsonCursor& c) {
-  BinFile f;
-  c.expect('{');
-  do {
-    const std::string key = c.parse_string();
-    c.expect(':');
-    if (key == "path") {
-      f.path = c.parse_string();
-    } else if (key == "records") {
-      f.records = c.parse_u64();
-    } else {
-      c.fail("unknown file key '" + key + "'");
-    }
-  } while (c.consume_if(','));
-  c.expect('}');
-  return f;
-}
-
-BinManifest::Bin parse_bin(JsonCursor& c) {
-  BinManifest::Bin bin;
-  c.expect('{');
-  do {
-    const std::string key = c.parse_string();
-    c.expect(':');
-    if (key == "bin") {
-      (void)c.parse_u64();  // positional; bins are stored in order
-    } else if (key == "components") {
-      bin.components = static_cast<std::uint32_t>(c.parse_u64());
-    } else if (key == "reads") {
-      bin.reads = c.parse_u64();
-    } else if (key == "weight_bp") {
-      bin.weight_bp = c.parse_u64();
-    } else if (key == "files") {
-      c.expect('[');
-      if (!c.consume_if(']')) {
-        do {
-          bin.files.push_back(parse_file(c));
-        } while (c.consume_if(','));
-        c.expect(']');
-      }
-    } else {
-      c.fail("unknown bin key '" + key + "'");
-    }
-  } while (c.consume_if(','));
-  c.expect('}');
-  return bin;
-}
-
-}  // namespace
-
 void save_bin_manifest(const BinManifest& manifest, const std::string& path) {
   std::string out;
   out += "{\n";
-  out += "  \"dataset\": \"";
-  append_escaped(out, manifest.dataset);
-  out += "\",\n";
+  out += "  \"dataset\": \"" + obs::json_escape(manifest.dataset) + "\",\n";
   out += "  \"bins\": " + std::to_string(manifest.num_bins) + ",\n";
   out += "  \"reads\": " + std::to_string(manifest.total_reads) + ",\n";
   out += "  \"components\": " + std::to_string(manifest.num_components) + ",\n";
@@ -246,9 +127,8 @@ void save_bin_manifest(const BinManifest& manifest, const std::string& path) {
            ", \"weight_bp\": " + std::to_string(bin.weight_bp) + ", \"files\": [";
     for (std::size_t f = 0; f < bin.files.size(); ++f) {
       if (f > 0) out += ", ";
-      out += "{\"path\": \"";
-      append_escaped(out, bin.files[f].path);
-      out += "\", \"records\": " + std::to_string(bin.files[f].records) + "}";
+      out += "{\"path\": \"" + obs::json_escape(bin.files[f].path) +
+             "\", \"records\": " + std::to_string(bin.files[f].records) + "}";
     }
     out += "]}";
     out += b + 1 < manifest.bins.size() ? ",\n" : "\n";
@@ -264,44 +144,22 @@ void save_bin_manifest(const BinManifest& manifest, const std::string& path) {
 }
 
 BinManifest load_bin_manifest(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) throw util::io_error("cannot read bin manifest", path, 0, errno);
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-
+  const util::JsonValue doc = util::parse_json_file(path);
   BinManifest m;
-  JsonCursor c{text, path};
-  c.expect('{');
-  do {
-    const std::string key = c.parse_string();
-    c.expect(':');
-    if (key == "dataset") {
-      m.dataset = c.parse_string();
-    } else if (key == "bins") {
-      m.num_bins = static_cast<int>(c.parse_u64());
-    } else if (key == "reads") {
-      m.total_reads = c.parse_u64();
-    } else if (key == "components") {
-      m.num_components = c.parse_u64();
-    } else if (key == "skew") {
-      m.skew = c.parse_double();
-    } else if (key == "rows") {
-      c.expect('[');
-      if (!c.consume_if(']')) {
-        do {
-          m.bins.push_back(parse_bin(c));
-        } while (c.consume_if(','));
-        c.expect(']');
-      }
-    } else {
-      c.fail("unknown manifest key '" + key + "'");
-    }
-  } while (c.consume_if(','));
-  c.expect('}');
-  if (m.num_bins < 0 || m.bins.size() != static_cast<std::size_t>(m.num_bins))
+  m.dataset = doc.at("dataset").as_string();
+  m.num_bins = static_cast<int>(doc.at("bins").as_uint());
+  m.total_reads = doc.at("reads").as_uint();
+  m.num_components = doc.at("components").as_uint();
+  m.skew = doc.at("skew").as_number();
+  for (const util::JsonValue& row : doc.at("rows").as_array()) {
+    BinManifest::Bin& bin = m.bins.emplace_back();
+    bin.components = static_cast<std::uint32_t>(row.at("components").as_uint());
+    bin.reads = row.at("reads").as_uint();
+    bin.weight_bp = row.at("weight_bp").as_uint();
+    for (const util::JsonValue& file : row.at("files").as_array())
+      bin.files.push_back({file.at("path").as_string(), file.at("records").as_uint()});
+  }
+  if (m.bins.size() != static_cast<std::size_t>(m.num_bins))
     throw util::parse_error("bin manifest: row count disagrees with \"bins\"", path);
   return m;
 }

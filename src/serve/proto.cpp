@@ -1,38 +1,15 @@
 #include "serve/proto.hpp"
 
-#include <algorithm>
-#include <array>
 #include <cinttypes>
 #include <cstdio>
-#include <string_view>
 
+#include "core/run_fields.hpp"
+#include "obs/trace.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 
 namespace metaprep::serve {
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void JsonLineWriter::comma() {
   if (!first_) out_ += ',';
@@ -41,12 +18,12 @@ void JsonLineWriter::comma() {
 
 void JsonLineWriter::field(const std::string& key, const std::string& value) {
   comma();
-  out_ += '"' + json_escape(key) + "\":\"" + json_escape(value) + '"';
+  out_ += '"' + obs::json_escape(key) + "\":\"" + obs::json_escape(value) + '"';
 }
 
 void JsonLineWriter::field_raw(const std::string& key, const std::string& raw) {
   comma();
-  out_ += '"' + json_escape(key) + "\":" + raw;
+  out_ += '"' + obs::json_escape(key) + "\":" + raw;
 }
 
 void JsonLineWriter::field(const std::string& key, std::uint64_t value) {
@@ -62,9 +39,7 @@ void JsonLineWriter::field(const std::string& key, std::int64_t value) {
 }
 
 void JsonLineWriter::field(const std::string& key, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  field_raw(key, buf);
+  field_raw(key, obs::json_number(value));
 }
 
 void JsonLineWriter::field(const std::string& key, bool value) {
@@ -76,7 +51,7 @@ void JsonLineWriter::field_strings(const std::string& key,
   std::string arr = "[";
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i > 0) arr += ',';
-    arr += '"' + json_escape(values[i]) + '"';
+    arr += '"' + obs::json_escape(values[i]) + '"';
   }
   arr += ']';
   field_raw(key, arr);
@@ -112,49 +87,46 @@ std::string job_to_json(const JobInfo& info, bool with_manifest) {
   return w.finish();
 }
 
+/// The one daemon-only submit field (const, so internal linkage).
+constexpr core::RunField kPriority{
+    "priority", core::FieldKind::kInt, -1e9, 1e9, {}, "0", "higher runs first", nullptr};
+
 JobSpec parse_submit(const std::string& request_line) {
   const util::JsonValue req = util::parse_json(request_line);
-  // Reject keys outside the documented set (proto.hpp), so a typo such as
-  // "thread" fails loudly instead of running with the default.
-  static constexpr std::array<std::string_view, 12> kKnownKeys = {
-      "cmd",          "index",       "ranks",         "threads",
-      "passes",       "priority",    "out",           "write_output",
-      "output_bins",  "pipeline_mode", "filter_min",  "filter_max"};
-  for (const auto& [key, value] : req.as_object()) {
-    if (std::find(kKnownKeys.begin(), kKnownKeys.end(), key) == kKnownKeys.end())
-      throw util::config_error("submit: unknown field '" + key + "'");
-  }
   JobSpec spec;
+  spec.config = core::default_run_config();
+  core::apply_run_json(spec.config, req, "submit", {"cmd", "index", "priority"});
   const util::JsonValue* index = req.find("index");
   if (index == nullptr)
     throw util::config_error("submit: missing required field 'index'");
   spec.index_path = index->as_string();
-
-  core::MetaprepConfig& cfg = spec.config;
-  if (const auto* v = req.find("ranks")) cfg.num_ranks = static_cast<int>(v->as_int());
-  if (const auto* v = req.find("threads"))
-    cfg.threads_per_rank = static_cast<int>(v->as_int());
-  if (const auto* v = req.find("passes")) cfg.num_passes = static_cast<int>(v->as_int());
-  if (const auto* v = req.find("priority")) spec.priority = static_cast<int>(v->as_int());
-  if (const auto* v = req.find("out")) cfg.output_dir = v->as_string();
-  if (const auto* v = req.find("write_output")) cfg.write_output = v->as_bool();
-  if (const auto* v = req.find("output_bins")) cfg.output_bins = static_cast<int>(v->as_int());
-  if (const auto* v = req.find("filter_min"))
-    cfg.filter.min_freq = static_cast<std::uint32_t>(v->as_uint());
-  if (const auto* v = req.find("filter_max"))
-    cfg.filter.max_freq = static_cast<std::uint32_t>(v->as_uint());
-  if (const auto* v = req.find("pipeline_mode")) {
-    const std::string& mode = v->as_string();
-    if (mode == "barrier") {
-      cfg.pipeline_mode = core::PipelineMode::kBarrier;
-    } else if (mode == "overlap") {
-      cfg.pipeline_mode = core::PipelineMode::kOverlap;
-    } else {
-      throw util::config_error("submit: pipeline_mode must be 'barrier' or 'overlap' (got '" +
-                               mode + "')");
-    }
-  }
+  if (const auto* v = req.find("priority"))
+    spec.priority = static_cast<int>(core::parse_field(kPriority, *v).i);
   return spec;
+}
+
+std::string submit_request(const util::Args& args) {
+  core::MetaprepConfig validated = core::default_run_config();
+  core::apply_run_args(validated, args, "daemon submit", {"socket", "index", "priority"});
+  JsonLineWriter w;
+  w.field("cmd", std::string("submit"));
+  w.field("index", args.get("index", ""));
+  auto forward = [&](const core::RunField& f) {
+    const std::string name(f.name);
+    if (!args.has(name)) return;
+    const core::FieldValue v = core::parse_field(f, args.get(name, ""));
+    const std::string key = core::json_key(f.name);
+    switch (f.kind) {
+      case core::FieldKind::kInt: w.field(key, v.i); break;
+      case core::FieldKind::kDouble: w.field(key, v.d); break;
+      case core::FieldKind::kBool: w.field(key, v.b); break;
+      case core::FieldKind::kEnum:
+      case core::FieldKind::kPath: w.field(key, v.s); break;
+    }
+  };
+  for (const core::RunField& f : core::run_fields()) forward(f);
+  forward(kPriority);
+  return w.finish();
 }
 
 std::string error_response(const std::string& cmd, const std::string& error) {

@@ -7,10 +7,9 @@
 // DESIGN.md ("Service layer"); the summary:
 //
 //   {"cmd":"ping"}
-//   {"cmd":"submit","index":PATH, optional: "ranks","threads","passes",
-//        "priority","out",  "write_output","output_bins",
-//        "pipeline_mode":"barrier"|"overlap", "filter_min","filter_max"}
-//       (any other key is a config error naming it)
+//   {"cmd":"submit","index":PATH, optional "priority" and any run field of
+//        core/run_fields.hpp under its JSON key (the CLI flag with '-' ->
+//        '_'); any other key is a config error naming it}
 //       -> {"ok":true,"job":ID,"predicted_bytes":N,...}
 //   {"cmd":"status","job":ID}  -> state + result summary when done
 //   {"cmd":"cancel","job":ID}
@@ -27,11 +26,11 @@
 
 #include "serve/queue.hpp"
 
-namespace metaprep::serve {
+namespace metaprep::util {
+class Args;
+}  // namespace metaprep::util
 
-/// JSON string escaping for the writer side (quotes, backslash, control
-/// bytes; everything else passes through).
-[[nodiscard]] std::string json_escape(const std::string& text);
+namespace metaprep::serve {
 
 /// Incremental single-line JSON object writer: {"k":v,...}.
 class JsonLineWriter {
@@ -58,9 +57,15 @@ class JsonLineWriter {
 /// the output file list (the "fetch" response).
 [[nodiscard]] std::string job_to_json(const JobInfo& info, bool with_manifest);
 
-/// Build a JobSpec from a parsed "submit" request object.  Throws
-/// util::Error on missing/invalid fields and on unknown keys.
+/// Build a JobSpec from a "submit" request line: table defaults, then the
+/// request's run fields.  Throws util::Error on missing/invalid fields and
+/// on unknown keys.
 [[nodiscard]] JobSpec parse_submit(const std::string& request_line);
+
+/// The "submit" request line for `metaprep_cli daemon submit` flags: --index,
+/// --priority and every given run field, validated here and forwarded under
+/// its JSON key.  --socket is the client's own.
+[[nodiscard]] std::string submit_request(const util::Args& args);
 
 /// Uniform error response: {"ok":false,"cmd":...,"error":...}.
 [[nodiscard]] std::string error_response(const std::string& cmd, const std::string& error);

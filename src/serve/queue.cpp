@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "core/manifest.hpp"
-#include "core/memory_model.hpp"
+#include "core/plan.hpp"
 #include "util/error.hpp"
 
 namespace metaprep::serve {
@@ -30,23 +30,6 @@ namespace {
          state == JobState::kCancelled;
 }
 
-/// Per-task memory prediction for admission, mirroring run_metaprep's own
-/// pass derivation so the admission decision matches what the run would do.
-[[nodiscard]] std::uint64_t predict_job_bytes(const core::DatasetIndex& index,
-                                              const core::MetaprepConfig& config) {
-  if (config.num_passes < 0) throw util::config_error("submit: num_passes must be >= 0");
-  core::MemoryModelInput mm =
-      core::memory_model_input(index, config.num_ranks, config.threads_per_rank);
-  int S = config.num_passes;
-  if (S == 0) {
-    S = core::min_passes_for_budget(mm, config.memory_budget_bytes);
-    if (S == 0)
-      throw util::config_error("submit: job's own memory budget fits no pass count");
-  }
-  mm.num_passes = S;
-  return core::estimate_memory(mm).total;
-}
-
 }  // namespace
 
 JobQueue::JobQueue(JobQueueOptions options) : options_(std::move(options)) {
@@ -63,19 +46,21 @@ std::uint64_t JobQueue::submit(JobSpec spec) {
   auto index = std::make_shared<const core::DatasetIndex>(core::load_index(spec.index_path));
   if (spec.config.k != index->k) spec.config.k = index->k;
 
-  // Thread budget: clamp T so P*T fits the shared allowance.
-  if (options_.max_threads > 0) {
+  // Thread budget: clamp T so P*T fits the shared allowance.  A rank count
+  // below 1 never reaches the division; plan_run rejects it below.
+  if (options_.max_threads > 0 && spec.config.num_ranks > 0) {
     if (spec.config.num_ranks > options_.max_threads) {
       throw util::config_error(
           "submit: num_ranks " + std::to_string(spec.config.num_ranks) +
           " exceeds the daemon thread budget " + std::to_string(options_.max_threads));
     }
-    const int max_t = std::max(1, options_.max_threads / spec.config.num_ranks);
+    const int max_t = options_.max_threads / spec.config.num_ranks;
     spec.config.threads_per_rank = std::min(spec.config.threads_per_rank, max_t);
   }
+  const core::RunPlan plan = core::plan_run(spec.config, *index);
 
   // Memory admission (paper §3.7): predicted per-task bytes vs the budget.
-  const std::uint64_t predicted = predict_job_bytes(*index, spec.config);
+  const std::uint64_t predicted = plan.predicted_bytes();
   if (options_.mem_budget_bytes > 0 && predicted > options_.mem_budget_bytes) {
     std::ostringstream msg;
     msg << "submit: predicted " << predicted << " bytes/task exceeds the daemon budget "

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/error.hpp"
+
 namespace metaprep::sim {
 
 std::string preset_name(Preset p) {
@@ -14,6 +16,12 @@ std::string preset_name(Preset p) {
     case Preset::XL: return "XL";
   }
   throw std::invalid_argument("unknown preset");
+}
+
+Preset parse_preset(const std::string& name) {
+  for (const Preset p : {Preset::HG, Preset::LL, Preset::MM, Preset::IS, Preset::XL})
+    if (preset_name(p) == name) return p;
+  throw util::config_error("--preset must be HG, LL, MM, IS or XL (got '" + name + "')");
 }
 
 DatasetConfig preset_config(Preset p, double scale) {

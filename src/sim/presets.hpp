@@ -30,6 +30,9 @@ enum class Preset { HG, LL, MM, IS, XL };
 /// Short identifier used in file names and bench output ("HG", "LL", ...).
 std::string preset_name(Preset p);
 
+/// The preset preset_name spells @p name; a config error otherwise.
+Preset parse_preset(const std::string& name);
+
 /// Build the dataset configuration for a preset at the given scale.
 DatasetConfig preset_config(Preset p, double scale = 1.0);
 

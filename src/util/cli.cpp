@@ -1,7 +1,6 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
-#include <charconv>
 
 #include "util/error.hpp"
 
@@ -13,9 +12,7 @@ namespace {
 template <typename T>
 T parse_number(const std::string& name, const std::string& value, const char* what) {
   T out{};
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
-  if (ec != std::errc() || ptr != end)
+  if (!parse_whole(value, out))
     throw config_error("--" + name + " expects " + what + " (got '" + value + "')");
   return out;
 }
@@ -29,7 +26,7 @@ Args::Args(int argc, const char* const* argv) {
     if (arg.rfind("--", 0) == 0) {
       const auto eq = arg.find('=');
       if (eq == std::string::npos) {
-        named_.insert_or_assign(arg.substr(2), std::string(1, '1'));
+        named_.insert_or_assign(arg.substr(2), std::nullopt);
       } else {
         named_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
       }
@@ -41,28 +38,37 @@ Args::Args(int argc, const char* const* argv) {
 
 bool Args::has(const std::string& name) const { return named_.count(name) > 0; }
 
+bool Args::bare(const std::string& name) const {
+  auto it = named_.find(name);
+  return it != named_.end() && !it->second;
+}
+
 std::string Args::get(const std::string& name, const std::string& fallback) const {
   auto it = named_.find(name);
-  return it == named_.end() ? fallback : it->second;
+  return it == named_.end() ? fallback : it->second.value_or("1");
 }
 
 std::int64_t Args::get_int(const std::string& name, std::int64_t fallback) const {
-  auto it = named_.find(name);
-  if (it == named_.end()) return fallback;
-  return parse_number<std::int64_t>(name, it->second, "an integer");
+  if (!has(name)) return fallback;
+  return parse_number<std::int64_t>(name, get(name, ""), "an integer");
 }
 
 double Args::get_double(const std::string& name, double fallback) const {
-  auto it = named_.find(name);
-  if (it == named_.end()) return fallback;
-  return parse_number<double>(name, it->second, "a number");
+  if (!has(name)) return fallback;
+  return parse_number<double>(name, get(name, ""), "a number");
 }
 
 void Args::reject_unknown(std::string_view context,
                           std::initializer_list<std::string_view> known) const {
+  reject_unknown(context, [&](std::string_view name) {
+    return std::find(known.begin(), known.end(), name) != known.end();
+  });
+}
+
+void Args::reject_unknown(std::string_view context,
+                          const std::function<bool(std::string_view)>& known) const {
   for (const auto& [name, value] : named_) {
-    if (std::find(known.begin(), known.end(), name) == known.end())
-      throw config_error(std::string(context) + ": unknown flag '--" + name + "'");
+    if (!known(name)) throw config_error(std::string(context) + ": unknown flag '--" + name + "'");
   }
 }
 

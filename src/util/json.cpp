@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,11 +27,12 @@ double JsonValue::as_number() const {
   return num_;
 }
 
-std::int64_t JsonValue::as_int() const { return static_cast<std::int64_t>(as_number()); }
-
 std::uint64_t JsonValue::as_uint() const {
   const double v = as_number();
-  return v <= 0.0 ? 0 : static_cast<std::uint64_t>(v);
+  // 2^64 is exact as a double; casting it or anything above is undefined.
+  if (!(v >= 0.0 && v < 18446744073709551616.0) || std::floor(v) != v)
+    kind_mismatch("u64");
+  return static_cast<std::uint64_t>(v);
 }
 
 const std::string& JsonValue::as_string() const {
@@ -116,9 +118,12 @@ class JsonParser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (++depth_ > 64) fail("nesting deeper than 64");  // see json.hpp
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind_ = JsonValue::Kind::kString;
@@ -284,6 +289,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 JsonValue parse_json(std::string_view text) { return JsonParser(text).parse_document(); }

@@ -3,10 +3,9 @@
 // The pipeline's exporters (attr.json, metrics JSONL, the Chrome trace, the
 // comm-matrix dump) emit a small, known subset of JSON; this parser reads
 // exactly that subset back — objects, arrays, strings with the escapes the
-// exporters produce, numbers, booleans, null — into a simple tree.  It is
-// for trusted tool input, not adversarial data: depth is bounded only by the
-// stack and numbers parse via strtod.  Malformed input throws
-// util::parse_error naming the byte offset.
+// exporters produce, numbers, booleans, null — into a simple tree.  metaprepd
+// also parses client request lines with it, so nesting is capped at 64
+// levels.  Malformed input throws util::parse_error naming the byte offset.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +34,8 @@ class JsonValue {
 
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
-  [[nodiscard]] std::int64_t as_int() const;    ///< as_number, truncated
-  [[nodiscard]] std::uint64_t as_uint() const;  ///< as_number, clamped at 0
+  /// as_number when it is an integer in [0, 2^64); otherwise a parse error.
+  [[nodiscard]] std::uint64_t as_uint() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const JsonArray& as_array() const;
   [[nodiscard]] const JsonObject& as_object() const;

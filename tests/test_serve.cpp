@@ -16,7 +16,9 @@
 #include "check/check.hpp"
 #include "core/index_create.hpp"
 #include "core/indices.hpp"
+#include "core/memory_model.hpp"
 #include "core/pipeline.hpp"
+#include "core/plan.hpp"
 #include "serve/proto.hpp"
 #include "serve/queue.hpp"
 #include "serve/session.hpp"
@@ -386,6 +388,66 @@ TEST(JobQueue, AdmissionRejectsNegativePassCount) {
   EXPECT_TRUE(queue.list().empty());
 }
 
+// A zero or negative rank count used to reach the thread clamp's division
+// (max_threads / num_ranks) and kill the process with SIGFPE.
+TEST(JobQueue, NonPositiveRanksAreConfigErrors) {
+  Fixture fx;
+  TempDir jobs;
+  JobQueueOptions opt;
+  opt.job_dir = jobs.str();
+  opt.max_threads = 2;
+  JobQueue queue(opt);
+  JobSpec spec;
+  spec.index_path = fx.save_index();
+  spec.config = fx.config();
+  for (const int ranks : {0, -1}) {
+    spec.config.num_ranks = ranks;
+    try {
+      (void)queue.submit(spec);
+      ADD_FAILURE() << "num_ranks = " << ranks << " admitted";
+    } catch (const util::Error& e) {
+      EXPECT_EQ(e.category(), util::ErrorCategory::kConfig) << e.what();
+    }
+  }
+  EXPECT_TRUE(queue.list().empty());
+}
+
+// Admission and the run derive S from the budget through one plan_run, so
+// the queue's prediction is the run's own memory-model total.
+TEST(JobQueue, AdmissionAndRunShareOnePlanForABudgetDerivedS) {
+  Fixture fx;
+  TempDir jobs;
+  core::MetaprepConfig cfg = fx.config();
+  cfg.num_ranks = 2;
+  cfg.threads_per_rank = 2;
+  core::MemoryModelInput mm = core::memory_model_input(fx.index, 2, 2);
+  mm.num_passes = 3;
+  cfg.num_passes = 0;
+  cfg.memory_budget_bytes = core::estimate_memory(mm).total;
+  const core::RunPlan plan = core::plan_run(cfg, fx.index);
+  ASSERT_EQ(plan.num_passes, 3);
+
+  core::MetaprepConfig traced = cfg;
+  traced.attr_out = jobs.file("attr.json");
+  const core::PipelineResult result = core::run_metaprep(fx.index, traced);
+  ASSERT_TRUE(result.has_attr);
+  EXPECT_EQ(result.passes_used, plan.num_passes);
+  EXPECT_EQ(result.attr.mem_predicted_total, plan.predicted_bytes() * 2);
+
+  JobQueueOptions opt;
+  opt.job_dir = jobs.str();
+  JobQueue queue(opt);
+  JobSpec spec;
+  spec.index_path = fx.save_index();
+  spec.config = cfg;
+  const std::uint64_t id = queue.submit(spec);
+  ASSERT_TRUE(queue.wait(id, 60.0));
+  const JobInfo info = queue.status(id);
+  ASSERT_EQ(info.state, JobState::kDone) << info.error;
+  EXPECT_EQ(info.predicted_bytes, plan.predicted_bytes());
+  EXPECT_EQ(info.passes_used, result.passes_used);
+}
+
 TEST(JobQueue, ThreadBudgetClampsAndRejects) {
   Fixture fx;
   TempDir jobs;
@@ -505,7 +567,7 @@ TEST(Proto, ParseSubmitValidatesFields) {
                util::Error);
   const JobSpec spec = parse_submit(
       R"({"cmd":"submit","index":"i.bin","ranks":3,"threads":2,"passes":4,)"
-      R"("priority":7,"write_output":false,"pipeline_mode":"overlap"})");
+      R"("priority":7,"no_output":true,"pipeline_mode":"overlap"})");
   EXPECT_EQ(spec.index_path, "i.bin");
   EXPECT_EQ(spec.config.num_ranks, 3);
   EXPECT_EQ(spec.config.threads_per_rank, 2);
@@ -525,10 +587,11 @@ TEST(Proto, ParseSubmitRejectsUnknownKeys) {
     EXPECT_EQ(e.category(), util::ErrorCategory::kConfig);
     EXPECT_NE(std::string(e.what()).find("'thread'"), std::string::npos) << e.what();
   }
-  // Every one of the 12 documented keys is accepted together.
+  // Twelve keys accepted together; "no_output" is the JSON key of the
+  // --no-output run field.
   const JobSpec spec = parse_submit(
       R"({"cmd":"submit","index":"i.bin","ranks":2,"threads":3,"passes":4,"priority":5,)"
-      R"("out":"o","write_output":false,"output_bins":6,"pipeline_mode":"barrier",)"
+      R"("out":"o","no_output":true,"output_bins":6,"pipeline_mode":"barrier",)"
       R"("filter_min":2,"filter_max":9})");
   EXPECT_EQ(spec.config.num_ranks, 2);
   EXPECT_EQ(spec.config.threads_per_rank, 3);
@@ -540,6 +603,19 @@ TEST(Proto, ParseSubmitRejectsUnknownKeys) {
   EXPECT_EQ(spec.config.pipeline_mode, core::PipelineMode::kBarrier);
   EXPECT_EQ(spec.config.filter.min_freq, 2u);
   EXPECT_EQ(spec.config.filter.max_freq, 9u);
+}
+
+// A request nested past the JSON reader's depth cap is an error response,
+// not a stack overflow that kills the daemon.
+TEST(Daemon, DeeplyNestedRequestIsAnErrorResponse) {
+  TempDir dir;
+  DaemonOptions opt;
+  opt.socket_path = dir.file("d.sock");
+  opt.job_dir = dir.str();
+  Daemon daemon(opt);
+  const std::string line = R"({"cmd":"submit","index":)" + std::string(300000, '[');
+  EXPECT_FALSE(util::parse_json(daemon.handle_request(line)).at("ok").as_bool());
+  EXPECT_NO_THROW((void)util::parse_json(std::string(64, '[') + std::string(64, ']')));
 }
 
 TEST(Daemon, HandleRequestCoversProtocolErrors) {

@@ -205,6 +205,18 @@ TEST(Args, NumbersParseWhole) {
   EXPECT_DOUBLE_EQ(args.get_double("c", 0.0), 7.0);
 }
 
+TEST(Args, BareFlagIsDistinctFromAnExplicitOne) {
+  const char* argv[] = {"prog", "--wait", "--timeout=1", "--later", "--later=5"};
+  Args args(5, argv);
+  EXPECT_TRUE(args.bare("wait"));
+  EXPECT_EQ(args.get("wait", ""), "1");  // reads as "1", like before
+  EXPECT_FALSE(args.bare("timeout"));
+  EXPECT_DOUBLE_EQ(args.get_double("timeout", 0.0), 1.0);
+  EXPECT_FALSE(args.bare("later"));  // the last spelling wins
+  EXPECT_EQ(args.get_int("later", 0), 5);
+  EXPECT_FALSE(args.bare("absent"));
+}
+
 TEST(Args, RejectUnknownNamesTheFlag) {
   const char* argv[] = {"prog", "run", "--threads=3", "--comm-matrx-out=x.json"};
   Args args(4, argv);

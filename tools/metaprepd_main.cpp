@@ -25,13 +25,19 @@ int main(int argc, char** argv) {
                  "[--job-dir=DIR]\n");
     return 2;
   }
-  serve::DaemonOptions opt;
-  opt.socket_path = args.get("socket", "");
-  opt.mem_budget_bytes =
-      static_cast<std::uint64_t>(args.get_double("mem-budget-mb", 0.0) * 1e6);
-  opt.max_threads = static_cast<int>(args.get_int("max-threads", 0));
-  opt.job_dir = args.get("job-dir", "");
   try {
+    args.reject_unknown("metaprepd", {"socket", "mem-budget-mb", "max-threads", "job-dir"});
+    serve::DaemonOptions opt;
+    opt.socket_path = args.get("socket", "");
+    const double budget_mb = args.get_double("mem-budget-mb", 0.0);
+    if (!(budget_mb >= 0.0 && budget_mb <= 1e12))
+      throw util::config_error("--mem-budget-mb must be in [0, 1e12]");
+    opt.mem_budget_bytes = static_cast<std::uint64_t>(budget_mb * 1e6);
+    const std::int64_t max_threads = args.get_int("max-threads", 0);
+    if (max_threads < 0 || max_threads > 65535)
+      throw util::config_error("--max-threads must be in [0, 65535]");
+    opt.max_threads = static_cast<int>(max_threads);
+    opt.job_dir = args.get("job-dir", "");
     serve::Daemon daemon(std::move(opt));
     daemon.serve();
   } catch (const std::exception& e) {
