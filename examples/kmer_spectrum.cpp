@@ -9,6 +9,7 @@
 // Usage: kmer_spectrum [--k=27] [--preset=MM] [--scale=1.0]
 //        kmer_spectrum [--k=27] R1.fastq R2.fastq ...
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 
 #include "assembler/spectrum.hpp"
@@ -20,18 +21,17 @@
 
 using namespace metaprep;
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  const int k = static_cast<int>(args.get_int("k", 27));
-  const std::string out = "kmer_spectrum_out";
-  std::filesystem::create_directories(out);
+namespace {
 
+int run(const util::Args& args) {
+  const int k = static_cast<int>(args.get_int("k", 27));
   std::vector<std::string> files = args.positional();
   const bool simulated = files.empty();
   if (simulated) {
-    const auto ds = sim::make_preset(sim::parse_preset(args.get("preset", "MM")),
-                                     args.get_double("scale", 1.0), out);
-    files = ds.files;
+    const sim::Preset preset = sim::parse_preset(args.get("preset", "MM"));
+    const std::string out = "kmer_spectrum_out";
+    std::filesystem::create_directories(out);
+    files = sim::make_preset(preset, args.get_double("scale", 1.0), out).files;
   }
 
   assembler::KmerCountTable counts(k);
@@ -98,4 +98,15 @@ int main(int argc, char** argv) {
   std::printf("\n");
   table.print();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(util::Args(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "kmer_spectrum: %s\n", e.what());
+    return 1;
+  }
 }

@@ -9,8 +9,11 @@
 #      (test_dsu), and service-layer (test_serve: concurrent sessions,
 #      cancellation, job queue) suites, the parallel-vs-sequential
 #      IndexCreate tests (test_indices), plus the binned-output,
-#      packed-read-store and pass-engine (GoldenW1 + Differential.ModesAgree*)
-#      differential legs — the paths that stress cross-thread event buffers,
+#      packed-read-store and pass-engine differential legs (GoldenW1 +
+#      Differential.ModesAgree*: both fusion widths over both read stores
+#      and both codecs at k = 15, 33 and 63, strict and lenient, so the
+#      Kmer128 engine and its sentinel tuples run too) — the paths that
+#      stress cross-thread event buffers,
 #      mailboxes, the parallel MergeCC flatten (atomic_ref size counting),
 #      the per-thread merHist accumulators and in-place cumulative rows of
 #      the parallel histogram loop, the threads-over-mmap packed KmerGen
@@ -21,9 +24,10 @@
 #      (test_packed_store), index loading (test_indices: truncated and
 #      hostile index files), radix sort (test_sort: MSD bucket offsets), and
 #      exchange-compression (test_superkmer, the comm-compress differential
-#      grid), pass-engine (GoldenW1 +
-#      Differential.ModesAgree*) and run-field (test_run_fields: hostile
-#      integers and doubles on the CLI and JSON surfaces) suites — the paths that do raw buffer
+#      grid), pass-engine (GoldenW1 + Differential.ModesAgree*, the same
+#      k = 15 / 33 / 63 legs as under TSan) and run-field (test_run_fields:
+#      hostile integers and doubles and an empty `out` on the CLI and JSON
+#      surfaces) suites — the paths that do raw buffer
 #      arithmetic and deliberately corrupt / truncate input, including the
 #      super-k-mer wire decode and the fixed-tuple receive split's offset
 #      arithmetic on wire messages.
@@ -232,7 +236,7 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_differential \
 echo "=== tier 1: TSan packed read-store legs (threads over one shared mmap arena) ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_differential \
   --gtest_filter='Grid/*T2*Packed*'
-echo "=== tier 1: TSan pass engine (golden W=1 pin + fusion-width agreement, strict and lenient) ==="
+echo "=== tier 1: TSan pass engine (golden W=1 pin + fusion-width agreement at k = 15/33/63) ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_differential \
   --gtest_filter='GoldenW1.*:Differential.ModesAgree*'
 echo "=== tier 1: TSan parallel IndexCreate (per-thread merHist accumulators, cumulative rows) ==="
@@ -262,7 +266,7 @@ echo "=== tier 1: ASan exchange-compression (super-k-mer wire encode/decode) ===
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_superkmer
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_differential \
   --gtest_filter='CompressGrid/*'
-echo "=== tier 1: ASan+UBSan pass engine (fixed-tuple receive split over wire messages) ==="
+echo "=== tier 1: ASan+UBSan pass engine (wire receive split, 64- and 128-bit keys) ==="
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_differential \
   --gtest_filter='GoldenW1.*:Differential.ModesAgree*'
 

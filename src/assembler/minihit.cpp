@@ -72,10 +72,9 @@ AssemblyResult assemble_dispatch(const ReadFeeder& feed, std::uint64_t reads_in,
     throw std::invalid_argument("assemble: k values must be in [1, 63]");
   // One representation serves the whole k-list: the 128-bit path also
   // handles small k, so any list containing k > 32 runs entirely wide.
-  if (max_k <= kmer::kMaxK64) {
-    return assemble_impl<std::uint64_t>(feed, reads_in, options, ks);
-  }
-  return assemble_impl<kmer::Kmer128>(feed, reads_in, options, ks);
+  return kmer::with_kmer_type(max_k, [&](auto key) {
+    return assemble_impl<decltype(key)>(feed, reads_in, options, ks);
+  });
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "io/fastq.hpp"
-#include "kmer/scanner.hpp"
+#include "kmer/traits.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -206,22 +206,18 @@ DatasetIndex create_index(const std::string& name, const std::vector<std::string
         const auto buffer =
             io::read_file_range(index.files[chunk.file], chunk.offset, chunk.size);
         auto scan = [&](auto&& count) {
-          io::for_each_record_in_buffer(
-              std::string_view(buffer.data(), buffer.size()),
-              [&](std::string_view, std::string_view seq, std::string_view) {
-                bases += seq.size();
-                if (k <= kmer::kMaxK64) {
-                  kmer::for_each_canonical_kmer64(seq, k, [&](std::uint64_t km, std::size_t) {
-                    count(kmer::prefix_bin64(km, k, m));
+          kmer::with_kmer_type(k, [&](auto key) {
+            using Traits = kmer::KmerTraits<decltype(key)>;
+            io::for_each_record_in_buffer(
+                std::string_view(buffer.data(), buffer.size()),
+                [&](std::string_view, std::string_view seq, std::string_view) {
+                  bases += seq.size();
+                  Traits::for_each_canonical(seq, k, [&](decltype(key) km, std::size_t) {
+                    count(Traits::prefix_bin(km, k, m));
                   });
-                } else {
-                  kmer::for_each_canonical_kmer128(seq, k,
-                                                   [&](kmer::Kmer128 km, std::size_t) {
-                                                     count(kmer::prefix_bin128(km, k, m));
-                                                   });
-                }
-              },
-              io::ParseOptions{options.parse_mode, index.files[chunk.file], chunk.offset});
+                },
+                io::ParseOptions{options.parse_mode, index.files[chunk.file], chunk.offset});
+          });
         };
         // A chunk holds fewer k-mers than bytes.  One under half as many
         // bytes as bins cannot fill half the bins, so its row is sparse and

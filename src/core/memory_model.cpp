@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "kmer/codec.hpp"
+#include "kmer/traits.hpp"
 
 namespace metaprep::core {
 
@@ -16,7 +16,8 @@ MemoryModelInput memory_model_input(const DatasetIndex& index, int num_ranks,
   in.m = index.mer_hist.m;
   in.num_ranks = num_ranks;
   in.threads_per_rank = threads_per_rank;
-  in.tuple_bytes = index.k <= kmer::kMaxK64 ? 12 : 20;
+  in.tuple_bytes = static_cast<int>(kmer::with_kmer_type(
+      index.k, [](auto key) { return kmer::KmerTraits<decltype(key)>::kTupleBytes; }));
   return in;
 }
 

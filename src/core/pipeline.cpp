@@ -20,8 +20,8 @@
 #include "core/plan.hpp"
 #include "dsu/dsu.hpp"
 #include "io/fastq.hpp"
-#include "kmer/scanner.hpp"
 #include "kmer/superkmer.hpp"
+#include "kmer/traits.hpp"
 #include "mpsim/comm.hpp"
 #include "obs/attr.hpp"
 #include "obs/mem.hpp"
@@ -45,13 +45,27 @@ using util::StepTimes;
 using util::ThreadTeam;
 using util::WallTimer;
 
-/// Tuple arrays in SoA layout.  keys_hi is used only for k > 32 ("wide"):
-/// the 12-byte tuple becomes the paper's 20-byte tuple (§4.4).
+/// Tuple arrays in SoA layout: kWords arrays of key words (least
+/// significant first), then the read IDs.  A tuple is 12 bytes at k <= 32
+/// and the paper's 20 bytes above (§4.4).
+template <typename Key>
 struct TupleBuffer {
-  std::vector<std::uint64_t> keys;
-  std::vector<std::uint64_t> keys_hi;
+  using Traits = kmer::KmerTraits<Key>;
+  std::array<std::vector<std::uint64_t>, Traits::kWords> keys;
   std::vector<std::uint32_t> vals;
+
   [[nodiscard]] std::size_t size() const noexcept { return vals.size(); }
+  void resize(std::size_t n) {
+    for (auto& words : keys) words.resize(n);
+    vals.resize(n);
+  }
+  void put(std::uint64_t at, Key km, std::uint32_t value) {
+    for (std::size_t w = 0; w < keys.size(); ++w) keys[w][at] = Traits::word(km, w);
+    vals[at] = value;
+  }
+  [[nodiscard]] bool same_key(std::uint64_t i, std::uint64_t j) const {
+    return std::all_of(keys.begin(), keys.end(), [&](const auto& w) { return w[i] == w[j]; });
+  }
 };
 
 /// The one lease path for tuple arrays.  Every pass buffer (send, receive,
@@ -67,21 +81,21 @@ struct TupleBuffer {
 /// holds when it dies (at run end, or when a cancel or a typed Error unwinds
 /// mid-pass) goes back to the pool for the next run, so the pool's lease
 /// count always drains.
+template <typename Key>
 class TupleArena {
  public:
-  TupleArena(util::BufferPool& pool, bool wide, std::uint64_t& max_live_bytes)
-      : pool_(pool), wide_(wide), max_live_bytes_(max_live_bytes) {}
+  using Buffer = TupleBuffer<Key>;
+
+  TupleArena(util::BufferPool& pool, std::uint64_t& max_live_bytes)
+      : pool_(pool), max_live_bytes_(max_live_bytes) {}
   TupleArena(const TupleArena&) = delete;
   TupleArena& operator=(const TupleArena&) = delete;
   ~TupleArena() {
     spare_.splice(spare_.end(), leased_);
     const obs::MemScope tuples_scope("tuples");
-    for (TupleBuffer& b : spare_) {
+    for (Buffer& b : spare_) {
       try {
-        pool_.release(std::move(b.keys));
-        // keys_hi is only leased for wide keys; releasing the empty vector
-        // would (correctly) trip the pool's double-release check.
-        if (wide_) pool_.release(std::move(b.keys_hi));
+        for (auto& words : b.keys) pool_.release(std::move(words));
         pool_.release(std::move(b.vals));
       } catch (...) {
         // Unwind path: the original exception matters more.
@@ -89,11 +103,12 @@ class TupleArena {
     }
   }
 
-  TupleBuffer& acquire(std::size_t n, std::size_t reserve = 0) {
+  Buffer& acquire(std::size_t n, std::size_t reserve = 0) {
     const std::size_t cap = std::max(n, reserve);
-    auto fits = [&](const TupleBuffer& b) {
-      return b.vals.capacity() >= cap && b.keys.capacity() >= cap &&
-             (!wide_ || b.keys_hi.capacity() >= cap);
+    auto fits = [&](const Buffer& b) {
+      return b.vals.capacity() >= cap &&
+             std::all_of(b.keys.begin(), b.keys.end(),
+                         [&](const auto& words) { return words.capacity() >= cap; });
     };
     auto best = spare_.end();
     auto largest = spare_.end();
@@ -104,35 +119,27 @@ class TupleArena {
     }
     if (best != spare_.end()) {
       leased_.splice(leased_.end(), spare_, best);
-      TupleBuffer& b = leased_.back();
-      b.keys.resize(n);
-      if (wide_) b.keys_hi.resize(n);
-      b.vals.resize(n);
+      Buffer& b = leased_.back();
+      b.resize(n);
       note_live(n);
       return b;
     }
     const obs::MemScope tuples_scope("tuples");  // tags the pool calls below
     if (largest != spare_.end()) {
-      pool_.discard(std::move(largest->keys));
-      if (wide_) pool_.discard(std::move(largest->keys_hi));
+      for (auto& words : largest->keys) pool_.discard(std::move(words));
       pool_.discard(std::move(largest->vals));
       spare_.erase(largest);
     }
-    TupleBuffer& b = leased_.emplace_back();
-    b.keys = pool_.acquire_u64(cap);
-    b.keys.resize(n);
-    if (wide_) {
-      b.keys_hi = pool_.acquire_u64(cap);
-      b.keys_hi.resize(n);
-    }
+    Buffer& b = leased_.emplace_back();
+    for (auto& words : b.keys) words = pool_.acquire_u64(cap);
     b.vals = pool_.acquire_u32(cap);
-    b.vals.resize(n);
+    b.resize(n);
     note_live(n);
     return b;
   }
 
-  void release(TupleBuffer& b) {
-    live_bytes_ -= bytes_of(b.size());
+  void release(Buffer& b) {
+    live_bytes_ -= b.size() * Buffer::Traits::kTupleBytes;
     for (auto it = leased_.begin(); it != leased_.end(); ++it) {
       if (&*it == &b) {
         spare_.splice(spare_.end(), leased_, it);
@@ -142,18 +149,16 @@ class TupleArena {
   }
 
  private:
-  [[nodiscard]] std::uint64_t bytes_of(std::size_t n) const { return n * (wide_ ? 20ull : 12ull); }
   void note_live(std::size_t n) {
-    live_bytes_ += bytes_of(n);
+    live_bytes_ += n * Buffer::Traits::kTupleBytes;
     max_live_bytes_ = std::max(max_live_bytes_, live_bytes_);
   }
 
   util::BufferPool& pool_;
-  bool wide_;
   std::uint64_t& max_live_bytes_;
   std::uint64_t live_bytes_ = 0;
-  std::list<TupleBuffer> leased_;  ///< lists: references stay valid across splices
-  std::list<TupleBuffer> spare_;
+  std::list<Buffer> leased_;  ///< lists: references stay valid across splices
+  std::list<Buffer> spare_;
 };
 
 /// Lookup table bin -> part index for a boundary vector covering
@@ -221,16 +226,17 @@ struct PassCtx {
   ThreadTeam& team;
   dsu::AtomicDSU& local_cc;
   RankShared& my;
-  obs::TraceSession& tr;
-  obs::Counter& m_tuples;
-  obs::Counter& m_cc_edges;
-  obs::Gauge& m_rss;
-  obs::Gauge& m_peak;
   /// Non-null in --read-store=packed runs: the mmap'd 2-bit arena KmerGen
   /// scans instead of re-reading FASTQ text each pass.
   const io::PackedStore* packed;
   int p, P, T, S, k, m;
-  bool wide;
+  // The run's sinks, as the rank thread inherits them; the hot-path metric
+  // handles are resolved once per rank (registry lookup takes a mutex).
+  obs::TraceSession& tr = obs::TraceSession::current();
+  obs::Counter& m_tuples = obs::metrics().counter("pipeline.tuples_total");
+  obs::Counter& m_cc_edges = obs::metrics().counter("pipeline.cc_edges_total");
+  obs::Gauge& m_rss = obs::metrics().gauge("mem.rss_peak");
+  obs::Gauge& m_peak = obs::metrics().gauge("proc.peak_rss_bytes");
 };
 
 /// Manual span markers for steps whose lifetime doesn't match a C++ scope.
@@ -257,6 +263,31 @@ inline void progress_phase(const PassCtx& ctx, const char* phase) {
   if (ctx.p == 0) obs::Progress::global().phase(phase);
 }
 
+/// A timed step of this rank: when the scope ends, its wall goes to the
+/// rank's StepTimes and to a trace span, both under @p name.  A phase step
+/// also names the progress line as it starts and ends at a phase boundary.
+class Step {
+ public:
+  Step(PassCtx& ctx, const char* name, bool phase = false)
+      : ctx_(ctx), name_(name), phase_(phase), t0_(span_begin(ctx.tr)) {
+    if (phase) progress_phase(ctx, name);
+  }
+  Step(const Step&) = delete;
+  Step& operator=(const Step&) = delete;
+  ~Step() {
+    ctx_.my.times.add(name_, timer_.seconds());
+    span_end(ctx_.tr, name_, t0_);
+    if (phase_) phase_boundary(ctx_, name_);
+  }
+
+ private:
+  PassCtx& ctx_;
+  const char* name_;
+  bool phase_;
+  double t0_;
+  WallTimer timer_;
+};
+
 /// One record's bases as KmerGen sees them: raw text characters, or the
 /// packed store's 2-bit words.
 struct RecordView {
@@ -280,23 +311,14 @@ struct RecordView {
   }
 };
 
-/// Per-k-mer view of a record: f64(km, pos) per canonical k-mer when
-/// k <= 32, f128(km, pos) otherwise.
-template <typename F64, typename F128>
-void for_each_kmer(const RecordView& rec, int k, bool wide, F64&& f64, F128&& f128) {
+/// Per-k-mer view of a record: fn(km, pos) per canonical k-mer.
+template <typename Key, typename Fn>
+void for_each_kmer(const RecordView& rec, int k, Fn&& fn) {
+  using Traits = kmer::KmerTraits<Key>;
   if (rec.words != nullptr) {
-    if (!wide) {
-      kmer::for_each_canonical_kmer64_packed(rec.words, rec.len, rec.npos, rec.ncount, k, f64);
-    } else {
-      kmer::for_each_canonical_kmer128_packed(rec.words, rec.len, rec.npos, rec.ncount, k, f128);
-    }
+    Traits::for_each_canonical_packed(rec.words, rec.len, rec.npos, rec.ncount, k, fn);
   } else {
-    const std::string_view seq(rec.text, rec.len);
-    if (!wide) {
-      kmer::for_each_canonical_kmer64(seq, k, f64);
-    } else {
-      kmer::for_each_canonical_kmer128(seq, k, f128);
-    }
+    Traits::for_each_canonical(std::string_view(rec.text, rec.len), k, fn);
   }
 }
 
@@ -441,6 +463,7 @@ std::vector<PassRoute> make_routes(const PassPlan& plan, int S, int P, int T,
 }
 
 /// One pass of a group, from generation to union.
+template <typename Key>
 struct PassWork {
   int s = 0;
   const PassRoute* route = nullptr;
@@ -449,12 +472,12 @@ struct PassWork {
   std::vector<std::uint64_t> recv_count;  ///< [q][dt] tuples from src rank q
   std::vector<std::uint64_t> recv_block;  ///< [q][dt] element offsets
   std::vector<std::uint64_t> region;      ///< T+1 region offsets
-  TupleBuffer* recv = nullptr;
+  TupleBuffer<Key>* recv = nullptr;
   // Fixed codec: send geometry from the index tables.
   std::vector<std::uint64_t> cursor;      ///< [t][slot] write cursors of my thread t
   std::vector<std::uint64_t> send_end;    ///< [t][slot] where each cursor must end
   std::vector<std::uint64_t> slot_start;  ///< P*T+1: slot-major, by my thread within a slot
-  TupleBuffer* send = nullptr;
+  TupleBuffer<Key>* send = nullptr;
   // Super-k-mer codec: per (my thread, slot) byte streams, then my own message.
   std::vector<std::vector<std::vector<std::byte>>> streams;  ///< [t][slot]
   std::vector<std::byte> self_msg;
@@ -462,7 +485,8 @@ struct PassWork {
 
 /// Fixed codec: send and receive geometry of one pass from the FASTQPart
 /// tables (O(chunks × P × T) bounded counts, each O(1)).
-void fixed_geometry(const PassCtx& ctx, PassWork& w) {
+template <typename Key>
+void fixed_geometry(const PassCtx& ctx, PassWork<Key>& w) {
   const int P = ctx.P, T = ctx.T, p = ctx.p;
   const std::size_t nslots = static_cast<std::size_t>(P) * T;
   const auto& bounds = w.route->slot_bounds;
@@ -495,30 +519,16 @@ void fixed_geometry(const PassCtx& ctx, PassWork& w) {
 /// sentinel tuples keyed by the slot's first bin (so every key stays in its
 /// dest thread's bin range) whose value is kInvalidRead (so LocalCC ignores
 /// them).
-void fill_sentinels(const PassCtx& ctx, PassWork& w) {
+template <typename Key>
+void fill_sentinels(const PassCtx& ctx, PassWork<Key>& w) {
   const std::size_t nslots = static_cast<std::size_t>(ctx.P) * ctx.T;
-  TupleBuffer& buf = *w.send;
+  TupleBuffer<Key>& buf = *w.send;
   const int shift = 2 * (ctx.k - ctx.m);
   for (std::size_t ts = 0; ts < w.cursor.size(); ++ts) {
     const std::uint64_t block_end = w.send_end[ts];
     if (w.cursor[ts] == block_end) continue;
-    const auto bin = static_cast<std::uint64_t>(w.route->slot_bounds[ts % nslots]);
-    std::uint64_t s_lo, s_hi;
-    if (!ctx.wide) {
-      s_lo = bin << shift;
-      s_hi = 0;
-    } else if (shift >= 64) {
-      s_hi = bin << (shift - 64);
-      s_lo = 0;
-    } else {
-      s_lo = bin << shift;
-      s_hi = bin >> (64 - shift);
-    }
-    for (std::uint64_t at = w.cursor[ts]; at < block_end; ++at) {
-      buf.keys[at] = s_lo;
-      if (ctx.wide) buf.keys_hi[at] = s_hi;
-      buf.vals[at] = kInvalidRead;
-    }
+    const Key sentinel = kmer::KmerTraits<Key>::bin_key(w.route->slot_bounds[ts % nslots], shift);
+    for (std::uint64_t at = w.cursor[ts]; at < block_end; ++at) buf.put(at, sentinel, kInvalidRead);
     w.cursor[ts] = block_end;
   }
 }
@@ -555,10 +565,11 @@ struct SweepCounts {
 };
 
 /// Fused KmerGen: one chunk read + scan generates every pass of the group.
-void kmergen_sweep(PassCtx& ctx, const EnginePlan& ep, std::span<PassWork> group,
+template <typename Key>
+void kmergen_sweep(PassCtx& ctx, const EnginePlan& ep, std::span<PassWork<Key>> group,
                    bool substitute) {
+  using Traits = kmer::KmerTraits<Key>;
   const int p = ctx.p, T = ctx.T, k = ctx.k, m = ctx.m;
-  const bool wide = ctx.wide;
   const std::size_t nslots = static_cast<std::size_t>(ctx.P) * T;
   // A routing bin in [lo, hi) belongs to group pass (bin >= mid): routes
   // tile the bin space in pass order.
@@ -589,8 +600,7 @@ void kmergen_sweep(PassCtx& ctx, const EnginePlan& ep, std::span<PassWork> group
       struct Out {
         const std::uint16_t* slot_of_bin = nullptr;
         std::uint64_t* cur = nullptr;
-        std::uint64_t* keys = nullptr;
-        std::uint64_t* keys_hi = nullptr;
+        std::array<std::uint64_t*, Traits::kWords> keys{};
         std::uint32_t* vals = nullptr;
       };
       // A cache line of padding on each side of the copy: it shares no
@@ -602,39 +612,28 @@ void kmergen_sweep(PassCtx& ctx, const EnginePlan& ep, std::span<PassWork> group
         cursors[i].assign(nslots + 2 * kPad, 0);
         const auto row = group[i].cursor.begin() + static_cast<std::ptrdiff_t>(ut * nslots);
         std::copy(row, row + static_cast<std::ptrdiff_t>(nslots), cursors[i].begin() + kPad);
-        TupleBuffer& b = *group[i].send;
-        return Out{group[i].route->slot_of_bin.data(), cursors[i].data() + kPad, b.keys.data(),
-                   b.keys_hi.data(), b.vals.data()};
+        TupleBuffer<Key>& b = *group[i].send;
+        Out o{group[i].route->slot_of_bin.data(), cursors[i].data() + kPad, {}, b.vals.data()};
+        for (std::size_t w = 0; w < o.keys.size(); ++w) o.keys[w] = b.keys[w].data();
+        return o;
       };
       const Out o0 = out_of(0);
       const Out o1 = out_of(1);
-      auto put = [](const Out& o, std::uint32_t rel_bin, std::uint64_t key, std::uint32_t value) {
+      auto put = [](const Out& o, std::uint32_t rel_bin, Key km, std::uint32_t value) {
         const std::uint64_t at = o.cur[o.slot_of_bin[rel_bin]]++;
-        o.keys[at] = key;
+        for (std::size_t w = 0; w < o.keys.size(); ++w) o.keys[w][at] = Traits::word(km, w);
         o.vals[at] = value;
-        return at;
       };
       sweep([&](std::uint32_t value, const RecordView& rec) {
-        for_each_kmer(
-            rec, k, wide,
-            [&](std::uint64_t km, std::size_t) {
-              const std::uint32_t bin = kmer::prefix_bin64(km, k, m);
-              if (bin < lo || bin >= hi) return;
-              if (bin < mid) {
-                put(o0, bin - lo, km, value);
-              } else {
-                put(o1, bin - mid, km, value);
-              }
-            },
-            [&](kmer::Kmer128 km, std::size_t) {
-              const std::uint32_t bin = kmer::prefix_bin128(km, k, m);
-              if (bin < lo || bin >= hi) return;
-              if (bin < mid) {
-                o0.keys_hi[put(o0, bin - lo, km.lo, value)] = km.hi;
-              } else {
-                o1.keys_hi[put(o1, bin - mid, km.lo, value)] = km.hi;
-              }
-            });
+        for_each_kmer<Key>(rec, k, [&](Key km, std::size_t) {
+          const std::uint32_t bin = Traits::prefix_bin(km, k, m);
+          if (bin < lo || bin >= hi) return;
+          if (bin < mid) {
+            put(o0, bin - lo, km, value);
+          } else {
+            put(o1, bin - mid, km, value);
+          }
+        });
       });
       for (std::size_t i = 0; i < group.size(); ++i) {
         const auto mine = cursors[i].begin() + kPad;
@@ -674,14 +673,13 @@ void kmergen_sweep(PassCtx& ctx, const EnginePlan& ep, std::span<PassWork> group
   RankShared& my = ctx.my;
   my.times.add("KmerGen-I/O", *std::max_element(io_seconds.begin(), io_seconds.end()));
   my.times.add("KmerGen", *std::max_element(gen_seconds.begin(), gen_seconds.end()));
-  const std::uint64_t tuple_bytes = ctx.wide ? 20 : 12;
   for (const SweepCounts& n : counts) {
     // The first sweep visits every record exactly once, so its skip count
     // is the number of *distinct* records lenient parsing dropped (later
     // sweeps re-discover the same skips in text mode).
     if (group.front().s == 0) my.records_skipped += n.skipped;
     if (!ep.superkmer) continue;
-    my.exchange_bytes_raw += n.raw * tuple_bytes;
+    my.exchange_bytes_raw += n.raw * Traits::kTupleBytes;
     my.tuples += n.kept;
     my.superkmer_records += n.records;
     ctx.m_tuples.add(n.kept);
@@ -689,17 +687,21 @@ void kmergen_sweep(PassCtx& ctx, const EnginePlan& ep, std::span<PassWork> group
   phase_boundary(ctx, "KmerGen");
 }
 
-/// Fixed codec: tuple array @p arr of a buffer as bytes (0 keys, 1 vals,
-/// 2 keys_hi) and its element size.
-std::pair<std::byte*, std::size_t> tuple_array(TupleBuffer& b, int arr) {
+/// Fixed codec: wire array @p arr (of kWords + 1, each one message per
+/// stage) of a buffer as bytes, and its element size.  The order is low
+/// key words, read IDs, then high key words: k > 32 ships the k <= 32
+/// arrays plus one.
+template <typename Key>
+std::pair<std::byte*, std::size_t> tuple_array(TupleBuffer<Key>& b, int arr) {
   if (arr == 1) return {reinterpret_cast<std::byte*>(b.vals.data()), 4};
-  return {reinterpret_cast<std::byte*>(arr == 0 ? b.keys.data() : b.keys_hi.data()), 8};
+  return {reinterpret_cast<std::byte*>(b.keys[static_cast<std::size_t>(arr / 2)].data()), 8};
 }
 
 /// Fixed codec, one step of the paper's staged all-to-all (§3.3): in stage
 /// i rank p sends (p+i) mod P one message per tuple array — the dest rank's
 /// T contiguous slot sections, sent even when empty.
-void fixed_send(PassCtx& ctx, PassWork& w, int arr, int stage) {
+template <typename Key>
+void fixed_send(PassCtx& ctx, PassWork<Key>& w, int arr, int stage) {
   const int P = ctx.P, T = ctx.T;
   const std::size_t d = static_cast<std::size_t>((ctx.p + stage) % P);
   const auto [sb, esz] = tuple_array(*w.send, arr);
@@ -710,7 +712,8 @@ void fixed_send(PassCtx& ctx, PassWork& w, int arr, int stage) {
 
 /// ... and receives (p-i) mod P's message, checks its size against the
 /// geometry and copies its T sections into the T sort regions.
-void fixed_recv(PassCtx& ctx, PassWork& w, int arr, int stage) {
+template <typename Key>
+void fixed_recv(PassCtx& ctx, PassWork<Key>& w, int arr, int stage) {
   const int P = ctx.P, T = ctx.T;
   const int q = (ctx.p - stage + P) % P;
   const std::size_t qs = static_cast<std::size_t>(q) * T;
@@ -737,7 +740,9 @@ void fixed_recv(PassCtx& ctx, PassWork& w, int arr, int stage) {
 /// W = 1 nothing runs between post and drain, so the fixed codec completes
 /// each stage's receive right after its send, as the paper's staged
 /// all-to-all does: at most one message per rank is in flight.
-void post_exchange(PassCtx& ctx, const EnginePlan& ep, PassWork& w, TupleArena& arena) {
+template <typename Key>
+void post_exchange(PassCtx& ctx, const EnginePlan& ep, PassWork<Key>& w,
+                   TupleArena<Key>& arena) {
   const int P = ctx.P, T = ctx.T, p = ctx.p;
   RankShared& my = ctx.my;
   if (ep.superkmer) {
@@ -788,7 +793,7 @@ void post_exchange(PassCtx& ctx, const EnginePlan& ep, PassWork& w, TupleArena& 
   }
   w.recv = &arena.acquire(w.region.back());
   const std::size_t my_slot = static_cast<std::size_t>(p) * T;
-  for (int arr = 0; arr < (ctx.wide ? 3 : 2); ++arr) {
+  for (int arr = 0; arr <= kmer::KmerTraits<Key>::kWords; ++arr) {
     const auto [sb, esz] = tuple_array(*w.send, arr);
     std::byte* rb = tuple_array(*w.recv, arr).first;
     for (int dt = 0; dt < T; ++dt) {  // stage 0: my own sections, plain copy
@@ -807,8 +812,8 @@ void post_exchange(PassCtx& ctx, const EnginePlan& ep, PassWork& w, TupleArena& 
   // traffic matrix); uncompressed, so shipped == raw.
   const std::uint64_t cross =
       w.slot_start.back() - (w.slot_start[my_slot + T] - w.slot_start[my_slot]);
-  my.exchange_bytes += cross * (ctx.wide ? 20u : 12u);
-  my.exchange_bytes_raw += cross * (ctx.wide ? 20u : 12u);
+  my.exchange_bytes += cross * kmer::KmerTraits<Key>::kTupleBytes;
+  my.exchange_bytes_raw += cross * kmer::KmerTraits<Key>::kTupleBytes;
   arena.release(*w.send);
   w.send = nullptr;
 }
@@ -817,38 +822,33 @@ void post_exchange(PassCtx& ctx, const EnginePlan& ep, PassWork& w, TupleArena& 
 /// W = 2: one message per (stage, array).  Super-k-mer records: size the
 /// regions from the headers, validate and count every record, then decode
 /// at exact offsets in parallel.
-void drain_receive(PassCtx& ctx, const EnginePlan& ep, PassWork& w, TupleArena& arena) {
+template <typename Key>
+void drain_receive(PassCtx& ctx, const EnginePlan& ep, PassWork<Key>& w,
+                   TupleArena<Key>& arena) {
   const int P = ctx.P, T = ctx.T, p = ctx.p, k = ctx.k;
-  const bool wide = ctx.wide;
   if (!ep.superkmer) {
     if (P == 1 || ep.W == 1) return;
-    obs::TraceSpan wait_span("KmerGen-Comm");
-    WallTimer wait_timer;
-    for (int arr = 0; arr < (wide ? 3 : 2); ++arr) {
+    const Step step(ctx, "KmerGen-Comm");
+    for (int arr = 0; arr <= kmer::KmerTraits<Key>::kWords; ++arr) {
       for (int stage = 1; stage < P; ++stage) fixed_recv(ctx, w, arr, stage);
     }
-    ctx.my.times.add("KmerGen-Comm", wait_timer.seconds());
     return;
   }
 
   std::vector<std::vector<std::byte>> msgs(static_cast<std::size_t>(P));
   msgs[static_cast<std::size_t>(p)] = std::move(w.self_msg);
   if (P > 1) {
-    obs::TraceSpan wait_span("KmerGen-Comm");
-    WallTimer wait_timer;
+    const Step step(ctx, "KmerGen-Comm");
     for (int stage = 1; stage < P; ++stage) {
       const int q = (p - stage + P) % P;
       msgs[static_cast<std::size_t>(q)] = ctx.comm.recv_any_size(q, kmergen_tag(w.s, 0));
     }
-    ctx.my.times.add("KmerGen-Comm", wait_timer.seconds());
   }
   std::uint64_t msg_bytes = 0;
   for (const auto& msg : msgs) msg_bytes += msg.size();
   const obs::MemCharge msgs_mem("comm", msg_bytes);
 
-  progress_phase(ctx, "Expand");
-  const double ex_t0 = span_begin(ctx.tr);
-  WallTimer ex_timer;
+  const Step step(ctx, "Expand", true);
   const std::size_t nslots = static_cast<std::size_t>(P) * T;
   std::vector<std::uint64_t> sec_off(nslots, 0);
   std::vector<std::uint64_t> sec_len(nslots, 0);
@@ -878,7 +878,7 @@ void drain_receive(PassCtx& ctx, const EnginePlan& ep, PassWork& w, TupleArena& 
   });
   column_major_offsets(w.recv_count, static_cast<std::size_t>(P), static_cast<std::size_t>(T),
                        w.recv_block, w.region);
-  TupleBuffer& tuples = arena.acquire(w.region.back());
+  TupleBuffer<Key>& tuples = arena.acquire(w.region.back());
   w.recv = &tuples;
   const std::uint32_t R = ctx.index.total_reads;
   ctx.team.run([&](int t) {
@@ -892,70 +892,49 @@ void drain_receive(PassCtx& ctx, const EnginePlan& ep, PassWork& w, TupleArena& 
         reader.next_header();
         const std::uint32_t value = reader.value();
         if (value >= R) throw util::parse_error("comm-compress: record value out of range");
-        if (!wide) {
-          reader.expand64([&](std::uint64_t km) {
-            tuples.keys[at] = km;
-            tuples.vals[at] = value;
-            ++at;
-          });
-        } else {
-          reader.expand128([&](kmer::Kmer128 km) {
-            tuples.keys[at] = km.lo;
-            tuples.keys_hi[at] = km.hi;
-            tuples.vals[at] = value;
-            ++at;
-          });
-        }
+        kmer::KmerTraits<Key>::expand(reader, [&](Key km) { tuples.put(at++, km, value); });
       }
     }
   });
-  ctx.my.times.add("Expand", ex_timer.seconds());
-  span_end(ctx.tr, "Expand", ex_t0);
-  phase_boundary(ctx, "Expand");
+}
+
+/// LocalSort's radix call on region [lo, lo + n) of @p t, with the same
+/// region of @p tmp as scratch: the 64-bit sort, or the (hi, lo) one.
+template <typename Key>
+void sort_region(TupleBuffer<Key>& t, TupleBuffer<Key>& tmp, std::uint64_t lo, std::size_t n,
+                 int bits, int digit) {
+  auto part = [&](auto& v) { return std::span(v).subspan(lo, n); };
+  if constexpr (kmer::KmerTraits<Key>::kWords == 1) {
+    sort::radix_sort_kv64(part(t.keys[0]), part(t.vals), part(tmp.keys[0]), part(tmp.vals), bits,
+                          digit);
+  } else {
+    sort::radix_sort_kv128(part(t.keys[1]), part(t.keys[0]), part(t.vals), part(tmp.keys[1]),
+                           part(tmp.keys[0]), part(tmp.vals), bits, digit);
+  }
 }
 
 /// LocalSort (§3.4): one stable radix sort per dest-thread region, with a
 /// leased scratch as the out-of-place buffer.
-void sort_regions(PassCtx& ctx, TupleBuffer& tuples, const std::vector<std::uint64_t>& region,
-                  TupleArena& arena) {
-  progress_phase(ctx, "LocalSort");
-  const double sort_t0 = span_begin(ctx.tr);
-  WallTimer sort_timer;
-  TupleBuffer& scratch = arena.acquire(tuples.size());
-  const int bits = 2 * ctx.k;
-  const int digit = ctx.config.sort_digit_bits;
+template <typename Key>
+void sort_regions(PassCtx& ctx, TupleBuffer<Key>& tuples,
+                  const std::vector<std::uint64_t>& region, TupleArena<Key>& arena) {
+  const Step step(ctx, "LocalSort", true);
+  TupleBuffer<Key>& scratch = arena.acquire(tuples.size());
   ctx.team.run([&](int t) {
     const std::uint64_t lo = region[static_cast<std::size_t>(t)];
     const std::size_t n = region[static_cast<std::size_t>(t) + 1] - lo;
-    if (n == 0) return;
-    if (!ctx.wide) {
-      sort::radix_sort_kv64(std::span(tuples.keys).subspan(lo, n),
-                            std::span(tuples.vals).subspan(lo, n),
-                            std::span(scratch.keys).subspan(lo, n),
-                            std::span(scratch.vals).subspan(lo, n), bits, digit);
-    } else {
-      sort::radix_sort_kv128(std::span(tuples.keys_hi).subspan(lo, n),
-                             std::span(tuples.keys).subspan(lo, n),
-                             std::span(tuples.vals).subspan(lo, n),
-                             std::span(scratch.keys_hi).subspan(lo, n),
-                             std::span(scratch.keys).subspan(lo, n),
-                             std::span(scratch.vals).subspan(lo, n), bits, digit);
-    }
+    if (n > 0) sort_region(tuples, scratch, lo, n, 2 * ctx.k, ctx.config.sort_digit_bits);
   });
   arena.release(scratch);
-  ctx.my.times.add("LocalSort", sort_timer.seconds());
-  span_end(ctx.tr, "LocalSort", sort_t0);
-  phase_boundary(ctx, "LocalSort");
 }
 
 /// LocalCC (§3.5, Algorithm 1): runs of equal k-mers in each sorted region
 /// become read-graph edges; union-find with buffered re-verification.
 /// Sentinel tuples (kInvalidRead) never form an edge.
-void union_regions(PassCtx& ctx, const TupleBuffer& tuples,
+template <typename Key>
+void union_regions(PassCtx& ctx, const TupleBuffer<Key>& tuples,
                    const std::vector<std::uint64_t>& region) {
-  progress_phase(ctx, "LocalCC");
-  const double cc_t0 = span_begin(ctx.tr);
-  WallTimer cc_timer;
+  const Step step(ctx, "LocalCC", true);
   dsu::AtomicDSU& local_cc = ctx.local_cc;
   const KmerFreqFilter& filter = ctx.config.filter;
   std::vector<int> thread_iters(static_cast<std::size_t>(ctx.T), 0);
@@ -965,12 +944,7 @@ void union_regions(PassCtx& ctx, const TupleBuffer& tuples,
     std::uint64_t i = region[static_cast<std::size_t>(t)];
     while (i < hi) {
       std::uint64_t j = i + 1;
-      if (!ctx.wide) {
-        while (j < hi && tuples.keys[j] == tuples.keys[i]) ++j;
-      } else {
-        while (j < hi && tuples.keys[j] == tuples.keys[i] && tuples.keys_hi[j] == tuples.keys_hi[i])
-          ++j;
-      }
+      while (j < hi && tuples.same_key(j, i)) ++j;
       if (filter.accepts(j - i)) {
         for (std::uint64_t x = i + 1; x < j; ++x) {
           const std::uint32_t u = tuples.vals[x - 1];
@@ -991,9 +965,6 @@ void union_regions(PassCtx& ctx, const TupleBuffer& tuples,
         1 + dsu::process_edges_algorithm1(local_cc, edges);
     ctx.m_cc_edges.add(edges.size());
   });
-  ctx.my.times.add("LocalCC", cc_timer.seconds());
-  span_end(ctx.tr, "LocalCC", cc_t0);
-  phase_boundary(ctx, "LocalCC");
   ctx.my.cc_iterations = std::max(ctx.my.cc_iterations,
                                   *std::max_element(thread_iters.begin(), thread_iters.end()));
 }
@@ -1002,6 +973,7 @@ void union_regions(PassCtx& ctx, const TupleBuffer& tuples,
 /// W drains.  With cc_opt every pass of a group substitutes component IDs
 /// as of the group start (at W = 2, pass s+1 reads roots one pass stale —
 /// still members of the same component, so the partition is unchanged).
+template <typename Key>
 void run_passes(PassCtx& ctx, const EnginePlan& ep) {
   const MetaprepConfig& config = ctx.config;
   RankShared& my = ctx.my;
@@ -1009,16 +981,16 @@ void run_passes(PassCtx& ctx, const EnginePlan& ep) {
   const int T = ctx.T, S = ctx.S;
   util::BufferPool& pool =
       config.buffer_pool != nullptr ? *config.buffer_pool : util::BufferPool::global();
-  TupleArena arena(pool, ctx.wide, my.max_buffer_bytes);
+  TupleArena<Key> arena(pool, my.max_buffer_bytes);
 
   for (int s0 = 0; s0 < S; s0 += ep.W) {
     util::throw_if_cancelled(config.cancel_token, "pass group");
     const int npasses = std::min(ep.W, S - s0);
-    std::array<PassWork, 2> work;
-    const std::span<PassWork> group(work.data(), static_cast<std::size_t>(npasses));
+    std::array<PassWork<Key>, 2> work;
+    const std::span<PassWork<Key>> group(work.data(), static_cast<std::size_t>(npasses));
     group.front().t0 = span_begin(tr);
     for (std::size_t i = 0; i < group.size(); ++i) {
-      PassWork& w = group[i];
+      PassWork<Key>& w = group[i];
       w.s = s0 + static_cast<int>(i);
       w.route = &ep.routes[static_cast<std::size_t>(w.s)];
       if (ep.superkmer) {
@@ -1036,11 +1008,9 @@ void run_passes(PassCtx& ctx, const EnginePlan& ep) {
     kmergen_sweep(ctx, ep, group, config.cc_opt && s0 > 0);
 
     progress_phase(ctx, "KmerGen-Comm");
-    for (PassWork& w : group) {
-      obs::TraceSpan comm_span("KmerGen-Comm");
-      WallTimer comm_timer;
+    for (PassWork<Key>& w : group) {
+      const Step step(ctx, "KmerGen-Comm");
       post_exchange(ctx, ep, w, arena);
-      my.times.add("KmerGen-Comm", comm_timer.seconds());
     }
     phase_boundary(ctx, "KmerGen-Comm");
 
@@ -1048,7 +1018,7 @@ void run_passes(PassCtx& ctx, const EnginePlan& ep) {
     // while pass s0 sorts and unions (straggler ranks may still be
     // generating it); its receive is the pipeline's only synchronization.
     const double window_t0 = span_begin(tr);
-    for (PassWork& w : group) {
+    for (PassWork<Key>& w : group) {
       util::throw_if_cancelled(config.cancel_token, "pass drain");
       if (ep.W > 1 && &w == &group.back()) span_end(tr, "Overlap-Window", window_t0);
       if (w.t0 < 0.0) w.t0 = span_begin(tr);
@@ -1124,7 +1094,6 @@ RankLabels merge_cc(PassCtx& ctx, const LabelSlices& slices, ComponentSummary& s
   const MetaprepConfig& config = ctx.config;
   mpsim::Comm& comm = ctx.comm;
   RankShared& my = ctx.my;
-  obs::TraceSession& tr = ctx.tr;
   const int p = ctx.p, P = ctx.P, T = ctx.T;
   const std::uint32_t R = ctx.index.total_reads;
   const bool bin_mode = config.output_bins >= 1;
@@ -1136,40 +1105,33 @@ RankLabels merge_cc(PassCtx& ctx, const LabelSlices& slices, ComponentSummary& s
   int round = 0;
   for (int step = 1; step < P; step <<= 1, ++round) {
     if (p % (2 * step) == step) {
-      const double send_t0 = span_begin(tr);
-      WallTimer send_timer;
+      const Step send_step(ctx, "Merge-Comm");
       comm.send(p - step, kMergeTag + round, parents.data(),
                 parents.size() * sizeof(std::uint32_t));
-      my.times.add("Merge-Comm", send_timer.seconds());
-      span_end(tr, "Merge-Comm", send_t0);
       my.merge_comm_bytes += parents.size() * sizeof(std::uint32_t);
       break;  // this rank is inactive in later rounds
     }
     if (p % (2 * step) == 0 && p + step < P) {
-      const double recv_t0 = span_begin(tr);
-      WallTimer recv_timer;
-      std::vector<std::uint32_t> incoming(R);
-      comm.recv(p + step, kMergeTag + round, incoming.data(),
-                incoming.size() * sizeof(std::uint32_t));
-      my.times.add("Merge-Comm", recv_timer.seconds());
-      span_end(tr, "Merge-Comm", recv_t0);
-      const double merge_t0 = span_begin(tr);
-      WallTimer merge_timer;
+      std::vector<std::uint32_t> incoming;
+      {
+        const Step recv_step(ctx, "Merge-Comm");
+        incoming.resize(R);
+        comm.recv(p + step, kMergeTag + round, incoming.data(),
+                  incoming.size() * sizeof(std::uint32_t));
+      }
+      const Step merge_step(ctx, "MergeCC");
       // Each entry is an edge (i, p'[i]); union into the local forest.
       dsu::SerialDSU merged(std::move(parents));
       for (std::uint32_t i = 0; i < R; ++i) {
         if (incoming[i] != i) merged.unite(i, incoming[i]);
       }
       parents = merged.take_parents();
-      my.times.add("MergeCC", merge_timer.seconds());
-      span_end(tr, "MergeCC", merge_t0);
     }
   }
 
   RankLabels out;
   if (p == 0) {
-    const double flatten_t0 = span_begin(tr);
-    WallTimer flatten_timer;
+    const Step flatten_step(ctx, "MergeCC");
     std::vector<std::uint32_t>& labels = summary.labels;
     labels.assign(R, 0);
     dsu::AtomicDSU final_dsu{std::span<const std::uint32_t>(parents)};
@@ -1228,8 +1190,6 @@ RankLabels merge_cc(PassCtx& ctx, const LabelSlices& slices, ComponentSummary& s
       summary.bin_plan = part::greedy_bin_pack(summary.components, config.output_bins);
       out.table = part::make_root_slot_table(summary.components, summary.bin_plan);
     }
-    my.times.add("MergeCC", flatten_timer.seconds());
-    span_end(tr, "MergeCC", flatten_t0);
   }
 
   out.slice.resize(slices.len[static_cast<std::size_t>(p)]);
@@ -1280,9 +1240,7 @@ void write_partitions(PassCtx& ctx, const RankLabels& labels, std::uint64_t slic
   const DatasetIndex& index = ctx.index;
   const int p = ctx.p;
   const bool bin_mode = config.output_bins >= 1;
-  progress_phase(ctx, "CC-I/O");
-  obs::TraceSpan io_span("CC-I/O");
-  WallTimer io_timer;
+  const Step step(ctx, "CC-I/O", true);
   // Writer per slot; the extra last entry stands for kNoSlot.
   const std::size_t nslots = bin_mode ? static_cast<std::size_t>(config.output_bins) : 1;
   constexpr std::size_t kClosed = static_cast<std::size_t>(-1);
@@ -1328,196 +1286,128 @@ void write_partitions(PassCtx& ctx, const RankLabels& labels, std::uint64_t slic
   for (auto& files : thread_files) {
     for (auto& f : files) ctx.my.output_files.push_back(std::move(f));
   }
-  ctx.my.times.add("CC-I/O", io_timer.seconds());
-  phase_boundary(ctx, "CC-I/O");
 }
 
-}  // namespace
-
-PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& config) {
-  // Validation and S: one plan, shared with daemon admission.  Its memory
-  // input also feeds the attribution report's predicted-vs-actual table.
-  const RunPlan run_plan = plan_run(config, index);
-  const MemoryModelInput& mm = run_plan.memory;
-  const int S = run_plan.num_passes;
-  const int k = config.k;
-  const int P = config.num_ranks;
-  const int T = config.threads_per_rank;
-  const bool superkmer = config.comm_compress == CommCompress::kSuperKmer;
-  const bool wide = k > kmer::kMaxK64;
-  const std::uint32_t R = index.total_reads;
-  const int m = index.mer_hist.m;
-
-  // Session plumbing: when the config names per-session observability
-  // instances, install them as this thread's overrides for the whole run.
-  // Everything below resolves sinks through obs::*::current(), and the
-  // overrides propagate to ThreadTeam workers and mpsim rank threads, so a
-  // null config keeps the historical global-singleton behaviour exactly.
-  util::SessionContext session_ctx = util::SessionContext::capture();
-  if (config.trace_session != nullptr) session_ctx.trace = config.trace_session;
-  if (config.metrics_registry != nullptr) session_ctx.metrics = config.metrics_registry;
-  if (config.mem_registry != nullptr) session_ctx.mem = config.mem_registry;
-  const util::ScopedSessionContext session_bind(session_ctx);
-
-  // Zero-component hardening: an empty dataset short-circuits to a fully
-  // formed empty result in either pipeline mode — no passes, no comm, no
-  // ghost ".other.fastq" files, no sentinel roots.
-  if (R == 0) {
-    PipelineResult result;
-    result.passes_used = S;
+/// One run's observability, from setup to restore.  The config's per-
+/// session tracer, metrics and memory registries become this thread's
+/// overrides for the run: everything below resolves sinks through
+/// obs::*::current(), and the overrides propagate to ThreadTeam workers and
+/// mpsim rank threads, so a null config keeps the process globals.  When
+/// the config names output files the run owns its session's tracer and
+/// metrics: cleared and enabled here, written by export_artifacts, and
+/// restored when the scope ends, also when an Error unwinds the run.
+/// attr_out needs the span data, so it forces tracing like trace_out.
+class RunObservability {
+ public:
+  RunObservability(const MetaprepConfig& config, std::uint64_t progress_ticks)
+      : config_(config), session_bind_(session_of(config)) {
+    if (want_trace_) {
+      tr_.clear();
+      tr_.enable();
+    }
     if (!config.metrics_out.empty()) {
-      obs::MetricsRegistry& mreg = obs::metrics();
-      const bool were_enabled = mreg.enabled();
-      mreg.reset_values();
-      mreg.set_enabled(true);
-      mreg.gauge("pipeline.passes").set(static_cast<double>(S));
-      mreg.gauge("pipeline.components").set(0.0);
-      mreg.write_jsonl(config.metrics_out);
-      mreg.set_enabled(were_enabled);
+      metrics_.reset_values();
+      metrics_.set_enabled(true);
     }
-    if (!config.trace_out.empty()) {
-      obs::TraceSession& trs = obs::TraceSession::current();
-      const bool was_enabled = trs.enabled();
-      trs.clear();
-      trs.write_chrome_json(config.trace_out);
-      if (!was_enabled) trs.disable();
+    // Memory attribution rides with tracing: its subsystem high-water marks
+    // feed the same report, and its cost discipline is the same one-relaxed-
+    // load-when-off, so untraced runs are unaffected.
+    if (traced_ && !mem_was_enabled_) {
+      mem_.reset();
+      mem_.set_enabled(true);
     }
-    if (!config.attr_out.empty()) {
-      obs::AttrReport empty;
-      empty.ranks = P;
-      empty.threads = T;
-      empty.passes = S;
-      empty.write_json(config.attr_out);
+    // --progress: one stderr line driven by the pipeline's phase boundaries.
+    if (config.progress) {
+      obs::Progress::global().set_enabled(true);
+      obs::Progress::global().begin_run(progress_ticks);
     }
-    return result;
   }
-
-  const PassPlan plan(index.mer_hist, S, P, T);
-  const ChunkAssignment ca(index.part.num_chunks(), P, T);
-
-  EnginePlan engine;
-  engine.W = config.pipeline_mode == PipelineMode::kOverlap ? 2 : 1;
-  engine.superkmer = superkmer;
-  engine.minimizer_len = config.superkmer_minimizer_len;
-  engine.routes = make_routes(plan, S, P, T, superkmer);
-
-  // Observability: when the config names output files, this run owns its
-  // session's tracer/metrics (cleared + enabled here, exported after the
-  // run); with no session installed that is still the process globals.
-  // attr_out needs the span data, so it forces tracing like trace_out.
-  obs::TraceSession& tr = obs::TraceSession::current();
-  const bool trace_was_enabled = tr.enabled();
-  const bool want_trace = !config.trace_out.empty() || !config.attr_out.empty();
-  if (want_trace) {
-    tr.clear();
-    tr.enable();
-  }
-  const bool metrics_were_enabled = obs::metrics().enabled();
-  if (!config.metrics_out.empty()) {
-    obs::metrics().reset_values();
-    obs::metrics().set_enabled(true);
-  }
-  // Memory attribution rides with tracing: its subsystem high-water marks
-  // feed the same report, and its cost discipline is the same one-relaxed-
-  // load-when-off, so untraced runs are unaffected.
-  obs::MemRegistry& memreg = obs::MemRegistry::current();
-  const bool mem_was_enabled = memreg.enabled();
-  const bool traced_run = tr.enabled();
-  if (traced_run && !mem_was_enabled) {
-    memreg.reset();
-    memreg.set_enabled(true);
-  }
-  // --progress: one stderr line driven by the pipeline's phase boundaries.
-  // Total ticks = chunk reads per KmerGen sweep (one sweep per group of W
-  // passes) plus the CC-I/O sweep when output is on.
-  obs::Progress& prog = obs::Progress::global();
-  if (config.progress) {
-    const std::uint64_t nchunks = index.part.num_chunks();
-    const auto sweeps = static_cast<std::uint64_t>((S + engine.W - 1) / engine.W);
-    prog.set_enabled(true);
-    prog.begin_run(nchunks * sweeps + (config.write_output ? nchunks : 0));
-  }
-  // Hot-path metric handles resolved once (registry lookup takes a mutex).
-  obs::Counter& m_tuples = obs::metrics().counter("pipeline.tuples_total");
-  obs::Counter& m_cc_edges = obs::metrics().counter("pipeline.cc_edges_total");
-  obs::Gauge& m_rss = obs::metrics().gauge("mem.rss_peak");
-  obs::Gauge& m_peak = obs::metrics().gauge("proc.peak_rss_bytes");
-  const LabelSlices slices(index, ca, P);
-
-  mpsim::World world(P, config.cost_model);
-  std::vector<RankShared> shared(static_cast<std::size_t>(P));
-  ComponentSummary summary;  // written by rank 0 only
-
-  WallTimer run_timer;  // measured wall for the attribution report
-
-  // ---- PackedIngest (--read-store=packed): the run's single FASTQ parse.
-  // Every record lands 2-bit-packed in an arena; the KmerGen scans below
-  // walk the arena and the per-pass text re-parse disappears.  A named
-  // --packed-store arena is serialized and mmapped back (it outlives the
-  // run); an ephemeral arena stays in memory and never touches disk.  The
-  // ingest is deliberately inside the measured wall: packed mode must pay
-  // for its arena to claim a win over text mode.  The parse itself is
-  // sharded over the run's worker budget, capped at the machine's real
-  // core count — mpsim ranks oversubscribe cores by design, but for the
-  // ingest (pure local CPU work, no simulated communication) extra threads
-  // on a small host are pure overhead.  Shards merge deterministically, so
-  // the arena bytes never depend on the thread count. ----
-  io::PackedStore packed_store;
-  io::PackedStoreStats packed_stats{};
-  double packed_ingest_s = 0.0;
-  const bool packed_is_temp = config.packed_store_path.empty();
-  if (config.read_store == ReadStore::kPacked) {
-    const int ingest_threads = std::clamp(
-        static_cast<int>(std::thread::hardware_concurrency()), 1, P * T);
-    WallTimer ingest_timer;
-    const double ingest_t0 = span_begin(tr);
-    if (packed_is_temp) {
-      packed_store = build_packed_store_in_memory(index, config.parse_mode,
-                                                  ingest_threads, &packed_stats);
-    } else {
-      packed_stats = build_packed_store(index, config.packed_store_path,
-                                        config.parse_mode, ingest_threads);
-      packed_store = io::PackedStore::open(config.packed_store_path);
+  RunObservability(const RunObservability&) = delete;
+  RunObservability& operator=(const RunObservability&) = delete;
+  ~RunObservability() {
+    if (config_.progress) {
+      obs::Progress::global().finish();
+      obs::Progress::global().set_enabled(false);
     }
-    span_end(tr, "PackedIngest", ingest_t0);
-    packed_ingest_s = ingest_timer.seconds();
+    if (!config_.metrics_out.empty()) metrics_.set_enabled(metrics_were_enabled_);
+    if (want_trace_ && !trace_was_enabled_) tr_.disable();
+    if (traced_ && !mem_was_enabled_) mem_.set_enabled(false);
   }
 
-  world.run([&](mpsim::Comm& comm) {
-    const int p = comm.rank();
-    obs::TraceSession::set_thread_identity(p, 0);
-    RankShared& my = shared[static_cast<std::size_t>(p)];
-    ThreadTeam team(T);
-    dsu::AtomicDSU local_cc(R);
+  [[nodiscard]] obs::TraceSession& tr() const { return tr_; }
+  [[nodiscard]] obs::MemRegistry& mem() const { return mem_; }
+  [[nodiscard]] bool traced() const { return traced_; }
 
-    PassCtx ctx{index,  config, plan,   ca,
-                comm,   team,   local_cc, my,
-                tr,     m_tuples, m_cc_edges, m_rss,
-                m_peak, packed_store.is_open() ? &packed_store : nullptr,
-                p,      P,      T,      S,
-                k,      m,      wide};
-    run_passes(ctx, engine);
-    const RankLabels labels = merge_cc(ctx, slices, summary);
-    if (config.write_output) {
-      write_partitions(ctx, labels, slices.off[static_cast<std::size_t>(p)]);
-    }
-  });
-  const double run_wall_s = run_timer.seconds();
-  if (config.progress) {
-    prog.finish();
-    prog.set_enabled(false);
-  }
-  if (packed_store.is_open() && packed_is_temp) {
-    // Drop the in-memory arena before assembling the result so its pages
-    // are returned (and the packed mem subsystem credited) inside the run.
-    packed_store = io::PackedStore();
+ private:
+  static util::SessionContext session_of(const MetaprepConfig& config) {
+    util::SessionContext ctx = util::SessionContext::capture();
+    if (config.trace_session != nullptr) ctx.trace = config.trace_session;
+    if (config.metrics_registry != nullptr) ctx.metrics = config.metrics_registry;
+    if (config.mem_registry != nullptr) ctx.mem = config.mem_registry;
+    return ctx;
   }
 
-  // ---- Assemble the result. ----
+  const MetaprepConfig& config_;
+  const util::ScopedSessionContext session_bind_;  // first: the sinks below resolve through it
+  obs::TraceSession& tr_ = obs::TraceSession::current();
+  obs::MetricsRegistry& metrics_ = obs::metrics();
+  obs::MemRegistry& mem_ = obs::MemRegistry::current();
+  const bool want_trace_ = !config_.trace_out.empty() || !config_.attr_out.empty();
+  const bool trace_was_enabled_ = tr_.enabled();
+  const bool traced_ = want_trace_ || trace_was_enabled_;
+  const bool metrics_were_enabled_ = metrics_.enabled();
+  const bool mem_was_enabled_ = mem_.enabled();
+};
+
+/// What PackedIngest leaves for the passes: the arena and what it cost.
+struct PackedIngest {
+  io::PackedStore store;
+  io::PackedStoreStats stats{};
+  double seconds = 0.0;
+};
+
+/// PackedIngest (--read-store=packed): the run's single FASTQ parse.  Every
+/// record lands 2-bit-packed in an arena; the KmerGen scans walk the arena
+/// and the per-pass text re-parse disappears.  A named --packed-store arena
+/// is serialized and mmapped back (it outlives the run); an ephemeral arena
+/// stays in memory and never touches disk.  The ingest is deliberately
+/// inside the measured wall: packed mode must pay for its arena to claim a
+/// win over text mode.  The parse is sharded over the run's worker budget,
+/// capped at the machine's real core count — mpsim ranks oversubscribe
+/// cores by design, but for the ingest (pure local CPU work, no simulated
+/// communication) extra threads on a small host are pure overhead.  Shards
+/// merge deterministically, so the arena bytes never depend on the thread
+/// count.
+PackedIngest ingest_packed(const DatasetIndex& index, const MetaprepConfig& config,
+                           obs::TraceSession& tr) {
+  const int threads = std::clamp(static_cast<int>(std::thread::hardware_concurrency()), 1,
+                                 config.num_ranks * config.threads_per_rank);
+  PackedIngest out;
+  WallTimer timer;
+  const double t0 = span_begin(tr);
+  if (config.packed_store_path.empty()) {
+    out.store = build_packed_store_in_memory(index, config.parse_mode, threads, &out.stats);
+  } else {
+    out.stats = build_packed_store(index, config.packed_store_path, config.parse_mode, threads);
+    out.store = io::PackedStore::open(config.packed_store_path);
+  }
+  span_end(tr, "PackedIngest", t0);
+  out.seconds = timer.seconds();
+  return out;
+}
+
+/// Result assembly: rank 0's component summary, every rank's accounting,
+/// the packed ingest and the world's comm matrices become the result;
+/// --output-bins writes its manifest; the exchange counters are published.
+PipelineResult assemble_result(const DatasetIndex& index, const MetaprepConfig& config,
+                               ComponentSummary& summary, std::vector<RankShared>& shared,
+                               const PackedIngest& packed, const mpsim::World& world,
+                               const LabelSlices& slices) {
+  const std::uint32_t R = index.total_reads;
+  const int P = config.num_ranks;
   PipelineResult result;
   result.num_reads = R;
   result.labels = std::move(summary.labels);
-  result.passes_used = S;
   result.num_components = summary.num_components;
   result.largest_root = summary.largest_root;
   result.largest_size = summary.top_sizes.front();
@@ -1549,10 +1439,10 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
   if (config.read_store == ReadStore::kPacked) {
     // The arena recorded every skip at ingest; the scans saw none.  Text
     // mode accumulated the same distinct-record count from pass 1.
-    result.records_skipped = packed_stats.skipped;
-    result.packed_ingest_seconds = packed_ingest_s;
-    result.packed_store_bytes = packed_stats.file_bytes;
-    result.step_times.add("PackedIngest", packed_ingest_s);
+    result.records_skipped = packed.stats.skipped;
+    result.packed_ingest_seconds = packed.seconds;
+    result.packed_store_bytes = packed.stats.file_bytes;
+    result.step_times.add("PackedIngest", packed.seconds);
   }
   result.traffic_matrix = world.traffic_matrix();
   result.message_matrix = world.message_matrix();
@@ -1584,38 +1474,43 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
       part::save_bin_manifest(manifest, result.bin_manifest_path);
     }
   }
-  {
-    obs::MetricsRegistry& m = obs::metrics();
-    m.counter("part.label_scatter_bytes").add(result.label_scatter_bytes);
-    m.counter("part.root_table_bytes").add(result.root_table_bytes);
-    m.counter("comm.alltoallv_bytes").add(result.exchange_bytes);
-    m.counter("comm.alltoallv_bytes_raw").add(result.exchange_bytes_raw);
-    m.counter("comm.superkmer_records").add(result.superkmer_records);
-    if (result.exchange_bytes_raw > 0)
-      m.gauge("comm.superkmer_ratio").set(result.superkmer_ratio);
-  }
+  obs::MetricsRegistry& m = obs::metrics();
+  m.counter("part.label_scatter_bytes").add(result.label_scatter_bytes);
+  m.counter("part.root_table_bytes").add(result.root_table_bytes);
+  m.counter("comm.alltoallv_bytes").add(result.exchange_bytes);
+  m.counter("comm.alltoallv_bytes_raw").add(result.exchange_bytes_raw);
+  m.counter("comm.superkmer_records").add(result.superkmer_records);
+  if (result.exchange_bytes_raw > 0) m.gauge("comm.superkmer_ratio").set(result.superkmer_ratio);
+  return result;
+}
 
-  // ---- Performance attribution (src/obs/attr): whenever the run was
-  // traced, fold the span analysis, the comm matrices, and the measured-vs-
-  // modeled memory reconciliation into one AttrReport. ----
+/// Artifact export: a traced run's attribution report (span analysis, comm
+/// matrices, measured-vs-modeled memory), the run-level metrics, and the
+/// requested metrics, attr and trace files.  Every run exports here, the
+/// R == 0 short cut included.
+void export_artifacts(const MetaprepConfig& config, const RunObservability& run_obs,
+                      const MemoryModelInput& mm, double run_wall_s,
+                      const std::vector<obs::RssSample>& rss_samples, PipelineResult& result) {
+  const int P = config.num_ranks;
+  obs::TraceSession& tr = run_obs.tr();
   const double comm_skew = obs::comm_matrix_skew(result.traffic_matrix, P);
-  if (traced_run) {
+  if (run_obs.traced()) {
     obs::AttrReport ar = obs::PhaseAccountant::analyze(tr.snapshot(), run_wall_s * 1e6);
     ar.ranks = P;
-    ar.threads = T;
-    ar.passes = S;
+    ar.threads = config.threads_per_rank;
+    ar.passes = result.passes_used;
     ar.comm_ranks = P;
     ar.comm_bytes = result.traffic_matrix;
     ar.comm_msgs = result.message_matrix;
     ar.comm_skew = comm_skew;
     ar.peak_rss_bytes = util::peak_rss_bytes();
-    ar.rss_samples = shared[0].rss_samples;
+    ar.rss_samples = rss_samples;
     // The model predicts bytes per task; the registry measures the whole
     // process hosting all P ranks, so predictions scale by P.  "sort" and
     // "pool" have no model term and report measured-only.
     const MemoryBreakdown pred = estimate_memory(mm);
     const auto up = static_cast<std::uint64_t>(P);
-    for (const auto& [name, usage] : memreg.snapshot()) {
+    for (const auto& [name, usage] : run_obs.mem().snapshot()) {
       obs::MemSubsystem ms;
       ms.name = name;
       ms.high_water_bytes =
@@ -1634,49 +1529,103 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
     result.attr = std::move(ar);
   }
 
-  // Publish run-level metrics and export the requested artifacts.
-  {
-    obs::MetricsRegistry& m = obs::metrics();
-    m.gauge("pipeline.passes").set(static_cast<double>(result.passes_used));
-    m.gauge("pipeline.components").set(static_cast<double>(result.num_components));
-    m.gauge("pipeline.largest_fraction").set(result.largest_fraction);
-    m.gauge("pipeline.max_tuple_buffer_bytes")
-        .set_max(static_cast<double>(result.max_tuple_buffer_bytes));
-    m.gauge("pipeline.cc_iterations_max")
-        .set_max(static_cast<double>(result.cc_iterations_max));
-    m.gauge("mpsim.sim_comm_seconds").set_max(result.sim_comm_seconds);
-    m_rss.set_max(static_cast<double>(util::peak_rss_bytes()));
-    m_peak.set_max(static_cast<double>(util::peak_rss_bytes()));
-    // Comm-matrix export as metrics: the off-diagonal byte cells land in one
-    // histogram (the distribution is what skew summarizes) plus the skew
-    // gauge, so metrics-only consumers see the exchange shape too.
-    if (m.enabled() && P > 1) {
-      obs::Histogram& h = m.histogram("mpsim.comm_matrix");
-      for (int i = 0; i < P; ++i) {
-        for (int j = 0; j < P; ++j) {
-          if (i == j) continue;
-          const std::uint64_t v = result.traffic_matrix[static_cast<std::size_t>(i) * P + j];
-          if (v > 0) h.record(v);
-        }
-      }
-      m.gauge("mpsim.comm_matrix_skew").set_max(comm_skew);
+  obs::MetricsRegistry& m = obs::metrics();
+  m.gauge("pipeline.passes").set(static_cast<double>(result.passes_used));
+  m.gauge("pipeline.components").set(static_cast<double>(result.num_components));
+  m.gauge("pipeline.largest_fraction").set(result.largest_fraction);
+  m.gauge("pipeline.max_tuple_buffer_bytes")
+      .set_max(static_cast<double>(result.max_tuple_buffer_bytes));
+  m.gauge("pipeline.cc_iterations_max").set_max(static_cast<double>(result.cc_iterations_max));
+  m.gauge("mpsim.sim_comm_seconds").set_max(result.sim_comm_seconds);
+  m.gauge("mem.rss_peak").set_max(static_cast<double>(util::peak_rss_bytes()));
+  m.gauge("proc.peak_rss_bytes").set_max(static_cast<double>(util::peak_rss_bytes()));
+  // Comm-matrix export as metrics: the off-diagonal byte cells land in one
+  // histogram (the distribution is what skew summarizes) plus the skew
+  // gauge, so metrics-only consumers see the exchange shape too.
+  if (m.enabled() && P > 1) {
+    obs::Histogram& h = m.histogram("mpsim.comm_matrix");
+    for (std::size_t c = 0; c < result.traffic_matrix.size(); ++c) {
+      const std::uint64_t v = result.traffic_matrix[c];
+      if (c / static_cast<std::size_t>(P) != c % static_cast<std::size_t>(P) && v > 0) h.record(v);
     }
-    if (result.has_attr) {
-      for (const auto& ms : result.attr.memory) {
-        m.gauge("mem." + ms.name + ".high_water")
-            .set_max(static_cast<double>(ms.high_water_bytes));
-      }
-    }
-    if (!config.metrics_out.empty()) {
-      m.write_jsonl(config.metrics_out);
-      m.set_enabled(metrics_were_enabled);
-    }
-    if (!config.attr_out.empty()) result.attr.write_json(config.attr_out);
-    if (!config.trace_out.empty()) tr.write_chrome_json(config.trace_out);
-    tr.flush();  // no-op unless the session has an armed flush path
-    if (want_trace && !trace_was_enabled) tr.disable();
-    if (traced_run && !mem_was_enabled) memreg.set_enabled(false);
+    m.gauge("mpsim.comm_matrix_skew").set_max(comm_skew);
   }
+  if (result.has_attr) {
+    for (const auto& ms : result.attr.memory) {
+      m.gauge("mem." + ms.name + ".high_water").set_max(static_cast<double>(ms.high_water_bytes));
+    }
+  }
+  if (!config.metrics_out.empty()) m.write_jsonl(config.metrics_out);
+  if (!config.attr_out.empty()) result.attr.write_json(config.attr_out);
+  if (!config.trace_out.empty()) tr.write_chrome_json(config.trace_out);
+  tr.flush();  // no-op unless the session has an armed flush path
+}
+
+}  // namespace
+
+PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& config) {
+  // Validation and S: one plan, shared with daemon admission.  Its memory
+  // input also feeds the attribution report's predicted-vs-actual table.
+  const RunPlan run_plan = plan_run(config, index);
+  const int S = run_plan.num_passes;
+  const int P = config.num_ranks;
+  const int T = config.threads_per_rank;
+  const std::uint32_t R = index.total_reads;
+  const bool superkmer = config.comm_compress == CommCompress::kSuperKmer;
+  const int W = config.pipeline_mode == PipelineMode::kOverlap ? 2 : 1;
+
+  // Progress ticks: the chunk reads of each KmerGen sweep (one per group of
+  // W passes), plus the CC-I/O sweep when output is on.
+  const std::uint64_t nchunks = index.part.num_chunks();
+  const RunObservability run_obs(
+      config, nchunks * static_cast<std::uint64_t>((S + W - 1) / W) +
+                  (config.write_output ? nchunks : 0));
+
+  // Zero-component hardening: an empty dataset short-circuits to a fully
+  // formed empty result in either pipeline mode — no passes, no comm, no
+  // ghost ".other.fastq" files, no sentinel roots — and exports like any run.
+  if (R == 0) {
+    PipelineResult result;
+    result.passes_used = S;
+    export_artifacts(config, run_obs, run_plan.memory, 0.0, {}, result);
+    return result;
+  }
+
+  const PassPlan plan(index.mer_hist, S, P, T);
+  const ChunkAssignment ca(index.part.num_chunks(), P, T);
+  const EnginePlan engine{W, superkmer, config.superkmer_minimizer_len,
+                          make_routes(plan, S, P, T, superkmer)};
+  const LabelSlices slices(index, ca, P);
+  mpsim::World world(P, config.cost_model);
+  std::vector<RankShared> shared(static_cast<std::size_t>(P));
+  ComponentSummary summary;  // written by rank 0 only
+
+  WallTimer run_timer;  // measured wall for the attribution report
+  PackedIngest packed;
+  if (config.read_store == ReadStore::kPacked) packed = ingest_packed(index, config, run_obs.tr());
+  world.run([&](mpsim::Comm& comm) {
+    const int p = comm.rank();
+    obs::TraceSession::set_thread_identity(p, 0);
+    RankShared& my = shared[static_cast<std::size_t>(p)];
+    ThreadTeam team(T);
+    dsu::AtomicDSU local_cc(R);
+    PassCtx ctx{index, config, plan, ca, comm, team, local_cc, my,
+                packed.store.is_open() ? &packed.store : nullptr,
+                p, P, T, S, config.k, index.mer_hist.m};
+    kmer::with_kmer_type(config.k, [&](auto key) { run_passes<decltype(key)>(ctx, engine); });
+    const RankLabels labels = merge_cc(ctx, slices, summary);
+    if (config.write_output) {
+      write_partitions(ctx, labels, slices.off[static_cast<std::size_t>(p)]);
+    }
+  });
+  const double run_wall_s = run_timer.seconds();
+  // Drop the arena before assembling the result so its pages are returned
+  // (and the packed mem subsystem credited) inside the run.
+  packed.store = io::PackedStore();
+
+  PipelineResult result = assemble_result(index, config, summary, shared, packed, world, slices);
+  result.passes_used = S;
+  export_artifacts(config, run_obs, run_plan.memory, run_wall_s, shared[0].rss_samples, result);
   return result;
 }
 
@@ -1684,35 +1633,31 @@ std::vector<std::uint32_t> reference_components(const DatasetIndex& index,
                                                 const KmerFreqFilter& filter,
                                                 io::ParseMode parse_mode) {
   const int k = index.k;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::vector<std::uint32_t>> kmer_reads;
-  for (std::uint32_t c = 0; c < index.part.num_chunks(); ++c) {
-    const ChunkRecord& chunk = index.part.chunks[c];
-    const auto buffer = io::read_file_range(index.files[chunk.file], chunk.offset, chunk.size);
-    std::uint32_t read_id = chunk.first_read_id;
-    io::ParseOptions popt{parse_mode, index.files[chunk.file], chunk.offset,
-                          [&read_id] { ++read_id; }};
-    io::for_each_record_in_buffer(
-        std::string_view(buffer.data(), buffer.size()),
-        [&](std::string_view, std::string_view seq, std::string_view) {
-          if (k <= kmer::kMaxK64) {
-            kmer::for_each_canonical_kmer64(seq, k, [&](std::uint64_t km, std::size_t) {
-              kmer_reads[{0, km}].push_back(read_id);
-            });
-          } else {
-            kmer::for_each_canonical_kmer128(seq, k, [&](kmer::Kmer128 km, std::size_t) {
-              kmer_reads[{km.hi, km.lo}].push_back(read_id);
-            });
-          }
-          ++read_id;
-        },
-        popt);
-  }
-  dsu::SerialDSU dsu(index.total_reads);
-  for (const auto& [km, reads] : kmer_reads) {
-    if (!filter.accepts(reads.size())) continue;
-    for (std::size_t i = 1; i < reads.size(); ++i) dsu.unite(reads[i - 1], reads[i]);
-  }
-  return dsu.labels();
+  return kmer::with_kmer_type(k, [&](auto key) {
+    using Key = decltype(key);
+    std::map<Key, std::vector<std::uint32_t>> kmer_reads;
+    for (std::uint32_t c = 0; c < index.part.num_chunks(); ++c) {
+      const ChunkRecord& chunk = index.part.chunks[c];
+      const auto buffer = io::read_file_range(index.files[chunk.file], chunk.offset, chunk.size);
+      std::uint32_t read_id = chunk.first_read_id;
+      io::ParseOptions popt{parse_mode, index.files[chunk.file], chunk.offset,
+                            [&read_id] { ++read_id; }};
+      io::for_each_record_in_buffer(
+          std::string_view(buffer.data(), buffer.size()),
+          [&](std::string_view, std::string_view seq, std::string_view) {
+            kmer::KmerTraits<Key>::for_each_canonical(
+                seq, k, [&](Key km, std::size_t) { kmer_reads[km].push_back(read_id); });
+            ++read_id;
+          },
+          popt);
+    }
+    dsu::SerialDSU dsu(index.total_reads);
+    for (const auto& [km, reads] : kmer_reads) {
+      if (!filter.accepts(reads.size())) continue;
+      for (std::size_t i = 1; i < reads.size(); ++i) dsu.unite(reads[i - 1], reads[i]);
+    }
+    return dsu.labels();
+  });
 }
 
 }  // namespace metaprep::core

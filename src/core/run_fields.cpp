@@ -86,7 +86,7 @@ std::string accepted(const RunField& f) {
     }
     case K::kPath: break;
   }
-  return "a path";
+  return f.default_value.empty() ? "a path" : "a non-empty path";
 }
 
 /// Parse @p text for @p f; errors name the field as @p label spells it.
@@ -110,7 +110,10 @@ FieldValue parse_text(const RunField& f, std::string_view text, const std::strin
       v.s = text;
       break;
     }
-    case K::kPath: v.s = text; break;
+    case K::kPath:
+      ok = !text.empty() || f.default_value.empty();
+      v.s = text;
+      break;
   }
   if (!ok)
     throw util::config_error(label + " expects " + accepted(f) + " (got '" + std::string(text) +

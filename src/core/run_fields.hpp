@@ -37,7 +37,9 @@ struct RunField {
   FieldKind kind;
   double lo, hi;  ///< inclusive range (kInt, kDouble)
   std::span<const std::string_view> spellings;  ///< kEnum, in enum-value order
-  std::string_view default_value;               ///< spelled as on the CLI
+  /// Spelled as on the CLI.  A kPath field may be set empty (off) only when
+  /// its default is empty: an empty `out` would write under "/".
+  std::string_view default_value;
   std::string_view doc;
   void (*set)(MetaprepConfig&, const FieldValue&);
 };

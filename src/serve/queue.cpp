@@ -223,8 +223,7 @@ void JobQueue::worker_loop() {
     std::string error;
     core::PipelineResult result;
     try {
-      if (config.write_output && !config.output_dir.empty())
-        std::filesystem::create_directories(config.output_dir);
+      if (config.write_output) std::filesystem::create_directories(config.output_dir);
       result = session.run(*index, config);
       // Same sidecar a direct `metaprep_cli run` leaves next to the bins.
       if (config.write_output) {

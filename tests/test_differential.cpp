@@ -630,15 +630,15 @@ TEST(Differential, CompressModesAgreeTupleForTuple) {
   }
 }
 
-/// The fixture's files indexed strictly while clean, then corrupted in place
-/// (same bytes per record, mangled headers): the chunk histograms count
-/// records that lenient KmerGen parsing skips, so the fixed-tuple codec must
-/// pad the gaps with sentinel tuples.
+/// The fixture's files indexed strictly at @p k while clean, then corrupted
+/// in place (same bytes per record, mangled headers): the chunk histograms
+/// count records that lenient KmerGen parsing skips, so the fixed-tuple codec
+/// must pad the gaps with sentinel tuples.
 struct SentinelFixture {
   TempDir dir;
   DatasetIndex index;
 
-  SentinelFixture() {
+  explicit SentinelFixture(int k) {
     const auto corrupt = corrupt_copy(fixture().files, dir);
     std::vector<std::string> files;
     for (std::size_t fi = 0; fi < corrupt.size(); ++fi) {
@@ -646,7 +646,7 @@ struct SentinelFixture {
       std::filesystem::copy_file(fixture().files[fi], files.back());
     }
     IndexCreateOptions opt;
-    opt.k = kK;
+    opt.k = k;
     opt.m = 5;
     opt.target_chunks = 9;
     index = create_index("diff", files, true, opt);
@@ -660,39 +660,80 @@ struct SentinelFixture {
 TEST(Differential, ModesAgreeTupleForTuple) {
   // Beyond the partition: both fusion widths must enumerate the same tuples,
   // ship the same bytes and produce the same raw labels (union-by-index makes
-  // every root its component's largest read ID).  The lenient leg forces
-  // sentinel tuples; both widths key them by the slot's first bin.
+  // every root its component's largest read ID), from either read store and
+  // under either codec.  The lenient leg forces sentinel tuples; both widths
+  // key them by the slot's first bin.  With m = 5, k = 33 and k = 63 place
+  // that bin at bit 56 and bit 116 of the 128-bit key, one on each side of
+  // the word boundary, and run the packed Kmer128 scan.
   auto& f = fixture();
-  const SentinelFixture gaps;
-  for (const bool lenient : {false, true}) {
-    for (int S : {1, 2}) {
-      MetaprepConfig cfg;
-      cfg.k = kK;
-      cfg.num_ranks = 2;
-      cfg.threads_per_rank = 2;
-      cfg.num_passes = S;
-      cfg.write_output = false;
-      if (lenient) cfg.parse_mode = io::ParseMode::kLenient;
-      const DatasetIndex& index = lenient ? gaps.index : f.index;
-      const std::string where = (lenient ? "lenient S=" : "strict S=") + std::to_string(S);
-      const auto barrier = run_metaprep(index, cfg);
-      cfg.pipeline_mode = PipelineMode::kOverlap;
-      const auto overlap = run_metaprep(index, cfg);
-      EXPECT_EQ(overlap.total_tuples, barrier.total_tuples) << where;
-      EXPECT_EQ(overlap.exchange_bytes, barrier.exchange_bytes) << where;
-      EXPECT_EQ(overlap.num_components, barrier.num_components) << where;
-      EXPECT_EQ(overlap.labels, barrier.labels) << where;
-      if (lenient) {
-        // Skipped records are what forces the sentinels; the partition still
-        // matches the brute-force reference under the same parse mode.
-        EXPECT_GT(barrier.records_skipped, 0u) << where;
-        EXPECT_EQ(overlap.records_skipped, barrier.records_skipped) << where;
-        EXPECT_EQ(test::normalize_partition(barrier.labels),
-                  test::normalize_partition(reference_components(
-                      index, KmerFreqFilter{}, io::ParseMode::kLenient)))
-            << where;
-      } else {
-        EXPECT_EQ(test::normalize_partition(barrier.labels), f.oracle) << where;
+  for (int k : {kK, 33, 63}) {
+    IndexCreateOptions opt;
+    opt.k = k;
+    opt.m = 5;
+    opt.target_chunks = 9;
+    const DatasetIndex clean = create_index("diff", f.files, true, opt);
+    const SentinelFixture gaps(k);
+    for (const bool lenient : {false, true}) {
+      const DatasetIndex& index = lenient ? gaps.index : clean;
+      const io::ParseMode parse = lenient ? io::ParseMode::kLenient : io::ParseMode::kStrict;
+      const std::vector<std::uint32_t> reference =
+          k == kK && !lenient
+              ? f.oracle
+              : test::normalize_partition(reference_components(index, KmerFreqFilter{}, parse));
+      for (int S : {1, 2}) {
+        std::vector<std::uint32_t> first_labels;
+        std::uint64_t strict_tuples = 0;
+        for (auto codec : {CommCompress::kNone, CommCompress::kSuperKmer}) {
+          std::uint64_t text_tuples = 0, text_bytes = 0;
+          for (auto store : {ReadStore::kText, ReadStore::kPacked}) {
+            MetaprepConfig cfg;
+            cfg.k = k;
+            cfg.num_ranks = 2;
+            cfg.threads_per_rank = 2;
+            cfg.num_passes = S;
+            cfg.write_output = false;
+            cfg.parse_mode = parse;
+            cfg.comm_compress = codec;
+            cfg.read_store = store;
+            const std::string where =
+                "k=" + std::to_string(k) + (lenient ? " lenient S=" : " strict S=") +
+                std::to_string(S) + (codec == CommCompress::kNone ? " fixed" : " superkmer") +
+                (store == ReadStore::kText ? " text" : " packed");
+            const auto barrier = run_metaprep(index, cfg);
+            cfg.pipeline_mode = PipelineMode::kOverlap;
+            const auto overlap = run_metaprep(index, cfg);
+            EXPECT_EQ(overlap.total_tuples, barrier.total_tuples) << where;
+            EXPECT_EQ(overlap.exchange_bytes, barrier.exchange_bytes) << where;
+            EXPECT_EQ(overlap.num_components, barrier.num_components) << where;
+            EXPECT_EQ(overlap.labels, barrier.labels) << where;
+            EXPECT_EQ(overlap.records_skipped, barrier.records_skipped) << where;
+            // Skipped records are what forces the sentinels; the partition
+            // still matches the brute-force reference under the same parse
+            // mode.
+            if (lenient) {
+              EXPECT_GT(barrier.records_skipped, 0u) << where;
+            }
+            EXPECT_EQ(test::normalize_partition(barrier.labels), reference) << where;
+            // The store changes only where the bases come from; the codec
+            // only the wire (fixed tuples also count sentinels as tuples).
+            if (store == ReadStore::kText) {
+              text_tuples = barrier.total_tuples;
+              text_bytes = barrier.exchange_bytes;
+            } else {
+              EXPECT_EQ(barrier.total_tuples, text_tuples) << where;
+              EXPECT_EQ(barrier.exchange_bytes, text_bytes) << where;
+            }
+            if (first_labels.empty()) {
+              first_labels = barrier.labels;
+              strict_tuples = barrier.total_tuples;
+            } else {
+              EXPECT_EQ(barrier.labels, first_labels) << where;
+              if (!lenient) {
+                EXPECT_EQ(barrier.total_tuples, strict_tuples) << where;
+              }
+            }
+          }
+        }
       }
     }
   }

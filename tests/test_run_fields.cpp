@@ -147,6 +147,21 @@ TEST(RunFields, HostileValuesAreConfigErrorsOnBothSurfaces) {
   (void)config_error_of([] { (void)from_cli({"--no-output=maybe"}); });
 }
 
+TEST(RunFields, EmptyOutputDirectoryIsAConfigErrorOnBothSurfaces) {
+  // An empty `out` would make the CC-I/O paths "/<name>...": the FASTQ
+  // files and manifest.tsv would land in the root directory.  Parsing, which
+  // runs before either surface touches the filesystem, rejects it.
+  EXPECT_NE(config_error_of([] { (void)from_cli({"--out="}); }).find("--out expects"),
+            std::string::npos);
+  EXPECT_NE(config_error_of([] { (void)from_client({"--out="}); }).find("--out expects"),
+            std::string::npos);
+  EXPECT_NE(config_error_of([] { (void)from_json(R"(,"out":"")"); }).find("out expects"),
+            std::string::npos);
+  // Paths whose default is empty still take an empty value: off.
+  EXPECT_TRUE(from_cli({"--trace-out="}).trace_out.empty());
+  EXPECT_TRUE(from_json(R"(,"packed_store":"")").packed_store_path.empty());
+}
+
 TEST(RunFields, FilterMaxZeroMeansNoUpperBoundOnBothSurfaces) {
   EXPECT_EQ(from_cli({"--filter-max=0"}).filter.max_freq, 0xFFFFFFFFu);
   EXPECT_EQ(from_json(R"(,"filter_max":0)").filter.max_freq, 0xFFFFFFFFu);
