@@ -16,13 +16,14 @@
 #      stress cross-thread event buffers,
 #      mailboxes, the parallel MergeCC flatten (atomic_ref size counting),
 #      the per-thread merHist accumulators and in-place cumulative rows of
-#      the parallel histogram loop, the threads-over-mmap packed KmerGen
-#      scan, and the pass engine's T threads writing per-(dest rank, dest
-#      thread) slots with receives completed at drain.
+#      the parallel histogram loop, the packed KmerGen scan (threads over
+#      one shared in-memory arena), and the pass engine's T threads writing
+#      per-(dest rank, dest thread) slots with receives completed at drain.
 #   3. Address+UBSanitizer build running the fault-injection (test_faults,
-#      with UBSan notes fatal), FASTQ parsing (test_fastq), packed-arena
-#      (test_packed_store), index loading (test_indices: truncated and
-#      hostile index files), radix sort (test_sort: MSD bucket offsets), and
+#      with UBSan notes fatal), FASTQ parsing (test_fastq), packed arena
+#      (test_packed_store: sharded-ingest merge offsets, page-spanning
+#      arenas and packed scan bounds), index loading (test_indices:
+#      truncated and hostile index files), radix sort (test_sort: MSD bucket offsets), and
 #      exchange-compression (test_superkmer, the comm-compress differential
 #      grid), pass-engine (GoldenW1 + Differential.ModesAgree*, the same
 #      k = 15 / 33 / 63 legs as under TSan) and run-field (test_run_fields:
@@ -233,7 +234,7 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_dsu
 echo "=== tier 1: TSan differential binned-output legs (P2, parallel MergeCC tail) ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_differential \
   --gtest_filter='OutputGrid/*P2*'
-echo "=== tier 1: TSan packed read-store legs (threads over one shared mmap arena) ==="
+echo "=== tier 1: TSan packed read-store legs (threads over one shared in-memory arena) ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_differential \
   --gtest_filter='Grid/*T2*Packed*'
 echo "=== tier 1: TSan pass engine (golden W=1 pin + fusion-width agreement at k = 15/33/63) ==="
@@ -256,7 +257,7 @@ echo "=== tier 1: ASan+UBSan test_run_fields (hostile run-field values, CLI and 
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_run_fields
 echo "=== tier 1: ASan test_fastq ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_fastq
-echo "=== tier 1: ASan test_packed_store (arena corruption + packed scan bounds) ==="
+echo "=== tier 1: ASan test_packed_store (sharded arena merge + packed scan bounds) ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_packed_store
 echo "=== tier 1: ASan test_indices (truncated + hostile index fixtures) ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_indices

@@ -22,17 +22,14 @@ ApLbResult ap_lb_partition(const core::DatasetIndex& index) {
   std::vector<std::uint64_t> keys;
   std::vector<std::uint32_t> vals;
   for (std::uint32_t c = 0; c < index.part.num_chunks(); ++c) {
-    const core::ChunkRecord& chunk = index.part.chunks[c];
-    const auto buffer = io::read_file_range(index.files[chunk.file], chunk.offset, chunk.size);
-    std::uint32_t read_id = chunk.first_read_id;
-    io::for_each_record_in_buffer(
-        std::string_view(buffer.data(), buffer.size()),
-        [&](std::string_view, std::string_view seq, std::string_view) {
+    const auto buffer = core::read_chunk(index, c);
+    core::for_each_chunk_record(
+        index, c, buffer, io::ParseMode::kStrict,
+        [&](std::uint32_t read_id, std::string_view, std::string_view seq, std::string_view) {
           kmer::for_each_canonical_kmer64(seq, k, [&](std::uint64_t km, std::size_t) {
             keys.push_back(km);
             vals.push_back(read_id);
           });
-          ++read_id;
         });
   }
   result.enumerate_seconds = enum_timer.seconds();

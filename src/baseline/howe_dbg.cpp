@@ -82,15 +82,11 @@ DbgWccResult howe_dbg_wcc(const std::vector<std::string>& reads, int k) {
 DbgWccResult howe_dbg_wcc(const core::DatasetIndex& index) {
   auto feed = [&index](const auto& fn) {
     for (std::uint32_t c = 0; c < index.part.num_chunks(); ++c) {
-      const core::ChunkRecord& chunk = index.part.chunks[c];
-      const auto buffer =
-          io::read_file_range(index.files[chunk.file], chunk.offset, chunk.size);
-      std::uint32_t read_id = chunk.first_read_id;
-      io::for_each_record_in_buffer(
-          std::string_view(buffer.data(), buffer.size()),
-          [&](std::string_view, std::string_view seq, std::string_view) {
+      const auto buffer = core::read_chunk(index, c);
+      core::for_each_chunk_record(
+          index, c, buffer, io::ParseMode::kStrict,
+          [&](std::uint32_t read_id, std::string_view, std::string_view seq, std::string_view) {
             fn(seq, read_id);
-            ++read_id;
           });
     }
   };

@@ -71,8 +71,8 @@ enum class ReadStore {
   /// Re-read and re-parse FASTQ text per chunk every pass (the paper's
   /// behaviour; parse cost is paid S times).
   kText,
-  /// One lenient/strict ingest pass packs every record into a 2-bit
-  /// mmap-able arena (io::PackedStore); every pass scans the arena
+  /// One lenient/strict ingest pass packs every record into an in-memory
+  /// 2-bit arena (io::PackedStore); every pass scans the arena
   /// word-at-a-time and the per-pass text parse disappears.
   kPacked,
 };
@@ -123,10 +123,6 @@ struct MetaprepConfig {
   /// Record source for the KmerGen scans; both stores produce the same
   /// components and output bins (differential-tested).
   ReadStore read_store = ReadStore::kText;
-
-  /// Packed mode only: where to keep the arena file.  Empty: the arena stays
-  /// in memory for the run.
-  std::string packed_store_path;
 
   /// Interconnect cost model for the simulated-comm-seconds report.
   mpsim::CostModelParams cost_model;

@@ -203,20 +203,18 @@ DatasetIndex create_index(const std::string& name, const std::vector<std::string
       for (std::size_t c = bounds[static_cast<std::size_t>(t)];
            c < bounds[static_cast<std::size_t>(t) + 1]; ++c) {
         const ChunkRecord& chunk = index.part.chunks[c];
-        const auto buffer =
-            io::read_file_range(index.files[chunk.file], chunk.offset, chunk.size);
+        const auto buffer = read_chunk(index, static_cast<std::uint32_t>(c));
         auto scan = [&](auto&& count) {
           kmer::with_kmer_type(k, [&](auto key) {
             using Traits = kmer::KmerTraits<decltype(key)>;
-            io::for_each_record_in_buffer(
-                std::string_view(buffer.data(), buffer.size()),
-                [&](std::string_view, std::string_view seq, std::string_view) {
+            for_each_chunk_record(
+                index, static_cast<std::uint32_t>(c), buffer, options.parse_mode,
+                [&](std::uint32_t, std::string_view, std::string_view seq, std::string_view) {
                   bases += seq.size();
                   Traits::for_each_canonical(seq, k, [&](decltype(key) km, std::size_t) {
                     count(Traits::prefix_bin(km, k, m));
                   });
-                },
-                io::ParseOptions{options.parse_mode, index.files[chunk.file], chunk.offset});
+                });
           });
         };
         // A chunk holds fewer k-mers than bytes.  One under half as many

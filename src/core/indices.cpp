@@ -90,6 +90,11 @@ std::uint64_t DatasetIndex::max_chunk_bytes() const {
   return mx;
 }
 
+std::vector<char> read_chunk(const DatasetIndex& index, std::uint32_t c) {
+  const ChunkRecord& chunk = index.part.chunks[c];
+  return io::read_file_range(index.files[chunk.file], chunk.offset, chunk.size);
+}
+
 void save_index(const DatasetIndex& index, const std::string& path) {
   io::BinaryWriter w(path, kIndexMagic, kIndexVersion);
   w.write_string(index.name);

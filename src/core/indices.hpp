@@ -17,10 +17,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "io/fastq.hpp"
 #include "util/error.hpp"
 
 namespace metaprep::core {
@@ -164,6 +167,34 @@ struct DatasetIndex {
   /// Largest chunk size in bytes (s_c in the §3.7 analysis).
   [[nodiscard]] std::uint64_t max_chunk_bytes() const;
 };
+
+/// Chunk @p c's bytes, read from its FASTQ file.
+std::vector<char> read_chunk(const DatasetIndex& index, std::uint32_t c);
+
+/// Parse chunk @p c of @p index out of @p text, the chunk's bytes (as
+/// read_chunk returns them, or a window of a mapping of its file), calling
+/// on_record(read_id, id, seq, qual) per record.  This is where the index's
+/// read IDs meet the parser: IDs count up from the chunk's first_read_id,
+/// and a record the lenient parser abandons still takes its ID (on_skip is
+/// called with it), so every later record keeps the ID IndexCreate gave it.
+/// A strict-mode parse error names the chunk's file and the record's offset
+/// in that file.
+template <typename OnRecord>
+io::BufferParseStats for_each_chunk_record(
+    const DatasetIndex& index, std::uint32_t c, std::span<const char> text, io::ParseMode mode,
+    OnRecord&& on_record, const std::function<void(std::uint32_t)>& on_skip = {}) {
+  const ChunkRecord& chunk = index.part.chunks[c];
+  std::uint32_t read_id = chunk.first_read_id;
+  return io::for_each_record_in_buffer(
+      std::string_view(text.data(), text.size()),
+      [&](std::string_view id, std::string_view seq, std::string_view qual) {
+        on_record(read_id++, id, seq, qual);
+      },
+      io::ParseOptions{mode, index.files[chunk.file], chunk.offset, [&] {
+                         if (on_skip) on_skip(read_id);
+                         ++read_id;
+                       }});
+}
 
 /// Serialize / deserialize the index (binary, versioned; format v5 stores
 /// the dense-or-sparse FASTQPart rows and ends in a checksum).  load_index

@@ -86,27 +86,22 @@ void pack_chunk_range(const DatasetIndex& index, io::ParseMode parse_mode,
       io_mem.emplace("io", mapped->view().size());
       cached_file = chunk.file;
     }
-    std::uint32_t read_id = chunk.first_read_id;
-    io::ParseOptions popt{parse_mode, index.files[chunk.file], chunk.offset,
-                          [&read_id, &builder] {
-                            builder.add_skip(read_id);
-                            ++read_id;
-                          }};
-    io::for_each_record_in_buffer(mapped->view().substr(chunk.offset, chunk.size),
-                                  [&](std::string_view, std::string_view seq,
-                                      std::string_view) {
-                                    builder.add_record(read_id, seq);
-                                    ++read_id;
-                                  },
-                                  popt);
+    for_each_chunk_record(
+        index, c, mapped->view().substr(chunk.offset, chunk.size), parse_mode,
+        [&builder](std::uint32_t read_id, std::string_view, std::string_view seq,
+                   std::string_view) { builder.add_record(read_id, seq); },
+        [&builder](std::uint32_t read_id) { builder.add_skip(read_id); });
   }
 }
 
+}  // namespace
+
 /// Full ingest: shard the chunk table into @p threads contiguous ranges
 /// balanced by chunk bytes, pack each range in a worker, merge in order.
-/// The merged builder is byte-identical to a serial build.
-io::PackedStoreBuilder build_arena(const DatasetIndex& index,
-                                   io::ParseMode parse_mode, int threads) {
+/// The merged arena is identical to a serial build.
+io::PackedStore build_packed_store_in_memory(const DatasetIndex& index,
+                                             io::ParseMode parse_mode, int threads,
+                                             io::PackedStoreStats* stats) {
   const std::uint32_t num_chunks = index.part.num_chunks();
   io::PackedStoreBuilder builder(num_chunks,
                                  /*expected_records=*/2ull * index.total_reads,
@@ -115,7 +110,7 @@ io::PackedStoreBuilder build_arena(const DatasetIndex& index,
       std::clamp(threads, 1, num_chunks == 0 ? 1 : static_cast<int>(num_chunks));
   if (n <= 1) {
     pack_chunk_range(index, parse_mode, 0, num_chunks, builder);
-    return builder;
+    return builder.finish(stats);
   }
 
   // Shard bounds: split on cumulative chunk bytes so a skewed chunk table
@@ -164,21 +159,7 @@ io::PackedStoreBuilder build_arena(const DatasetIndex& index,
     if (e) std::rethrow_exception(e);
   }
   builder.merge_all(std::move(shards), n);
-  return builder;
-}
-
-}  // namespace
-
-io::PackedStoreStats build_packed_store(const DatasetIndex& index,
-                                        const std::string& path,
-                                        io::ParseMode parse_mode, int threads) {
-  return build_arena(index, parse_mode, threads).write(path);
-}
-
-io::PackedStore build_packed_store_in_memory(const DatasetIndex& index,
-                                             io::ParseMode parse_mode, int threads,
-                                             io::PackedStoreStats* stats) {
-  return build_arena(index, parse_mode, threads).finish(stats);
+  return builder.finish(stats);
 }
 
 }  // namespace metaprep::core

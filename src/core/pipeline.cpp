@@ -226,7 +226,7 @@ struct PassCtx {
   ThreadTeam& team;
   dsu::AtomicDSU& local_cc;
   RankShared& my;
-  /// Non-null in --read-store=packed runs: the mmap'd 2-bit arena KmerGen
+  /// Non-null in --read-store=packed runs: the in-memory 2-bit arena KmerGen
   /// scans instead of re-reading FASTQ text each pass.
   const io::PackedStore* packed;
   int p, P, T, S, k, m;
@@ -349,31 +349,24 @@ std::uint64_t scan_chunk(PassCtx& ctx, std::uint32_t c, bool substitute, double&
     span_end(ctx.tr, "KmerGen", gen_t0);
     gen_s += gen_timer.seconds();
   } else {
-    const ChunkRecord& chunk = index.part.chunks[c];
     WallTimer io_timer;
     const double io_t0 = span_begin(ctx.tr);
-    const auto buffer =
-        io::read_file_range(index.files[chunk.file], chunk.offset, chunk.size);
+    const auto buffer = read_chunk(index, c);
     span_end(ctx.tr, "KmerGen-I/O", io_t0);
     const obs::MemCharge io_mem("io", buffer.size());
     io_s += io_timer.seconds();
 
     WallTimer gen_timer;
     const double gen_t0 = span_begin(ctx.tr);
-    std::uint32_t read_id = chunk.first_read_id;
-    io::ParseOptions popt{ctx.config.parse_mode, index.files[chunk.file], chunk.offset,
-                          [&read_id] { ++read_id; }};
-    const io::BufferParseStats stats = io::for_each_record_in_buffer(
-        std::string_view(buffer.data(), buffer.size()),
-        [&](std::string_view, std::string_view seq, std::string_view) {
+    const io::BufferParseStats stats = for_each_chunk_record(
+        index, c, buffer, ctx.config.parse_mode,
+        [&](std::uint32_t read_id, std::string_view, std::string_view seq, std::string_view) {
           // LocalCC-Opt (§3.5.1): from pass 2 on, enumerate the component
           // ID instead of the read ID for better locality.
           const std::uint32_t value = substitute ? local_cc.find(read_id) : read_id;
           rec_fn(value, RecordView{seq.data(), nullptr,
                                    static_cast<std::uint32_t>(seq.size()), nullptr, 0});
-          ++read_id;
-        },
-        popt);
+        });
     span_end(ctx.tr, "KmerGen", gen_t0);
     gen_s += gen_timer.seconds();
     skipped = stats.skipped;
@@ -1253,15 +1246,12 @@ void write_partitions(PassCtx& ctx, const RankLabels& labels, std::uint64_t slic
     std::vector<std::size_t> writer_of(nslots + 1, kClosed);
     for (std::uint32_t c = ctx.ca.thread_begin(p, t); c < ctx.ca.thread_end(p, t); ++c) {
       util::throw_if_cancelled(config.cancel_token, "CC-I/O chunk");
-      const ChunkRecord& chunk = index.part.chunks[c];
-      const auto buffer = io::read_file_range(index.files[chunk.file], chunk.offset, chunk.size);
+      const auto buffer = read_chunk(index, c);
       const obs::MemCharge io_mem("io", buffer.size());
-      std::uint32_t read_id = chunk.first_read_id;
-      io::ParseOptions popt{config.parse_mode, index.files[chunk.file], chunk.offset,
-                            [&read_id] { ++read_id; }};
-      io::for_each_record_in_buffer(
-          std::string_view(buffer.data(), buffer.size()),
-          [&](std::string_view id, std::string_view seq, std::string_view qual) {
+      for_each_chunk_record(
+          index, c, buffer, config.parse_mode,
+          [&](std::uint32_t read_id, std::string_view id, std::string_view seq,
+              std::string_view qual) {
             const std::uint16_t slot = labels.table.slot_of(labels.slice[read_id - slice_off]);
             const bool other = slot == part::RootSlotTable::kNoSlot;
             std::size_t& w = writer_of[other ? nslots : slot];
@@ -1274,9 +1264,7 @@ void write_partitions(PassCtx& ctx, const RankLabels& labels, std::uint64_t slic
             }
             writers[w]->write(id, seq, qual);
             ++files[w].file.records;
-            ++read_id;
-          },
-          popt);
+          });
       obs::Progress::global().chunk_done();
     }
     // Explicit close so a failed flush (e.g. ENOSPC) surfaces as a typed
@@ -1368,9 +1356,8 @@ struct PackedIngest {
 
 /// PackedIngest (--read-store=packed): the run's single FASTQ parse.  Every
 /// record lands 2-bit-packed in an arena; the KmerGen scans walk the arena
-/// and the per-pass text re-parse disappears.  A named --packed-store arena
-/// is serialized and mmapped back (it outlives the run); an ephemeral arena
-/// stays in memory and never touches disk.  The ingest is deliberately
+/// and the per-pass text re-parse disappears.  The arena lives in memory
+/// for the run and never touches disk.  The ingest is deliberately
 /// inside the measured wall: packed mode must pay for its arena to claim a
 /// win over text mode.  The parse is sharded over the run's worker budget,
 /// capped at the machine's real core count — mpsim ranks oversubscribe
@@ -1385,12 +1372,7 @@ PackedIngest ingest_packed(const DatasetIndex& index, const MetaprepConfig& conf
   PackedIngest out;
   WallTimer timer;
   const double t0 = span_begin(tr);
-  if (config.packed_store_path.empty()) {
-    out.store = build_packed_store_in_memory(index, config.parse_mode, threads, &out.stats);
-  } else {
-    out.stats = build_packed_store(index, config.packed_store_path, config.parse_mode, threads);
-    out.store = io::PackedStore::open(config.packed_store_path);
-  }
+  out.store = build_packed_store_in_memory(index, config.parse_mode, threads, &out.stats);
   span_end(tr, "PackedIngest", t0);
   out.seconds = timer.seconds();
   return out;
@@ -1610,7 +1592,7 @@ PipelineResult run_metaprep(const DatasetIndex& index, const MetaprepConfig& con
     ThreadTeam team(T);
     dsu::AtomicDSU local_cc(R);
     PassCtx ctx{index, config, plan, ca, comm, team, local_cc, my,
-                packed.store.is_open() ? &packed.store : nullptr,
+                packed.store ? &packed.store : nullptr,
                 p, P, T, S, config.k, index.mer_hist.m};
     kmer::with_kmer_type(config.k, [&](auto key) { run_passes<decltype(key)>(ctx, engine); });
     const RankLabels labels = merge_cc(ctx, slices, summary);
@@ -1637,19 +1619,13 @@ std::vector<std::uint32_t> reference_components(const DatasetIndex& index,
     using Key = decltype(key);
     std::map<Key, std::vector<std::uint32_t>> kmer_reads;
     for (std::uint32_t c = 0; c < index.part.num_chunks(); ++c) {
-      const ChunkRecord& chunk = index.part.chunks[c];
-      const auto buffer = io::read_file_range(index.files[chunk.file], chunk.offset, chunk.size);
-      std::uint32_t read_id = chunk.first_read_id;
-      io::ParseOptions popt{parse_mode, index.files[chunk.file], chunk.offset,
-                            [&read_id] { ++read_id; }};
-      io::for_each_record_in_buffer(
-          std::string_view(buffer.data(), buffer.size()),
-          [&](std::string_view, std::string_view seq, std::string_view) {
+      const auto buffer = read_chunk(index, c);
+      for_each_chunk_record(
+          index, c, buffer, parse_mode,
+          [&](std::uint32_t read_id, std::string_view, std::string_view seq, std::string_view) {
             kmer::KmerTraits<Key>::for_each_canonical(
                 seq, k, [&](Key km, std::size_t) { kmer_reads[km].push_back(read_id); });
-            ++read_id;
-          },
-          popt);
+          });
     }
     dsu::SerialDSU dsu(index.total_reads);
     for (const auto& [km, reads] : kmer_reads) {

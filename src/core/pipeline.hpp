@@ -72,7 +72,7 @@ struct PipelineResult {
   // every pass); identical between text and packed runs on the same input.
   std::uint64_t records_skipped = 0;
   double packed_ingest_seconds = 0.0;    ///< PackedIngest step wall (packed mode)
-  std::uint64_t packed_store_bytes = 0;  ///< arena file size (packed mode)
+  std::uint64_t packed_store_bytes = 0;  ///< arena bytes in memory (packed mode)
 
   // Performance attribution: filled whenever the run was traced (trace_out,
   // attr_out, or an externally-enabled TraceSession), so benches and tests

@@ -57,8 +57,6 @@ constexpr RunField kFields[] = {
      [](C& c, const V& v) { c.pipeline_mode = static_cast<PipelineMode>(v.i); }},
     {"read-store", K::kEnum, 0, 0, kReadStores, "text", "KmerGen reads FASTQ text or an arena",
      [](C& c, const V& v) { c.read_store = static_cast<ReadStore>(v.i); }},
-    {"packed-store", K::kPath, 0, 0, {}, "", "keep the packed arena at this path",
-     [](C& c, const V& v) { c.packed_store_path = v.s; }},
     {"comm-compress", K::kEnum, 0, 0, kCommCompress, "none", "KmerGen exchange codec",
      [](C& c, const V& v) { c.comm_compress = static_cast<CommCompress>(v.i); }},
     {"superkmer-minimizer-len", K::kInt, 1, 31, {}, "10", "super-k-mer minimizer length (<= k)",

@@ -35,17 +35,6 @@ inline std::uint64_t fnv1a(const void* data, std::size_t size,
   return h;
 }
 
-/// FNV-1a folded over 64-bit words instead of bytes: one multiply per word,
-/// for payloads that are a whole number of 8-byte words.
-inline std::uint64_t fnv1a_words(const std::uint64_t* words, std::uint64_t count) noexcept {
-  std::uint64_t h = kFnvOffset;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    h ^= words[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 class BinaryWriter {
  public:
   /// Opens @p path and writes the header.  Throws on failure.

@@ -47,10 +47,10 @@ struct ParseOptions {
   std::string path;
   std::uint64_t base_offset = 0;
   /// Lenient mode only: invoked once per resynchronization event, i.e. once
-  /// per record the parser abandoned.  Callers that derive read IDs from
-  /// precomputed chunk tables (which counted the abandoned record) must
-  /// advance their cursor here, or every record after the skip inherits its
-  /// predecessor's ID.
+  /// per record the parser abandoned.  The chunk table counted the abandoned
+  /// record, so a caller deriving read IDs from it must advance its cursor
+  /// here, or every record after the skip inherits its predecessor's ID;
+  /// core::for_each_chunk_record applies that rule for every chunk parse.
   std::function<void()> on_skip = {};
 };
 

@@ -1,61 +1,68 @@
-// Packed mmap-able read arena: the 2-bit read store behind --read-store.
+// Packed read arena: the 2-bit read store behind --read-store=packed.
 //
 // Every pass of the pipeline used to re-read and re-parse FASTQ text per
 // chunk.  The packed store moves all parsing to a single ingest pass: bases
 // are packed 2 bits each (A=0 C=1 G=2 T=3) into 64-bit words, ambiguous
 // bases (N and the other IUPAC codes) are recorded as a sparse per-record
 // position list, and per-record offsets plus the chunk-table record ranges
-// are serialized alongside so KmerGen can scan any chunk of any pass
-// straight out of a read-only mmap of the arena file — word-at-a-time,
-// no text in sight (mhm2's packed_reads / shasta's mmap ReadLoader idiom).
+// sit alongside so KmerGen can scan any chunk of any pass straight out of
+// the arena — word-at-a-time, no text in sight (mhm2's packed_reads idiom).
+// The arena lives in memory for one run; nothing is written to disk.
 //
-// Arena file layout (little-endian, 8-byte-aligned sections, offsets are
-// all derivable from the header counts — see DESIGN.md "Packed read store"):
+// Sections (see DESIGN.md "Packed read store"):
 //
-//   header          fixed 72 bytes: magic 'MPRS', version, counts, checksums
-//   chunk_rec_start (num_chunks+1) u64   record-index range per chunk
-//   rec_read_id     num_records    u32   global read ID per record
-//   rec_len         num_records    u32   bases per record
+//   chunk_rec_start (num_chunks+1)  u64  record-index range per chunk
+//   rec_read_id     num_records     u32  global read ID per record
+//   rec_len         num_records     u32  bases per record
 //   rec_word_off    (num_records+1) u64  word offset into base_words
 //   rec_npos_off    (num_records+1) u64  offset into npos
-//   skip_read_id    num_skips      u32   lenient-parse skipped read IDs
-//   npos            num_npos       u32   per-record ambiguous-base positions
-//   base_words      num_base_words u64   2-bit bases, LSB-first per word
+//   skip_read_id    num_skips       u32  lenient-parse skipped read IDs
+//   npos            num_npos        u32  per-record ambiguous-base positions
+//   base_words      num_base_words  u64  2-bit bases, LSB-first per word
 //
 // Each record's bases start on a word boundary (<= 31 wasted base slots per
 // record) so extraction never straddles words: base i of a record lives in
 // bits [2*(i%32), 2*(i%32)+1] of word words[i/32].
-//
-// Records are append-only and the file is immutable once written; open()
-// validates magic/version/size and the header checksum with typed
-// util::Error on mismatch (truncated or corrupt arenas must never crash a
-// scan).  The payload checksum is verified on demand (verify_payload) so
-// opening a huge arena stays O(1) and mmap paging stays lazy.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
+
+#include "obs/mem.hpp"
 
 namespace metaprep::io {
 
 class PackedStore;
 
-/// Counts reported by a finished ingest (PackedStoreBuilder::write).
+/// Counts reported by a finished ingest (PackedStoreBuilder::finish).
 struct PackedStoreStats {
-  std::uint64_t records = 0;   ///< records packed into the arena
-  std::uint64_t skipped = 0;   ///< lenient-parse records skipped at ingest
-  std::uint64_t bases = 0;     ///< total bases packed
-  std::uint64_t file_bytes = 0;  ///< size of the written arena file
+  std::uint64_t records = 0;     ///< records packed into the arena
+  std::uint64_t skipped = 0;     ///< lenient-parse records skipped at ingest
+  std::uint64_t bases = 0;       ///< total bases packed
+  std::uint64_t file_bytes = 0;  ///< bytes the arena's sections occupy
 };
 
-/// Accumulates records chunk by chunk, then serializes the arena file.
-/// Chunks must be appended in chunk-table order; records within a chunk in
-/// read order.  Skips (lenient parse) are recorded by read ID so packed and
-/// text pipelines agree on which records exist.
+/// The arena's sections, laid out as in the table above: filled by the
+/// builder, adopted unchanged by the store.
+struct PackedSections {
+  std::vector<std::uint64_t> chunk_rec_start;
+  std::vector<std::uint32_t> rec_read_id;
+  std::vector<std::uint32_t> rec_len;
+  std::vector<std::uint64_t> rec_word_off;
+  std::vector<std::uint64_t> rec_npos_off;
+  std::vector<std::uint32_t> skip_read_id;
+  std::vector<std::uint32_t> npos;
+  std::vector<std::uint64_t> base_words;
+};
+
+/// Accumulates records chunk by chunk, then hands the sections to a
+/// PackedStore.  Chunks must be appended in chunk-table order; records
+/// within a chunk in read order.  Skips (lenient parse) are recorded by
+/// read ID so packed and text pipelines agree on which records exist.
 class PackedStoreBuilder {
  public:
   /// @p expected_records / @p expected_bases are capacity hints (0 = none);
@@ -76,46 +83,30 @@ class PackedStoreBuilder {
   /// produced no record.
   void add_skip(std::uint32_t read_id);
 
-  /// Append a shard built over the next shard.num_chunks chunks (parallel
-  /// ingest: each worker packs a contiguous chunk range into its own
-  /// builder, then shards merge in chunk order — the merged arena is
-  /// byte-identical to a serial build).  Throws util::Error (category
-  /// config) when the shard overruns this builder's chunk table.
-  void merge(PackedStoreBuilder&& shard);
-
-  /// Merge every shard in order — same result as repeated merge(), but the
-  /// sections are sized up front and the copies fan out over up to
+  /// Append every shard in order, each built over the next shard.num_chunks
+  /// chunks (parallel ingest: each worker packs a contiguous chunk range
+  /// into its own builder).  The result is identical to a serial build.
+  /// The sections are sized up front and the copies fan out over up to
   /// @p threads workers (the serial copy plus its first-touch page faults
-  /// is what makes a serial merge the ingest bottleneck).
+  /// is what makes a serial merge the ingest bottleneck).  Throws
+  /// util::Error (category config) when the shards overrun this builder's
+  /// chunk table.
   void merge_all(std::vector<PackedStoreBuilder>&& shards, int threads);
 
-  /// Serialize the arena to @p path (overwrites) and return the counts.
-  /// Throws util::Error (category io) on write failure.
-  PackedStoreStats write(const std::string& path);
-
-  /// Finish without serializing: moves the sections into an in-memory
-  /// PackedStore (no file, no mmap — the ephemeral-arena path for runs that
-  /// did not ask to keep the store).  The builder is consumed.
+  /// Pad any trailing empty chunks and move the sections into a PackedStore.
+  /// The builder is consumed.
   PackedStore finish(PackedStoreStats* stats = nullptr);
 
  private:
   std::uint32_t num_chunks_;
   std::uint32_t next_chunk_ = 0;
-  std::vector<std::uint64_t> chunk_rec_start_;
-  std::vector<std::uint32_t> rec_read_id_;
-  std::vector<std::uint32_t> rec_len_;
-  std::vector<std::uint64_t> rec_word_off_;
-  std::vector<std::uint64_t> rec_npos_off_;
-  std::vector<std::uint32_t> skip_read_id_;
-  std::vector<std::uint32_t> npos_;
-  std::vector<std::uint64_t> base_words_;
+  PackedSections s_;
   std::uint64_t total_bases_ = 0;
 };
 
-/// Read-only view of an arena: either an mmap of an arena file (open()) or
-/// the builder's sections adopted in memory (PackedStoreBuilder::finish()).
-/// Move-only; the mapping / owned sections live as long as the object
-/// (records reference that memory directly).
+/// Read-only view of a finished arena.  Move-only; records point into the
+/// arena's sections, which live as long as the store.  A default-constructed
+/// store holds no arena and converts to false.
 class PackedStore {
  public:
   /// One record's view into the arena.
@@ -127,80 +118,61 @@ class PackedStore {
     std::uint32_t read_id;       ///< global read ID assigned at indexing
   };
 
-  PackedStore();  // defined out of line: OwnedSections is incomplete here
-  PackedStore(PackedStore&& other) noexcept;
-  PackedStore& operator=(PackedStore&& other) noexcept;
-  PackedStore(const PackedStore&) = delete;
-  PackedStore& operator=(const PackedStore&) = delete;
-  ~PackedStore();
-
-  /// mmap @p path and validate magic, version, file size, and the header
-  /// checksum.  Throws util::Error: category parse for corrupt/mismatched
-  /// headers, category io for open/map failures and truncation.
-  static PackedStore open(const std::string& path);
-
-  [[nodiscard]] bool is_open() const noexcept {
-    return map_ != nullptr || owned_ != nullptr;
+  [[nodiscard]] explicit operator bool() const noexcept { return arena_ != nullptr; }
+  [[nodiscard]] std::uint64_t num_records() const noexcept {
+    return arena_ ? arena_->s.rec_read_id.size() : 0;
   }
-  /// Arena file path; empty for in-memory arenas.
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  [[nodiscard]] std::uint64_t num_records() const noexcept { return num_records_; }
-  [[nodiscard]] std::uint32_t num_chunks() const noexcept { return num_chunks_; }
-  /// Mapped file size; for an in-memory arena, the size its file would be.
-  [[nodiscard]] std::uint64_t file_bytes() const noexcept { return map_bytes_; }
-  [[nodiscard]] std::uint64_t total_bases() const noexcept { return total_bases_; }
+  [[nodiscard]] std::uint32_t num_chunks() const noexcept {
+    return arena_ ? static_cast<std::uint32_t>(arena_->s.chunk_rec_start.size() - 1) : 0;
+  }
+  /// Bytes the arena's sections occupy (what the `packed` subsystem is
+  /// charged).
+  [[nodiscard]] std::uint64_t bytes() const noexcept { return arena_ ? arena_->bytes : 0; }
+  [[nodiscard]] std::uint64_t total_bases() const noexcept {
+    return arena_ ? arena_->total_bases : 0;
+  }
 
   /// Record-index range [chunk_begin(c), chunk_end(c)) of chunk @p c.
   [[nodiscard]] std::uint64_t chunk_begin(std::uint32_t c) const noexcept {
-    return chunk_rec_start_[c];
+    return arena_->s.chunk_rec_start[c];
   }
   [[nodiscard]] std::uint64_t chunk_end(std::uint32_t c) const noexcept {
-    return chunk_rec_start_[c + 1];
+    return arena_->s.chunk_rec_start[c + 1];
   }
 
-  /// Record @p r (0 <= r < num_records()); O(1) pointer math into the map.
+  /// Record @p r (0 <= r < num_records()); O(1) pointer math into the arena.
   [[nodiscard]] Record record(std::uint64_t r) const noexcept {
-    return Record{base_words_ + rec_word_off_[r],
-                  npos_ + rec_npos_off_[r],
-                  static_cast<std::uint32_t>(rec_npos_off_[r + 1] - rec_npos_off_[r]),
-                  rec_len_[r], rec_read_id_[r]};
+    const PackedSections& s = arena_->s;
+    return Record{s.base_words.data() + s.rec_word_off[r], s.npos.data() + s.rec_npos_off[r],
+                  static_cast<std::uint32_t>(s.rec_npos_off[r + 1] - s.rec_npos_off[r]),
+                  s.rec_len[r], s.rec_read_id[r]};
   }
 
   /// Read IDs skipped by lenient parsing at ingest, in discovery order.
   [[nodiscard]] std::span<const std::uint32_t> skipped_read_ids() const noexcept {
-    return {skip_read_id_, num_skips_};
+    if (!arena_) return {};
+    return arena_->s.skip_read_id;
   }
 
-  /// Recompute the payload checksum over the full mapped payload and throw
-  /// util::Error (category parse) on mismatch.  O(file size); for tests and
-  /// explicit integrity audits, not the open path.  In-memory arenas have no
-  /// serialized payload to audit: a no-op.
-  void verify_payload() const;
-
  private:
-  friend class PackedStoreBuilder;  // finish() adopts sections directly
+  friend class PackedStoreBuilder;  // finish() adopts the sections
 
-  struct OwnedSections;
+  /// The adopted sections and their `packed` memory charge, credited when
+  /// the arena is freed.
+  struct Arena {
+    Arena(PackedSections sections, std::uint64_t bases, std::uint64_t arena_bytes)
+        : s(std::move(sections)),
+          total_bases(bases),
+          bytes(arena_bytes),
+          charge("packed", arena_bytes) {}
 
-  void reset() noexcept;
+    PackedSections s;
+    std::uint64_t total_bases;
+    std::uint64_t bytes;
+    obs::MemCharge charge;
+  };
 
-  std::string path_;
-  std::unique_ptr<OwnedSections> owned_;  ///< set for in-memory arenas only
-  void* map_ = nullptr;          ///< mmap base (header at offset 0)
-  std::uint64_t map_bytes_ = 0;  ///< mapped length == file size
-  std::uint64_t num_records_ = 0;
-  std::uint32_t num_chunks_ = 0;
-  std::uint64_t num_skips_ = 0;
-  std::uint64_t total_bases_ = 0;
-  std::uint64_t payload_checksum_ = 0;
-  const std::uint64_t* chunk_rec_start_ = nullptr;
-  const std::uint32_t* rec_read_id_ = nullptr;
-  const std::uint32_t* rec_len_ = nullptr;
-  const std::uint64_t* rec_word_off_ = nullptr;
-  const std::uint64_t* rec_npos_off_ = nullptr;
-  const std::uint32_t* skip_read_id_ = nullptr;
-  const std::uint32_t* npos_ = nullptr;
-  const std::uint64_t* base_words_ = nullptr;
+  std::unique_ptr<const Arena> arena_;
 };
 
 }  // namespace metaprep::io

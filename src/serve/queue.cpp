@@ -33,7 +33,9 @@ namespace {
 }  // namespace
 
 JobQueue::JobQueue(JobQueueOptions options) : options_(std::move(options)) {
-  if (options_.job_dir.empty()) options_.job_dir = ".";
+  // push_back, not `= "."`: GCC 12 at -O3 flags the inlined assignment with a
+  // false -Wrestrict (GCC bug 105329), which -Werror turns into a failure.
+  if (options_.job_dir.empty()) options_.job_dir.push_back('.');
   std::filesystem::create_directories(options_.job_dir);
   worker_ = std::thread([this] { worker_loop(); });
 }

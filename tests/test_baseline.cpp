@@ -16,6 +16,7 @@
 #include "kmer/scanner.hpp"
 #include "sim/read_sim.hpp"
 #include "test_support.hpp"
+#include "util/error.hpp"
 
 namespace metaprep::baseline {
 namespace {
@@ -271,6 +272,38 @@ TEST(ApLb, TimingFieldsPopulated) {
   EXPECT_GE(ap.enumerate_seconds, 0.0);
   EXPECT_GE(ap.total_seconds(),
             ap.enumerate_seconds + ap.sort_seconds + ap.edges_seconds + ap.cc_seconds - 1e-9);
+}
+
+TEST(Baselines, ParseErrorsNameTheFileAndItsOffset) {
+  // Both baselines parse the index's chunks.  A record corrupted after
+  // indexing must fail with the FASTQ's path and the record's offset in
+  // that file, not an offset counted from the start of its chunk.
+  TempDir dir;
+  const auto reads = sample_reads(5, 60, 80);
+  const std::vector<std::string> files = {
+      test::write_fastq(dir.file("b_1.fastq"), {reads.begin(), reads.begin() + 60}),
+      test::write_fastq(dir.file("b_2.fastq"), {reads.begin() + 60, reads.end()})};
+  core::IndexCreateOptions opt;
+  opt.k = 21;
+  opt.m = 4;
+  opt.target_chunks = 6;
+  const auto index = core::create_index("bad", files, true, opt);
+  const std::uint64_t offset = test::corrupt_record_separator(files[1], 40);
+  ASSERT_GT(offset, index.max_chunk_bytes());  // past the file's first chunk
+
+  const auto expect_named_parse_error = [&](const char* which, auto&& run) {
+    SCOPED_TRACE(which);
+    try {
+      run();
+      FAIL() << "expected util::Error";
+    } catch (const util::Error& e) {
+      EXPECT_EQ(e.category(), util::ErrorCategory::kParse) << e.what();
+      EXPECT_EQ(e.path(), files[1]);
+      EXPECT_EQ(e.offset(), offset);
+    }
+  };
+  expect_named_parse_error("ap_lb", [&] { (void)ap_lb_partition(index); });
+  expect_named_parse_error("howe_dbg", [&] { (void)howe_dbg_wcc(index); });
 }
 
 }  // namespace

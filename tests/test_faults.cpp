@@ -250,21 +250,74 @@ TEST(FaultIo, CorruptedChunkStrictThrowsNamedParseError) {
 
 TEST(FaultIo, CorruptedChunkLenientSkipsExactlyOneRecord) {
   TempDir dir;
-  const std::string path =
-      test::write_fastq(dir.file("a.fastq"), {"ACGTACGT", "GGGGTTTT", "CCCCAAAA"});
-  const std::uint64_t size = io::file_size_bytes(path);
-  FaultPlanConfig cfg;
-  cfg.corrupt_rate = 1.0;
-  ScopedFaultPlan scoped(cfg);
-  const auto buf = io::read_file_range(path, 0, size);
-  std::size_t records = 0;
-  const auto stats = io::for_each_record_in_buffer(
-      std::string_view(buf.data(), buf.size()),
-      [&](std::string_view, std::string_view, std::string_view) { ++records; },
-      io::ParseOptions{io::ParseMode::kLenient, path, 0});
-  EXPECT_EQ(stats.skipped, 1u);
-  EXPECT_EQ(stats.records, 2u);
-  EXPECT_EQ(records, 2u);
+  {
+    const std::string path =
+        test::write_fastq(dir.file("a.fastq"), {"ACGTACGT", "GGGGTTTT", "CCCCAAAA"});
+    const std::uint64_t size = io::file_size_bytes(path);
+    FaultPlanConfig cfg;
+    cfg.corrupt_rate = 1.0;
+    ScopedFaultPlan scoped(cfg);
+    const auto buf = io::read_file_range(path, 0, size);
+    std::size_t records = 0;
+    const auto stats = io::for_each_record_in_buffer(
+        std::string_view(buf.data(), buf.size()),
+        [&](std::string_view, std::string_view, std::string_view) { ++records; },
+        io::ParseOptions{io::ParseMode::kLenient, path, 0});
+    EXPECT_EQ(stats.skipped, 1u);
+    EXPECT_EQ(stats.records, 2u);
+    EXPECT_EQ(records, 2u);
+  }
+
+  // The same skip through a paired index, one record of the second mate
+  // file corrupted after indexing: core::for_each_chunk_record hands exactly
+  // that record's read ID to on_skip, every later record of its chunk keeps
+  // the ID the index gave it, and strict mode names the file and the
+  // record's offset in it.
+  const std::vector<std::string> mates(12, "ACGTACGTACGTACGTACGT");
+  const std::vector<std::string> files = {test::write_fastq(dir.file("m_1.fastq"), mates),
+                                          test::write_fastq(dir.file("m_2.fastq"), mates)};
+  core::IndexCreateOptions opt;
+  opt.k = 15;
+  opt.m = 4;
+  opt.target_chunks = 6;
+  const auto index = core::create_index("mates", files, true, opt);
+  constexpr std::uint32_t kBad = 5;
+  const std::uint64_t offset = test::corrupt_record_separator(files[1], kBad);
+  std::uint32_t c = 0;
+  while (index.part.chunks[c].file != 1 ||
+         index.part.chunks[c].first_read_id + index.part.chunks[c].record_count <= kBad) {
+    ++c;
+  }
+  const core::ChunkRecord& chunk = index.part.chunks[c];
+  ASSERT_GT(chunk.offset, 0u);  // a chunk-relative offset would differ
+  ASSERT_GT(chunk.first_read_id + chunk.record_count, kBad + 1);  // a record follows
+  const auto buffer = core::read_chunk(index, c);
+
+  std::vector<std::uint32_t> ids;
+  std::vector<std::uint32_t> skipped;
+  core::for_each_chunk_record(
+      index, c, buffer, io::ParseMode::kLenient,
+      [&](std::uint32_t id, std::string_view, std::string_view, std::string_view) {
+        ids.push_back(id);
+      },
+      [&](std::uint32_t id) { skipped.push_back(id); });
+  EXPECT_EQ(skipped, std::vector<std::uint32_t>{kBad});
+  std::vector<std::uint32_t> want;
+  for (std::uint32_t i = 0; i < chunk.record_count; ++i) {
+    if (chunk.first_read_id + i != kBad) want.push_back(chunk.first_read_id + i);
+  }
+  EXPECT_EQ(ids, want);
+
+  try {
+    core::for_each_chunk_record(index, c, buffer, io::ParseMode::kStrict,
+                                [](std::uint32_t, std::string_view, std::string_view,
+                                   std::string_view) {});
+    FAIL() << "expected util::Error";
+  } catch (const util::Error& e) {
+    EXPECT_EQ(e.category(), util::ErrorCategory::kParse);
+    EXPECT_EQ(e.path(), files[1]);
+    EXPECT_EQ(e.offset(), offset);
+  }
 }
 
 // ---------------------------------------------------------------------------

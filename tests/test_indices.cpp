@@ -44,11 +44,10 @@ std::vector<std::vector<std::uint64_t>> raw_chunk_histograms(const DatasetIndex&
   std::vector<std::vector<std::uint64_t>> raw(index.part.num_chunks(),
                                               std::vector<std::uint64_t>(nbins, 0));
   for (std::uint32_t c = 0; c < index.part.num_chunks(); ++c) {
-    const ChunkRecord& chunk = index.part.chunks[c];
-    const auto buffer = io::read_file_range(index.files[chunk.file], chunk.offset, chunk.size);
-    io::for_each_record_in_buffer(
-        std::string_view(buffer.data(), buffer.size()),
-        [&](std::string_view, std::string_view seq, std::string_view) {
+    const auto buffer = read_chunk(index, c);
+    for_each_chunk_record(
+        index, c, buffer, io::ParseMode::kStrict,
+        [&](std::uint32_t, std::string_view, std::string_view seq, std::string_view) {
           kmer::for_each_canonical_kmer64(seq, index.k, [&](std::uint64_t km, std::size_t) {
             ++raw[c][kmer::prefix_bin64(km, index.k, index.part.m)];
           });

@@ -1,12 +1,11 @@
-// Tests for the packed mmap read store (io::PackedStore) and its scanners.
+// Tests for the packed read arena (io::PackedStore) and its scanners.
 //
 // Three layers:
-//  * arena round-trips — builder -> file -> mmap preserves every record,
-//    chunk range, N position, and skip ID, including the degenerate shapes
-//    (empty arena, all-N reads, reads shorter than k, arenas spanning mmap
-//    page boundaries);
-//  * corruption — truncated files, bad magic/version, corrupt header or
-//    payload bytes must surface as typed util::Error, never a crash;
+//  * arena round-trips — builder -> finish() preserves every record, chunk
+//    range, N position, and skip ID, including the degenerate shapes (empty
+//    arena, all-N reads, reads shorter than k, arenas spanning many pages);
+//  * ingest — sharded and serial builds, and the packed and text pipelines
+//    over a FASTQ corrupted after indexing, agree section by section;
 //  * scanner equivalence — the packed word-at-a-time scanners must be
 //    bit-exact (same k-mers, same start positions, same order) against the
 //    char scanners on the original text, for random reads with Ns and
@@ -17,7 +16,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <random>
 #include <string>
 #include <utility>
@@ -27,6 +25,7 @@
 #include "core/packed_ingest.hpp"
 #include "core/pipeline.hpp"
 #include "kmer/scanner.hpp"
+#include "obs/mem.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 
@@ -65,10 +64,10 @@ std::string canonical_text(const std::string& seq) {
 }
 
 /// Build an arena holding @p chunks (each a list of sequences), assigning
-/// read IDs sequentially, and return its opened view.
-PackedStore build_arena(const std::string& path,
-                        const std::vector<std::vector<std::string>>& chunks,
-                        const std::vector<std::uint32_t>& skips = {}) {
+/// read IDs sequentially.
+PackedStore build_arena(const std::vector<std::vector<std::string>>& chunks,
+                        const std::vector<std::uint32_t>& skips = {},
+                        PackedStoreStats* stats = nullptr) {
   PackedStoreBuilder builder(static_cast<std::uint32_t>(chunks.size()));
   std::uint32_t id = 0;
   for (std::uint32_t c = 0; c < chunks.size(); ++c) {
@@ -76,19 +75,51 @@ PackedStore build_arena(const std::string& path,
     for (const auto& seq : chunks[c]) builder.add_record(id++, seq);
   }
   for (auto s : skips) builder.add_skip(s);
-  builder.write(path);
-  return PackedStore::open(path);
+  return builder.finish(stats);
+}
+
+/// Every section of @p got equals @p want's: chunk ranges, read IDs,
+/// lengths, base words, N positions and skips.
+void expect_same_arena(const PackedStore& got, const PackedStore& want) {
+  ASSERT_EQ(got.num_chunks(), want.num_chunks());
+  ASSERT_EQ(got.num_records(), want.num_records());
+  EXPECT_EQ(got.total_bases(), want.total_bases());
+  EXPECT_EQ(got.bytes(), want.bytes());
+  for (std::uint32_t c = 0; c < want.num_chunks(); ++c) {
+    EXPECT_EQ(got.chunk_begin(c), want.chunk_begin(c)) << "chunk " << c;
+    EXPECT_EQ(got.chunk_end(c), want.chunk_end(c)) << "chunk " << c;
+  }
+  for (std::uint64_t r = 0; r < want.num_records(); ++r) {
+    const PackedStore::Record g = got.record(r);
+    const PackedStore::Record w = want.record(r);
+    ASSERT_EQ(g.read_id, w.read_id) << "record " << r;
+    ASSERT_EQ(g.len, w.len) << "record " << r;
+    ASSERT_TRUE(std::equal(w.words, w.words + (w.len + 31) / 32, g.words)) << "record " << r;
+    ASSERT_EQ(g.ncount, w.ncount) << "record " << r;
+    ASSERT_TRUE(std::equal(w.npos, w.npos + w.ncount, g.npos)) << "record " << r;
+  }
+  EXPECT_TRUE(std::equal(got.skipped_read_ids().begin(), got.skipped_read_ids().end(),
+                         want.skipped_read_ids().begin(), want.skipped_read_ids().end()));
+}
+
+template <typename Fn>
+void expect_error(util::ErrorCategory category, Fn&& fn) {
+  try {
+    fn();
+    FAIL() << "expected util::Error";
+  } catch (const util::Error& e) {
+    EXPECT_EQ(e.category(), category) << e.what();
+  }
 }
 
 TEST(PackedStore, BuilderRoundTripPreservesRecordsAndChunks) {
-  TempDir dir;
   const std::vector<std::vector<std::string>> chunks = {
       {"ACGTACGTACGT", "TTTTNGGGG", "acgtN"},
       {},  // empty chunk in the middle must keep ranges consistent
       {"GATTACA", std::string(70, 'C')},
   };
-  const auto ps = build_arena(dir.file("a.mprs"), chunks);
-  EXPECT_TRUE(ps.is_open());
+  const auto ps = build_arena(chunks);
+  EXPECT_TRUE(static_cast<bool>(ps));
   EXPECT_EQ(ps.num_chunks(), 3u);
   EXPECT_EQ(ps.num_records(), 5u);
   EXPECT_EQ(ps.total_bases(), 12u + 9 + 5 + 7 + 70);
@@ -107,71 +138,60 @@ TEST(PackedStore, BuilderRoundTripPreservesRecordsAndChunks) {
       ++id;
     }
   }
-  ps.verify_payload();  // pristine arena passes the full integrity audit
 }
 
 TEST(PackedStore, FinishInMemoryMatchesWrittenArena) {
-  TempDir dir;
-  const std::vector<std::vector<std::string>> chunks = {
-      {"ACGTACGTACGT", "TTTTNGGGG", "acgtN"},
-      {},
-      {"GATTACA", std::string(70, 'C')},
+  // finish() reports what was written into the builder, sizes the arena as
+  // the sum of its sections, and charges those bytes to the `packed` memory
+  // subsystem until the store is freed.
+  obs::MemRegistry& mem = obs::MemRegistry::global();
+  mem.reset();
+  mem.set_enabled(true);
+  const auto packed_now = [&mem] {
+    for (const auto& [name, usage] : mem.snapshot()) {
+      if (name == "packed") return usage.current;
+    }
+    return std::int64_t{0};
   };
-  const auto disk = build_arena(dir.file("disk.mprs"), chunks, {7, 3});
-
-  PackedStoreBuilder builder(static_cast<std::uint32_t>(chunks.size()));
-  std::uint32_t id = 0;
-  for (std::uint32_t c = 0; c < chunks.size(); ++c) {
-    builder.begin_chunk(c);
-    for (const auto& seq : chunks[c]) builder.add_record(id++, seq);
-  }
-  builder.add_skip(7);
-  builder.add_skip(3);
+  const std::vector<std::vector<std::string>> chunks = {
+      {"ACGTACGTACGT", "TTTTNGGGG", "acgtN"}, {}, {"GATTACA", std::string(70, 'C')}};
   PackedStoreStats stats{};
-  const PackedStore mem = builder.finish(&stats);
-
-  EXPECT_TRUE(mem.is_open());
-  EXPECT_TRUE(mem.path().empty());  // never serialized
-  EXPECT_EQ(stats.records, disk.num_records());
+  auto ps = build_arena(chunks, {7, 3}, &stats);
+  EXPECT_TRUE(static_cast<bool>(ps));
+  EXPECT_EQ(stats.records, 5u);
   EXPECT_EQ(stats.skipped, 2u);
-  EXPECT_EQ(mem.file_bytes(), disk.file_bytes());  // size its file would be
-  ASSERT_EQ(mem.num_records(), disk.num_records());
-  ASSERT_EQ(mem.num_chunks(), disk.num_chunks());
-  EXPECT_EQ(mem.total_bases(), disk.total_bases());
-  for (std::uint32_t c = 0; c < mem.num_chunks(); ++c) {
-    EXPECT_EQ(mem.chunk_begin(c), disk.chunk_begin(c));
-    EXPECT_EQ(mem.chunk_end(c), disk.chunk_end(c));
-  }
-  for (std::uint64_t r = 0; r < mem.num_records(); ++r) {
-    EXPECT_EQ(decode_record(mem.record(r)), decode_record(disk.record(r)));
-    EXPECT_EQ(mem.record(r).read_id, disk.record(r).read_id);
-  }
-  ASSERT_EQ(mem.skipped_read_ids().size(), disk.skipped_read_ids().size());
-  EXPECT_TRUE(std::equal(mem.skipped_read_ids().begin(), mem.skipped_read_ids().end(),
-                         disk.skipped_read_ids().begin()));
-  mem.verify_payload();  // no serialized payload: must be a no-op, not a throw
+  EXPECT_TRUE(std::ranges::equal(ps.skipped_read_ids(), std::vector<std::uint32_t>{7, 3}));
+  EXPECT_EQ(stats.bases, 12u + 9 + 5 + 7 + 70);
+  EXPECT_EQ(stats.bases, ps.total_bases());
+  // 4 chunk starts + 2 x 5 u32 per-record fields + 2 x 6 offsets + 2 skips
+  // + 2 N positions (u32) + 7 base words (1 + 1 + 1 + 1 + 3).
+  const std::uint64_t want_bytes = 4 * 8 + 2 * 5 * 4 + 2 * 6 * 8 + 2 * 4 + 2 * 4 + 7 * 8;
+  EXPECT_EQ(stats.file_bytes, want_bytes);
+  EXPECT_EQ(ps.bytes(), want_bytes);
+  EXPECT_EQ(packed_now(), static_cast<std::int64_t>(want_bytes));
+  PackedStore moved = std::move(ps);  // the charge travels with the arena
+  EXPECT_EQ(packed_now(), static_cast<std::int64_t>(want_bytes));
+  moved = PackedStore();
+  EXPECT_EQ(packed_now(), 0);
+  mem.set_enabled(false);
 }
 
 TEST(PackedStore, EmptyArenaRoundTrips) {
-  TempDir dir;
-  const auto ps = build_arena(dir.file("empty.mprs"), {{}, {}});
+  const auto ps = build_arena({{}, {}});
   EXPECT_EQ(ps.num_records(), 0u);
   EXPECT_EQ(ps.num_chunks(), 2u);
   EXPECT_EQ(ps.total_bases(), 0u);
   EXPECT_EQ(ps.chunk_begin(0), ps.chunk_end(1));
   EXPECT_TRUE(ps.skipped_read_ids().empty());
-  ps.verify_payload();
 }
 
 TEST(PackedStore, TrailingChunksNeedNoExplicitBegin) {
-  // The pipeline appends chunks in order but write() must pad any trailing
+  // The pipeline appends chunks in order but finish() must pad any trailing
   // empty chunks so chunk_end(last) stays valid.
-  TempDir dir;
   PackedStoreBuilder builder(4);
   builder.begin_chunk(0);
   builder.add_record(0, "ACGT");
-  builder.write(dir.file("t.mprs"));
-  const auto ps = PackedStore::open(dir.file("t.mprs"));
+  const auto ps = builder.finish();
   EXPECT_EQ(ps.num_chunks(), 4u);
   EXPECT_EQ(ps.chunk_end(0), 1u);
   EXPECT_EQ(ps.chunk_begin(3), 1u);
@@ -190,19 +210,16 @@ TEST(PackedStore, OutOfOrderChunkThrowsConfigError) {
 }
 
 TEST(PackedStore, SkipListRoundTrips) {
-  TempDir dir;
   const std::vector<std::uint32_t> skips = {7, 3, 3, 900000};
-  const auto ps = build_arena(dir.file("s.mprs"), {{"ACGT"}}, skips);
+  const auto ps = build_arena({{"ACGT"}}, skips);
   const auto got = ps.skipped_read_ids();
   ASSERT_EQ(got.size(), skips.size());
   for (std::size_t i = 0; i < skips.size(); ++i) EXPECT_EQ(got[i], skips[i]);
-  ps.verify_payload();
 }
 
 TEST(PackedStore, AllNReadYieldsNoKmers) {
-  TempDir dir;
   const std::string seq(50, 'N');
-  const auto ps = build_arena(dir.file("n.mprs"), {{seq}});
+  const auto ps = build_arena({{seq}});
   const auto rec = ps.record(0);
   EXPECT_EQ(rec.ncount, seq.size());
   int calls = 0;
@@ -215,8 +232,7 @@ TEST(PackedStore, AllNReadYieldsNoKmers) {
 }
 
 TEST(PackedStore, ReadShorterThanKYieldsNoKmers) {
-  TempDir dir;
-  const auto ps = build_arena(dir.file("short.mprs"), {{"ACGTACGTAC", ""}});
+  const auto ps = build_arena({{"ACGTACGTAC", ""}});
   for (std::uint64_t r = 0; r < ps.num_records(); ++r) {
     const auto rec = ps.record(r);
     int calls = 0;
@@ -224,98 +240,6 @@ TEST(PackedStore, ReadShorterThanKYieldsNoKmers) {
                                            [&](std::uint64_t, std::size_t) { ++calls; });
     EXPECT_EQ(calls, 0) << "record " << r;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Corruption: every malformed arena must fail with a typed util::Error.
-
-/// Write @p bytes to a fresh file at @p path.
-void write_bytes(const std::string& path, const std::string& bytes) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-/// The full byte content of @p path.
-std::string slurp(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
-}
-
-/// A small valid arena file's bytes (built fresh per test).
-std::string valid_arena_bytes(TempDir& dir) {
-  const std::string path = dir.file("valid.mprs");
-  build_arena(path, {{"ACGTACGTACGTACGTNACGT", "GGGGCCCCAAAATTTT"}});
-  return slurp(path);
-}
-
-template <typename Fn>
-void expect_error(util::ErrorCategory category, Fn&& fn) {
-  try {
-    fn();
-    FAIL() << "expected util::Error";
-  } catch (const util::Error& e) {
-    EXPECT_EQ(e.category(), category) << e.what();
-  }
-}
-
-TEST(PackedStore, MissingFileThrowsIoError) {
-  expect_error(util::ErrorCategory::kIo,
-               [] { (void)PackedStore::open("/nonexistent/x.mprs"); });
-}
-
-TEST(PackedStore, FileShorterThanHeaderThrowsIoError) {
-  TempDir dir;
-  const std::string path = dir.file("stub.mprs");
-  write_bytes(path, "");  // empty file
-  expect_error(util::ErrorCategory::kIo, [&] { (void)PackedStore::open(path); });
-  write_bytes(path, "MPRS\x01");  // a few header bytes only
-  expect_error(util::ErrorCategory::kIo, [&] { (void)PackedStore::open(path); });
-}
-
-TEST(PackedStore, BadMagicThrowsParseError) {
-  TempDir dir;
-  auto bytes = valid_arena_bytes(dir);
-  bytes[0] ^= 0x5A;
-  const std::string path = dir.file("magic.mprs");
-  write_bytes(path, bytes);
-  expect_error(util::ErrorCategory::kParse, [&] { (void)PackedStore::open(path); });
-}
-
-TEST(PackedStore, VersionMismatchThrowsParseError) {
-  TempDir dir;
-  auto bytes = valid_arena_bytes(dir);
-  bytes[4] = 0x7F;  // version field, little-endian low byte
-  const std::string path = dir.file("version.mprs");
-  write_bytes(path, bytes);
-  expect_error(util::ErrorCategory::kParse, [&] { (void)PackedStore::open(path); });
-}
-
-TEST(PackedStore, CorruptHeaderCountThrowsParseError) {
-  TempDir dir;
-  auto bytes = valid_arena_bytes(dir);
-  bytes[8] ^= 0x01;  // num_records low byte: header checksum must catch it
-  const std::string path = dir.file("count.mprs");
-  write_bytes(path, bytes);
-  expect_error(util::ErrorCategory::kParse, [&] { (void)PackedStore::open(path); });
-}
-
-TEST(PackedStore, TruncatedPayloadThrowsIoError) {
-  TempDir dir;
-  auto bytes = valid_arena_bytes(dir);
-  bytes.pop_back();  // header valid, payload one byte short
-  const std::string path = dir.file("trunc.mprs");
-  write_bytes(path, bytes);
-  expect_error(util::ErrorCategory::kIo, [&] { (void)PackedStore::open(path); });
-}
-
-TEST(PackedStore, CorruptPayloadFailsVerifyPayloadOnly) {
-  TempDir dir;
-  auto bytes = valid_arena_bytes(dir);
-  bytes.back() ^= 0x40;  // flip a base bit in the last word
-  const std::string path = dir.file("payload.mprs");
-  write_bytes(path, bytes);
-  const auto ps = PackedStore::open(path);  // open is O(1), stays lazy
-  expect_error(util::ErrorCategory::kParse, [&] { ps.verify_payload(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -334,13 +258,12 @@ std::string random_read(std::mt19937& rng, std::size_t len) {
 }
 
 TEST(PackedStore, PackedScanner64MatchesCharScannerBitExactly) {
-  TempDir dir;
   std::mt19937 rng(20260809);
   std::vector<std::string> reads;
   for (std::size_t len : {0u, 1u, 31u, 32u, 33u, 64u, 65u, 100u, 151u, 250u}) {
     for (int rep = 0; rep < 4; ++rep) reads.push_back(random_read(rng, len));
   }
-  const auto ps = build_arena(dir.file("scan64.mprs"), {reads});
+  const auto ps = build_arena({reads});
   for (int k : {1, 2, 15, 27, 31, 32}) {
     for (std::uint64_t r = 0; r < ps.num_records(); ++r) {
       std::vector<std::pair<std::uint64_t, std::size_t>> from_text;
@@ -358,11 +281,10 @@ TEST(PackedStore, PackedScanner64MatchesCharScannerBitExactly) {
 }
 
 TEST(PackedStore, PackedScanner128MatchesCharScannerBitExactly) {
-  TempDir dir;
   std::mt19937 rng(809);
   std::vector<std::string> reads;
   for (int rep = 0; rep < 12; ++rep) reads.push_back(random_read(rng, 40 + rep * 13));
-  const auto ps = build_arena(dir.file("scan128.mprs"), {reads});
+  const auto ps = build_arena({reads});
   for (int k : {33, 47, 63}) {
     for (std::uint64_t r = 0; r < ps.num_records(); ++r) {
       std::vector<std::pair<kmer::Kmer128, std::size_t>> from_text;
@@ -380,9 +302,8 @@ TEST(PackedStore, PackedScanner128MatchesCharScannerBitExactly) {
 }
 
 TEST(PackedStore, ArenaSpanningPageBoundariesScansCorrectly) {
-  // > 3 pages of base words alone, so records straddle mmap page boundaries;
+  // > 3 pages of base words alone, so records straddle page boundaries;
   // every record must still decode and scan identically to the text.
-  TempDir dir;
   std::mt19937 rng(4096);
   std::vector<std::vector<std::string>> chunks(4);
   std::vector<std::string> all;
@@ -392,10 +313,8 @@ TEST(PackedStore, ArenaSpanningPageBoundariesScansCorrectly) {
       all.push_back(chunks[c].back());
     }
   }
-  const std::string path = dir.file("pages.mprs");
-  const auto ps = build_arena(path, chunks);
-  EXPECT_GT(ps.file_bytes(), 3u * 4096);
-  ps.verify_payload();
+  const auto ps = build_arena(chunks);
+  EXPECT_GT(ps.bytes(), 3u * 4096);
   constexpr int kK = 21;
   for (std::uint64_t r = 0; r < ps.num_records(); ++r) {
     std::vector<std::pair<std::uint64_t, std::size_t>> from_text;
@@ -413,37 +332,36 @@ TEST(PackedStore, ArenaSpanningPageBoundariesScansCorrectly) {
 }
 
 TEST(PackedStore, MergedShardsMatchSerialBuild) {
-  TempDir dir;
   const std::vector<std::vector<std::string>> chunks = {
       {"ACGTACGTACGT", "TTTTNGGGG"}, {"acgtN"}, {}, {"GATTACA"},
       {std::string(70, 'C'), "AaCcGgTt"},
   };
-  // Serial reference build.
-  build_arena(dir.file("serial.mprs"), chunks, {9});
+  const auto serial = build_arena(chunks, {9});
 
   // Same records via three shards of 2 + 1 + 2 chunks, merged in order.
   PackedStoreBuilder merged(static_cast<std::uint32_t>(chunks.size()));
   const std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges = {
       {0, 2}, {2, 3}, {3, 5}};
+  std::vector<PackedStoreBuilder> shards;
   std::uint32_t id = 0;
   for (const auto& [begin, end] : ranges) {
-    PackedStoreBuilder shard(end - begin);
+    PackedStoreBuilder& shard = shards.emplace_back(end - begin);
     for (std::uint32_t c = begin; c < end; ++c) {
       shard.begin_chunk(c - begin);
       for (const auto& seq : chunks[c]) shard.add_record(id++, seq);
     }
     if (begin == 0) shard.add_skip(9);
-    merged.merge(std::move(shard));
   }
-  merged.write(dir.file("merged.mprs"));
-
-  EXPECT_EQ(slurp(dir.file("merged.mprs")), slurp(dir.file("serial.mprs")));
+  merged.merge_all(std::move(shards), 2);
+  expect_same_arena(merged.finish(), serial);
 }
 
 TEST(PackedStore, MergeOverrunningChunkTableThrowsConfigError) {
   PackedStoreBuilder merged(2);
-  PackedStoreBuilder big(3);
-  expect_error(util::ErrorCategory::kConfig, [&] { merged.merge(std::move(big)); });
+  std::vector<PackedStoreBuilder> shards;
+  shards.emplace_back(3);
+  expect_error(util::ErrorCategory::kConfig,
+               [&] { merged.merge_all(std::move(shards), 1); });
 }
 
 // ---------------------------------------------------------------------------
@@ -464,21 +382,6 @@ std::vector<std::string> write_paired_fastq(TempDir& dir, int pairs, std::mt1993
   return files;
 }
 
-/// Corrupt record @p idx of @p path in place (same byte length): clobber its
-/// '+' separator so strict parsing fails and lenient parsing resyncs.
-void corrupt_record_separator(const std::string& path, int idx) {
-  auto bytes = slurp(path);
-  std::size_t pos = 0;
-  for (int seen = 0; pos < bytes.size(); ++pos) {
-    if (bytes[pos] == '+' && (pos == 0 || bytes[pos - 1] == '\n')) {
-      if (seen++ == idx) break;
-    }
-  }
-  ASSERT_LT(pos, bytes.size());
-  bytes[pos] = 'J';
-  write_bytes(path, bytes);
-}
-
 TEST(PackedStore, CorruptedFastqAgreesBetweenPackedAndTextPipelines) {
   TempDir dir;
   std::mt19937 rng(77);
@@ -491,20 +394,19 @@ TEST(PackedStore, CorruptedFastqAgreesBetweenPackedAndTextPipelines) {
 
   // Corrupt two records after indexing: chunk byte ranges stay valid, the
   // records just fail to parse.
-  corrupt_record_separator(files[0], 11);
-  corrupt_record_separator(files[1], 42);
+  test::corrupt_record_separator(files[0], 11);
+  test::corrupt_record_separator(files[1], 42);
 
   // Strict ingest refuses the corpus with a typed parse error...
   expect_error(util::ErrorCategory::kParse, [&] {
-    core::build_packed_store(index, dir.file("strict.mprs"), ParseMode::kStrict);
+    (void)core::build_packed_store_in_memory(index, ParseMode::kStrict, 1);
   });
 
   // ...lenient ingest records exactly the corrupted read IDs in the arena.
-  const auto stats =
-      core::build_packed_store(index, dir.file("lenient.mprs"), ParseMode::kLenient);
+  PackedStoreStats stats{};
+  const auto arena = core::build_packed_store_in_memory(index, ParseMode::kLenient, 1, &stats);
   EXPECT_EQ(stats.skipped, 2u);
   EXPECT_EQ(stats.records, 2u * 60 - 2);
-  const auto arena = PackedStore::open(dir.file("lenient.mprs"));
   std::vector<std::uint32_t> skipped(arena.skipped_read_ids().begin(),
                                      arena.skipped_read_ids().end());
   std::sort(skipped.begin(), skipped.end());
@@ -543,32 +445,23 @@ TEST(PackedStore, ParallelIngestIsByteIdenticalToSerial) {
   opt.m = 5;
   opt.target_chunks = 7;
   const auto index = core::create_index("par", files, true, opt);
-  corrupt_record_separator(files[1], 20);  // lenient skips must merge too
+  test::corrupt_record_separator(files[1], 20);  // lenient skips must merge too
 
-  const auto s1 =
-      core::build_packed_store(index, dir.file("t1.mprs"), ParseMode::kLenient, 1);
-  EXPECT_EQ(s1.skipped, 1u);
-  core::build_packed_store(index, dir.file("t4.mprs"), ParseMode::kLenient, 4);
-  // More workers than chunks must clamp, not break the shard bounds.
-  core::build_packed_store(index, dir.file("t9.mprs"), ParseMode::kLenient, 9);
-  const auto serial = slurp(dir.file("t1.mprs"));
-  EXPECT_EQ(slurp(dir.file("t4.mprs")), serial);
-  EXPECT_EQ(slurp(dir.file("t9.mprs")), serial);
-
-  // The in-memory ephemeral path sees the same records and skips.
   PackedStoreStats stats{};
-  const auto mem =
-      core::build_packed_store_in_memory(index, ParseMode::kLenient, 3, &stats);
-  const auto disk = PackedStore::open(dir.file("t1.mprs"));
-  ASSERT_EQ(mem.num_records(), disk.num_records());
-  EXPECT_EQ(stats.records, disk.num_records());
-  EXPECT_EQ(mem.file_bytes(), disk.file_bytes());
-  for (std::uint64_t r = 0; r < mem.num_records(); ++r) {
-    ASSERT_EQ(decode_record(mem.record(r)), decode_record(disk.record(r)))
-        << "record " << r;
+  const auto serial = core::build_packed_store_in_memory(index, ParseMode::kLenient, 1, &stats);
+  EXPECT_EQ(stats.skipped, 1u);
+  ASSERT_EQ(serial.skipped_read_ids().size(), 1u);
+  EXPECT_EQ(serial.skipped_read_ids()[0], 20u);
+  // More workers than chunks must clamp, not break the shard bounds.
+  for (const int threads : {4, 9}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    PackedStoreStats sharded{};
+    expect_same_arena(
+        core::build_packed_store_in_memory(index, ParseMode::kLenient, threads, &sharded),
+        serial);
+    EXPECT_EQ(sharded.records, stats.records);
+    EXPECT_EQ(sharded.file_bytes, stats.file_bytes);
   }
-  ASSERT_EQ(mem.skipped_read_ids().size(), 1u);
-  EXPECT_EQ(mem.skipped_read_ids()[0], disk.skipped_read_ids()[0]);
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ auto fields_of(const MetaprepConfig& c) {
                     c.filter.min_freq, c.filter.max_freq, c.parse_mode, c.cc_opt,
                     c.sort_digit_bits, c.write_output, c.output_dir, c.output_bins,
                     c.pipeline_mode, c.comm_compress, c.superkmer_minimizer_len, c.read_store,
-                    c.packed_store_path, c.trace_out, c.metrics_out, c.attr_out, c.progress);
+                    c.trace_out, c.metrics_out, c.attr_out, c.progress);
 }
 
 /// A value for @p f that differs from its default, as CLI text and as JSON.
@@ -159,7 +159,6 @@ TEST(RunFields, EmptyOutputDirectoryIsAConfigErrorOnBothSurfaces) {
             std::string::npos);
   // Paths whose default is empty still take an empty value: off.
   EXPECT_TRUE(from_cli({"--trace-out="}).trace_out.empty());
-  EXPECT_TRUE(from_json(R"(,"packed_store":"")").packed_store_path.empty());
 }
 
 TEST(RunFields, FilterMaxZeroMeansNoUpperBoundOnBothSurfaces) {

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "check/check.hpp"
@@ -579,13 +580,17 @@ TEST(Proto, ParseSubmitValidatesFields) {
 
 TEST(Proto, ParseSubmitRejectsUnknownKeys) {
   // A typo'd key must fail with a config error naming it, not silently run
-  // with the default thread count.
-  try {
-    (void)parse_submit(R"({"cmd":"submit","index":"i.bin","thread":4})");
-    FAIL() << "unknown key accepted";
-  } catch (const util::Error& e) {
-    EXPECT_EQ(e.category(), util::ErrorCategory::kConfig);
-    EXPECT_NE(std::string(e.what()).find("'thread'"), std::string::npos) << e.what();
+  // with the default thread count; so must a key whose field was deleted.
+  for (const auto& [request, key] :
+       {std::pair{R"({"cmd":"submit","index":"i.bin","thread":4})", "'thread'"},
+        std::pair{R"({"cmd":"submit","index":"i.bin","packed_store":"x"})", "'packed_store'"}}) {
+    try {
+      (void)parse_submit(request);
+      FAIL() << "unknown key accepted: " << request;
+    } catch (const util::Error& e) {
+      EXPECT_EQ(e.category(), util::ErrorCategory::kConfig);
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
   }
   // Twelve keys accepted together; "no_output" is the JSON key of the
   // --no-output run field.

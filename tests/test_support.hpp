@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -54,6 +56,30 @@ inline std::string write_fastq(const std::string& path, const std::vector<std::s
     w.write(id_prefix + std::to_string(i), reads[i], std::string(reads[i].size(), 'I'));
   }
   return path;
+}
+
+/// Corrupt record @p idx of the FASTQ at @p path in place (same byte
+/// length): clobber its '+' separator so strict parsing fails and lenient
+/// parsing resyncs.  Returns the byte offset of the record's header line,
+/// where a strict parse reports the error.
+inline std::uint64_t corrupt_record_separator(const std::string& path, std::size_t idx) {
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  std::vector<std::size_t> line_start{0};  // record idx is lines 4*idx .. 4*idx+3
+  for (std::size_t i = 0; i + 1 < bytes.size(); ++i) {
+    if (bytes[i] == '\n') line_start.push_back(i + 1);
+  }
+  const std::size_t plus = 4 * idx + 2;
+  if (plus >= line_start.size() || bytes[line_start[plus]] != '+') {
+    throw std::runtime_error("corrupt_record_separator: no record " + std::to_string(idx));
+  }
+  bytes[line_start[plus]] = 'J';
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return line_start[4 * idx];
 }
 
 /// Normalize component labels so two labelings can be compared as
