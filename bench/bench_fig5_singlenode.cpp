@@ -9,8 +9,6 @@
 // EXPERIMENTS.md for the interpretation).
 #include "bench_common.hpp"
 
-#include "util/buffer_pool.hpp"
-
 #include <algorithm>
 #include <map>
 
@@ -53,8 +51,8 @@ int main() {
   table.print();
 
   // Pipeline-mode axis: same dataset, S=2 so the overlap schedule has a full
-  // pass pair to fuse (one chunk read+scan feeds both passes) and the
-  // BufferPool sees within-group reuse.  bench_guard.sh keys on these rows.
+  // pass pair to fuse (one chunk read+scan feeds both passes).
+  // bench_guard.sh keys on these rows.
   bench::print_title("Figure 5 (mode axis): barrier vs overlap, T=4, 2 passes");
   util::TablePrinter ab(bench::step_headers({"Mode"}));
   auto make_mode_cfg = [&](const char* mode) {
@@ -71,8 +69,8 @@ int main() {
   };
   // The timed A/B pairs run back to back, with nothing (not even an untraced
   // repeat) between the two sides of a pair: the overlap-vs-barrier ratio is
-  // gated by bench_guard.sh, and any extra run shifts the allocator/pool
-  // state one side depends on.  Each pair is sampled three times per process
+  // gated by bench_guard.sh, and any extra run shifts the allocator state
+  // one side depends on.  Each pair is sampled three times per process
   // (interleaved, min wall per mode kept) — the same noise filter the
   // read-store axis uses: on this oversubscribed single core a lone sample
   // can swing the ~60 ms walls by several percent, enough to flip the gated
@@ -82,22 +80,18 @@ int main() {
   struct ModeRun {
     std::string mode;
     bench::TimedRun run;
-    std::uint64_t reuse_hits;
   };
   std::vector<ModeRun> timed;
   for (int rep = 0; rep < 3; ++rep) {
     for (const char* mode : {"barrier", "overlap"}) {
       const core::MetaprepConfig cfg = make_mode_cfg(mode);
-      const std::uint64_t hits_before = util::BufferPool::global().reuse_hits();
       auto run = bench::timed_run(ds.index, cfg);
-      const std::uint64_t hits_delta =
-          util::BufferPool::global().reuse_hits() - hits_before;
       auto it = std::find_if(timed.begin(), timed.end(),
                              [&](const ModeRun& mr) { return mr.mode == mode; });
       if (it == timed.end()) {
-        timed.push_back({mode, std::move(run), hits_delta});
+        timed.push_back({mode, std::move(run)});
       } else if (run.wall_seconds < it->run.wall_seconds) {
-        *it = {mode, std::move(run), hits_delta};
+        *it = {mode, std::move(run)};
       }
     }
   }
@@ -123,8 +117,7 @@ int main() {
         .num("tuples", mr.run.result.total_tuples)
         .num("mergecc_s", mr.run.result.step_times.get("MergeCC"))
         .num("merge_comm_s", mr.run.result.step_times.get("Merge-Comm"))
-        .num("ccio_s", mr.run.result.step_times.get("CC-I/O"))
-        .num("pool_reuse_hits", mr.reuse_hits);
+        .num("ccio_s", mr.run.result.step_times.get("CC-I/O"));
     if (auto it = crit.find(mr.mode); it != crit.end()) {
       row.num("crit_path_s", it->second.length_s)
           .num("crit_wait_s", it->second.wait_s)

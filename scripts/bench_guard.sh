@@ -9,9 +9,8 @@
 #     small absolute slack for sub-millisecond rows) against the committed
 #     BENCH_fig5.json baseline, or
 #   * the pipelined scheduler stopped paying for itself: on the passes=2 A/B
-#     rows, overlap must report pool_reuse_hits > 0 (machine-independent) and
-#     must not be > 5% slower than barrier; the achieved wall margin is
-#     always recorded in the baseline as "overlap_margin", and the strict
+#     rows, overlap must not be > 5% slower than barrier; the achieved wall
+#     margin is always recorded in the baseline as "overlap_margin", and the strict
 #     ">= 10% faster" wall gate is opt-in via METAPREP_GATE_OVERLAP_RATIO=1
 #     because the ~60 ms A/B walls drift 5-17% with host scheduler state at
 #     identical code (see invariant 1 below), or
@@ -93,7 +92,6 @@ CRIT = ("crit_path_s", "crit_wait_s", "crit_compute_s")
 # METAPREP_GATE_COMM_BYTES=1 (invariant 1c below).
 COMM = ("alltoallv_bytes", "alltoallv_bytes_raw", "superkmer_records")
 mins = {}
-hits = {}
 phase_mins = {}
 crit_mins = {}
 rs_mins = {}
@@ -110,8 +108,6 @@ with open(tmp_json) as f:
             key = (row["mode"], int(row["passes"]), int(row["threads"]))
             wall = float(row["wall_s"])
             mins[key] = min(mins.get(key, wall), wall)
-            if "pool_reuse_hits" in row:
-                hits[key] = max(hits.get(key, 0), int(row["pool_reuse_hits"]))
             for ph in PHASES:
                 if ph in row:
                     v = float(row[ph])
@@ -145,7 +141,6 @@ result = {
     "min_of": int(os.environ.get("BENCH_GUARD_RUNS", "5")),
     "rows": [
         {"mode": m, "passes": p, "threads": t, "wall_s": w}
-        | ({"pool_reuse_hits": hits[(m, p, t)]} if (m, p, t) in hits else {})
         | {ph: v for ph, v in sorted(phase_mins.get((m, p, t), {}).items())}
         | {c: v for c, v in sorted(crit_mins.get((m, p, t), {}).items())}
         | {rf: v for rf, v in sorted(rs_mins.get((m, p, t), {}).items())}
@@ -156,9 +151,9 @@ result = {
 
 failures = []
 
-# Invariant 1: the overlap scheduler pays for itself on the A/B rows.  The
-# noise-free structural check (pool_reuse_hits > 0) and a lenient wall floor
-# (overlap must not be > 5% SLOWER than barrier) are unconditional.  The
+# Invariant 1: the overlap scheduler pays for itself on the A/B rows.  A
+# lenient wall floor (overlap must not be > 5% SLOWER than barrier) is
+# unconditional.  The
 # strict ">= 10% faster" wall gate is opt-in via METAPREP_GATE_OVERLAP_RATIO=1
 # (acceptance runs on a quiet host): the A/B walls are ~60 ms on this
 # oversubscribed single core, and the measured margin at *identical code*
@@ -179,11 +174,6 @@ if "barrier" in ab and "overlap" in ab:
             f"overlap no longer >=10% faster than barrier at S=2: "
             f"barrier={ab['barrier']:.4f}s overlap={ab['overlap']:.4f}s"
         )
-    overlap_hits = max(
-        (h for (m, p, t), h in hits.items() if m == "overlap" and p == 2), default=0
-    )
-    if overlap_hits <= 0:
-        failures.append("overlap run reported pool_reuse_hits == 0")
 else:
     failures.append("missing barrier/overlap passes=2 rows in bench output")
 

@@ -47,12 +47,9 @@ void force_disable() noexcept { force_count().fetch_sub(1, std::memory_order_rel
 const char* to_string(ViolationKind kind) noexcept {
   switch (kind) {
     case ViolationKind::kUnmatchedSend: return "unmatched-send";
-    case ViolationKind::kUnwaitedRequest: return "unwaited-request";
-    case ViolationKind::kDoubleWait: return "double-wait";
     case ViolationKind::kRecvReorder: return "recv-reorder";
     case ViolationKind::kDeadlock: return "deadlock";
     case ViolationKind::kOffsetOverlap: return "offset-overlap";
-    case ViolationKind::kDoubleRelease: return "double-release";
     case ViolationKind::kForeignRelease: return "foreign-release";
     case ViolationKind::kUseAfterReturn: return "use-after-return";
     case ViolationKind::kDsuCycle: return "dsu-cycle";

@@ -1,13 +1,13 @@
 // Correctness-tooling layer: compile-out-able verification subsystem.
 //
 // The pipeline's concurrency discipline — mailbox FIFO per (src, tag),
-// buffer-pool lease lifetimes, atomic DSU adoption, precomputed all-to-all
+// tuple-array lease lifetimes, atomic DSU adoption, precomputed all-to-all
 // offset geometry — is hand-maintained and only probed by TSan on the
 // schedules TSan happens to see.  This layer makes the discipline
 // *checkable*: mpsim grows a protocol checker (src/check/protocol.hpp), the
-// hot structures grow invariant hooks (dsu::verify_forest, BufferPool lease
-// stamps), and every violation is reported as a structured CheckReport
-// instead of a hang or a silently wrong answer.
+// hot structures grow invariant hooks (dsu::verify_forest, the TupleArena's
+// poisoned spares), and every violation is reported as a structured
+// CheckReport instead of a hang or a silently wrong answer.
 //
 // Gating is two-level:
 //  * compile time: the METAPREP_CHECKED macro (CMake option of the same
@@ -19,7 +19,7 @@
 //    cost is one relaxed atomic load and a branch.
 //
 // This library is deliberately std-only (it sits *below* util in the link
-// order so BufferPool and the DSU can use it without a dependency cycle).
+// order so util, core and the DSU can use it without a dependency cycle).
 #pragma once
 
 #include <atomic>
@@ -73,14 +73,11 @@ class ScopedCheckEnable {
 /// message strings).
 enum class ViolationKind {
   kUnmatchedSend,    ///< message still in a mailbox when the World wound down
-  kUnwaitedRequest,  ///< irecv posted but never completed by wait/wait_all
-  kDoubleWait,       ///< wait() called twice on the same Request
-  kRecvReorder,      ///< same-(src, tag) irecvs waited out of posting order
+  kRecvReorder,      ///< (src, tag) message delivered out of send order
   kDeadlock,         ///< cycle of blocked ranks in the wait-for graph
   kOffsetOverlap,    ///< non-monotone send/recv block offsets in an all-to-all
-  kDoubleRelease,    ///< BufferPool lease returned twice (moved-from buffer)
-  kForeignRelease,   ///< buffer returned that was never leased from the pool
-  kUseAfterReturn,   ///< released buffer written while on the free list
+  kForeignRelease,   ///< TupleArena buffer released that it does not hold as leased
+  kUseAfterReturn,   ///< released buffer written while it was an arena spare
   kDsuCycle,         ///< parent-pointer forest contains a cycle
   kDsuBounds,        ///< parent pointer out of [0, n)
   kSizeConservation, ///< component sizes after flatten do not sum to n
@@ -91,7 +88,7 @@ enum class ViolationKind {
 /// One blocked operation in a deadlock report: what the rank was stuck on.
 struct BlockedOp {
   int rank = -1;
-  std::string op;          ///< "recv", "wait(irecv)", "barrier"
+  std::string op;          ///< "recv", "barrier"
   int peer = -1;           ///< awaited source rank (-1 for barrier)
   int tag = 0;
   std::uint64_t clock = 0; ///< rank-local Lamport component of its vector clock

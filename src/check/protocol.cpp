@@ -24,9 +24,6 @@ void ProtocolChecker::reset() {
   send_seq_.clear();
   recv_seq_.clear();
   msg_clocks_.clear();
-  post_seq_.clear();
-  wait_seq_.clear();
-  outstanding_recv_.assign(static_cast<std::size_t>(num_ranks_), 0);
   blocked_.assign(static_cast<std::size_t>(num_ranks_), Blocked{});
   barrier_join_.assign(static_cast<std::size_t>(num_ranks_), 0);
   barrier_arrivals_ = 0;
@@ -70,51 +67,6 @@ void ProtocolChecker::on_recv(int src, int dst, int tag, std::uint64_t seq) {
     v.ranks = {src, dst};
     throw_one(std::move(v));
   }
-}
-
-std::uint64_t ProtocolChecker::on_post_recv(int rank, int src, int tag) {
-  util::MutexLock lock(mutex_);
-  ++outstanding_recv_[static_cast<std::size_t>(rank)];
-  return post_seq_[Key{rank, src, tag}]++;
-}
-
-void ProtocolChecker::on_wait_recv(int rank, int src, int tag, std::uint64_t post_seq) {
-  util::MutexLock lock(mutex_);
-  if (outstanding_recv_[static_cast<std::size_t>(rank)] > 0) {
-    --outstanding_recv_[static_cast<std::size_t>(rank)];
-  }
-  const Key key{rank, src, tag};
-  const std::uint64_t expected = wait_seq_[key]++;
-  if (post_seq != expected) {
-    Violation v;
-    v.kind = ViolationKind::kRecvReorder;
-    v.src = src;
-    v.dst = rank;
-    v.tag = tag;
-    v.detail_a = expected;
-    v.detail_b = post_seq;
-    std::ostringstream msg;
-    msg << "rank " << rank << " completed irecv #" << post_seq << " from src " << src
-        << " tag " << tag << " before irecv #" << expected
-        << " posted earlier for the same (src, tag)";
-    v.message = msg.str();
-    v.ranks = {rank, src};
-    throw_one(std::move(v));
-  }
-}
-
-void ProtocolChecker::on_double_wait(int rank, int peer, int tag, const char* kind) {
-  Violation v;
-  v.kind = ViolationKind::kDoubleWait;
-  v.dst = rank;
-  v.src = peer;
-  v.tag = tag;
-  std::ostringstream msg;
-  msg << "rank " << rank << " waited twice on the same " << kind << " request (peer "
-      << peer << ", tag " << tag << ")";
-  v.message = msg.str();
-  v.ranks = {rank};
-  throw_one(std::move(v));
 }
 
 void ProtocolChecker::block_recv(int rank, int src, int tag, const char* op) {
@@ -270,20 +222,6 @@ void ProtocolChecker::note_unmatched_send(int src, int dst, int tag, std::uint64
 
 CheckReport ProtocolChecker::take_final_report() {
   util::MutexLock lock(mutex_);
-  for (int r = 0; r < num_ranks_; ++r) {
-    const std::uint64_t n = outstanding_recv_[static_cast<std::size_t>(r)];
-    if (n == 0) continue;
-    Violation v;
-    v.kind = ViolationKind::kUnwaitedRequest;
-    v.dst = r;
-    v.count = n;
-    std::ostringstream msg;
-    msg << "rank " << r << " ended the run with " << n
-        << " posted irecv request(s) never completed by wait";
-    v.message = msg.str();
-    v.ranks = {r};
-    deferred_.violations.push_back(std::move(v));
-  }
   CheckReport out = std::move(deferred_);
   deferred_ = CheckReport{};
   return out;

@@ -1,24 +1,19 @@
 // Happens-before / deadlock checker for a message-passing substrate.
 //
 // The checker is substrate-agnostic: ranks and tags are plain ints, and the
-// owner (mpsim::World) feeds it events — send, recv, irecv post, wait,
-// barrier — plus "I am blocked on X" state transitions.  From those it
-// maintains
+// owner (mpsim::World) feeds it events — send, recv, barrier — plus "I am
+// blocked on X" state transitions.  From those it maintains
 //  * a vector clock per rank (ticked on send/recv, joined on recv and
 //    barrier) so every blocked-op trace carries a causal timestamp,
 //  * per-(src, dst, tag) send/recv sequence numbers, verifying the mailbox
 //    FIFO contract on every delivery,
-//  * per-(rank, src, tag) irecv posting/wait counters, flagging receives
-//    completed out of posting order (the bug where wait_all order drift
-//    lands payloads in the wrong buffers),
 //  * a wait-for graph over blocked ranks, probed periodically by blocked
 //    ranks; a cycle is reported as a structured deadlock (every blocked
 //    rank's operation, peer, tag, clock) instead of hanging the test suite.
 //
-// Immediate-fatal violations (double wait, recv reorder, FIFO breach,
-// deadlock) throw CheckError at the offending call; end-of-world violations
-// (unmatched sends, unwaited requests) are accumulated and thrown by the
-// owner after all ranks have finished.
+// Immediate-fatal violations (FIFO breach, deadlock) throw CheckError at
+// the offending call; end-of-world violations (unmatched sends) are
+// accumulated and thrown by the owner after all ranks have finished.
 //
 // All methods are thread-safe (one internal mutex); the checker is only
 // instantiated when check::enabled(), so the production fast path never
@@ -59,16 +54,6 @@ class ProtocolChecker {
   /// (src, dst, tag) stream; throws CheckError(kRecvReorder) otherwise.
   void on_recv(int src, int dst, int tag, std::uint64_t seq);
 
-  /// An irecv was posted; returns its posting index for on_wait_recv.
-  std::uint64_t on_post_recv(int rank, int src, int tag);
-
-  /// A pending receive completed in wait.  Throws CheckError(kRecvReorder)
-  /// when an earlier-posted irecv for the same (src, tag) is still pending.
-  void on_wait_recv(int rank, int src, int tag, std::uint64_t post_seq);
-
-  /// wait() was invoked on a request that already completed a wait.
-  [[noreturn]] void on_double_wait(int rank, int peer, int tag, const char* kind);
-
   // --- blocking state / deadlock detection ----------------------------
   void block_recv(int rank, int src, int tag, const char* op);
   void block_barrier(int rank);
@@ -92,8 +77,7 @@ class ProtocolChecker {
   void note_unmatched_send(int src, int dst, int tag, std::uint64_t count,
                            std::uint64_t bytes);
 
-  /// Appends kUnwaitedRequest violations for outstanding irecvs, then
-  /// returns the accumulated deferred report (clearing it).
+  /// Returns the accumulated deferred report (clearing it).
   [[nodiscard]] CheckReport take_final_report();
 
   /// The rank's own Lamport component (diagnostics / tests).
@@ -118,9 +102,6 @@ class ProtocolChecker {
   std::map<Key, std::uint64_t> send_seq_ GUARDED_BY(mutex_);
   std::map<Key, std::uint64_t> recv_seq_ GUARDED_BY(mutex_);
   std::map<Key, std::deque<std::vector<std::uint64_t>>> msg_clocks_ GUARDED_BY(mutex_);
-  std::map<Key, std::uint64_t> post_seq_ GUARDED_BY(mutex_);  ///< (rank, src, tag)
-  std::map<Key, std::uint64_t> wait_seq_ GUARDED_BY(mutex_);  ///< (rank, src, tag)
-  std::vector<std::uint64_t> outstanding_recv_ GUARDED_BY(mutex_);  ///< per rank
   std::vector<Blocked> blocked_ GUARDED_BY(mutex_);
   std::vector<std::uint64_t> barrier_join_ GUARDED_BY(mutex_);
   int barrier_arrivals_ GUARDED_BY(mutex_) = 0;

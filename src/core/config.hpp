@@ -15,7 +15,6 @@ class MemRegistry;
 }  // namespace metaprep::obs
 
 namespace metaprep::util {
-class BufferPool;
 class CancelToken;
 }  // namespace metaprep::util
 
@@ -38,7 +37,7 @@ struct KmerFreqFilter {
 
 /// How the S I/O passes are scheduled (§3.2-§3.5 loop): the pass engine's
 /// fusion width W.  Both widths share one slot layout, one wire format per
-/// codec and one BufferPool lease path, and produce identical labels (see
+/// codec and one TupleArena per rank, and produce identical labels (see
 /// DESIGN.md "Pass engine (W, codec)").
 enum class PipelineMode {
   /// W = 1, the paper's schedule and the default: each pass runs KmerGen ->
@@ -158,14 +157,10 @@ struct MetaprepConfig {
   obs::MetricsRegistry* metrics_registry = nullptr;
   obs::MemRegistry* mem_registry = nullptr;
 
-  /// Buffer pool the pass engine leases tuple arrays from.  Null = the
-  /// process pool.  The daemon passes one shared pool so jobs recycle each other's
-  /// tuple buffers.
-  util::BufferPool* buffer_pool = nullptr;
-
   /// Cooperative cancel flag, polled at pass/chunk boundaries.  Null = not
   /// cancellable.  When set mid-run the pipeline unwinds with
-  /// util::cancelled_error after returning every BufferPool lease.
+  /// util::cancelled_error; each rank's TupleArena frees its tuple arrays
+  /// as it unwinds.
   const util::CancelToken* cancel_token = nullptr;
 };
 

@@ -171,8 +171,8 @@ struct DatasetIndex {
 /// Chunk @p c's bytes, read from its FASTQ file.
 std::vector<char> read_chunk(const DatasetIndex& index, std::uint32_t c);
 
-/// Parse chunk @p c of @p index out of @p text, the chunk's bytes (as
-/// read_chunk returns them, or a window of a mapping of its file), calling
+/// Parse chunk @p c of @p index out of @p text, the chunk's bytes as
+/// read_chunk returns them, calling
 /// on_record(read_id, id, seq, qual) per record.  This is where the index's
 /// read IDs meet the parser: IDs count up from the chunk's first_read_id,
 /// and a record the lenient parser abandons still takes its ID (on_skip is

@@ -1,93 +1,31 @@
 #include "core/packed_ingest.hpp"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
 #include <exception>
-#include <optional>
 #include <string_view>
 #include <thread>
 #include <vector>
 
 #include "obs/mem.hpp"
-#include "obs/metrics.hpp"
-#include "util/error.hpp"
 
 namespace metaprep::core {
 namespace {
 
-/// Read-only mmap of one input FASTQ: the ingest is the only consumer of
-/// the text from here on, so parsing straight out of the page cache beats
-/// copying the whole file into a buffer first.
-class MappedFile {
- public:
-  explicit MappedFile(const std::string& path) {
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) {
-      throw util::io_error("cannot open FASTQ for packed ingest", path,
-                           util::Error::kNoOffset, errno);
-    }
-    struct ::stat st{};
-    if (::fstat(fd, &st) != 0) {
-      const int err = errno;
-      ::close(fd);
-      throw util::io_error("cannot stat FASTQ for packed ingest", path,
-                           util::Error::kNoOffset, err);
-    }
-    size_ = static_cast<std::size_t>(st.st_size);
-    if (size_ != 0) {
-      map_ = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
-      const int map_errno = errno;
-      if (map_ == MAP_FAILED) {
-        ::close(fd);
-        throw util::io_error("cannot mmap FASTQ for packed ingest", path,
-                             util::Error::kNoOffset, map_errno);
-      }
-    }
-    ::close(fd);
-  }
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-  ~MappedFile() {
-    if (map_ != MAP_FAILED && map_ != nullptr) ::munmap(map_, size_);
-  }
-
-  [[nodiscard]] std::string_view view() const noexcept {
-    return map_ == MAP_FAILED || map_ == nullptr
-               ? std::string_view{}
-               : std::string_view(static_cast<const char*>(map_), size_);
-  }
-
- private:
-  void* map_ = MAP_FAILED;
-  std::size_t size_ = 0;
-};
-
 /// Parse chunks [@p begin, @p end) of the index into @p builder, whose
 /// chunk table is shard-local (global chunk c is local chunk c - begin).
-/// Chunks are laid out file by file, so each FASTQ is mapped at most once
-/// per shard and every chunk parses as a zero-copy window into the mapping.
+/// Each chunk is read through read_chunk, the path text KmerGen and CC-I/O
+/// read it by, so read retries and injected corruption reach the arena too
+/// and every store sees the same records.
 void pack_chunk_range(const DatasetIndex& index, io::ParseMode parse_mode,
                       std::uint32_t begin, std::uint32_t end,
                       io::PackedStoreBuilder& builder) {
-  std::optional<MappedFile> mapped;
-  std::uint32_t cached_file = 0xFFFFFFFFu;
-  std::optional<obs::MemCharge> io_mem;
   for (std::uint32_t c = begin; c < end; ++c) {
-    const ChunkRecord& chunk = index.part.chunks[c];
     builder.begin_chunk(c - begin);
-    if (chunk.file != cached_file) {
-      mapped.emplace(index.files[chunk.file]);
-      io_mem.emplace("io", mapped->view().size());
-      cached_file = chunk.file;
-    }
+    const std::vector<char> buffer = read_chunk(index, c);
+    const obs::MemCharge io_mem("io", buffer.size());
     for_each_chunk_record(
-        index, c, mapped->view().substr(chunk.offset, chunk.size), parse_mode,
+        index, c, buffer, parse_mode,
         [&builder](std::uint32_t read_id, std::string_view, std::string_view seq,
                    std::string_view) { builder.add_record(read_id, seq); },
         [&builder](std::uint32_t read_id) { builder.add_skip(read_id); });

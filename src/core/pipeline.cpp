@@ -7,7 +7,6 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
-#include <list>
 #include <map>
 #include <memory>
 #include <span>
@@ -18,6 +17,7 @@
 #include "core/memory_model.hpp"
 #include "core/packed_ingest.hpp"
 #include "core/plan.hpp"
+#include "core/tuple_arena.hpp"
 #include "dsu/dsu.hpp"
 #include "io/fastq.hpp"
 #include "kmer/superkmer.hpp"
@@ -30,7 +30,6 @@
 #include "obs/trace.hpp"
 #include "part/part.hpp"
 #include "sort/radix.hpp"
-#include "util/buffer_pool.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 #include "util/memusage.hpp"
@@ -44,122 +43,6 @@ namespace {
 using util::StepTimes;
 using util::ThreadTeam;
 using util::WallTimer;
-
-/// Tuple arrays in SoA layout: kWords arrays of key words (least
-/// significant first), then the read IDs.  A tuple is 12 bytes at k <= 32
-/// and the paper's 20 bytes above (§4.4).
-template <typename Key>
-struct TupleBuffer {
-  using Traits = kmer::KmerTraits<Key>;
-  std::array<std::vector<std::uint64_t>, Traits::kWords> keys;
-  std::vector<std::uint32_t> vals;
-
-  [[nodiscard]] std::size_t size() const noexcept { return vals.size(); }
-  void resize(std::size_t n) {
-    for (auto& words : keys) words.resize(n);
-    vals.resize(n);
-  }
-  void put(std::uint64_t at, Key km, std::uint32_t value) {
-    for (std::size_t w = 0; w < keys.size(); ++w) keys[w][at] = Traits::word(km, w);
-    vals[at] = value;
-  }
-  [[nodiscard]] bool same_key(std::uint64_t i, std::uint64_t j) const {
-    return std::all_of(keys.begin(), keys.end(), [&](const auto& w) { return w[i] == w[j]; });
-  }
-};
-
-/// The one lease path for tuple arrays.  Every pass buffer (send, receive,
-/// radix scratch) is leased from util::BufferPool under the "tuples" memory
-/// tag.  A released buffer stays with its rank as a spare for the next
-/// acquire, as the paper's per-task tuple arrays persist across passes.
-/// Mid-run the arena only takes from the pool: ranks share one pool, so a
-/// buffer one rank handed back could be taken (or evicted) by another
-/// rank's miss, and which rank pays fresh page faults would depend on
-/// thread timing.  Instead a miss discards the largest spare (the one a
-/// growing vector would have reallocated) before leasing fresh, which keeps
-/// each rank's buffers at about its live leases.  Whatever the arena still
-/// holds when it dies (at run end, or when a cancel or a typed Error unwinds
-/// mid-pass) goes back to the pool for the next run, so the pool's lease
-/// count always drains.
-template <typename Key>
-class TupleArena {
- public:
-  using Buffer = TupleBuffer<Key>;
-
-  TupleArena(util::BufferPool& pool, std::uint64_t& max_live_bytes)
-      : pool_(pool), max_live_bytes_(max_live_bytes) {}
-  TupleArena(const TupleArena&) = delete;
-  TupleArena& operator=(const TupleArena&) = delete;
-  ~TupleArena() {
-    spare_.splice(spare_.end(), leased_);
-    const obs::MemScope tuples_scope("tuples");
-    for (Buffer& b : spare_) {
-      try {
-        for (auto& words : b.keys) pool_.release(std::move(words));
-        pool_.release(std::move(b.vals));
-      } catch (...) {
-        // Unwind path: the original exception matters more.
-      }
-    }
-  }
-
-  Buffer& acquire(std::size_t n, std::size_t reserve = 0) {
-    const std::size_t cap = std::max(n, reserve);
-    auto fits = [&](const Buffer& b) {
-      return b.vals.capacity() >= cap &&
-             std::all_of(b.keys.begin(), b.keys.end(),
-                         [&](const auto& words) { return words.capacity() >= cap; });
-    };
-    auto best = spare_.end();
-    auto largest = spare_.end();
-    for (auto it = spare_.begin(); it != spare_.end(); ++it) {
-      if (fits(*it) && (best == spare_.end() || it->vals.capacity() < best->vals.capacity()))
-        best = it;
-      if (largest == spare_.end() || it->vals.capacity() > largest->vals.capacity()) largest = it;
-    }
-    if (best != spare_.end()) {
-      leased_.splice(leased_.end(), spare_, best);
-      Buffer& b = leased_.back();
-      b.resize(n);
-      note_live(n);
-      return b;
-    }
-    const obs::MemScope tuples_scope("tuples");  // tags the pool calls below
-    if (largest != spare_.end()) {
-      for (auto& words : largest->keys) pool_.discard(std::move(words));
-      pool_.discard(std::move(largest->vals));
-      spare_.erase(largest);
-    }
-    Buffer& b = leased_.emplace_back();
-    for (auto& words : b.keys) words = pool_.acquire_u64(cap);
-    b.vals = pool_.acquire_u32(cap);
-    b.resize(n);
-    note_live(n);
-    return b;
-  }
-
-  void release(Buffer& b) {
-    live_bytes_ -= b.size() * Buffer::Traits::kTupleBytes;
-    for (auto it = leased_.begin(); it != leased_.end(); ++it) {
-      if (&*it == &b) {
-        spare_.splice(spare_.end(), leased_, it);
-        return;
-      }
-    }
-  }
-
- private:
-  void note_live(std::size_t n) {
-    live_bytes_ += n * Buffer::Traits::kTupleBytes;
-    max_live_bytes_ = std::max(max_live_bytes_, live_bytes_);
-  }
-
-  util::BufferPool& pool_;
-  std::uint64_t& max_live_bytes_;
-  std::uint64_t live_bytes_ = 0;
-  std::list<Buffer> leased_;  ///< lists: references stay valid across splices
-  std::list<Buffer> spare_;
-};
 
 /// Lookup table bin -> part index for a boundary vector covering
 /// [bounds.front(), bounds.back()).
@@ -699,8 +582,8 @@ void fixed_send(PassCtx& ctx, PassWork<Key>& w, int arr, int stage) {
   const std::size_t d = static_cast<std::size_t>((ctx.p + stage) % P);
   const auto [sb, esz] = tuple_array(*w.send, arr);
   const std::uint64_t begin = w.slot_start[d * T];
-  ctx.comm.isend(static_cast<int>(d), kmergen_tag(w.s, arr), sb + begin * esz,
-                 (w.slot_start[(d + 1) * T] - begin) * esz);
+  ctx.comm.send(static_cast<int>(d), kmergen_tag(w.s, arr), sb + begin * esz,
+                (w.slot_start[(d + 1) * T] - begin) * esz);
 }
 
 /// ... and receives (p-i) mod P's message, checks its size against the
@@ -728,7 +611,7 @@ void fixed_recv(PassCtx& ctx, PassWork<Key>& w, int arr, int stage) {
 }
 
 /// Post one pass's exchange.  Sends are buffered (the mailbox owns the
-/// in-flight copies — DESIGN.md "Buffer-pool ownership"), so the send side
+/// in-flight copies — DESIGN.md "Send-buffer ownership"), so the send side
 /// is done when this returns and drain_receive completes the receives.  At
 /// W = 1 nothing runs between post and drain, so the fixed codec completes
 /// each stage's receive right after its send, as the paper's staged
@@ -771,7 +654,7 @@ void post_exchange(PassCtx& ctx, const EnginePlan& ep, PassWork<Key>& w,
         w.self_msg = std::move(msg);
       } else {
         my.exchange_bytes += msg.size();
-        ctx.comm.isend(d, kmergen_tag(w.s, 0), msg.data(), msg.size());
+        ctx.comm.send(d, kmergen_tag(w.s, 0), msg.data(), msg.size());
       }
     }
     return;
@@ -972,9 +855,7 @@ void run_passes(PassCtx& ctx, const EnginePlan& ep) {
   RankShared& my = ctx.my;
   obs::TraceSession& tr = ctx.tr;
   const int T = ctx.T, S = ctx.S;
-  util::BufferPool& pool =
-      config.buffer_pool != nullptr ? *config.buffer_pool : util::BufferPool::global();
-  TupleArena<Key> arena(pool, my.max_buffer_bytes);
+  TupleArena<Key> arena(my.max_buffer_bytes);
 
   for (int s0 = 0; s0 < S; s0 += ep.W) {
     util::throw_if_cancelled(config.cancel_token, "pass group");
@@ -1023,10 +904,6 @@ void run_passes(PassCtx& ctx, const EnginePlan& ep) {
       span_end(tr, "Pass", w.t0);
     }
   }
-  // The arena hands its spares back to the shared pool when it dies.  A
-  // rank that finished early must not do so while another rank still leases
-  // for its last pass, or that lease would reuse the early rank's buffer.
-  ctx.comm.barrier();
 }
 
 /// Label-slice geometry for the merge tail's scatter: rank q's chunks cover
@@ -1488,8 +1365,8 @@ void export_artifacts(const MetaprepConfig& config, const RunObservability& run_
     ar.peak_rss_bytes = util::peak_rss_bytes();
     ar.rss_samples = rss_samples;
     // The model predicts bytes per task; the registry measures the whole
-    // process hosting all P ranks, so predictions scale by P.  "sort" and
-    // "pool" have no model term and report measured-only.
+    // process hosting all P ranks, so predictions scale by P.  Subsystems
+    // without a model term ("sort", "comm", "packed") report measured-only.
     const MemoryBreakdown pred = estimate_memory(mm);
     const auto up = static_cast<std::uint64_t>(P);
     for (const auto& [name, usage] : run_obs.mem().snapshot()) {

@@ -1,6 +1,7 @@
 #include "mpsim/comm.hpp"
 
 #include <chrono>
+#include <cstring>
 #include <stdexcept>
 #include <thread>
 
@@ -259,115 +260,6 @@ void Comm::send(int dest, int tag, const void* data, std::size_t bytes) {
       });
 }
 
-void World::note_async_posted() {
-  const std::int64_t now = async_inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
-  static thread_local obs::GaugeHandle g_inflight;
-  g_inflight.of(obs::metrics(), "mpsim.async_inflight").set_max(static_cast<double>(now));
-}
-
-void World::note_async_completed() noexcept {
-  async_inflight_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-Request Comm::isend(int dest, int tag, const void* data, std::size_t bytes) {
-  world_->note_async_posted();
-  // Buffered-send semantics: deliver now (drop/retry handling included in
-  // send), complete the request now.  The momentary posted state still
-  // registers in the inflight high-water mark.
-  send(dest, tag, data, bytes);
-  world_->note_async_completed();
-  Request r;
-  r.kind_ = Request::Kind::kSend;
-  r.peer_ = dest;
-  r.tag_ = tag;
-  r.bytes_ = bytes;
-  r.done_ = true;
-  return r;
-}
-
-Request Comm::irecv(int src, int tag, void* data, std::size_t bytes) {
-  if (src < 0 || src >= size())
-    throw util::comm_error("mpsim irecv: bad src rank " + std::to_string(src));
-  world_->note_async_posted();
-  Request r;
-  r.kind_ = Request::Kind::kRecv;
-  r.peer_ = src;
-  r.tag_ = tag;
-  r.data_ = data;
-  r.bytes_ = bytes;
-  r.done_ = false;
-  if (world_->checker_) r.post_seq_ = world_->checker_->on_post_recv(rank_, src, tag);
-  return r;
-}
-
-void Comm::wait(Request& request) {
-  check::ProtocolChecker* checker = world_->checker_.get();
-  if (request.done()) {
-    // A pending-recv request that already completed one wait: flag the
-    // double completion (waiting a finished isend is legal, as in MPI).
-    if (checker && request.kind_ == Request::Kind::kRecv && request.waited_)
-      checker->on_double_wait(rank_, request.peer_, request.tag_, "irecv");
-    return;
-  }
-  // Only pending receives reach here; sends complete inside isend.
-  World::Message msg = world_->take(request.peer_, rank_, request.tag_);
-  request.done_ = true;  // the request is consumed even if the size check throws
-  request.waited_ = true;
-  world_->note_async_completed();
-  if (checker) checker->on_wait_recv(rank_, request.peer_, request.tag_, request.post_seq_);
-  if (msg.payload.size() != request.bytes_)
-    throw util::comm_error("mpsim wait: size mismatch (got " +
-                           std::to_string(msg.payload.size()) + ", expected " +
-                           std::to_string(request.bytes_) + ")");
-  if (!msg.payload.empty()) std::memcpy(request.data_, msg.payload.data(), msg.payload.size());
-}
-
-void Comm::wait_all(std::span<Request> requests) {
-  for (Request& r : requests) wait(r);
-}
-
-std::vector<Request> Comm::ialltoallv_staged(const void* sendbuf,
-                                             std::span<const std::uint64_t> send_offsets,
-                                             void* recvbuf,
-                                             std::span<const std::uint64_t> recv_offsets,
-                                             int tag) {
-  const int P = size();
-  if (send_offsets.size() != static_cast<std::size_t>(P) + 1 ||
-      recv_offsets.size() != static_cast<std::size_t>(P) + 1)
-    throw std::invalid_argument("ialltoallv_staged: offset arrays must have P+1 entries");
-  if (world_->checker_) {
-    check::validate_block_offsets(send_offsets, rank_, "ialltoallv_staged send");
-    check::validate_block_offsets(recv_offsets, rank_, "ialltoallv_staged recv");
-  }
-
-  const auto* sbytes = static_cast<const std::byte*>(sendbuf);
-  auto* rbytes = static_cast<std::byte*>(recvbuf);
-
-  // Stage 0: local block, plain copy (src == dest).
-  const std::uint64_t local_len = send_offsets[static_cast<std::size_t>(rank_) + 1] -
-                                  send_offsets[static_cast<std::size_t>(rank_)];
-  if (local_len > 0)
-    std::memcpy(rbytes + recv_offsets[static_cast<std::size_t>(rank_)],
-                sbytes + send_offsets[static_cast<std::size_t>(rank_)], local_len);
-
-  // Stages 1..P-1, same schedule as the blocking version, but every send is
-  // posted up front and every receive is returned pending: the caller's
-  // compute between this post and the wait_all is the overlap window.
-  std::vector<Request> pending;
-  pending.reserve(static_cast<std::size_t>(P > 0 ? P - 1 : 0));
-  for (int stage = 1; stage < P; ++stage) {
-    const int dest = (rank_ + stage) % P;
-    const int src = (rank_ - stage + P) % P;
-    const std::uint64_t send_begin = send_offsets[static_cast<std::size_t>(dest)];
-    const std::uint64_t send_len = send_offsets[static_cast<std::size_t>(dest) + 1] - send_begin;
-    isend(dest, tag + stage, sbytes + send_begin, send_len);
-    const std::uint64_t recv_begin = recv_offsets[static_cast<std::size_t>(src)];
-    const std::uint64_t recv_len = recv_offsets[static_cast<std::size_t>(src) + 1] - recv_begin;
-    pending.push_back(irecv(src, tag + stage, rbytes + recv_begin, recv_len));
-  }
-  return pending;
-}
-
 void Comm::recv(int src, int tag, void* data, std::size_t bytes) {
   World::Message msg = world_->take(src, rank_, tag);
   if (msg.payload.size() != bytes)
@@ -465,31 +357,6 @@ void Comm::scatterv(const void* sendbuf, std::span<const std::uint64_t> offsets,
   }
 }
 
-void Comm::gather(const void* data, std::size_t bytes, void* out, int root) {
-  constexpr int kGatherTag = -434343;
-  if (rank_ == root) {
-    auto* dst = static_cast<std::byte*>(out);
-    std::memcpy(dst + static_cast<std::size_t>(root) * bytes, data, bytes);
-    for (int r = 0; r < size(); ++r) {
-      if (r != root) recv(r, kGatherTag, dst + static_cast<std::size_t>(r) * bytes, bytes);
-    }
-  } else {
-    send(root, kGatherTag, data, bytes);
-  }
-}
-
-std::uint64_t Comm::allreduce_sum(std::uint64_t value) {
-  if (size() == 1) return value;
-  std::vector<std::uint64_t> all(static_cast<std::size_t>(size()), 0);
-  gather(&value, sizeof(value), all.data(), 0);
-  std::uint64_t total = 0;
-  if (rank_ == 0) {
-    for (std::uint64_t v : all) total += v;
-  }
-  broadcast(&total, sizeof(total), 0);
-  return total;
-}
-
 void Comm::alltoallv_staged(const void* sendbuf, std::span<const std::uint64_t> send_offsets,
                             void* recvbuf, std::span<const std::uint64_t> recv_offsets,
                             int tag) {
@@ -526,8 +393,6 @@ void Comm::alltoallv_staged(const void* sendbuf, std::span<const std::uint64_t> 
   }
 }
 
-double Comm::simulated_comm_seconds() const { return world_->simulated_comm_seconds(rank_); }
-
 double World::simulated_comm_seconds(int rank) const {
   util::MutexLock lock(cost_mutex_);
   return sim_comm_seconds_[static_cast<std::size_t>(rank)];
@@ -538,14 +403,6 @@ double World::max_simulated_comm_seconds() const {
   double mx = 0.0;
   for (double v : sim_comm_seconds_) mx = std::max(mx, v);
   return mx;
-}
-
-void World::reset_cost_model() {
-  util::MutexLock lock(cost_mutex_);
-  for (auto& v : sim_comm_seconds_) v = 0.0;
-  for (auto& v : traffic_bytes_) v = 0;
-  for (auto& v : traffic_msgs_) v = 0;
-  message_count_ = 0;
 }
 
 std::vector<std::uint64_t> World::traffic_matrix() const {

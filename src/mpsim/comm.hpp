@@ -2,12 +2,15 @@
 //
 // METAPREP uses MPI for distributed memory parallelism (1 task per node) and
 // OpenMP within a task.  This container has no MPI and no network, so we run
-// each "rank" on its own thread with mailbox-based point-to-point messages
-// and the collectives the pipeline needs (barrier, broadcast, gather).  The
-// pipeline code is written against this interface exactly as it would be
-// against MPI: ranks own disjoint state, exchange k-mer tuples through the
-// paper's custom P-stage All-to-all (§3.3: "In stage i, task p sends tuples
-// to task (p+i) mod P"), and merge components pairwise over ⌈log P⌉ rounds.
+// each "rank" on its own thread.  There is one message model: blocking,
+// buffered point-to-point (send copies the payload into the destination
+// mailbox and returns; recv blocks until its (src, tag) message is there),
+// plus the collectives the pipeline and its benchmarks call (barrier,
+// broadcast, scatterv and the staged all-to-all).  The pipeline code is
+// written against this interface exactly as it would be against MPI: ranks
+// own disjoint state, exchange k-mer tuples through the paper's custom
+// P-stage All-to-all (§3.3: "In stage i, task p sends tuples to task (p+i)
+// mod P"), and merge components pairwise over ⌈log P⌉ rounds.
 //
 // A CostModel accumulates *simulated* interconnect seconds per rank
 // (latency + bytes / link bandwidth, defaults from the paper's Edison
@@ -18,7 +21,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <functional>
 #include <map>
@@ -43,36 +45,6 @@ struct CostModelParams {
 };
 
 class World;
-class Comm;
-
-/// Handle for a non-blocking operation, completed by Comm::wait/wait_all.
-///
-/// Send requests follow MPI buffered-send semantics: the payload is copied
-/// into the destination mailbox before isend returns, so the request is
-/// already complete and the caller may reuse (or release to the BufferPool)
-/// the send buffer immediately.  Receive requests record where the message
-/// must land; the mailbox take + copy happens inside wait.  Requests are
-/// movable, single-use, and must be completed on the rank that posted them.
-class Request {
- public:
-  Request() = default;
-  [[nodiscard]] bool done() const noexcept { return kind_ == Kind::kNone || done_; }
-
- private:
-  friend class Comm;
-  enum class Kind { kNone, kSend, kRecv };
-  Kind kind_ = Kind::kNone;
-  int peer_ = -1;
-  int tag_ = 0;
-  void* data_ = nullptr;
-  std::size_t bytes_ = 0;
-  bool done_ = true;
-  // Protocol-checker bookkeeping (src/check): whether a wait already
-  // consumed this request, and its posting index within the (rank, src,
-  // tag) irecv stream.  Dead weight when checking is off.
-  bool waited_ = false;
-  std::uint64_t post_seq_ = 0;
-};
 
 /// Per-rank communicator handle, valid only inside World::run.
 class Comm {
@@ -81,7 +53,10 @@ class Comm {
   [[nodiscard]] int size() const noexcept;
 
   /// Blocking-send semantics of a buffered MPI send: copies @p bytes into
-  /// the destination mailbox and returns immediately.
+  /// the destination mailbox and returns immediately, so the caller may
+  /// reuse or release the send buffer at once.  Messages from one rank to
+  /// one (dest, tag) arrive in send order.  A delivery the FaultPlan drops
+  /// is retransmitted before send returns and never enqueues twice.
   void send(int dest, int tag, const void* data, std::size_t bytes);
 
   /// Blocking receive of the message (src, tag).  Message sizes are always
@@ -92,58 +67,11 @@ class Comm {
   /// Receive without a size expectation (returns the payload).
   std::vector<std::byte> recv_any_size(int src, int tag);
 
-  /// Non-blocking send (MPI_Ibsend semantics): the payload is copied into
-  /// the destination mailbox — through the same fault-injection/retry path
-  /// as send(), so a dropped delivery is retransmitted before the post
-  /// returns and can never enqueue twice — and the returned request is
-  /// already complete.  Messages from one rank to one (dest, tag) mailbox
-  /// key arrive in posting order, exactly like send().
-  Request isend(int dest, int tag, const void* data, std::size_t bytes);
-
-  /// Non-blocking receive: registers the expectation that (src, tag) will
-  /// deliver exactly @p bytes into @p data.  May be posted before the
-  /// matching isend exists.  @p data must stay valid until wait; the copy
-  /// happens there.  Matching against the mailbox is in wait order, so
-  /// waiting requests in posting order preserves per-(src, tag) FIFO.
-  Request irecv(int src, int tag, void* data, std::size_t bytes);
-
-  /// Complete one request (blocks for pending receives; no-op when done).
-  /// Under check::enabled(), re-waiting a receive request that a previous
-  /// wait already completed raises a kDoubleWait violation.
-  void wait(Request& request);
-
-  /// Complete requests in index order (see irecv on why order matters).
-  void wait_all(std::span<Request> requests);
-
-  /// Async form of alltoallv_staged: the local block is copied inline and
-  /// every stage's send is posted (buffered) before return; the returned
-  /// requests — the P-1 stage receives — complete in wait_all.  Same
-  /// offsets contract and identical CostModel accounting per message as the
-  /// blocking version; only the completion point moves, which is what lets
-  /// the caller overlap the next pass's KmerGen with this exchange.
-  [[nodiscard]] std::vector<Request> ialltoallv_staged(
-      const void* sendbuf, std::span<const std::uint64_t> send_offsets, void* recvbuf,
-      std::span<const std::uint64_t> recv_offsets, int tag);
-
-  template <typename T>
-  void send_span(int dest, int tag, std::span<const T> data) {
-    send(dest, tag, data.data(), data.size_bytes());
-  }
-
-  template <typename T>
-  void recv_span(int src, int tag, std::span<T> data) {
-    recv(src, tag, data.data(), data.size_bytes());
-  }
-
   /// Sense-reversing barrier over all ranks.
   void barrier();
 
   /// Broadcast @p bytes from @p root into every rank's @p data.
   void broadcast(void* data, std::size_t bytes, int root);
-
-  /// Gather @p bytes from every rank into @p out on @p root (rank-major
-  /// order, P * bytes total).  @p out may be null on non-root ranks.
-  void gather(const void* data, std::size_t bytes, void* out, int root);
 
   /// Scatter per-rank slices of @p root's buffer: rank q receives the byte
   /// range [offsets[q], offsets[q] + lengths[q]) of @p sendbuf into its
@@ -158,9 +86,6 @@ class Comm {
   void scatterv(const void* sendbuf, std::span<const std::uint64_t> offsets,
                 std::span<const std::uint64_t> lengths, void* recvbuf, int root);
 
-  /// Sum a 64-bit value across all ranks; every rank receives the total.
-  std::uint64_t allreduce_sum(std::uint64_t value);
-
   /// The paper's custom staged All-to-all (§3.3).  Rank p's send buffer
   /// holds the block for destination d at byte range
   /// [send_offsets[d], send_offsets[d+1]); the block from source s is
@@ -169,9 +94,6 @@ class Comm {
   /// how METAPREP avoids MPI_Alltoallv's 32-bit count limitation.
   void alltoallv_staged(const void* sendbuf, std::span<const std::uint64_t> send_offsets,
                         void* recvbuf, std::span<const std::uint64_t> recv_offsets, int tag);
-
-  /// Simulated interconnect seconds accumulated by this rank so far.
-  [[nodiscard]] double simulated_comm_seconds() const;
 
  private:
   friend class World;
@@ -199,7 +121,6 @@ class World {
   /// Max over ranks of simulated comm seconds recorded so far.
   [[nodiscard]] double max_simulated_comm_seconds() const;
   [[nodiscard]] double simulated_comm_seconds(int rank) const;
-  void reset_cost_model();
 
   /// Traffic matrix: bytes shipped from src to dest over the lifetime of
   /// this world (self-sends excluded; row-major P x P).  Lets the exchange
@@ -210,13 +131,6 @@ class World {
   [[nodiscard]] std::vector<std::uint64_t> message_matrix() const;
   [[nodiscard]] std::uint64_t total_traffic_bytes() const;
   [[nodiscard]] std::uint64_t message_count() const;
-
-  /// Async requests posted but not yet completed, world-wide right now (0
-  /// between balanced post/wait phases).  The high-water mark is mirrored
-  /// into the `mpsim.async_inflight` gauge.
-  [[nodiscard]] std::int64_t async_inflight() const noexcept {
-    return async_inflight_.load(std::memory_order_relaxed);
-  }
 
  private:
   friend class Comm;
@@ -247,8 +161,6 @@ class World {
   void deliver(int src, int dest, int tag, const void* data, std::size_t bytes);
   Message take(int src, int dest, int tag);
   void poison_all();
-  void note_async_posted();
-  void note_async_completed() noexcept;
 
   /// Non-blocking probe: does dest's mailbox hold a (src, tag) message right
   /// now?  Returns true on lock contention (conservative: "may have one"),
@@ -270,7 +182,6 @@ class World {
   /// P x P, row-major (src, dest).
   std::vector<std::uint64_t> traffic_msgs_ GUARDED_BY(cost_mutex_);
   std::uint64_t message_count_ GUARDED_BY(cost_mutex_) = 0;
-  std::atomic<std::int64_t> async_inflight_{0};
   std::atomic<std::uint64_t> next_flow_id_{1};  ///< trace flow ids (never 0)
 
   // Barrier state.

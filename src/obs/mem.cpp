@@ -6,15 +6,6 @@ namespace metaprep::obs {
 
 namespace {
 
-/// Thread-local MemScope tag stack.  Plain array: scopes are strictly
-/// nested (RAII), so push/pop at the top is enough.
-struct TagStack {
-  const char* tags[MemScope::kMaxDepth] = {};
-  int depth = 0;
-};
-
-thread_local TagStack tag_stack;
-
 /// Calling thread's registry override; nullptr = inherit the global default.
 thread_local MemRegistry* tls_current = nullptr;
 
@@ -53,14 +44,6 @@ void MemRegistry::credit(const char* subsystem, std::uint64_t bytes) {
   usage_[subsystem].current -= static_cast<std::int64_t>(bytes);
 }
 
-void MemRegistry::set_current(const char* subsystem, std::uint64_t bytes) {
-  if (!enabled()) return;
-  util::WriterLock lock(mutex_);
-  MemUsage& u = usage_[subsystem];
-  u.current = static_cast<std::int64_t>(bytes);
-  u.high_water = std::max(u.high_water, u.current);
-}
-
 std::vector<std::pair<std::string, MemUsage>> MemRegistry::snapshot() const {
   util::ReaderLock lock(mutex_);
   std::vector<std::pair<std::string, MemUsage>> out;
@@ -76,21 +59,6 @@ std::vector<std::pair<std::string, MemUsage>> MemRegistry::snapshot() const {
 void MemRegistry::reset() {
   util::WriterLock lock(mutex_);
   usage_.clear();
-}
-
-MemScope::MemScope(const char* subsystem) noexcept {
-  if (tag_stack.depth < kMaxDepth) {
-    tag_stack.tags[tag_stack.depth++] = subsystem;
-    pushed_ = true;
-  }
-}
-
-MemScope::~MemScope() {
-  if (pushed_) --tag_stack.depth;
-}
-
-const char* MemScope::current(const char* fallback) noexcept {
-  return tag_stack.depth > 0 ? tag_stack.tags[tag_stack.depth - 1] : fallback;
 }
 
 }  // namespace metaprep::obs

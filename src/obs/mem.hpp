@@ -2,17 +2,12 @@
 //
 // The memory model (core/memory_model) *predicts* bytes per structure; this
 // registry *measures* them: instrumented allocation sites charge/credit a
-// named subsystem ("tuples", "dsu", "sort", "io", "pool", ...) and the
-// registry keeps a current count plus a high-water mark per name.  The
-// attribution report reconciles the high-water marks against the model's
-// prediction so the predicted-vs-actual delta becomes a printed number.
-//
-// Two tagging styles:
-//  - explicit: mem_charge("dsu", bytes) / mem_credit("dsu", bytes) at sites
-//    that know what they are (DSU parent arrays, radix count tables);
-//  - scoped:   MemScope("tuples") pushes a thread-local subsystem tag so a
-//    *generic* allocator below (the buffer pool) can attribute the bytes it
-//    hands out to its caller via MemScope::current().
+// named subsystem ("tuples", "dsu", "sort", "io", ...) and the registry
+// keeps a current count plus a high-water mark per name.  The attribution
+// report reconciles the high-water marks against the model's prediction so
+// the predicted-vs-actual delta becomes a printed number.  Every site names
+// its own subsystem: mem_charge("dsu", bytes) / mem_credit("dsu", bytes),
+// or a scoped MemCharge.
 //
 // Cost discipline mirrors src/check and the tracer: when the registry is
 // disabled (the default), every charge/credit is one relaxed atomic load and
@@ -71,10 +66,6 @@ class MemRegistry {
   /// snapshot clamps high_water at >= 0, which is what reports consume).
   void credit(const char* subsystem, std::uint64_t bytes);
 
-  /// Overwrite @p subsystem's current count (for externally-tracked pools
-  /// that already know their exact byte total).  No-op when disabled.
-  void set_current(const char* subsystem, std::uint64_t bytes);
-
   /// Per-subsystem usage, sorted by name.  Takes the reader side of the
   /// registry lock, so a live snapshot never blocks concurrent snapshots —
   /// charge/credit writers still serialise against it.
@@ -105,30 +96,6 @@ inline void mem_credit(const char* subsystem, std::uint64_t bytes) {
   MemRegistry& r = MemRegistry::current();
   if (r.enabled()) r.credit(subsystem, bytes);
 }
-inline void mem_set_current(const char* subsystem, std::uint64_t bytes) {
-  MemRegistry& r = MemRegistry::current();
-  if (r.enabled()) r.set_current(subsystem, bytes);
-}
-
-/// RAII subsystem tag: while alive, MemScope::current() on this thread
-/// returns the innermost scope's name, letting generic allocators attribute
-/// bytes to their caller.  Nesting is bounded (kMaxDepth); overflow keeps
-/// the outer tag.
-class MemScope {
- public:
-  static constexpr int kMaxDepth = 8;
-
-  explicit MemScope(const char* subsystem) noexcept;
-  MemScope(const MemScope&) = delete;
-  MemScope& operator=(const MemScope&) = delete;
-  ~MemScope();
-
-  /// Innermost tag on the calling thread, or @p fallback when untagged.
-  [[nodiscard]] static const char* current(const char* fallback) noexcept;
-
- private:
-  bool pushed_ = false;
-};
 
 /// RAII charge: charges @p bytes to @p subsystem on construction, credits
 /// the same amount on destruction.  Both the registry and the charge/credit

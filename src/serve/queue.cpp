@@ -70,9 +70,6 @@ std::uint64_t JobQueue::submit(JobSpec spec) {
     throw util::config_error(msg.str());
   }
 
-  spec.config.buffer_pool =
-      options_.buffer_pool != nullptr ? options_.buffer_pool : &util::BufferPool::global();
-
   util::MutexLock lock(mutex_);
   if (stop_) throw util::config_error("submit: queue is shut down");
   const std::uint64_t id = next_id_++;

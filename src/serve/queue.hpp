@@ -4,9 +4,9 @@
 // one at a time on a dedicated worker thread, ordered by priority (higher
 // first) then FIFO within a priority.  Every job runs inside its own
 // PipelineSession, so its trace/metrics/memory state is disjoint from every
-// other job's and lands in per-job files scoped by job id; all jobs lease
-// tuple buffers from one shared BufferPool so consecutive jobs recycle each
-// other's allocations.
+// other job's and lands in per-job files scoped by job id.  Each job's
+// ranks own their tuple arrays (core::TupleArena) for that job only, so a
+// finished job leaves no arrays resident outside the admission budget.
 //
 // Admission control (paper §3.7): at submit time the per-task memory model
 // is evaluated for the job's configuration; when a budget is configured and
@@ -17,7 +17,7 @@
 //
 // Cancellation: a queued job is unlinked immediately; a running job's
 // session token is flipped and the pipeline unwinds cooperatively at the
-// next pass/chunk boundary, returning every pool lease.  The worker thread
+// next pass/chunk boundary, freeing every tuple array.  The worker thread
 // survives cancelled and failed jobs alike.
 #pragma once
 
@@ -35,7 +35,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/session.hpp"
-#include "util/buffer_pool.hpp"
 #include "util/sync.hpp"
 
 namespace metaprep::serve {
@@ -79,8 +78,6 @@ struct JobQueueOptions {
   int max_threads = 0;
   /// Directory for per-job trace/metrics artifacts (created on demand).
   std::string job_dir = ".";
-  /// Pool every job leases from; null = the process-global pool.
-  util::BufferPool* buffer_pool = nullptr;
 };
 
 class JobQueue {
@@ -136,13 +133,11 @@ class JobQueue {
 
   JobQueueOptions options_;
   /// Outermost lock in the declared global order (see util/sync.hpp): while
-  /// a job runs, the worker publishes into the session registries and leases
-  /// from the shared BufferPool, so those capabilities are only ever taken
-  /// after (never around) this one.
+  /// a job runs, the worker publishes into the session registries, so those
+  /// capabilities are only ever taken after (never around) this one.
   mutable util::Mutex mutex_ ACQUIRED_BEFORE(obs::TraceSession::global().mu(),
                                              obs::MetricsRegistry::global().mu(),
-                                             obs::MemRegistry::global().mu(),
-                                             util::BufferPool::global().mu());
+                                             obs::MemRegistry::global().mu());
   util::CondVar cv_work_;          ///< submit/resume/shutdown -> worker
   mutable util::CondVar cv_done_;  ///< job reached terminal state
   std::map<std::uint64_t, Job> jobs_ GUARDED_BY(mutex_);

@@ -13,9 +13,9 @@
 //
 // Cancellation is cooperative: cancel() flips the token, the pipeline polls
 // it at pass/chunk boundaries, and the run unwinds with a typed
-// util::Error (ErrorCategory::kCancelled) after returning every BufferPool
-// lease.  cancel() is safe from any thread, including while run() is
-// executing on another.
+// util::Error (ErrorCategory::kCancelled); each rank's TupleArena frees its
+// tuple arrays as the run unwinds.  cancel() is safe from any thread,
+// including while run() is executing on another.
 #pragma once
 
 #include <atomic>
@@ -38,8 +38,7 @@ class PipelineSession {
   /// Run the pipeline with this session's observability instances and
   /// cancel token installed.  The config is taken by value: the session
   /// fields (trace_session, metrics_registry, mem_registry, cancel_token)
-  /// are overwritten; everything else — including buffer_pool, which the
-  /// daemon points at a shared pool — passes through untouched.  Throws
+  /// are overwritten; everything else passes through untouched.  Throws
   /// util::Error (kCancelled) if cancel() was observed mid-run, and
   /// config_error if this session is already running (one run at a time
   /// per session; make another session for a concurrent run).

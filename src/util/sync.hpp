@@ -14,7 +14,6 @@
 ///   serve::JobQueue::mutex_
 ///     > session-registry mutexes (obs::TraceSession / obs::MetricsRegistry /
 ///       obs::MemRegistry)
-///     > util::BufferPool::mutex_            (leaf: no locks taken under it)
 ///
 /// The order is declared structurally with ACQUIRED_BEFORE / ACQUIRED_AFTER
 /// at the mutex declarations (enforced under -Wthread-safety-beta; plain

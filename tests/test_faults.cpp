@@ -419,62 +419,40 @@ TEST(FaultPipeline, CorruptChunksLenientModeCompletesWithCountedSkips) {
   d.config.parse_mode = io::ParseMode::kLenient;
   obs::metrics().set_enabled(true);
   obs::Counter& skipped = obs::metrics().counter("io.records_skipped");
-  const std::uint64_t skipped_before = skipped.value();
 
-  FaultPlanConfig cfg;
-  // The corruption draw hashes (seed, path, offset) and TempDir randomizes
-  // the path, so the hit count varies run to run; at 0.5 a ~6-site dataset
-  // rolls zero corruptions in ~2% of runs.  0.95 keeps the assertion below
-  // meaningful while making an all-miss run (0.05^6) effectively impossible.
-  cfg.corrupt_rate = 0.95;
-  cfg.seed = 5;
-  ScopedFaultPlan scoped(cfg);
-  const auto result = core::run_metaprep(d.index, d.config);
+  // The packed store's ingest reads every chunk through the same faulty
+  // read path as the text store's per-pass scans.
+  for (const core::ReadStore store : {core::ReadStore::kText, core::ReadStore::kPacked}) {
+    SCOPED_TRACE(store == core::ReadStore::kText ? "text" : "packed");
+    d.config.read_store = store;
+    const std::uint64_t skipped_before = skipped.value();
+    FaultPlanConfig cfg;
+    // The corruption draw hashes (seed, path, offset) and TempDir randomizes
+    // the path, so the hit count varies run to run; at 0.5 a ~6-site dataset
+    // rolls zero corruptions in ~2% of runs.  0.95 keeps the assertion below
+    // meaningful while making an all-miss run (0.05^6) effectively impossible.
+    cfg.corrupt_rate = 0.95;
+    cfg.seed = 5;
+    ScopedFaultPlan scoped(cfg);
+    const auto result = core::run_metaprep(d.index, d.config);
+
+    const auto fc = FaultPlan::global().counters();
+    EXPECT_GT(fc.chunks_corrupted, 0u);
+    // Each corrupted buffer read loses exactly one record to resync, so the
+    // skip metric equals the injected corruption count.
+    EXPECT_EQ(skipped.value() - skipped_before, fc.chunks_corrupted);
+    // Degraded but labeled: the run completes with every read labeled.
+    EXPECT_EQ(result.num_reads, d.index.total_reads);
+    EXPECT_EQ(result.labels.size(), d.index.total_reads);
+  }
   obs::metrics().set_enabled(false);
-
-  const auto fc = FaultPlan::global().counters();
-  EXPECT_GT(fc.chunks_corrupted, 0u);
-  // Each corrupted buffer read loses exactly one record to resync, so the
-  // skip metric equals the injected corruption count.
-  EXPECT_EQ(skipped.value() - skipped_before, fc.chunks_corrupted);
-  // Degraded but labeled: the run completes with every read labeled.
-  EXPECT_EQ(result.num_reads, d.index.total_reads);
-  EXPECT_EQ(result.labels.size(), d.index.total_reads);
 }
 
-TEST(FaultPipeline, LenientSkipsDoNotDriftOutputLabels) {
-  // Regression: in lenient mode the CC-I/O writers derive each record's read
-  // ID from a cursor that starts at the chunk's first_read_id.  The chunk
-  // table counted every record — including ones the parser later abandons —
-  // so a resynchronization must advance the cursor too.  Before the
-  // ParseOptions::on_skip hook, every record after a skip inherited its
-  // predecessor's ID and was routed to the wrong output file.
-  //
-  // Reads alternate between two k-mer-disjoint families, so an off-by-one
-  // read ID lands in the *other* family's component and the misrouting is
-  // visible in the partitioned output.
-  TempDir dir;
-  std::vector<std::string> reads;
-  for (int i = 0; i < 12; ++i) {
-    reads.push_back(i % 2 == 0 ? "ACGTACGTACGTACGTACGTACGT" : "TTGGCCAATTGGCCAATTGGCCAA");
-  }
-  for (int i = 0; i < 10; ++i) reads.push_back("ACGTACGTACGTACGTACGTACGT");
-  test::write_fastq(dir.file("reads.fastq"), reads);
-  core::IndexCreateOptions opt;
-  opt.k = 15;
-  opt.m = 4;
-  opt.target_chunks = 6;
-  const auto index = core::create_index("drift", {dir.file("reads.fastq")}, false, opt);
-
-  core::MetaprepConfig cfg;
-  cfg.k = opt.k;
-  cfg.num_ranks = 2;
-  cfg.threads_per_rank = 2;
-  cfg.num_passes = 2;
-  cfg.parse_mode = io::ParseMode::kLenient;
-  cfg.write_output = true;
-  cfg.output_dir = dir.str();
-
+/// The body of LenientSkipsDoNotDriftOutputLabels for one configuration:
+/// every chunk read loses one record, and both the partition and each
+/// surviving record's output file must agree with the oracle over the
+/// degraded input.
+void expect_no_label_drift(const core::DatasetIndex& index, const core::MetaprepConfig& cfg) {
   FaultPlanConfig fp;
   fp.corrupt_rate = 1.0;  // every chunk read loses exactly one record
   fp.seed = 11;
@@ -485,6 +463,7 @@ TEST(FaultPipeline, LenientSkipsDoNotDriftOutputLabels) {
   const auto oracle = core::reference_components(index, cfg.filter, cfg.parse_mode);
   const auto result = core::run_metaprep(index, cfg);
   ASSERT_GT(FaultPlan::global().counters().chunks_corrupted, 0u);
+  EXPECT_EQ(test::normalize_partition(result.labels), test::normalize_partition(oracle));
 
   std::map<std::uint32_t, std::uint64_t> oracle_sizes;
   for (auto l : oracle) ++oracle_sizes[l];
@@ -515,6 +494,48 @@ TEST(FaultPipeline, LenientSkipsDoNotDriftOutputLabels) {
   // CC-I/O reads each chunk once and each corrupted read loses exactly one
   // record, so the output holds all reads minus one per chunk.
   EXPECT_EQ(checked, index.total_reads - index.part.num_chunks());
+}
+
+TEST(FaultPipeline, LenientSkipsDoNotDriftOutputLabels) {
+  // Regression: in lenient mode the CC-I/O writers derive each record's read
+  // ID from a cursor that starts at the chunk's first_read_id.  The chunk
+  // table counted every record — including ones the parser later abandons —
+  // so a resynchronization must advance the cursor too.  Before the
+  // ParseOptions::on_skip hook, every record after a skip inherited its
+  // predecessor's ID and was routed to the wrong output file.
+  //
+  // Reads alternate between two k-mer-disjoint families, so an off-by-one
+  // read ID lands in the *other* family's component and the misrouting is
+  // visible in the partitioned output.
+  TempDir dir;
+  std::vector<std::string> reads;
+  for (int i = 0; i < 12; ++i) {
+    reads.push_back(i % 2 == 0 ? "ACGTACGTACGTACGTACGTACGT" : "TTGGCCAATTGGCCAATTGGCCAA");
+  }
+  for (int i = 0; i < 10; ++i) reads.push_back("ACGTACGTACGTACGTACGTACGT");
+  test::write_fastq(dir.file("reads.fastq"), reads);
+  core::IndexCreateOptions opt;
+  opt.k = 15;
+  opt.m = 4;
+  opt.target_chunks = 6;
+  const auto index = core::create_index("drift", {dir.file("reads.fastq")}, false, opt);
+
+  // Both read stores: the packed ingest must drop the same records as the
+  // text scans and CC-I/O, or KmerGen and the output see different inputs.
+  for (const core::ReadStore store : {core::ReadStore::kText, core::ReadStore::kPacked}) {
+    SCOPED_TRACE(store == core::ReadStore::kText ? "text" : "packed");
+    TempDir out;
+    core::MetaprepConfig cfg;
+    cfg.k = opt.k;
+    cfg.num_ranks = 2;
+    cfg.threads_per_rank = 2;
+    cfg.num_passes = 2;
+    cfg.parse_mode = io::ParseMode::kLenient;
+    cfg.read_store = store;
+    cfg.write_output = true;
+    cfg.output_dir = out.str();
+    expect_no_label_drift(index, cfg);
+  }
 }
 
 TEST(FaultPipeline, CommDropsAndDelaysDoNotChangeResults) {

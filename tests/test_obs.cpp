@@ -27,7 +27,6 @@
 #include "obs/trace.hpp"
 #include "sim/read_sim.hpp"
 #include "test_support.hpp"
-#include "util/buffer_pool.hpp"
 #include "util/thread_team.hpp"
 
 namespace metaprep::obs {
@@ -506,46 +505,6 @@ TEST(Trace, NowUsIsRaceFreeAgainstConcurrentClear) {
   done = true;
   for (auto& th : readers) th.join();
   EXPECT_EQ(bogus.load(), 0);
-}
-
-// Regression: BufferPool used to publish its gauges *while holding* its own
-// mutex, taking the metrics/mem registry locks under the pool lock — an
-// inversion of the declared order (registries before pool; the pool is a
-// leaf).  publish_gauges() now runs after the pool lock drops; exercising
-// pool traffic against concurrent registry exports lets the TSan leg prove
-// the inversion stays gone.
-TEST(BufferPool, GaugePublishDoesNotInvertRegistryLockOrder) {
-  MetricsEnabledGuard guard(true);
-  MemRegistry::global().set_enabled(true);
-  util::BufferPool pool;
-  std::atomic<bool> done{false};
-  std::thread exporter([&] {
-    while (!done.load(std::memory_order_relaxed)) {
-      (void)metrics().to_jsonl();
-      (void)MemRegistry::global().snapshot();
-    }
-  });
-  std::thread prober([&] {
-    while (!done.load(std::memory_order_relaxed)) {
-      (void)pool.bytes_held();
-      (void)pool.reuse_hits();
-      (void)pool.buffers_held();
-    }
-  });
-  for (int i = 0; i < 500; ++i) {
-    auto a = pool.acquire_u64(1024);
-    auto b = pool.acquire_u32(2048);
-    pool.release(std::move(a));
-    pool.release(std::move(b));
-  }
-  done = true;
-  exporter.join();
-  prober.join();
-  MemRegistry::global().set_enabled(false);
-  EXPECT_GT(pool.reuse_hits(), 0u);
-  EXPECT_GT(pool.bytes_held(), 0u);
-  pool.trim();
-  EXPECT_EQ(pool.bytes_held(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 #include "test_support.hpp"
-#include "util/buffer_pool.hpp"
 #include "util/error.hpp"
 
 namespace metaprep::core {
@@ -215,38 +214,6 @@ TEST(Pipeline, SlotTableLimitIsCheckedUpFront) {
         EXPECT_EQ(e.category(), util::ErrorCategory::kConfig) << e.what();
         EXPECT_NE(std::string(e.what()).find("slot table"), std::string::npos) << e.what();
       }
-    }
-  }
-}
-
-TEST(Pipeline, RanksNeverTradeBuffersThroughThePoolMidRun) {
-  // Ranks share one BufferPool.  Mid-run each rank recycles only its own
-  // buffers and takes fresh ones from the pool, so no rank is handed a
-  // buffer another rank let go of (which rank would get it depends on
-  // thread timing, and so would its page faults and the peak RSS).  From
-  // an empty pool a run therefore makes no reuse hit and leaves the same
-  // bytes behind every time.  Four passes over growing and shrinking pass
-  // sizes make every rank miss its spares at least once.
-  Fixture fixture(15, 400);
-  for (auto mode : {PipelineMode::kBarrier, PipelineMode::kOverlap}) {
-    for (auto compress : {CommCompress::kNone, CommCompress::kSuperKmer}) {
-      std::vector<std::uint64_t> held;
-      for (int rep = 0; rep < 3; ++rep) {
-        util::BufferPool pool;
-        auto cfg = base_config(15, fixture.dir.str());
-        cfg.num_ranks = 3;
-        cfg.threads_per_rank = 2;
-        cfg.num_passes = 4;
-        cfg.pipeline_mode = mode;
-        cfg.comm_compress = compress;
-        cfg.buffer_pool = &pool;
-        (void)run_metaprep(fixture.index, cfg);
-        EXPECT_EQ(pool.reuse_hits(), 0u) << "rep " << rep;
-        held.push_back(pool.bytes_held());
-      }
-      EXPECT_GT(held[0], 0u);
-      EXPECT_EQ(held[1], held[0]);
-      EXPECT_EQ(held[2], held[0]);
     }
   }
 }

@@ -1,6 +1,6 @@
 // Service-layer tests: re-entrant PipelineSessions (disjoint per-session
 // observability, explicit idempotent trace flush, env-override precedence),
-// cooperative cancellation with a drained BufferPool, and the metaprepd
+// cooperative cancellation that frees every tuple array, and the metaprepd
 // job queue / wire protocol.
 #include "serve/daemon.hpp"
 
@@ -20,12 +20,12 @@
 #include "core/memory_model.hpp"
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
+#include "obs/mem.hpp"
 #include "serve/proto.hpp"
 #include "serve/queue.hpp"
 #include "serve/session.hpp"
 #include "sim/read_sim.hpp"
 #include "test_support.hpp"
-#include "util/buffer_pool.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
@@ -184,8 +184,7 @@ TEST(ConcurrentSessions, OracleIdenticalPartitionsAndDisjointObs) {
   std::exception_ptr err_a;
   std::exception_ptr err_b;
 
-  // Different presets on purpose: one barrier, one overlap (the overlap
-  // scheduler leases from the shared global BufferPool underneath both).
+  // Different presets on purpose: one barrier, one overlap.
   std::thread ta([&] {
     try {
       core::MetaprepConfig cfg = fx_a.config();
@@ -233,7 +232,7 @@ TEST(ConcurrentSessions, OracleIdenticalPartitionsAndDisjointObs) {
   EXPECT_FALSE(util::parse_jsonl_file(out.file("b.metrics.jsonl")).empty());
 }
 
-// ---- Satellite: cancellation returns every BufferPool lease. ----
+// ---- Cancellation frees every tuple array. ----
 
 TEST(Cancel, PreCancelledRunUnwindsTyped) {
   Fixture fx;
@@ -257,21 +256,29 @@ TEST(Cancel, PreCancelledRunUnwindsTyped) {
 
 TEST(Cancel, MidPassOverlapRunReturnsAllLeases) {
   Fixture fx(400, 31);
-  util::BufferPool pool;  // private pool: lease accounting starts at zero
-  // Checked mode tracks every lease and poison-scans on reuse; the thread
-  // override propagates to the rank/worker threads via SessionContext.
+  // Checked mode poisons every released tuple buffer and scans it on reuse;
+  // the thread override propagates to the rank/worker threads via
+  // SessionContext.
   const int prev_check = check::exchange_thread_override(1);
-  ASSERT_EQ(pool.outstanding_leases(), 0u);
+  auto tuples_usage = [](PipelineSession& session) {
+    for (const auto& [name, usage] : session.mem().snapshot()) {
+      if (name == "tuples") return usage;
+    }
+    return obs::MemUsage{};  // a cancel before the first lease charges nothing
+  };
+  auto overlap_config = [&fx](int passes) {
+    core::MetaprepConfig cfg = fx.config();
+    cfg.num_ranks = 2;
+    cfg.threads_per_rank = 2;
+    cfg.num_passes = passes;
+    cfg.pipeline_mode = core::PipelineMode::kOverlap;
+    return cfg;
+  };
 
   bool observed_cancel = false;
   for (int attempt = 0; attempt < 12 && !observed_cancel; ++attempt) {
     PipelineSession session;
-    core::MetaprepConfig cfg = fx.config();
-    cfg.num_ranks = 2;
-    cfg.threads_per_rank = 2;
-    cfg.num_passes = 4;
-    cfg.pipeline_mode = core::PipelineMode::kOverlap;
-    cfg.buffer_pool = &pool;
+    session.mem().set_enabled(true);
     // Fire the token from a racing thread; a later attempt fires later so
     // the cancel lands in different pipeline phases across attempts.
     std::thread killer([&session, attempt] {
@@ -279,28 +286,24 @@ TEST(Cancel, MidPassOverlapRunReturnsAllLeases) {
       session.cancel();
     });
     try {
-      session.run(fx.index, cfg);
+      session.run(fx.index, overlap_config(4));
     } catch (const util::Error& e) {
       ASSERT_EQ(e.category(), util::ErrorCategory::kCancelled) << e.what();
       observed_cancel = true;
     }
     killer.join();
-    // The hard invariant: cancelled or not, every lease came back.
-    EXPECT_EQ(pool.outstanding_leases(), 0u) << "attempt " << attempt;
+    // The hard invariant: cancelled or not, every tuple array was freed.
+    EXPECT_EQ(tuples_usage(session).current, 0) << "attempt " << attempt;
   }
   EXPECT_TRUE(observed_cancel) << "no attempt observed a mid-run cancel";
 
-  // Poison-scan proof: a full checked run on the same pool reuses the
-  // cancelled run's buffers and the scan finds no tampering.
+  // A full checked run afterwards: every reuse passes the poison scan, the
+  // arrays are freed at the end, and the partition matches the oracle.
   PipelineSession session;
-  core::MetaprepConfig cfg = fx.config();
-  cfg.num_ranks = 2;
-  cfg.threads_per_rank = 2;
-  cfg.num_passes = 2;
-  cfg.pipeline_mode = core::PipelineMode::kOverlap;
-  cfg.buffer_pool = &pool;
-  const auto result = session.run(fx.index, cfg);
-  EXPECT_EQ(pool.outstanding_leases(), 0u);
+  session.mem().set_enabled(true);
+  const auto result = session.run(fx.index, overlap_config(2));
+  EXPECT_GT(tuples_usage(session).high_water, 0);
+  EXPECT_EQ(tuples_usage(session).current, 0);
   EXPECT_EQ(test::normalize_partition(result.labels),
             test::normalize_partition(oracle(fx)));
   check::exchange_thread_override(prev_check);
