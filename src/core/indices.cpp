@@ -84,6 +84,14 @@ util::Error mer_hist_overflow() {
       "32-bit, so use a larger m (--m)");
 }
 
+util::Error chunk_overrun(const DatasetIndex& index, std::uint32_t c) {
+  const ChunkRecord& chunk = index.part.chunks[c];
+  return util::parse_error("chunk " + std::to_string(c) + " holds more records than the " +
+                               std::to_string(chunk.record_count) +
+                               " the index counted; the file changed after indexing",
+                           index.files[chunk.file], chunk.offset);
+}
+
 std::uint64_t DatasetIndex::max_chunk_bytes() const {
   std::uint64_t mx = 0;
   for (const auto& c : part.chunks) mx = std::max(mx, c.size);

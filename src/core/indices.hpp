@@ -171,28 +171,40 @@ struct DatasetIndex {
 /// Chunk @p c's bytes, read from its FASTQ file.
 std::vector<char> read_chunk(const DatasetIndex& index, std::uint32_t c);
 
+/// The parse util::Error for chunk @p c yielding more records (parsed or
+/// abandoned) than its record_count: its bytes changed after indexing.
+util::Error chunk_overrun(const DatasetIndex& index, std::uint32_t c);
+
 /// Parse chunk @p c of @p index out of @p text, the chunk's bytes as
 /// read_chunk returns them, calling
 /// on_record(read_id, id, seq, qual) per record.  This is where the index's
 /// read IDs meet the parser: IDs count up from the chunk's first_read_id,
-/// and a record the lenient parser abandons still takes its ID (on_skip is
-/// called with it), so every later record keeps the ID IndexCreate gave it.
-/// A strict-mode parse error names the chunk's file and the record's offset
-/// in that file.
+/// and a record the lenient parser abandons takes its ID, as it did when
+/// IndexCreate counted the chunk (on_skip is called with it), so every
+/// record keeps the ID IndexCreate gave it.  IDs stay inside the chunk's
+/// range: a chunk yielding more than record_count records and skips throws
+/// chunk_overrun before the out-of-range ID reaches a callback.  A
+/// strict-mode parse error names the chunk's file and the record's offset in
+/// that file.
 template <typename OnRecord>
 io::BufferParseStats for_each_chunk_record(
     const DatasetIndex& index, std::uint32_t c, std::span<const char> text, io::ParseMode mode,
     OnRecord&& on_record, const std::function<void(std::uint32_t)>& on_skip = {}) {
   const ChunkRecord& chunk = index.part.chunks[c];
+  const std::uint32_t end_id = chunk.first_read_id + chunk.record_count;
   std::uint32_t read_id = chunk.first_read_id;
+  const auto take_id = [&] {
+    if (read_id == end_id) throw chunk_overrun(index, c);
+    return read_id++;
+  };
   return io::for_each_record_in_buffer(
       std::string_view(text.data(), text.size()),
       [&](std::string_view id, std::string_view seq, std::string_view qual) {
-        on_record(read_id++, id, seq, qual);
+        on_record(take_id(), id, seq, qual);
       },
       io::ParseOptions{mode, index.files[chunk.file], chunk.offset, [&] {
-                         if (on_skip) on_skip(read_id);
-                         ++read_id;
+                         const std::uint32_t skipped = take_id();
+                         if (on_skip) on_skip(skipped);
                        }});
 }
 

@@ -52,6 +52,105 @@ bool plausible_sequence(std::string_view s) {
   return true;
 }
 
+// ---------------------------------------------------------------------------
+// The record grammar, written once as a resumable step over a byte window.
+// for_each_record_in_buffer runs it over a whole buffer (eof = true);
+// FastqReader runs it over its refill window, refilling on kMore.
+
+/// One step's outcome.  kSkip abandons the record starting at window offset
+/// `at`; kMore means the window ends inside a line that more input may
+/// extend (only when eof is false), and the cursor is where to resume.
+struct Step {
+  enum Kind { kRecord, kSkip, kEnd, kMore } kind;
+  std::string_view id{}, seq{}, qual{};  ///< kRecord: views into the window
+  const char* what = nullptr;      ///< kSkip: what was wrong
+  std::size_t at = 0;              ///< kSkip: the abandoned record's start
+};
+
+// read_line and scan_step are forced inline: they are the per-line and
+// per-record path of every chunk parse, and out of line they cost about a
+// third of for_each_record_in_buffer's throughput.
+
+/// The line starting at @p pos ('\r' stripped) and, in @p next, the start of
+/// the line after it.  False when the window holds no complete line there:
+/// @p pos is at the end of the input, or more input may extend the line.
+[[gnu::always_inline]] inline bool read_line(std::string_view w, bool eof, std::size_t pos,
+                                             std::string_view& line, std::size_t& next) {
+  if (pos >= w.size()) return false;
+  const char* begin = w.data() + pos;
+  const auto* nl = static_cast<const char*>(std::memchr(begin, '\n', w.size() - pos));
+  if (nl == nullptr && !eof) return false;
+  std::size_t len = nl == nullptr ? w.size() - pos : static_cast<std::size_t>(nl - begin);
+  next = pos + len + (nl == nullptr ? 0 : 1);
+  if (len > 0 && begin[len - 1] == '\r') --len;  // CRLF: '\r' counted, stripped
+  line = std::string_view(begin, len);
+  return true;
+}
+
+/// Parse the next record, or abandon one, from @p cur in window @p w.  A
+/// record is a '@' header, a sequence, a '+' separator and a quality line as
+/// long as the sequence; a lone blank last line ends the input.  After an
+/// abandoned record, lenient resynchronization scans for a '@' line followed
+/// by a plausible sequence and resumes there.
+[[gnu::always_inline]] inline Step scan_step(std::string_view w, bool eof,
+                                             detail::GrammarCursor& cur) {
+  const Step stop{eof ? Step::kEnd : Step::kMore};
+  std::string_view line, seq, qual;
+  std::size_t next = 0;
+  while (cur.resync) {
+    if (!read_line(w, eof, cur.pos, line, next)) return stop;
+    if (!line.empty() && line[0] == '@') {
+      std::size_t after = 0;
+      if (!read_line(w, eof, next, seq, after)) return stop;
+      if (plausible_sequence(seq)) {
+        cur.resync = false;
+        break;
+      }
+    }
+    cur.pos = next;  // a lookahead that failed is itself the next candidate
+  }
+  const std::size_t start = cur.pos;
+  const auto abandon = [&](const char* what, std::size_t resume, bool resync) {
+    cur = {resume, resync};
+    return Step{Step::kSkip, {}, {}, {}, what, start};
+  };
+  // At the end of the input a record is truncated: nothing follows it.
+  const auto truncated = [&](const char* what) {
+    return eof ? abandon(what, w.size(), false) : stop;
+  };
+  if (!read_line(w, eof, start, line, next)) return stop;
+  if (line.empty() || line[0] != '@') {
+    if (line.empty() && next == w.size()) {  // a lone blank last line
+      if (!eof) return stop;
+      cur.pos = next;
+      return Step{Step::kEnd};
+    }
+    return abandon("expected '@' header line", next, true);
+  }
+  const std::string_view header = line;
+  std::size_t pos = next;
+  if (!read_line(w, eof, pos, seq, next)) return truncated("truncated record (missing sequence)");
+  pos = next;
+  if (!read_line(w, eof, pos, line, next))
+    return truncated("truncated record (missing '+' separator)");
+  if (line.empty() || line[0] != '+') return abandon("expected '+' separator line", pos, true);
+  pos = next;
+  if (!read_line(w, eof, pos, qual, next)) return truncated("truncated record (missing quality)");
+  // The quality line may itself open the next record.
+  if (qual.size() != seq.size()) return abandon("quality length != sequence length", pos, true);
+  cur.pos = next;
+  return Step{Step::kRecord, header.substr(1), seq, qual};
+}
+
+/// A record the grammar abandoned, starting at @p offset of @p path: strict
+/// mode throws; lenient mode counts it and tells on_skip.
+void abandoned(const ParseOptions& options, const std::string& path, const char* what,
+               std::uint64_t offset) {
+  if (options.mode == ParseMode::kStrict) throw util::parse_error(what, path, offset);
+  skipped_counter().add(1);
+  if (options.on_skip) options.on_skip();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -67,131 +166,59 @@ FastqReader::~FastqReader() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
+// Keep the unparsed tail of the window (a record cut by the window's end),
+// moved to the front, and read more behind it.  A tail that fills the whole
+// window doubles it.
 void FastqReader::refill() {
-  buf_pos_ = 0;
-  buf_len_ = util::with_retries(
+  const std::size_t keep = buf_len_ - cursor_.pos;
+  std::memmove(buffer_.data(), buffer_.data() + cursor_.pos, keep);
+  buf_offset_ += cursor_.pos;
+  cursor_.pos = 0;
+  buf_len_ = keep;
+  if (buf_len_ == buffer_.size()) buffer_.resize(2 * buffer_.size());
+  const std::uint64_t stream_pos = buf_offset_ + buf_len_;  // file offset of the fread
+  const std::size_t got = util::with_retries(
       io_retry_policy(),
       [&]() -> std::size_t {
         util::FaultPlan& plan = util::FaultPlan::global();
-        if (plan.armed() && plan.inject_read_fault(path_, stream_pos_))
-          throw util::io_error("injected transient read fault", path_, stream_pos_, EINTR,
+        if (plan.armed() && plan.inject_read_fault(path_, stream_pos))
+          throw util::io_error("injected transient read fault", path_, stream_pos, EINTR,
                                /*transient=*/true);
-        const std::size_t n = std::fread(buffer_.data(), 1, buffer_.size(), file_);
+        const std::size_t n =
+            std::fread(buffer_.data() + buf_len_, 1, buffer_.size() - buf_len_, file_);
         if (n == 0 && std::ferror(file_) != 0) {
           const int err = errno;
           std::clearerr(file_);
-          throw util::io_error("read failed", path_, stream_pos_, err,
+          throw util::io_error("read failed", path_, stream_pos, err,
                                err == EINTR || err == EAGAIN);
         }
         return n;
       },
       count_retry);
-  stream_pos_ += buf_len_;
-  bytes_read_counter().add(buf_len_);
-}
-
-bool FastqReader::read_line_raw(std::string& line) {
-  line.clear();
-  std::uint64_t consumed = 0;
-  for (;;) {
-    if (buf_pos_ == buf_len_) {
-      refill();
-      if (buf_len_ == 0) {
-        if (consumed == 0) return false;  // clean EOF
-        break;                            // final line without trailing newline
-      }
-    }
-    const char* start = buffer_.data() + buf_pos_;
-    const char* nl = static_cast<const char*>(std::memchr(start, '\n', buf_len_ - buf_pos_));
-    if (nl == nullptr) {
-      line.append(start, buf_len_ - buf_pos_);
-      consumed += buf_len_ - buf_pos_;
-      buf_pos_ = buf_len_;
-      continue;
-    }
-    const std::size_t len = static_cast<std::size_t>(nl - start);
-    line.append(start, len);
-    consumed += len + 1;  // line + newline, counted exactly
-    buf_pos_ += len + 1;
-    break;
-  }
-  if (!line.empty() && line.back() == '\r') line.pop_back();  // CRLF: '\r' counted, stripped
-  offset_ += consumed;
-  return true;
-}
-
-bool FastqReader::next_line(std::string& line) {
-  if (have_pending_) {
-    line = std::move(pending_line_);
-    have_pending_ = false;
-    return true;  // bytes were accounted when the line was first read
-  }
-  return read_line_raw(line);
-}
-
-void FastqReader::malformed(const char* what, std::uint64_t at) {
-  if (options_.mode == ParseMode::kStrict) throw util::parse_error(what, path_, at);
-  ++skipped_;
-  skipped_counter().add(1);
-}
-
-// Lenient resynchronization: starting from @p line (the last line read),
-// scan for a line that starts with '@' and is followed by a plausible
-// nucleotide sequence.  On success @p line holds that header and the
-// sequence line is left pending; returns false at EOF.
-bool FastqReader::resync(std::string& line) {
-  for (;;) {
-    if (!line.empty() && line[0] == '@') {
-      std::string lookahead;
-      if (!read_line_raw(lookahead)) return false;
-      if (plausible_sequence(lookahead)) {
-        pending_line_ = std::move(lookahead);
-        have_pending_ = true;
-        return true;
-      }
-      line = std::move(lookahead);  // re-examine the lookahead itself
-      continue;
-    }
-    if (!read_line_raw(line)) return false;
-  }
+  buf_len_ += got;
+  eof_ = got == 0;
+  bytes_read_counter().add(got);
 }
 
 bool FastqReader::next(FastqRecord& out) {
-  std::string line;
-  std::uint64_t record_start = offset_;
-  if (!next_line(line)) return false;
   for (;;) {
-    if (line.empty() || line[0] != '@') {
-      malformed("expected '@' header line", record_start);
-      if (!resync(line)) return false;
+    const Step step = scan_step(std::string_view(buffer_.data(), buf_len_), eof_, cursor_);
+    switch (step.kind) {
+      case Step::kRecord:
+        out.id.assign(step.id);
+        out.seq.assign(step.seq);
+        out.qual.assign(step.qual);
+        return true;
+      case Step::kSkip:
+        abandoned(options_, path_, step.what, buf_offset_ + step.at);
+        ++skipped_;
+        break;
+      case Step::kMore:
+        refill();
+        break;
+      case Step::kEnd:
+        return false;
     }
-    out.id.assign(line, 1, line.size() - 1);
-    if (!next_line(out.seq)) {
-      malformed("truncated record (missing sequence)", record_start);
-      return false;
-    }
-    if (!next_line(line)) {
-      malformed("truncated record (missing '+' separator)", record_start);
-      return false;
-    }
-    if (line.empty() || line[0] != '+') {
-      malformed("expected '+' separator line", record_start);
-      if (!resync(line)) return false;
-      record_start = offset_;
-      continue;
-    }
-    if (!next_line(out.qual)) {
-      malformed("truncated record (missing quality)", record_start);
-      return false;
-    }
-    if (out.qual.size() != out.seq.size()) {
-      malformed("quality length != sequence length", record_start);
-      line = out.qual;  // the quality line may itself open the next record
-      if (!resync(line)) return false;
-      record_start = offset_;
-      continue;
-    }
-    return true;
   }
 }
 
@@ -292,93 +319,21 @@ BufferParseStats for_each_record_in_buffer(
     const std::function<void(std::string_view, std::string_view, std::string_view)>& fn,
     ParseOptions options) {
   BufferParseStats stats;
-  std::size_t pos = 0;
-  auto next_line = [&](std::string_view& line) -> bool {
-    if (pos >= buffer.size()) return false;
-    const std::size_t nl = buffer.find('\n', pos);
-    const std::size_t end = nl == std::string_view::npos ? buffer.size() : nl;
-    line = buffer.substr(pos, end - pos);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    pos = nl == std::string_view::npos ? buffer.size() : nl + 1;
-    return true;
-  };
-  auto malformed = [&](const char* what, std::uint64_t at) {
-    if (options.mode == ParseMode::kStrict)
-      throw util::parse_error(std::string("fastq buffer: ") + what, options.path,
-                              options.base_offset + at);
-    ++stats.skipped;
-    skipped_counter().add(1);
-    if (options.on_skip) options.on_skip();
-  };
-  // Lenient resynchronization over the buffer; see FastqReader::resync.
-  auto resync_from = [&](std::string_view start_line, std::string_view& header) -> bool {
-    std::string_view cur = start_line;
-    for (;;) {
-      if (!cur.empty() && cur[0] == '@') {
-        const std::size_t save = pos;
-        std::string_view lookahead;
-        if (!next_line(lookahead)) return false;
-        if (plausible_sequence(lookahead)) {
-          pos = save;  // the sequence line will be re-read by the parser
-          header = cur;
-          return true;
-        }
-        cur = lookahead;
-        continue;
-      }
-      if (!next_line(cur)) return false;
+  detail::GrammarCursor cursor;
+  for (;;) {
+    const Step step = scan_step(buffer, /*eof=*/true, cursor);
+    if (step.kind == Step::kEnd) break;
+    if (step.kind == Step::kRecord) {
+      fn(step.id, step.seq, step.qual);
+      ++stats.records;
+    } else {
+      abandoned(options, options.path, step.what, options.base_offset + step.at);
+      ++stats.skipped;
     }
-  };
-
-  std::string_view line, seq, plus, qual;
-  std::uint64_t record_start = 0;
-  bool alive = next_line(line);
-  while (alive) {
-    if (line.empty() && pos >= buffer.size()) break;  // trailing newline
-    if (line.empty() || line[0] != '@') {
-      malformed("expected '@' header line", record_start);
-      if (!resync_from(line, line)) break;
-    }
-    const std::string_view header = line;
-    if (!next_line(seq)) {
-      malformed("truncated record (missing sequence)", record_start);
-      break;
-    }
-    if (!next_line(plus)) {
-      malformed("truncated record (missing '+' separator)", record_start);
-      break;
-    }
-    if (plus.empty() || plus[0] != '+') {
-      malformed("expected '+' separator line", record_start);
-      if (!resync_from(plus, line)) break;
-      record_start = pos;
-      continue;
-    }
-    if (!next_line(qual)) {
-      malformed("truncated record (missing quality)", record_start);
-      break;
-    }
-    if (qual.size() != seq.size()) {
-      malformed("quality length != sequence length", record_start);
-      if (!resync_from(qual, line)) break;
-      record_start = pos;
-      continue;
-    }
-    fn(header.substr(1), seq, qual);
-    ++stats.records;
-    record_start = pos;
-    alive = next_line(line);
   }
   static thread_local obs::CounterHandle parsed;
   parsed.of(obs::metrics(), "io.records_parsed").add(stats.records);
   return stats;
-}
-
-std::uint64_t count_records_in_buffer(std::string_view buffer) {
-  std::uint64_t n = 0;
-  for_each_record_in_buffer(buffer,
-                            [&](std::string_view, std::string_view, std::string_view) { ++n; });
-  return n;
 }
 
 std::uint64_t file_size_bytes(const std::string& path) {

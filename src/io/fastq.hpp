@@ -46,11 +46,12 @@ struct ParseOptions {
   /// FastqReader (which knows its own path).
   std::string path;
   std::uint64_t base_offset = 0;
-  /// Lenient mode only: invoked once per resynchronization event, i.e. once
-  /// per record the parser abandoned.  The chunk table counted the abandoned
-  /// record, so a caller deriving read IDs from it must advance its cursor
-  /// here, or every record after the skip inherits its predecessor's ID;
-  /// core::for_each_chunk_record applies that rule for every chunk parse.
+  /// Lenient mode only: invoked once per record the parser abandons, in
+  /// input order between the records around it.  IndexCreate gives an
+  /// abandoned record a read ID of its own (it becomes a singleton
+  /// component), so a caller deriving read IDs from the chunk table must
+  /// advance its cursor here; core::for_each_chunk_record applies that rule
+  /// for every chunk parse.
   std::function<void()> on_skip = {};
 };
 
@@ -60,8 +61,18 @@ struct BufferParseStats {
   std::uint64_t skipped = 0;  ///< lenient-mode resynchronization events
 };
 
+namespace detail {
+/// Where the FASTQ record grammar stands in a byte window (see fastq.cpp).
+struct GrammarCursor {
+  std::size_t pos = 0;  ///< start of the next line to read
+  bool resync = false;  ///< looking for a header after abandoning a record
+};
+}  // namespace detail
+
 /// Streaming reader over one FASTQ file.  Strict mode throws util::Error on
-/// open failure or malformed records; lenient mode skips bad records.
+/// open failure or malformed records; lenient mode skips bad records.  It
+/// runs the same record grammar as for_each_record_in_buffer over a 1 MiB
+/// refill window, so both give the same records, skips and offsets.
 class FastqReader {
  public:
   explicit FastqReader(const std::string& path, ParseOptions options = {});
@@ -74,29 +85,23 @@ class FastqReader {
 
   /// Byte offset of the start of the next record (for chunking).  Exact
   /// even when the final line has no trailing newline or lines end in CRLF.
-  [[nodiscard]] std::uint64_t offset() const noexcept { return offset_; }
+  [[nodiscard]] std::uint64_t offset() const noexcept { return buf_offset_ + cursor_.pos; }
 
-  /// Lenient-mode resynchronization events so far.
+  /// Records abandoned so far (lenient mode).
   [[nodiscard]] std::uint64_t records_skipped() const noexcept { return skipped_; }
 
  private:
   void refill();
-  bool read_line_raw(std::string& line);
-  bool next_line(std::string& line);
-  bool resync(std::string& line);
-  void malformed(const char* what, std::uint64_t at);
 
   std::string path_;
   ParseOptions options_;
   std::FILE* file_ = nullptr;
-  std::vector<char> buffer_;
-  std::size_t buf_pos_ = 0;
-  std::size_t buf_len_ = 0;
-  std::uint64_t offset_ = 0;      ///< bytes consumed from the stream
-  std::uint64_t stream_pos_ = 0;  ///< file offset of the next fread
+  std::vector<char> buffer_;      ///< the window; grows only for a longer record
+  std::size_t buf_len_ = 0;       ///< bytes of buffer_ holding input
+  std::uint64_t buf_offset_ = 0;  ///< file offset of buffer_[0]
+  bool eof_ = false;              ///< buffer_ holds the end of the file
+  detail::GrammarCursor cursor_;
   std::uint64_t skipped_ = 0;
-  bool have_pending_ = false;
-  std::string pending_line_;
 };
 
 /// Buffered FASTQ writer.  Short writes and close failures (e.g. ENOSPC
@@ -132,14 +137,12 @@ std::vector<char> read_file_range(const std::string& path, std::uint64_t offset,
 /// Parse whole FASTQ records out of a memory buffer (a logical chunk).
 /// Invokes fn(id, seq, qual) per record; string_views alias the buffer.
 /// Strict mode throws on malformed input; lenient mode resynchronizes and
-/// reports the skip count in the returned stats.
+/// reports the skip count in the returned stats.  A lone blank last line
+/// ends the input, as it does for FastqReader.
 BufferParseStats for_each_record_in_buffer(
     std::string_view buffer,
     const std::function<void(std::string_view, std::string_view, std::string_view)>& fn,
     ParseOptions options = {});
-
-/// Count records in a buffer without invoking a callback (strict parse).
-std::uint64_t count_records_in_buffer(std::string_view buffer);
 
 /// Total size of a file in bytes (64-bit clean).
 std::uint64_t file_size_bytes(const std::string& path);

@@ -6,7 +6,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
+#include <ostream>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/binary.hpp"
@@ -270,6 +273,175 @@ TEST(Fastq, BufferLenientCorpusSkipCounts) {
   EXPECT_EQ(stats.skipped, 2u);
 }
 
+// ---- One grammar: FastqReader (over its 1 MiB refill window) and
+// for_each_record_in_buffer (over a whole buffer) must give the same
+// records, skips, record-end offsets and strict-mode errors. ----
+
+/// Everything a parse reports, in a form two parsers can be compared by.
+struct ParseTrace {
+  std::vector<std::string> records;  ///< "id|seq|qual"
+  std::vector<std::uint64_t> ends;   ///< offset just past each record
+  std::uint64_t skipped = 0;
+  std::string error;  ///< strict mode: "<detail> @<offset>"
+
+  bool operator==(const ParseTrace&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const ParseTrace& t) {
+  os << t.records.size() << " records, " << t.skipped << " skipped, error '" << t.error
+     << "', ends";
+  for (auto e : t.ends) os << ' ' << e;
+  return os;
+}
+
+std::string error_text(const util::Error& e) {
+  return e.detail() + " @" + std::to_string(e.offset());
+}
+
+ParseTrace trace_reader(const std::string& path, ParseMode mode) {
+  ParseTrace t;
+  try {
+    FastqReader r(path, ParseOptions{mode, "", 0});
+    FastqRecord rec;
+    while (r.next(rec)) {
+      t.records.push_back(rec.id + "|" + rec.seq + "|" + rec.qual);
+      t.ends.push_back(r.offset());
+    }
+    t.skipped = r.records_skipped();
+  } catch (const util::Error& e) {
+    t.error = error_text(e);
+  }
+  return t;
+}
+
+ParseTrace trace_buffer(std::string_view content, ParseMode mode) {
+  ParseTrace t;
+  try {
+    const auto stats = for_each_record_in_buffer(
+        content,
+        [&](std::string_view id, std::string_view seq, std::string_view qual) {
+          t.records.push_back(std::string(id) + "|" + std::string(seq) + "|" +
+                              std::string(qual));
+          // The record ends after its quality line's terminator ('\r' is
+          // stripped from the view, '\n' may be missing at the end).
+          std::size_t end = static_cast<std::size_t>(qual.data() - content.data()) + qual.size();
+          if (end < content.size() && content[end] == '\r') ++end;
+          if (end < content.size() && content[end] == '\n') ++end;
+          t.ends.push_back(end);
+        },
+        ParseOptions{mode, "", 0});
+    t.skipped = stats.skipped;
+  } catch (const util::Error& e) {
+    t.error = error_text(e);
+  }
+  return t;
+}
+
+/// Parse @p content both ways in both modes; both parsers must agree.
+void expect_grammar_agrees(const TempDir& dir, const std::string& content,
+                           const std::string& what) {
+  const std::string path = write_raw(dir.file("agree.fastq"), content);
+  for (const ParseMode mode : {ParseMode::kStrict, ParseMode::kLenient}) {
+    EXPECT_EQ(trace_reader(path, mode), trace_buffer(content, mode))
+        << what << (mode == ParseMode::kStrict ? " (strict)" : " (lenient)");
+  }
+}
+
+TEST(Fastq, ReaderAndBufferShareOneGrammar) {
+  const std::string big_seq(1536 * 1024, 'A');  // longer than the 1 MiB window
+  const std::string big_qual(big_seq.size(), 'I');
+  const std::vector<std::pair<std::string, std::string>> corpus = {
+      {"empty", ""},
+      {"clean", "@x\nAAAA\n+\nIIII\n@y\nCCCC\n+\nIIII\n"},
+      {"bad header", "not-a-header\nACGT\n+\nIIII\n"},
+      {"short quality", "@x\nACGT\n+\nII\n"},
+      {"truncated", "@x\nACGT\n"},
+      {"missing plus", "@x\nACGT\nIIII\n@y\nGGGG\n+\nIIII\n"},
+      {"truncated tail", "@x\nACGT\n+\nIIII\n@y\nGG"},
+      {"blank interior line", "@x\nACGT\n+\nIIII\n\n@y\nGGGG\n+\nIIII\n"},
+      {"short quality, resync", "@x\nACGT\n+\nII\n@y\nGGGG\n+\nIIII\n"},
+      {"mixed", "@a\nACGT\n+\nIIII\n@b\nCCCC\nIIII\n@c\nGGGG\n+\nIIII\n@d\nTT"},
+      {"'@' quality line", "@x\nACGT\n+\n@III\n@y\nGG\n+\nI\n@z\nTTTT\n+\nIIII\n"},
+      {"CRLF", "@x\r\nACGT\r\n+\r\nIIII\r\n@y\r\nGGGG\r\n+\r\nIIII\r\n"},
+      {"no trailing newline", "@x\nAAAA\n+\nIIII\n@y\nCCCC\n+\nIIII"},
+      {"one blank last line", "@x\nAAAA\n+\nIIII\n\n"},
+      {"CRLF blank last line", "@x\r\nAAAA\r\n+\r\nIIII\r\n\r\n"},
+      {"two blank last lines", "@x\nAAAA\n+\nIIII\n\n\n"},
+      {"record over the window", "@a\nACGT\n+\nIIII\n@big\n" + big_seq + "\n+\n" + big_qual +
+                                     "\n@b\nCCCC\n+\nIIII\n"},
+      {"bad record over the window", "@a\nACGT\n+\nIIII\n@big\n" + big_seq + "\n+\n" +
+                                         big_qual.substr(1) + "\n@b\nCCCC\n+\nIIII\n"},
+  };
+  TempDir dir;
+  for (const auto& [what, content] : corpus) expect_grammar_agrees(dir, content, what);
+}
+
+TEST(Fastq, ReaderEndsCleanlyAtOneBlankLastLine) {
+  TempDir dir;
+  const std::string path = write_raw(dir.file("blank_end.fastq"), "@x\nAAAA\n+\nIIII\n\n");
+  FastqReader r(path);
+  FastqRecord rec;
+  ASSERT_TRUE(r.next(rec));
+  EXPECT_EQ(r.offset(), 15u);
+  EXPECT_FALSE(r.next(rec));
+  EXPECT_EQ(r.records_skipped(), 0u);
+}
+
+/// A FASTQ-ish text of @p lines random lines drawn from a vocabulary of
+/// record pieces and junk, with LF or CRLF endings and an optional final
+/// newline.
+std::string random_fastq_text(std::mt19937_64& rng, int lines) {
+  static const std::vector<std::string> kVocab = {
+      "@r", "@r2 x", "@", "@@II", "ACGT", "AC", "ACGTN", "acgt", "+", "+r", "IIII", "II", "",
+      "@ACGT", "#r", "I", "N"};
+  const bool crlf = rng() % 4 == 0;
+  std::string out;
+  for (int i = 0; i < lines; ++i) {
+    if (i > 0) out += crlf ? "\r\n" : "\n";
+    out += kVocab[rng() % kVocab.size()];
+  }
+  if (lines > 0 && rng() % 2 == 0) out += crlf ? "\r\n" : "\n";
+  return out;
+}
+
+TEST(Fastq, RandomLinesParseAlikeInReaderAndBuffer) {
+  // Seeded differential with a fixed budget, in both modes.
+  std::mt19937_64 rng(20251019);
+  TempDir dir;
+  const std::string path = dir.file("random.fastq");
+  for (int i = 0; i < 2000; ++i) {
+    const std::string content = random_fastq_text(rng, static_cast<int>(rng() % 14));
+    write_raw(path, content);
+    for (const ParseMode mode : {ParseMode::kStrict, ParseMode::kLenient}) {
+      const ParseTrace reader = trace_reader(path, mode);
+      const ParseTrace buffer = trace_buffer(content, mode);
+      ASSERT_EQ(reader, buffer) << "case " << i
+                                << (mode == ParseMode::kStrict ? " strict" : " lenient") << ":\n"
+                                << content;
+    }
+  }
+}
+
+TEST(Fastq, RandomRecordsAcrossWindowsParseAlike) {
+  // Mostly valid records with junk mixed in, a few MiB each, so records,
+  // resyncs and a blank line meet the reader's window edge in many ways.
+  std::mt19937_64 rng(7);
+  TempDir dir;
+  for (int round = 0; round < 3; ++round) {
+    std::string content;
+    while (content.size() < (std::size_t{5} << 19)) {
+      const std::size_t len = 1 + rng() % 300;
+      std::string seq(len, 'A');
+      for (char& ch : seq) ch = "ACGT"[rng() % 4];
+      const std::size_t qlen = rng() % 50 == 0 ? len - 1 : len;
+      content += "@read" + std::to_string(content.size()) + "\n" + seq + "\n+\n" +
+                 std::string(qlen, rng() % 8 == 0 ? '@' : 'I') + "\n";
+      if (rng() % 80 == 0) content += random_fastq_text(rng, static_cast<int>(rng() % 6)) + "\n";
+    }
+    expect_grammar_agrees(dir, content, "round " + std::to_string(round));
+  }
+}
+
 TEST(Fastq, WriterSurfacesEnospcOnClose) {
   // /dev/full accepts buffered writes but fails the flush with ENOSPC —
   // exactly the silent-data-loss case the writer must surface.
@@ -335,13 +507,14 @@ TEST(Fastq, BufferParsingMatchesStreaming) {
   test::write_fastq(path, reads);
   const auto buffer = read_file_range(path, 0, file_size_bytes(path));
   std::vector<std::string> parsed;
-  for_each_record_in_buffer(std::string_view(buffer.data(), buffer.size()),
-                            [&](std::string_view, std::string_view seq, std::string_view qual) {
-                              EXPECT_EQ(seq.size(), qual.size());
-                              parsed.emplace_back(seq);
-                            });
+  const auto stats = for_each_record_in_buffer(
+      std::string_view(buffer.data(), buffer.size()),
+      [&](std::string_view, std::string_view seq, std::string_view qual) {
+        EXPECT_EQ(seq.size(), qual.size());
+        parsed.emplace_back(seq);
+      });
   EXPECT_EQ(parsed, reads);
-  EXPECT_EQ(count_records_in_buffer(std::string_view(buffer.data(), buffer.size())), 3u);
+  EXPECT_EQ(stats.records, 3u);
 }
 
 TEST(Fastq, ReadFileRangeExtractsMiddleRecord) {

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <fstream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -317,6 +319,221 @@ TEST(FaultIo, CorruptedChunkLenientSkipsExactlyOneRecord) {
     EXPECT_EQ(e.category(), util::ErrorCategory::kParse);
     EXPECT_EQ(e.path(), files[1]);
     EXPECT_EQ(e.offset(), offset);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lenient indexing over FASTQ that is malformed on disk: a record the parser
+// abandons keeps a read ID of its own when IndexCreate counts its chunk and
+// in every re-parse, so chunk ID ranges tile and every ID stays below R.
+
+/// @p n reads of @p len bases in groups of ten overlapping reads, each group
+/// from its own stretch of one pseudo-random genome: a few components, and
+/// no k-mer shared between groups.
+std::vector<std::string> grouped_reads(std::size_t n, std::size_t len) {
+  std::string genome;
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (std::size_t i = 0; i < (n / 10 + 1) * 200 + len; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    genome.push_back("ACGT"[x >> 62]);
+  }
+  std::vector<std::string> reads;
+  for (std::size_t i = 0; i < n; ++i) {
+    reads.push_back(genome.substr((i / 10) * 200 + (i % 10) * 5, len));
+  }
+  return reads;
+}
+
+/// Write @p reads as FASTQ ("@r<i>"), giving record @p bad a quality line
+/// one base short, so strict parsing fails there and lenient parsing
+/// abandons that one record.
+std::string write_with_short_quality(const std::string& path,
+                                     const std::vector<std::string>& reads, std::size_t bad) {
+  std::ofstream os(path, std::ios::binary);
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    os << "@r" << i << '\n' << reads[i] << "\n+\n"
+       << std::string(reads[i].size() - (i == bad ? 1 : 0), 'I') << '\n';
+  }
+  return path;
+}
+
+/// What a lenient re-parse of every chunk hands out: how often each read ID
+/// went to a record or a skip, the ID each file's record "r<i>" got, and the
+/// skipped IDs.  Fails on an ID outside its chunk's range.
+struct Reparse {
+  std::vector<int> uses;
+  std::map<std::pair<std::uint32_t, std::string>, std::uint32_t> id_of;
+  std::vector<std::uint32_t> skipped;
+};
+
+Reparse reparse_chunks(const core::DatasetIndex& index) {
+  Reparse out;
+  out.uses.assign(index.total_reads, 0);
+  for (std::uint32_t c = 0; c < index.part.num_chunks(); ++c) {
+    const core::ChunkRecord& chunk = index.part.chunks[c];
+    const auto take = [&](std::uint32_t id) {
+      EXPECT_GE(id, chunk.first_read_id) << "chunk " << c;
+      EXPECT_LT(id, chunk.first_read_id + chunk.record_count) << "chunk " << c;
+      if (id < out.uses.size()) ++out.uses[id];
+    };
+    core::for_each_chunk_record(
+        index, c, core::read_chunk(index, c), io::ParseMode::kLenient,
+        [&](std::uint32_t id, std::string_view header, std::string_view, std::string_view) {
+          take(id);
+          out.id_of[{chunk.file, std::string(header)}] = id;
+        },
+        [&](std::uint32_t id) {
+          take(id);
+          out.skipped.push_back(id);
+        });
+  }
+  return out;
+}
+
+/// Each file's chunks take consecutive read-ID ranges.
+void expect_chunks_tile(const core::DatasetIndex& index) {
+  std::map<std::uint32_t, std::uint32_t> next_id;  // file -> end of its last chunk
+  for (const core::ChunkRecord& chunk : index.part.chunks) {
+    const auto it = next_id.find(chunk.file);
+    if (it != next_id.end()) {
+      EXPECT_EQ(chunk.first_read_id, it->second) << "file " << chunk.file;
+    }
+    next_id[chunk.file] = chunk.first_read_id + chunk.record_count;
+  }
+}
+
+core::IndexCreateOptions lenient_index_options() {
+  core::IndexCreateOptions opt;
+  opt.k = 15;
+  opt.m = 4;
+  opt.target_chunks = 4;
+  opt.parse_mode = io::ParseMode::kLenient;
+  return opt;
+}
+
+/// Run both read stores leniently and compare each partition with the
+/// oracle over the same index.
+void expect_lenient_runs_match_oracle(const core::DatasetIndex& index) {
+  const auto oracle = test::normalize_partition(
+      core::reference_components(index, core::KmerFreqFilter{}, io::ParseMode::kLenient));
+  for (const core::ReadStore store : {core::ReadStore::kText, core::ReadStore::kPacked}) {
+    SCOPED_TRACE(store == core::ReadStore::kText ? "text" : "packed");
+    core::MetaprepConfig cfg;
+    cfg.k = 15;
+    cfg.num_ranks = 2;
+    cfg.threads_per_rank = 2;
+    cfg.num_passes = 2;
+    cfg.parse_mode = io::ParseMode::kLenient;
+    cfg.read_store = store;
+    cfg.write_output = false;
+    const auto result = core::run_metaprep(index, cfg);
+    EXPECT_EQ(result.labels.size(), index.total_reads);
+    EXPECT_EQ(test::normalize_partition(result.labels), oracle);
+  }
+}
+
+TEST(LenientIndex, AbandonedRecordMidFileKeepsOneId) {
+  TempDir dir;
+  constexpr std::size_t kBad = 120;
+  const std::string path =
+      write_with_short_quality(dir.file("reads.fastq"), grouped_reads(200, 60), kBad);
+  const auto index = core::create_index("mid", {path}, false, lenient_index_options());
+  ASSERT_EQ(index.part.num_chunks(), 4u);
+  EXPECT_EQ(index.total_reads, 200u);  // the abandoned record keeps its ID
+  expect_chunks_tile(index);
+  const Reparse reparse = reparse_chunks(index);
+  EXPECT_EQ(reparse.uses, std::vector<int>(200, 1));  // no ID shared, none missing
+  EXPECT_EQ(reparse.skipped, std::vector<std::uint32_t>{kBad});
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    if (i != kBad) {
+      EXPECT_EQ(reparse.id_of.at({0, "r" + std::to_string(i)}), i);
+    }
+  }
+  expect_lenient_runs_match_oracle(index);
+}
+
+TEST(LenientIndex, AbandonedRecordInLastChunkKeepsIdsBelowR) {
+  TempDir dir;
+  constexpr std::size_t kBad = 190;
+  const std::string path =
+      write_with_short_quality(dir.file("reads.fastq"), grouped_reads(200, 60), kBad);
+  const auto index = core::create_index("last", {path}, false, lenient_index_options());
+  ASSERT_LE(index.part.chunks.back().first_read_id, kBad);
+  EXPECT_EQ(index.total_reads, 200u);
+  expect_chunks_tile(index);
+  const Reparse reparse = reparse_chunks(index);
+  EXPECT_EQ(reparse.uses, std::vector<int>(200, 1));
+  EXPECT_EQ(reparse.skipped, std::vector<std::uint32_t>{kBad});
+  expect_lenient_runs_match_oracle(index);
+}
+
+TEST(LenientIndex, PairedMateKeepsSharedIdWhenOtherMateIsAbandoned) {
+  TempDir dir;
+  constexpr std::size_t kBad = 50;
+  const auto reads = grouped_reads(120, 60);
+  const std::vector<std::string> files = {
+      write_with_short_quality(dir.file("m_1.fastq"), reads, kBad),
+      test::write_fastq(dir.file("m_2.fastq"), reads)};
+  const auto index = core::create_index("pairs", files, true, lenient_index_options());
+  EXPECT_EQ(index.total_reads, 120u);
+  expect_chunks_tile(index);
+  const Reparse reparse = reparse_chunks(index);
+  EXPECT_EQ(reparse.uses, std::vector<int>(120, 2));  // once per mate file
+  EXPECT_EQ(reparse.skipped, std::vector<std::uint32_t>{kBad});
+  const std::string bad_header = "r" + std::to_string(kBad);
+  EXPECT_EQ(reparse.id_of.count({0, bad_header}), 0u);
+  EXPECT_EQ(reparse.id_of.at({1, bad_header}), kBad);  // the surviving mate
+  expect_lenient_runs_match_oracle(index);
+}
+
+TEST(LenientIndex, ChunkHoldingMoreRecordsThanIndexedThrowsParseError) {
+  TempDir dir;
+  const std::string path = test::write_fastq(dir.file("reads.fastq"), grouped_reads(200, 60));
+  const auto index = core::create_index("grown", {path}, false, lenient_index_options());
+  // Rewrite the file with shorter records over at least the indexed bytes:
+  // every chunk's byte range now holds more records than the index counted.
+  const std::uint64_t indexed = io::file_size_bytes(path);
+  test::write_fastq(path, grouped_reads(320, 40));
+  ASSERT_GE(io::file_size_bytes(path), indexed);
+
+  for (std::uint32_t c = 0; c < index.part.num_chunks(); ++c) {
+    const core::ChunkRecord& chunk = index.part.chunks[c];
+    const auto in_range = [&](std::uint32_t id) {
+      EXPECT_LT(id, chunk.first_read_id + chunk.record_count) << "chunk " << c;
+    };
+    try {
+      core::for_each_chunk_record(
+          index, c, core::read_chunk(index, c), io::ParseMode::kLenient,
+          [&](std::uint32_t id, std::string_view, std::string_view, std::string_view) {
+            in_range(id);
+          },
+          in_range);
+      ADD_FAILURE() << "chunk " << c << ": expected util::Error";
+    } catch (const util::Error& e) {
+      EXPECT_EQ(e.category(), util::ErrorCategory::kParse);
+      EXPECT_EQ(e.path(), path);
+      EXPECT_EQ(e.offset(), chunk.offset);
+    }
+  }
+
+  // The text store's passes and the packed ingest reach the bound through
+  // the same helper.
+  for (const core::ReadStore store : {core::ReadStore::kText, core::ReadStore::kPacked}) {
+    SCOPED_TRACE(store == core::ReadStore::kText ? "text" : "packed");
+    core::MetaprepConfig cfg;
+    cfg.k = 15;
+    cfg.num_ranks = 2;
+    cfg.threads_per_rank = 2;
+    cfg.parse_mode = io::ParseMode::kLenient;
+    cfg.read_store = store;
+    cfg.write_output = false;
+    try {
+      core::run_metaprep(index, cfg);
+      ADD_FAILURE() << "expected util::Error";
+    } catch (const util::Error& e) {
+      EXPECT_EQ(e.category(), util::ErrorCategory::kParse);
+      EXPECT_EQ(e.path(), path);
+    }
   }
 }
 

@@ -11,7 +11,6 @@
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/memusage.hpp"
-#include "util/prefix_sum.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -124,32 +123,6 @@ TEST(BoxStats, KnownQuartiles) {
 TEST(BoxStats, UnsortedInputHandled) {
   const BoxStats b = box_stats({5, 1, 3, 2, 4});
   EXPECT_DOUBLE_EQ(b.median, 3.0);
-}
-
-TEST(PrefixSum, ExclusiveBasic) {
-  const std::vector<std::uint32_t> in{3, 1, 4, 1, 5};
-  const auto out = exclusive_prefix_sum(std::span<const std::uint32_t>(in));
-  const std::vector<std::uint64_t> expected{0, 3, 4, 8, 9, 14};
-  EXPECT_EQ(out, expected);
-}
-
-TEST(PrefixSum, EmptyInput) {
-  const std::vector<std::uint32_t> in;
-  const auto out = exclusive_prefix_sum(std::span<const std::uint32_t>(in));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], 0u);
-}
-
-TEST(PrefixSum, InplaceReturnsTotal) {
-  std::vector<std::uint64_t> v{2, 2, 2};
-  const auto total = exclusive_prefix_sum_inplace(std::span<std::uint64_t>(v));
-  EXPECT_EQ(total, 6u);
-  EXPECT_EQ(v, (std::vector<std::uint64_t>{0, 2, 4}));
-}
-
-TEST(PrefixSum, SumU64HandlesOverflowOf32BitCounts) {
-  const std::vector<std::uint32_t> in(3, 0xFFFFFFFFu);
-  EXPECT_EQ(sum_u64(std::span<const std::uint32_t>(in)), 3ull * 0xFFFFFFFFull);
 }
 
 TEST(Args, ParsesNamedAndPositional) {
