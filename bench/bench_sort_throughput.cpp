@@ -23,12 +23,19 @@
 // repeated about 8 times.  BM_LocalSortConcurrent sorts four such regions
 // at once, one per thread, as xl-raw's 2 ranks x 2 threads do, so the
 // shared cache is contended.
+// BM_GroupRegion runs the kernel the pass engine runs on that region
+// instead of the sort (core/group.hpp): the MSD scatter into buckets
+// (LocalSort), then per bucket a hash grouping of equal k-mers that unions
+// their reads, and Algorithm 1's re-verification (LocalCC).  Its read IDs
+// are the region's payloads reduced to kRegionReads reads.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <thread>
 #include <vector>
 
+#include "core/group.hpp"
+#include "dsu/dsu.hpp"
 #include "sort/radix.hpp"
 #include "util/rng.hpp"
 
@@ -180,6 +187,32 @@ void BM_LocalSortConcurrent(benchmark::State& state) {
   state.SetLabel("4 xl-raw LocalSort regions sorted at once, one per thread, digit=8");
 }
 BENCHMARK(BM_LocalSortConcurrent)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_GroupRegion(benchmark::State& state) {
+  constexpr std::uint32_t kRegionReads = 1 << 17;
+  const Data base = make_region(20000, 4243);
+  core::TupleBuffer<std::uint64_t> tuples, scratch;
+  tuples.resize(kRegionKeys);
+  scratch.resize(kRegionKeys);
+  core::RegionGrouper<std::uint64_t> grouper;
+  dsu::AtomicDSU cc(kRegionReads);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  for (auto _ : state) {
+    state.PauseTiming();
+    tuples.keys[0] = base.keys;
+    for (std::size_t i = 0; i < kRegionKeys; ++i) tuples.vals[i] = base.vals32[i] % kRegionReads;
+    cc.reset();
+    edges.clear();
+    state.ResumeTiming();
+    grouper.bucket(tuples, scratch, 0, kRegionKeys);
+    grouper.unite(core::KmerFreqFilter{}, cc, edges);
+    dsu::process_edges_algorithm1(cc, edges);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(kRegionKeys) * state.iterations());
+  state.SetLabel("one xl-raw LocalSort region, binned then grouped and united");
+}
+BENCHMARK(BM_GroupRegion)->Unit(benchmark::kMillisecond);
 
 void BM_StdSortPairs(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -12,8 +12,8 @@
 #      packed-read-store and pass-engine differential legs (GoldenW1 +
 #      Differential.ModesAgree*: both fusion widths over both read stores
 #      and both codecs at k = 15, 33 and 63, strict and lenient, so the
-#      Kmer128 engine and its sentinel tuples run too) — the paths that
-#      stress cross-thread event buffers,
+#      Kmer128 engine and its sentinel tuples run too, plus the real k-mer
+#      at a sentinel key) — the paths that stress cross-thread event buffers,
 #      mailboxes, the parallel MergeCC flatten (atomic_ref size counting),
 #      the per-thread merHist accumulators and in-place cumulative rows of
 #      the parallel histogram loop, the packed KmerGen scan (threads over
@@ -23,10 +23,13 @@
 #      with UBSan notes fatal), FASTQ parsing (test_fastq), packed arena
 #      (test_packed_store: sharded-ingest merge offsets, page-spanning
 #      arenas and packed scan bounds), index loading (test_indices:
-#      truncated and hostile index files), radix sort (test_sort: MSD bucket offsets), and
+#      truncated and hostile index files), radix sort (test_sort: MSD bucket offsets),
+#      the LocalSort + LocalCC kernel (test_group: bucket scatter and hash
+#      grouping against a brute-force map, 64- and 128-bit keys), and
 #      exchange-compression (test_superkmer, the comm-compress differential
-#      grid), pass-engine (GoldenW1 + Differential.ModesAgree*, the same
-#      k = 15 / 33 / 63 legs as under TSan) and run-field (test_run_fields:
+#      grid), pass-engine (GoldenW1 + Differential.ModesAgree* +
+#      Differential.RealKmerAtSentinelKeyJoinsReads, the same legs as under
+#      TSan) and run-field (test_run_fields:
 #      hostile integers and doubles and an empty `out` on the CLI and JSON
 #      surfaces) suites — the paths that do raw buffer
 #      arithmetic and deliberately corrupt / truncate input, including the
@@ -237,19 +240,19 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_differential \
 echo "=== tier 1: TSan packed read-store legs (threads over one shared in-memory arena) ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_differential \
   --gtest_filter='Grid/*T2*Packed*'
-echo "=== tier 1: TSan pass engine (golden W=1 pin + fusion-width agreement at k = 15/33/63) ==="
+echo "=== tier 1: TSan pass engine (golden W=1 pin + fusion-width agreement at k = 15/33/63 + sentinel-key k-mer) ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_differential \
-  --gtest_filter='GoldenW1.*:Differential.ModesAgree*'
+  --gtest_filter='GoldenW1.*:Differential.ModesAgree*:Differential.RealKmerAtSentinelKeyJoinsReads'
 echo "=== tier 1: TSan parallel IndexCreate (per-thread merHist accumulators, cumulative rows) ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_indices \
   --gtest_filter='IndexCreate.ParallelHistogramsMatchSequential:IndexCreate.MerHistIsColumnSumOfChunkHistograms'
 echo "=== tier 1: TSan service layer (concurrent sessions + cancel + job queue) ==="
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_serve
 
-echo "=== tier 1: ASan+UBSan build (test_faults + test_fastq + test_packed_store + test_sort + test_run_fields + compress legs) ==="
+echo "=== tier 1: ASan+UBSan build (test_faults + test_fastq + test_packed_store + test_sort + test_group + test_run_fields + compress legs) ==="
 cmake --preset asan
 cmake --build --preset asan "${JOBS}" --target test_faults test_fastq test_packed_store \
-  test_superkmer test_differential test_indices test_sort test_run_fields
+  test_superkmer test_differential test_indices test_sort test_group test_run_fields
 
 echo "=== tier 1: ASan+UBSan test_faults (UBSan notes fail the gate) ==="
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_faults
@@ -263,13 +266,15 @@ echo "=== tier 1: ASan test_indices (truncated + hostile index fixtures) ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_indices
 echo "=== tier 1: ASan test_sort (two-level radix sort bucket offsets) ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_sort
+echo "=== tier 1: ASan+UBSan test_group (LocalSort bucket scatter + LocalCC hash grouping) ==="
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_group
 echo "=== tier 1: ASan exchange-compression (super-k-mer wire encode/decode) ==="
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_superkmer
 ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_differential \
   --gtest_filter='CompressGrid/*'
-echo "=== tier 1: ASan+UBSan pass engine (wire receive split, 64- and 128-bit keys) ==="
+echo "=== tier 1: ASan+UBSan pass engine (wire receive split, 64- and 128-bit keys, sentinel-key k-mer) ==="
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_differential \
-  --gtest_filter='GoldenW1.*:Differential.ModesAgree*'
+  --gtest_filter='GoldenW1.*:Differential.ModesAgree*:Differential.RealKmerAtSentinelKeyJoinsReads'
 
 echo "=== tier 1: bench guard (fig5 min-of-N vs BENCH_fig5.json) ==="
 scripts/bench_guard.sh

@@ -95,9 +95,10 @@ struct MetaprepConfig {
   /// enumerate (k-mer, component-ID) tuples instead of (k-mer, read-ID).
   bool cc_opt = true;
 
-  /// Radix digit width for LocalSort (§3.4).  The paper uses 8 ("sorting 8
-  /// bits per pass is faster than sorting a higher number of bits ... better
-  /// temporal locality"); exposed so the trade-off is measurable.
+  /// Radix digit width of the paper's LocalSort (§3.4; the paper uses 8).
+  /// run_metaprep does not read it: its LocalSort bins and LocalCC groups
+  /// by hash (core/group.hpp).  Only perfbench's radix probe
+  /// (sort.radix_mkeys_per_s) reads it.
   int sort_digit_bits = 8;
 
   /// Write partitioned FASTQ output (largest component vs the rest, §3.6).

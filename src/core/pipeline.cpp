@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "check/invariants.hpp"
+#include "core/group.hpp"
 #include "core/memory_model.hpp"
 #include "core/packed_ingest.hpp"
 #include "core/plan.hpp"
@@ -29,7 +30,6 @@
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "part/part.hpp"
-#include "sort/radix.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 #include "util/memusage.hpp"
@@ -774,75 +774,38 @@ void drain_receive(PassCtx& ctx, const EnginePlan& ep, PassWork<Key>& w,
   });
 }
 
-/// LocalSort's radix call on region [lo, lo + n) of @p t, with the same
-/// region of @p tmp as scratch: the 64-bit sort, or the (hi, lo) one.
+/// LocalSort and LocalCC (§3.4-§3.5) of one pass: each thread bins its
+/// dest-thread region into a leased scratch, then groups and unions it
+/// bucket by bucket (core/group.hpp).  Algorithm 1 re-verifies each
+/// thread's buffered edges.
 template <typename Key>
-void sort_region(TupleBuffer<Key>& t, TupleBuffer<Key>& tmp, std::uint64_t lo, std::size_t n,
-                 int bits, int digit) {
-  auto part = [&](auto& v) { return std::span(v).subspan(lo, n); };
-  if constexpr (kmer::KmerTraits<Key>::kWords == 1) {
-    sort::radix_sort_kv64(part(t.keys[0]), part(t.vals), part(tmp.keys[0]), part(tmp.vals), bits,
-                          digit);
-  } else {
-    sort::radix_sort_kv128(part(t.keys[1]), part(t.keys[0]), part(t.vals), part(tmp.keys[1]),
-                           part(tmp.keys[0]), part(tmp.vals), bits, digit);
+void group_regions(PassCtx& ctx, const TupleBuffer<Key>& tuples,
+                   const std::vector<std::uint64_t>& region, TupleArena<Key>& arena,
+                   std::vector<RegionGrouper<Key>>& groupers) {
+  TupleBuffer<Key>* scratch = nullptr;
+  {
+    const Step step(ctx, "LocalSort", true);
+    scratch = &arena.acquire(tuples.size());
+    ctx.team.run([&](int t) {
+      const std::uint64_t lo = region[static_cast<std::size_t>(t)];
+      const std::size_t n = region[static_cast<std::size_t>(t) + 1] - lo;
+      groupers[static_cast<std::size_t>(t)].bucket(tuples, *scratch, lo, n);
+    });
   }
-}
 
-/// LocalSort (§3.4): one stable radix sort per dest-thread region, with a
-/// leased scratch as the out-of-place buffer.
-template <typename Key>
-void sort_regions(PassCtx& ctx, TupleBuffer<Key>& tuples,
-                  const std::vector<std::uint64_t>& region, TupleArena<Key>& arena) {
-  const Step step(ctx, "LocalSort", true);
-  TupleBuffer<Key>& scratch = arena.acquire(tuples.size());
-  ctx.team.run([&](int t) {
-    const std::uint64_t lo = region[static_cast<std::size_t>(t)];
-    const std::size_t n = region[static_cast<std::size_t>(t) + 1] - lo;
-    if (n > 0) sort_region(tuples, scratch, lo, n, 2 * ctx.k, ctx.config.sort_digit_bits);
-  });
-  arena.release(scratch);
-}
-
-/// LocalCC (§3.5, Algorithm 1): runs of equal k-mers in each sorted region
-/// become read-graph edges; union-find with buffered re-verification.
-/// Sentinel tuples (kInvalidRead) never form an edge.
-template <typename Key>
-void union_regions(PassCtx& ctx, const TupleBuffer<Key>& tuples,
-                   const std::vector<std::uint64_t>& region) {
   const Step step(ctx, "LocalCC", true);
   dsu::AtomicDSU& local_cc = ctx.local_cc;
-  const KmerFreqFilter& filter = ctx.config.filter;
   std::vector<int> thread_iters(static_cast<std::size_t>(ctx.T), 0);
   ctx.team.run([&](int t) {
-    const std::uint64_t hi = region[static_cast<std::size_t>(t) + 1];
     std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-    std::uint64_t i = region[static_cast<std::size_t>(t)];
-    while (i < hi) {
-      std::uint64_t j = i + 1;
-      while (j < hi && tuples.same_key(j, i)) ++j;
-      if (filter.accepts(j - i)) {
-        for (std::uint64_t x = i + 1; x < j; ++x) {
-          const std::uint32_t u = tuples.vals[x - 1];
-          const std::uint32_t v = tuples.vals[x];
-          if (u == v) continue;
-          if (u == kInvalidRead || v == kInvalidRead) continue;
-          const std::uint32_t ru = local_cc.find(u);
-          const std::uint32_t rv = local_cc.find(v);
-          if (ru != rv) {
-            local_cc.unite_once(ru, rv);
-            edges.emplace_back(u, v);
-          }
-        }
-      }
-      i = j;
-    }
+    groupers[static_cast<std::size_t>(t)].unite(ctx.config.filter, local_cc, edges);
     thread_iters[static_cast<std::size_t>(t)] =
         1 + dsu::process_edges_algorithm1(local_cc, edges);
     ctx.m_cc_edges.add(edges.size());
   });
   ctx.my.cc_iterations = std::max(ctx.my.cc_iterations,
                                   *std::max_element(thread_iters.begin(), thread_iters.end()));
+  arena.release(*scratch);
 }
 
 /// The pass loop: groups of W passes, each one fused sweep, W posts, then
@@ -856,6 +819,7 @@ void run_passes(PassCtx& ctx, const EnginePlan& ep) {
   obs::TraceSession& tr = ctx.tr;
   const int T = ctx.T, S = ctx.S;
   TupleArena<Key> arena(my.max_buffer_bytes);
+  std::vector<RegionGrouper<Key>> groupers(static_cast<std::size_t>(T));
 
   for (int s0 = 0; s0 < S; s0 += ep.W) {
     util::throw_if_cancelled(config.cancel_token, "pass group");
@@ -897,8 +861,7 @@ void run_passes(PassCtx& ctx, const EnginePlan& ep) {
       if (ep.W > 1 && &w == &group.back()) span_end(tr, "Overlap-Window", window_t0);
       if (w.t0 < 0.0) w.t0 = span_begin(tr);
       drain_receive(ctx, ep, w, arena);
-      sort_regions(ctx, *w.recv, w.region, arena);
-      union_regions(ctx, *w.recv, w.region);
+      group_regions(ctx, *w.recv, w.region, arena, groupers);
       arena.release(*w.recv);
       ctx.m_rss.set_max(static_cast<double>(util::current_rss_bytes()));
       span_end(tr, "Pass", w.t0);

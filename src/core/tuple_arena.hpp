@@ -53,9 +53,6 @@ struct TupleBuffer {
     for (std::size_t w = 0; w < keys.size(); ++w) keys[w][at] = Traits::word(km, w);
     vals[at] = value;
   }
-  [[nodiscard]] bool same_key(std::uint64_t i, std::uint64_t j) const {
-    return std::all_of(keys.begin(), keys.end(), [&](const auto& w) { return w[i] == w[j]; });
-  }
   /// Bytes of storage the arrays hold (capacity, not size).
   [[nodiscard]] std::uint64_t capacity_bytes() const noexcept {
     std::uint64_t bytes = vals.capacity() * sizeof(std::uint32_t);

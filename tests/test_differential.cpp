@@ -27,6 +27,7 @@
 #include "part/part.hpp"
 #include "sim/read_sim.hpp"
 #include "test_support.hpp"
+#include "util/rng.hpp"
 
 namespace metaprep::core {
 namespace {
@@ -453,7 +454,7 @@ INSTANTIATE_TEST_SUITE_P(CompressGrid, CommCompressGridTest,
 // schedule.  The constants below were recorded from the barrier scheduler
 // that predates the single pass engine (separate barrier / overlap /
 // compressed schedulers), on this file's fixture re-indexed at k = 27 and
-// k = 41 (k = 41 covers the wide keys_hi path and radix_sort_kv128).
+// k = 41 (k = 41 covers the wide keys_hi path and its 128-bit grouping).
 // Union-by-index makes every root its component's largest read ID, so raw
 // labels are deterministic and must match exactly, as must the exchange
 // accounting and the traffic and message matrices.  sim_comm_seconds is a
@@ -732,6 +733,79 @@ TEST(Differential, ModesAgreeTupleForTuple) {
                 EXPECT_EQ(barrier.total_tuples, strict_tuples) << where;
               }
             }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Differential, RealKmerAtSentinelKeyJoinsReads) {
+  // Lenient-mode sentinels are keyed by their slot's first bin, so slot 0's
+  // sentinel is the poly-A k-mer.  The first and last reads of a single-end
+  // file share only that k-mer.  The index is built from the clean file,
+  // then a poly-A record between the two reads loses its header: the run
+  // skips it and pads its slot-0 tuples with sentinels.  The two reads must
+  // still join, at every P x T and both fusion widths, and a --filter-max 2
+  // leg must count their two real tuples, not the sentinels.
+  for (const int k : {kK, 33}) {
+    TempDir dir;
+    util::Xoshiro256 rng(7000 + static_cast<std::uint64_t>(k));
+    auto bases = [&](std::size_t n) {
+      std::string s;
+      for (std::size_t i = 0; i < n; ++i) s += "ACGT"[rng.next_below(4)];
+      return s;
+    };
+    const std::string poly_a(static_cast<std::size_t>(k), 'A');
+    std::vector<std::string> seqs;
+    seqs.push_back(bases(20) + "G" + poly_a + "C" + bases(20));
+    for (int i = 0; i < 40; ++i) seqs.push_back(i == 20 ? poly_a + poly_a : bases(70));
+    seqs.push_back(bases(20) + "C" + poly_a + "G" + bases(20));
+    const std::uint32_t last = static_cast<std::uint32_t>(seqs.size() - 1);
+
+    const std::string path = dir.file("polya.fastq");
+    auto write = [&](bool mangle) {
+      std::ofstream os(path, std::ios::trunc);
+      for (std::size_t i = 0; i < seqs.size(); ++i) {
+        os << (mangle && i == 21 ? "#" : "@") << "r" << i << "\n"
+           << seqs[i] << "\n+\n" << std::string(seqs[i].size(), 'I') << "\n";
+      }
+    };
+    write(false);
+    IndexCreateOptions opt;
+    opt.k = k;
+    opt.m = 5;
+    opt.target_chunks = 6;
+    const DatasetIndex index = create_index("polya", {path}, false, opt);
+    write(true);
+
+    for (const std::uint32_t max_freq : {0xFFFFFFFFu, 2u}) {
+      const KmerFreqFilter filter{0, max_freq};
+      const std::vector<std::uint32_t> reference =
+          reference_components(index, filter, io::ParseMode::kLenient);
+      ASSERT_EQ(reference[0], reference[last]) << "k=" << k;
+      for (const int P : {1, 2}) {
+        for (const int T : {1, 2}) {
+          for (const auto mode : {PipelineMode::kBarrier, PipelineMode::kOverlap}) {
+            const std::string where =
+                "k=" + std::to_string(k) + " P=" + std::to_string(P) + " T=" +
+                std::to_string(T) + (mode == PipelineMode::kOverlap ? " W=2" : " W=1") +
+                " filter-max=" + std::to_string(max_freq);
+            MetaprepConfig cfg;
+            cfg.k = k;
+            cfg.num_ranks = P;
+            cfg.threads_per_rank = T;
+            cfg.num_passes = 2;
+            cfg.pipeline_mode = mode;
+            cfg.parse_mode = io::ParseMode::kLenient;
+            cfg.filter = filter;
+            cfg.write_output = false;
+            const auto result = run_metaprep(index, cfg);
+            EXPECT_EQ(result.records_skipped, 1u) << where;
+            EXPECT_EQ(result.labels[0], result.labels[last]) << where;
+            EXPECT_EQ(test::normalize_partition(result.labels),
+                      test::normalize_partition(reference))
+                << where;
           }
         }
       }

@@ -398,24 +398,6 @@ TEST(Pipeline, StepTimesPopulated) {
   EXPECT_GT(r.step_times.map().count("Merge-Comm"), 0u);
 }
 
-TEST(Pipeline, SortDigitWidthDoesNotChangeResult) {
-  Fixture fixture(15, 200);
-  std::vector<std::uint32_t> reference_labels;
-  for (int digits : {4, 8, 11, 16}) {
-    auto cfg = base_config(15, fixture.dir.str());
-    cfg.num_ranks = 2;
-    cfg.threads_per_rank = 2;
-    cfg.sort_digit_bits = digits;
-    const auto r = run_metaprep(fixture.index, cfg);
-    const auto normalized = test::normalize_partition(r.labels);
-    if (reference_labels.empty()) {
-      reference_labels = normalized;
-    } else {
-      EXPECT_EQ(normalized, reference_labels) << "digits=" << digits;
-    }
-  }
-}
-
 TEST(Pipeline, PartitionIndependentOfChunkCount) {
   // The logical chunking is an implementation detail; the decomposition
   // must not depend on it.

@@ -96,51 +96,6 @@ TEST(Property, RadixSortKv64NarrowRangeMatchesStableSort) {
       });
 }
 
-TEST(Property, RadixSortKv128MatchesStableSort) {
-  util::Xoshiro256 rng(918273645);
-  for (int iter = 0; iter < 80; ++iter) {
-    const int key_bits = 1 + static_cast<int>(rng.next_below(128));
-    const int digit_bits = 1 + static_cast<int>(rng.next_below(16));
-    const std::size_t n = pick_n(rng, iter);
-    const int hi_bits = key_bits > 64 ? key_bits - 64 : 0;
-    const std::uint64_t lo_mask =
-        key_bits >= 64 ? ~0ull : ((1ull << key_bits) - 1);
-    const std::uint64_t hi_mask =
-        hi_bits == 0 ? 0 : (hi_bits == 64 ? ~0ull : ((1ull << hi_bits) - 1));
-
-    std::vector<std::uint64_t> hi(n), lo(n);
-    std::vector<std::uint32_t> vals(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      hi[i] = rng.next() & hi_mask;
-      lo[i] = rng.next() & lo_mask;
-      vals[i] = static_cast<std::uint32_t>(i);
-    }
-
-    std::vector<std::size_t> order(n);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return hi[a] != hi[b] ? hi[a] < hi[b] : lo[a] < lo[b];
-    });
-    std::vector<std::uint64_t> expect_hi(n), expect_lo(n);
-    std::vector<std::uint32_t> expect_vals(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      expect_hi[i] = hi[order[i]];
-      expect_lo[i] = lo[order[i]];
-      expect_vals[i] = vals[order[i]];
-    }
-
-    std::vector<std::uint64_t> tmp_hi(n), tmp_lo(n);
-    std::vector<std::uint32_t> tmp_vals(n);
-    sort::radix_sort_kv128(hi, lo, vals, tmp_hi, tmp_lo, tmp_vals, key_bits, digit_bits);
-    ASSERT_EQ(hi, expect_hi) << "key_bits=" << key_bits << " digit_bits=" << digit_bits
-                             << " n=" << n;
-    ASSERT_EQ(lo, expect_lo) << "key_bits=" << key_bits << " digit_bits=" << digit_bits
-                             << " n=" << n;
-    ASSERT_EQ(vals, expect_vals) << "key_bits=" << key_bits << " digit_bits=" << digit_bits
-                                 << " n=" << n;
-  }
-}
-
 TEST(Property, RadixSortRejectsBadDigitWidth) {
   std::vector<std::uint64_t> keys{3, 1, 2};
   std::vector<std::uint32_t> vals{0, 1, 2};

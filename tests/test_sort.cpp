@@ -330,43 +330,5 @@ TEST(RadixSort64x64, LocalSortShapedRegionMatchesStableSort) {
   }
 }
 
-class RadixSort128Test : public ::testing::TestWithParam<int> {};
-
-TEST_P(RadixSort128Test, MatchesReferenceFor128BitKeys) {
-  const int key_bits = GetParam();
-  util::Xoshiro256 rng(600 + static_cast<std::uint64_t>(key_bits));
-  const std::size_t n = 1500;
-  std::vector<std::uint64_t> hi(n), lo(n);
-  std::vector<std::uint32_t> vals(n);
-  const int hi_bits = key_bits > 64 ? key_bits - 64 : 0;
-  const std::uint64_t hi_mask = hi_bits == 0 ? 0 : (hi_bits >= 64 ? ~0ULL : (1ULL << hi_bits) - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    hi[i] = rng.next() & hi_mask;
-    lo[i] = rng.next();
-    vals[i] = static_cast<std::uint32_t>(rng.next());
-  }
-  struct Rec {
-    std::uint64_t hi, lo;
-    std::uint32_t v;
-  };
-  std::vector<Rec> ref(n);
-  for (std::size_t i = 0; i < n; ++i) ref[i] = {hi[i], lo[i], vals[i]};
-  std::stable_sort(ref.begin(), ref.end(), [](const Rec& a, const Rec& b) {
-    return std::tie(a.hi, a.lo) < std::tie(b.hi, b.lo);
-  });
-
-  std::vector<std::uint64_t> th(n), tl(n);
-  std::vector<std::uint32_t> tv(n);
-  radix_sort_kv128(hi, lo, vals, th, tl, tv, key_bits, 8);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(hi[i], ref[i].hi);
-    EXPECT_EQ(lo[i], ref[i].lo);
-    EXPECT_EQ(vals[i], ref[i].v);
-  }
-}
-
-// 2k bits for k = 63 is 126; also test boundary and small widths.
-INSTANTIATE_TEST_SUITE_P(KeyWidths, RadixSort128Test, ::testing::Values(126, 128, 66, 70, 64));
-
 }  // namespace
 }  // namespace metaprep::sort
