@@ -199,7 +199,7 @@ void BM_GroupRegion(benchmark::State& state) {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
   for (auto _ : state) {
     state.PauseTiming();
-    tuples.keys[0] = base.keys;
+    tuples.keys[0].assign(base.keys.begin(), base.keys.end());
     for (std::size_t i = 0; i < kRegionKeys; ++i) tuples.vals[i] = base.vals32[i] % kRegionReads;
     cc.reset();
     edges.clear();

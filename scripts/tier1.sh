@@ -17,8 +17,10 @@
 #      mailboxes, the parallel MergeCC flatten (atomic_ref size counting),
 #      the per-thread merHist accumulators and in-place cumulative rows of
 #      the parallel histogram loop, the packed KmerGen scan (threads over
-#      one shared in-memory arena), and the pass engine's T threads writing
-#      per-(dest rank, dest thread) slots with receives completed at drain.
+#      one shared in-memory arena), and the pass engine's T threads of every
+#      rank storing per-(dest rank, dest thread) blocks straight into the
+#      destination ranks' window buffers between two fences (test_mpsim
+#      also runs the Window epoch and fence-cost cases).
 #   3. Address+UBSanitizer build running the fault-injection (test_faults,
 #      with UBSan notes fatal), FASTQ parsing (test_fastq), packed arena
 #      (test_packed_store: sharded-ingest merge offsets, page-spanning
@@ -33,8 +35,9 @@
 #      hostile integers and doubles and an empty `out` on the CLI and JSON
 #      surfaces) suites — the paths that do raw buffer
 #      arithmetic and deliberately corrupt / truncate input, including the
-#      super-k-mer wire decode and the fixed-tuple receive split's offset
-#      arithmetic on wire messages.
+#      super-k-mer wire decode, the bounded window block cursors (a chunk
+#      yielding more k-mers than indexed) and a rank failing mid-sweep while
+#      peers still store into its window (test_faults KmerGenBounds.*).
 #   4. metaprepd daemon smoke: start the job-queue daemon on an AF_UNIX
 #      socket, submit a job via `metaprep_cli daemon`, poll it to
 #      completion, fetch the partition manifest, send a ranks=0 submit to

@@ -1,5 +1,7 @@
 #include "check/check.hpp"
 
+#include <cstddef>
+#include <cstring>
 #include <sstream>
 
 #include "util/env.hpp"
@@ -55,6 +57,9 @@ const char* to_string(ViolationKind kind) noexcept {
     case ViolationKind::kDsuCycle: return "dsu-cycle";
     case ViolationKind::kDsuBounds: return "dsu-bounds";
     case ViolationKind::kSizeConservation: return "size-conservation";
+    case ViolationKind::kEpochViolation: return "epoch-violation";
+    case ViolationKind::kFenceMismatch: return "fence-mismatch";
+    case ViolationKind::kUnwrittenSlot: return "unwritten-slot";
   }
   return "unknown";
 }
@@ -89,5 +94,28 @@ std::string CheckReport::to_string() const {
 
 CheckError::CheckError(CheckReport report)
     : std::runtime_error(report.to_string()), report_(std::move(report)) {}
+
+void throw_violation(Violation v) {
+  CheckReport report;
+  report.violations.push_back(std::move(v));
+  throw CheckError(std::move(report));
+}
+
+void poison_fill(void* data, std::size_t bytes) noexcept {
+  auto* out = static_cast<std::byte*>(data);
+  for (std::size_t at = 0; at + sizeof(kPoison32) <= bytes; at += sizeof(kPoison32)) {
+    std::memcpy(out + at, &kPoison32, sizeof(kPoison32));
+  }
+}
+
+bool is_poisoned(const void* data, std::size_t bytes) noexcept {
+  const auto* in = static_cast<const std::byte*>(data);
+  for (std::size_t at = 0; at + sizeof(kPoison32) <= bytes; at += sizeof(kPoison32)) {
+    std::uint32_t word = 0;
+    std::memcpy(&word, in + at, sizeof(word));
+    if (word != kPoison32) return false;
+  }
+  return true;
+}
 
 }  // namespace metaprep::check

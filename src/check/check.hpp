@@ -75,12 +75,15 @@ enum class ViolationKind {
   kUnmatchedSend,    ///< message still in a mailbox when the World wound down
   kRecvReorder,      ///< (src, tag) message delivered out of send order
   kDeadlock,         ///< cycle of blocked ranks in the wait-for graph
-  kOffsetOverlap,    ///< non-monotone send/recv block offsets in an all-to-all
+  kOffsetOverlap,    ///< overlapping blocks: all-to-all offsets or a window epoch's stores
   kForeignRelease,   ///< TupleArena buffer released that it does not hold as leased
   kUseAfterReturn,   ///< released buffer written while it was an arena spare
   kDsuCycle,         ///< parent-pointer forest contains a cycle
   kDsuBounds,        ///< parent pointer out of [0, n)
   kSizeConservation, ///< component sizes after flatten do not sum to n
+  kEpochViolation,   ///< window store outside an open epoch, or a region read inside one
+  kFenceMismatch,    ///< a collective (fence or barrier) not reached by every rank
+  kUnwrittenSlot,    ///< window slot still poisoned when its epoch closed
 };
 
 [[nodiscard]] const char* to_string(ViolationKind kind) noexcept;
@@ -135,5 +138,20 @@ class CheckError : public std::runtime_error {
  private:
   CheckReport report_;
 };
+
+/// Throw a CheckError carrying the one violation @p v.
+[[noreturn]] void throw_violation(Violation v);
+
+/// Checked mode's fill for storage that holds no data: leased but not yet
+/// written, or released.  Both patterns are the little-endian byte cycle
+/// EF BE AD DE, so a 4- or 8-byte element is poisoned when every 4-byte
+/// word of it reads kPoison32.
+inline constexpr std::uint32_t kPoison32 = 0xDEADBEEFU;
+inline constexpr std::uint64_t kPoison64 = 0xDEADBEEFDEADBEEFULL;
+
+/// Fill @p bytes (a multiple of 4) at @p data with the poison cycle.
+void poison_fill(void* data, std::size_t bytes) noexcept;
+/// True when every 4-byte word of the @p bytes at @p data reads kPoison32.
+[[nodiscard]] bool is_poisoned(const void* data, std::size_t bytes) noexcept;
 
 }  // namespace metaprep::check

@@ -5,16 +5,6 @@
 
 namespace metaprep::check {
 
-namespace {
-
-[[noreturn]] void throw_one(Violation v) {
-  CheckReport report;
-  report.violations.push_back(std::move(v));
-  throw CheckError(std::move(report));
-}
-
-}  // namespace
-
 void verify_parent_forest(std::span<const std::uint32_t> parents, const char* what) {
   const std::uint32_t n = static_cast<std::uint32_t>(parents.size());
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -26,7 +16,7 @@ void verify_parent_forest(std::span<const std::uint32_t> parents, const char* wh
     std::ostringstream msg;
     msg << what << ": parent[" << i << "] = " << parents[i] << " out of [0, " << n << ")";
     v.message = msg.str();
-    throw_one(std::move(v));
+    throw_violation(std::move(v));
   }
   // Stamp-based cycle check: walk each node's parent chain once; chains that
   // hit an already-stamped node stop (either a known-good path or a known
@@ -50,7 +40,7 @@ void verify_parent_forest(std::span<const std::uint32_t> parents, const char* wh
       msg << what << ": parent pointers cycle through node " << x << " (parent "
           << parents[x] << "): not a forest";
       v.message = msg.str();
-      throw_one(std::move(v));
+      throw_violation(std::move(v));
     }
     // Re-stamp the walked chain as settled (epoch stays; nothing to do —
     // any later chain entering it terminates at the first stamped node).
@@ -67,7 +57,7 @@ void verify_size_conservation(std::uint64_t observed, std::uint64_t expected,
   std::ostringstream msg;
   msg << what << ": observed total " << observed << " != expected " << expected;
   v.message = msg.str();
-  throw_one(std::move(v));
+  throw_violation(std::move(v));
 }
 
 }  // namespace metaprep::check

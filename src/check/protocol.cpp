@@ -5,16 +5,6 @@
 
 namespace metaprep::check {
 
-namespace {
-
-[[noreturn]] void throw_one(Violation v) {
-  CheckReport report;
-  report.violations.push_back(std::move(v));
-  throw CheckError(std::move(report));
-}
-
-}  // namespace
-
 ProtocolChecker::ProtocolChecker(int num_ranks) : num_ranks_(num_ranks) { reset(); }
 
 void ProtocolChecker::reset() {
@@ -27,6 +17,7 @@ void ProtocolChecker::reset() {
   blocked_.assign(static_cast<std::size_t>(num_ranks_), Blocked{});
   barrier_join_.assign(static_cast<std::size_t>(num_ranks_), 0);
   barrier_arrivals_ = 0;
+  barrier_site_.clear();
   deferred_ = CheckReport{};
 }
 
@@ -65,7 +56,7 @@ void ProtocolChecker::on_recv(int src, int dst, int tag, std::uint64_t seq) {
         << "): delivered send #" << seq << ", expected #" << expected;
     v.message = msg.str();
     v.ranks = {src, dst};
-    throw_one(std::move(v));
+    throw_violation(std::move(v));
   }
 }
 
@@ -79,14 +70,14 @@ void ProtocolChecker::block_recv(int rank, int src, int tag, const char* op) {
   b.op = op;
 }
 
-void ProtocolChecker::block_barrier(int rank) {
+void ProtocolChecker::block_barrier(int rank, std::string_view op) {
   util::MutexLock lock(mutex_);
   Blocked& b = blocked_[static_cast<std::size_t>(rank)];
   b.active = true;
   b.barrier = true;
   b.peer = -1;
   b.tag = 0;
-  b.op = "barrier";
+  b.op = op;
 }
 
 void ProtocolChecker::unblock(int rank) {
@@ -94,8 +85,21 @@ void ProtocolChecker::unblock(int rank) {
   blocked_[static_cast<std::size_t>(rank)].active = false;
 }
 
-void ProtocolChecker::on_barrier_arrive(int rank) {
+void ProtocolChecker::on_barrier_arrive(int rank, std::string_view site) {
   util::MutexLock lock(mutex_);
+  if (barrier_arrivals_ == 0) {
+    barrier_site_ = site;
+  } else if (site != barrier_site_) {
+    Violation v;
+    v.kind = ViolationKind::kFenceMismatch;
+    v.src = rank;
+    std::ostringstream msg;
+    msg << "rank " << rank << " arrived at " << site << " while " << barrier_arrivals_
+        << " rank(s) wait in " << barrier_site_ << ": a collective not reached by every rank";
+    v.message = msg.str();
+    v.ranks = {rank};
+    throw_violation(std::move(v));
+  }
   const auto& my_vc = vc_[static_cast<std::size_t>(rank)];
   for (std::size_t i = 0; i < barrier_join_.size(); ++i) {
     barrier_join_[i] = std::max(barrier_join_[i], my_vc[i]);
@@ -198,7 +202,7 @@ void ProtocolChecker::detect_deadlock(
   for (int r : cycle) msg << ' ' << r;
   msg << " in the wait-for graph (" << v.blocked.size() << " rank(s) blocked)";
   v.message = msg.str();
-  throw_one(std::move(v));
+  throw_violation(std::move(v));
 }
 
 void ProtocolChecker::note_unmatched_send(int src, int dst, int tag, std::uint64_t count,
@@ -232,6 +236,90 @@ std::uint64_t ProtocolChecker::clock(int rank) const {
   return vc_[static_cast<std::size_t>(rank)][static_cast<std::size_t>(rank)];
 }
 
+void throw_collective_abandoned(int rank, std::string_view site, int exited) {
+  Violation v;
+  v.kind = ViolationKind::kFenceMismatch;
+  v.src = exited;
+  v.dst = rank;
+  std::ostringstream msg;
+  msg << "rank " << rank << " waits in " << site << ", which rank " << exited
+      << " returned without reaching";
+  v.message = msg.str();
+  v.ranks = {rank, exited};
+  throw_violation(std::move(v));
+}
+
+void check_epoch_access(bool epoch_open, bool store, int rank, int window) {
+  if (epoch_open == store) return;
+  Violation v;
+  v.kind = ViolationKind::kEpochViolation;
+  v.src = rank;
+  v.tag = window;
+  std::ostringstream msg;
+  msg << "rank " << rank << ": window " << window
+      << (store ? " store outside an open epoch" : " region read inside an open epoch")
+      << (store ? " (no fence opened it)" : " (peers may still store; close it with a fence)");
+  v.message = msg.str();
+  v.ranks = {rank};
+  throw_violation(std::move(v));
+}
+
+void validate_window_blocks(std::vector<WindowBlock>& blocks, std::uint64_t elems, int dest,
+                            int window, int region) {
+  std::sort(blocks.begin(), blocks.end(),
+            [](const WindowBlock& a, const WindowBlock& b) { return a.begin < b.begin; });
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const WindowBlock& b = blocks[i];
+    const bool outside = b.begin > elems || b.count > elems - b.begin;
+    const bool overlap = i + 1 < blocks.size() && blocks[i + 1].begin < b.begin + b.count;
+    if (!outside && !overlap) continue;
+    Violation v;
+    v.kind = ViolationKind::kOffsetOverlap;
+    v.src = b.src;
+    v.dst = dest;
+    v.tag = window;
+    v.detail_a = b.begin;
+    v.detail_b = b.count;
+    std::ostringstream msg;
+    msg << "window " << window << " region " << region << " on rank " << dest << ": rank "
+        << b.src << "'s block [" << b.begin << ", " << b.begin + b.count << ")";
+    if (outside) {
+      msg << " lies outside the region's " << elems << " slots";
+      v.ranks = {b.src, dest};
+    } else {
+      const WindowBlock& next = blocks[i + 1];
+      msg << " overlaps rank " << next.src << "'s block [" << next.begin << ", "
+          << next.begin + next.count << ")";
+      v.ranks = {b.src, next.src, dest};
+    }
+    v.message = msg.str();
+    throw_violation(std::move(v));
+  }
+}
+
+void throw_unwritten_slot(int src, int dest, int window, int region, std::uint64_t slot,
+                          std::uint64_t unwritten) {
+  Violation v;
+  v.kind = ViolationKind::kUnwrittenSlot;
+  v.src = src;
+  v.dst = dest;
+  v.tag = window;
+  v.count = unwritten;
+  v.detail_a = slot;
+  std::ostringstream msg;
+  msg << "window " << window << " region " << region << " on rank " << dest << ": slot "
+      << slot;
+  if (src >= 0) {
+    msg << " (in rank " << src << "'s block)";
+  } else {
+    msg << " (in no declared block)";
+  }
+  msg << " was never written when the epoch closed; " << unwritten << " such slot(s)";
+  v.message = msg.str();
+  v.ranks = src >= 0 ? std::vector<int>{src, dest} : std::vector<int>{dest};
+  throw_violation(std::move(v));
+}
+
 void validate_block_offsets(std::span<const std::uint64_t> offsets, int rank,
                             const char* which) {
   for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
@@ -247,7 +335,7 @@ void validate_block_offsets(std::span<const std::uint64_t> offsets, int rank,
         << "): send blocks would overlap";
     v.message = msg.str();
     v.ranks = {rank};
-    throw_one(std::move(v));
+    throw_violation(std::move(v));
   }
 }
 

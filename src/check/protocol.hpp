@@ -27,6 +27,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -56,13 +57,16 @@ class ProtocolChecker {
 
   // --- blocking state / deadlock detection ----------------------------
   void block_recv(int rank, int src, int tag, const char* op);
-  void block_barrier(int rank);
+  void block_barrier(int rank, std::string_view op = "barrier");
   void unblock(int rank);
 
-  /// Arrival at the barrier: accumulates the rank's clock into the phase
-  /// join; the P-th arrival folds the joined clock into every rank and
-  /// releases every rank blocked in the barrier.
-  void on_barrier_arrive(int rank);
+  /// Arrival at a barrier-shaped collective (a barrier or a window fence,
+  /// named by @p site): accumulates the rank's clock into the phase join;
+  /// the P-th arrival folds the joined clock into every rank and releases
+  /// every rank blocked in it.  Arriving at a different site than the ranks
+  /// already waiting throws CheckError(kFenceMismatch): the collective is
+  /// not reached by every rank.
+  void on_barrier_arrive(int rank, std::string_view site = "barrier");
 
   /// Probe the wait-for graph.  @p mailbox_has(dst, src, tag) must return
   /// true when dst's mailbox already holds a (src, tag) message (such a
@@ -105,8 +109,42 @@ class ProtocolChecker {
   std::vector<Blocked> blocked_ GUARDED_BY(mutex_);
   std::vector<std::uint64_t> barrier_join_ GUARDED_BY(mutex_);
   int barrier_arrivals_ GUARDED_BY(mutex_) = 0;
+  std::string barrier_site_ GUARDED_BY(mutex_);  ///< what the waiting ranks arrived at
   CheckReport deferred_ GUARDED_BY(mutex_);
 };
+
+/// A collective at @p site that rank @p rank waits in can never complete:
+/// rank @p exited returned without reaching it.  Throws
+/// CheckError(kFenceMismatch).
+[[noreturn]] void throw_collective_abandoned(int rank, std::string_view site, int exited);
+
+// --- one-sided window epochs (mpsim::Window) ----------------------------
+
+/// A store (@p store) must happen inside an open epoch and a region read
+/// outside one.  Throws CheckError(kEpochViolation) otherwise.
+void check_epoch_access(bool epoch_open, bool store, int rank, int window);
+
+/// One source's declared stores into a target region: slots
+/// [begin, begin + count).
+struct WindowBlock {
+  int src = -1;
+  std::uint64_t begin = 0;
+  std::uint64_t count = 0;
+};
+
+/// The blocks one epoch declared into region @p region (of @p elems slots)
+/// of window @p window on rank @p dest must lie inside the region and not
+/// overlap.  Sorts @p blocks by begin; throws CheckError(kOffsetOverlap)
+/// naming both sources of the first overlap.
+void validate_window_blocks(std::vector<WindowBlock>& blocks, std::uint64_t elems, int dest,
+                            int window, int region);
+
+/// Slot @p slot of region @p region of window @p window on rank @p dest was
+/// still poisoned when the epoch closed (@p unwritten such slots in all);
+/// @p src is the rank whose block holds it, or -1 when no block does.
+/// Throws CheckError(kUnwrittenSlot).
+[[noreturn]] void throw_unwritten_slot(int src, int dest, int window, int region,
+                                       std::uint64_t slot, std::uint64_t unwritten);
 
 /// Validates the P+1-entry block-offset contract of the staged all-to-all:
 /// offsets must be monotone non-decreasing (blocks must not overlap).

@@ -92,6 +92,14 @@ util::Error chunk_overrun(const DatasetIndex& index, std::uint32_t c) {
                            index.files[chunk.file], chunk.offset);
 }
 
+util::Error chunk_kmer_overrun(const DatasetIndex& index, std::uint32_t c) {
+  const ChunkRecord& chunk = index.part.chunks[c];
+  return util::parse_error("chunk " + std::to_string(c) +
+                               " yields more k-mers for a routing slot than the index "
+                               "counted; the file changed after indexing",
+                           index.files[chunk.file], chunk.offset);
+}
+
 std::uint64_t DatasetIndex::max_chunk_bytes() const {
   std::uint64_t mx = 0;
   for (const auto& c : part.chunks) mx = std::max(mx, c.size);

@@ -175,6 +175,11 @@ std::vector<char> read_chunk(const DatasetIndex& index, std::uint32_t c);
 /// abandoned) than its record_count: its bytes changed after indexing.
 util::Error chunk_overrun(const DatasetIndex& index, std::uint32_t c);
 
+/// The parse util::Error for chunk @p c taking a routing slot past the
+/// k-mers the histograms of its thread's chunks count: the chunk's bytes
+/// (or an earlier chunk's of the same thread) changed after indexing.
+util::Error chunk_kmer_overrun(const DatasetIndex& index, std::uint32_t c);
+
 /// Parse chunk @p c of @p index out of @p text, the chunk's bytes as
 /// read_chunk returns them, calling
 /// on_record(read_id, id, seq, qual) per record.  This is where the index's

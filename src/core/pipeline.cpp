@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -264,32 +263,35 @@ std::uint64_t scan_chunk(PassCtx& ctx, std::uint32_t c, bool substitute, double&
 // Passes run in groups of W: W = 1 is the paper's barrier schedule, W = 2
 // the pipelined one.  Each group does one fused chunk sweep that generates
 // every pass of the group (an emitted k-mer's routing bin places it in one
-// pass), posts each pass's exchange, then drains pass by pass: complete
-// the receive, expand it when the codec is super-k-mers, sort, then union.
+// pass), completes the group's exchange, then sorts and unions pass by
+// pass.
 //
 // Every pass routes at (dest rank, dest thread) granularity: P·T slots,
 // slot d·T+dt.  The receiver lays its T sort regions out by src rank, and
 // within a src rank by src thread and generation order — the order the
 // paper's LocalSort partition step produces — so the receive buffer IS the
-// sort buffer and the stable radix sort sees the barrier schedule's input.
+// sort buffer and LocalSort sees the barrier schedule's input.
 //
 // Wire codecs:
-//  - fixed tuples (comm_compress none): every size is precomputed from the
-//    FASTQPart tables on both sides.  Per (stage, pass, tuple array) rank p
-//    sends exactly one message to (p+stage) mod P, even when empty — the
-//    dest rank's T contiguous slot sections — which is the paper's staged
-//    all-to-all shape; the receiver checks its size against the geometry
-//    and copies the T sections into its T regions.
+//  - fixed tuples (comm_compress none): one-sided.  Every (src thread,
+//    dest slot) count follows from the FASTQPart tables, so every rank
+//    knows where each of its threads' blocks starts in every destination's
+//    receive buffer.  Each rank leases its receive buffers and exposes
+//    them in an mpsim::Window; after the opening fence KmerGen threads
+//    store each tuple straight into its destination's buffer, and the
+//    closing fence ends the exchange.  The fence charges the CostModel with
+//    the paper's staged all-to-all: per (stage, pass, tuple array) rank p
+//    "sends" (p+stage) mod P one message, even when empty.
 //  - super-k-mer records (comm_compress superkmer): one message per (src,
 //    dest, pass) with a u64 lens[T] header, then the T dest-thread
 //    sections; the receiver sizes its regions from the headers and expands
 //    in parallel.
 // ---------------------------------------------------------------------------
 
-/// Tags of the KmerGen exchange: one per (pass, tuple array), above the
-/// MergeCC range (1 << 20).  The super-k-mer codec uses array 0 only.
+/// Tag of the super-k-mer exchange of pass @p s, above the MergeCC range
+/// (1 << 20).
 constexpr int kKmerGenTagBase = 2'000'000;
-inline int kmergen_tag(int s, int arr) { return kKmerGenTagBase + 3 * s + arr; }
+inline int kmergen_tag(int s) { return kKmerGenTagBase + s; }
 
 /// Routing of one pass: its bin range and the bin -> slot table.
 struct PassRoute {
@@ -344,69 +346,118 @@ struct PassWork {
   int s = 0;
   const PassRoute* route = nullptr;
   double t0 = -1.0;
-  // Receive layout: T sort regions, region dt = blocks [q][dt] by src rank.
-  std::vector<std::uint64_t> recv_count;  ///< [q][dt] tuples from src rank q
-  std::vector<std::uint64_t> recv_block;  ///< [q][dt] element offsets
-  std::vector<std::uint64_t> region;      ///< T+1 region offsets
+  std::vector<std::uint64_t> region;  ///< T+1 sort-region offsets in the receive buffer
   TupleBuffer<Key>* recv = nullptr;
-  // Fixed codec: send geometry from the index tables.
-  std::vector<std::uint64_t> cursor;      ///< [t][slot] write cursors of my thread t
-  std::vector<std::uint64_t> send_end;    ///< [t][slot] where each cursor must end
-  std::vector<std::uint64_t> slot_start;  ///< P*T+1: slot-major, by my thread within a slot
-  TupleBuffer<Key>* send = nullptr;
+  // Fixed codec: my thread t's block for each slot, in the receive buffer
+  // of the slot's dest rank.
+  std::vector<std::uint64_t> block;      ///< [t][slot] first element
+  std::vector<std::uint64_t> block_len;  ///< [t][slot] tuples the index counts
   // Super-k-mer codec: per (my thread, slot) byte streams, then my own message.
   std::vector<std::vector<std::vector<std::byte>>> streams;  ///< [t][slot]
   std::vector<std::byte> self_msg;
 };
 
-/// Fixed codec: send and receive geometry of one pass from the FASTQPart
-/// tables (O(chunks × P × T) bounded counts, each O(1)).
+/// Fixed codec: the exchange geometry of one pass from the FASTQPart
+/// tables (O(chunks × P × T) bounded counts, each O(1)).  Every rank
+/// derives the same (src rank, src thread) x (dest slot) count table, so
+/// it knows its own sort regions and, in every destination's buffer, where
+/// its threads' blocks start: dest d's region dt holds its blocks in
+/// (src rank, src thread) order.
 template <typename Key>
 void fixed_geometry(const PassCtx& ctx, PassWork<Key>& w) {
   const int P = ctx.P, T = ctx.T, p = ctx.p;
   const std::size_t nslots = static_cast<std::size_t>(P) * T;
-  const auto& bounds = w.route->slot_bounds;
-  std::vector<std::uint64_t> send_count(static_cast<std::size_t>(T) * nslots, 0);  // [t][slot]
-  for (int t = 0; t < T; ++t) {
-    for (std::uint32_t c = ctx.ca.thread_begin(p, t); c < ctx.ca.thread_end(p, t); ++c) {
-      ctx.index.part.add_range_counts(
-          c, bounds, std::span(send_count).subspan(static_cast<std::size_t>(t) * nslots, nslots));
-    }
-  }
-  column_major_offsets(send_count, static_cast<std::size_t>(T), nslots, w.cursor, w.slot_start);
-  w.send_end = w.cursor;
-  for (std::size_t i = 0; i < send_count.size(); ++i) w.send_end[i] += send_count[i];
-  const auto my_bounds =
-      std::span(bounds).subspan(static_cast<std::size_t>(p) * T, static_cast<std::size_t>(T) + 1);
-  w.recv_count.assign(static_cast<std::size_t>(P) * T, 0);
+  const auto uT = static_cast<std::size_t>(T);
+  std::vector<std::uint64_t> count(nslots * nslots, 0);  // [src q*T+t][dest slot]
   for (int q = 0; q < P; ++q) {
-    for (std::uint32_t c = ctx.ca.rank_begin(q); c < ctx.ca.rank_end(q); ++c) {
-      ctx.index.part.add_range_counts(
-          c, my_bounds, std::span(w.recv_count).subspan(static_cast<std::size_t>(q) * T, T));
+    for (int t = 0; t < T; ++t) {
+      const auto row = std::span(count).subspan((static_cast<std::size_t>(q) * uT + t) * nslots,
+                                                nslots);
+      for (std::uint32_t c = ctx.ca.thread_begin(q, t); c < ctx.ca.thread_end(q, t); ++c) {
+        ctx.index.part.add_range_counts(c, w.route->slot_bounds, row);
+      }
     }
   }
-  column_major_offsets(w.recv_count, static_cast<std::size_t>(P), static_cast<std::size_t>(T),
-                       w.recv_block, w.region);
+  w.block.assign(uT * nslots, 0);
+  w.block_len.assign(uT * nslots, 0);
+  std::vector<std::uint64_t> dest_count(nslots * uT);  // [src slot][dt] of one dest rank
+  std::vector<std::uint64_t> block;
+  std::vector<std::uint64_t> region;
+  for (std::size_t d = 0; d < static_cast<std::size_t>(P); ++d) {
+    for (std::size_t src = 0; src < nslots; ++src) {
+      for (std::size_t dt = 0; dt < uT; ++dt) {
+        dest_count[src * uT + dt] = count[src * nslots + d * uT + dt];
+      }
+    }
+    column_major_offsets(dest_count, nslots, uT, block, region);
+    for (std::size_t t = 0; t < uT; ++t) {
+      const std::size_t src = static_cast<std::size_t>(p) * uT + t;
+      for (std::size_t dt = 0; dt < uT; ++dt) {
+        w.block[t * nslots + d * uT + dt] = block[src * uT + dt];
+        w.block_len[t * nslots + d * uT + dt] = dest_count[src * uT + dt];
+      }
+    }
+    if (d == static_cast<std::size_t>(p)) w.region = region;
+  }
 }
 
-/// Fixed codec, lenient parsing: records the (clean-data) chunk histograms
-/// counted but the parser skipped leave under-filled (thread, slot) blocks,
-/// and the precomputed geometry ships them regardless.  Fill the gaps with
-/// sentinel tuples keyed by the slot's first bin (so every key stays in its
-/// dest thread's bin range) whose value is kInvalidRead (so LocalCC ignores
-/// them).
+/// Fixed codec: a receive buffer as a window region.  The segments are the
+/// tuple arrays in the staged all-to-all's order — low key words, read
+/// IDs, then high key words (k > 32 ships the k <= 32 arrays plus one) —
+/// so a fenced epoch charges their messages in that order.
 template <typename Key>
-void fill_sentinels(const PassCtx& ctx, PassWork<Key>& w) {
-  const std::size_t nslots = static_cast<std::size_t>(ctx.P) * ctx.T;
-  TupleBuffer<Key>& buf = *w.send;
-  const int shift = 2 * (ctx.k - ctx.m);
-  for (std::size_t ts = 0; ts < w.cursor.size(); ++ts) {
-    const std::uint64_t block_end = w.send_end[ts];
-    if (w.cursor[ts] == block_end) continue;
-    const Key sentinel = kmer::KmerTraits<Key>::bin_key(w.route->slot_bounds[ts % nslots], shift);
-    for (std::uint64_t at = w.cursor[ts]; at < block_end; ++at) buf.put(at, sentinel, kInvalidRead);
-    w.cursor[ts] = block_end;
+mpsim::Window::Region window_region(TupleBuffer<Key>& b) {
+  mpsim::Window::Region r;
+  r.elems = b.size();
+  r.segments.push_back({b.keys[0].data(), sizeof(std::uint64_t)});
+  r.segments.push_back({b.vals.data(), sizeof(std::uint32_t)});
+  for (std::size_t w = 1; w < b.keys.size(); ++w) {
+    r.segments.push_back({b.keys[w].data(), sizeof(std::uint64_t)});
   }
+  return r;
+}
+constexpr int kValSegment = 1;
+constexpr int key_segment(std::size_t w) { return w == 0 ? 0 : static_cast<int>(w) + 1; }
+
+/// Fixed codec, KmerGen-Comm's opening half: lease each group pass's
+/// receive buffer, expose them all in one window, open its epoch and
+/// declare this rank's blocks.  Also books the pass's tuple and exchange
+/// counts, which the geometry fixes.
+template <typename Key>
+std::unique_ptr<mpsim::Window> open_window(PassCtx& ctx, std::span<PassWork<Key>> group,
+                                           TupleArena<Key>& arena) {
+  const int P = ctx.P, T = ctx.T, p = ctx.p;
+  const std::size_t nslots = static_cast<std::size_t>(P) * T;
+  std::vector<mpsim::Window::Region> regions;
+  for (PassWork<Key>& w : group) {
+    fixed_geometry(ctx, w);
+    w.recv = &arena.acquire(w.region.back());
+    regions.push_back(window_region(*w.recv));
+  }
+  auto window = std::make_unique<mpsim::Window>(ctx.comm, std::move(regions));
+  window->fence();
+  RankShared& my = ctx.my;
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    const PassWork<Key>& w = group[i];
+    std::uint64_t generated = 0;
+    std::uint64_t own = 0;
+    for (std::size_t ts = 0; ts < w.block.size(); ++ts) {
+      const std::uint64_t len = w.block_len[ts];
+      if (len == 0) continue;
+      const int dest = static_cast<int>(ts % nslots) / T;
+      window->declare(dest, static_cast<int>(i), w.block[ts], len);
+      generated += len;
+      if (dest == p) own += len;
+    }
+    my.tuples += generated;
+    ctx.m_tuples.add(generated);
+    // Exchange-volume accounting (cross-rank tuples only, matching the
+    // traffic matrix); uncompressed, so shipped == raw.
+    const std::uint64_t cross_bytes = (generated - own) * kmer::KmerTraits<Key>::kTupleBytes;
+    my.exchange_bytes += cross_bytes;
+    my.exchange_bytes_raw += cross_bytes;
+  }
+  return window;
 }
 
 /// Little-endian byte append/read for the record-codec framing.
@@ -441,9 +492,11 @@ struct SweepCounts {
 };
 
 /// Fused KmerGen: one chunk read + scan generates every pass of the group.
+/// Fixed tuples go through @p window (open, one region per group pass);
+/// super-k-mer records go to the group's streams.
 template <typename Key>
 void kmergen_sweep(PassCtx& ctx, const EnginePlan& ep, std::span<PassWork<Key>> group,
-                   bool substitute) {
+                   const mpsim::Window* window, bool substitute) {
   using Traits = kmer::KmerTraits<Key>;
   const int p = ctx.p, T = ctx.T, k = ctx.k, m = ctx.m;
   const std::size_t nslots = static_cast<std::size_t>(ctx.P) * T;
@@ -459,46 +512,69 @@ void kmergen_sweep(PassCtx& ctx, const EnginePlan& ep, std::span<PassWork<Key>> 
   ctx.team.run([&](int t) {
     obs::TraceSession::set_thread_identity(p, t);
     const std::size_t ut = static_cast<std::size_t>(t);
-    // Tallies and write cursors live on this thread's stack or heap for
-    // the sweep and are stored back once: the shared per-thread rows sit
-    // a few words apart, and incrementing them per k-mer would bounce
-    // their cache lines between the cores of the team.
+    // Tallies and write positions live on this thread's stack or heap for
+    // the sweep: shared per-thread rows would sit a few words apart, and
+    // updating them per k-mer would bounce their cache lines between the
+    // cores of the team.
     SweepCounts n;
+    std::uint32_t chunk = 0;  // the chunk being scanned
     auto sweep = [&](auto&& on_record) {
-      for (std::uint32_t c = ctx.ca.thread_begin(p, t); c < ctx.ca.thread_end(p, t); ++c) {
-        n.skipped += scan_chunk(ctx, c, substitute, io_seconds[ut], gen_seconds[ut], on_record);
+      for (chunk = ctx.ca.thread_begin(p, t); chunk < ctx.ca.thread_end(p, t); ++chunk) {
+        n.skipped +=
+            scan_chunk(ctx, chunk, substitute, io_seconds[ut], gen_seconds[ut], on_record);
       }
     };
     if (!ep.superkmer) {
-      // Fixed tuples written at this thread's precomputed cursors.  Plain
-      // per-pass locals and an explicit branch keep pass 0's pointers in
-      // registers on the per-k-mer path (W = 1 never takes the else).
+      // Fixed tuples, stored into this thread's block of each slot in the
+      // slot's destination buffer.  A block is bounded by the tuples the
+      // index counts for it: a chunk that yields more (its file changed
+      // after indexing) stops with a parse Error instead of writing into
+      // the next block.  Plain per-pass locals and an explicit branch keep
+      // pass 0's pointers in registers on the per-k-mer path (W = 1 never
+      // takes the else).
+      struct Block {
+        std::array<std::uint64_t*, Traits::kWords> keys{};  ///< at the block's first slot
+        std::uint32_t* vals = nullptr;
+        std::uint64_t n = 0;    ///< tuples stored
+        std::uint64_t len = 0;  ///< tuples the index counts
+      };
       struct Out {
         const std::uint16_t* slot_of_bin = nullptr;
-        std::uint64_t* cur = nullptr;
-        std::array<std::uint64_t*, Traits::kWords> keys{};
-        std::uint32_t* vals = nullptr;
+        Block* blocks = nullptr;
       };
-      // A cache line of padding on each side of the copy: it shares no
-      // line with other threads' data, whatever the allocator does.
-      constexpr std::size_t kPad = 64 / sizeof(std::uint64_t);
-      std::array<std::vector<std::uint64_t>, 2> cursors;
+      // Two blocks of padding on each side of the table: it shares no
+      // cache line with other threads' data, whatever the allocator does.
+      constexpr std::size_t kPad = 2;
+      std::array<std::vector<Block>, 2> tables;
       auto out_of = [&](std::size_t i) {
         if (i >= group.size()) return Out{};
-        cursors[i].assign(nslots + 2 * kPad, 0);
-        const auto row = group[i].cursor.begin() + static_cast<std::ptrdiff_t>(ut * nslots);
-        std::copy(row, row + static_cast<std::ptrdiff_t>(nslots), cursors[i].begin() + kPad);
-        TupleBuffer<Key>& b = *group[i].send;
-        Out o{group[i].route->slot_of_bin.data(), cursors[i].data() + kPad, {}, b.vals.data()};
-        for (std::size_t w = 0; w < o.keys.size(); ++w) o.keys[w] = b.keys[w].data();
-        return o;
+        const PassWork<Key>& w = group[i];
+        tables[i].assign(nslots + 2 * kPad, Block{});
+        Block* blocks = tables[i].data() + kPad;
+        for (std::size_t slot = 0; slot < nslots; ++slot) {
+          const int dest = static_cast<int>(slot) / T;
+          const int region = static_cast<int>(i);
+          const std::uint64_t at = w.block[ut * nslots + slot];
+          Block& b = blocks[slot];
+          for (std::size_t wd = 0; wd < b.keys.size(); ++wd) {
+            b.keys[wd] =
+                static_cast<std::uint64_t*>(window->target(dest, region, key_segment(wd))) + at;
+          }
+          b.vals = static_cast<std::uint32_t*>(window->target(dest, region, kValSegment)) + at;
+          b.len = w.block_len[ut * nslots + slot];
+        }
+        return Out{w.route->slot_of_bin.data(), blocks};
       };
       const Out o0 = out_of(0);
       const Out o1 = out_of(1);
-      auto put = [](const Out& o, std::uint32_t rel_bin, Key km, std::uint32_t value) {
-        const std::uint64_t at = o.cur[o.slot_of_bin[rel_bin]]++;
-        for (std::size_t w = 0; w < o.keys.size(); ++w) o.keys[w][at] = Traits::word(km, w);
-        o.vals[at] = value;
+      auto put = [&](const Out& o, std::uint32_t rel_bin, Key km, std::uint32_t value) {
+        Block& b = o.blocks[o.slot_of_bin[rel_bin]];
+        if (b.n == b.len) [[unlikely]] {
+          throw chunk_kmer_overrun(ctx.index, chunk);
+        }
+        const std::uint64_t at = b.n++;
+        for (std::size_t wd = 0; wd < b.keys.size(); ++wd) b.keys[wd][at] = Traits::word(km, wd);
+        b.vals[at] = value;
       };
       sweep([&](std::uint32_t value, const RecordView& rec) {
         for_each_kmer<Key>(rec, k, [&](Key km, std::size_t) {
@@ -511,10 +587,25 @@ void kmergen_sweep(PassCtx& ctx, const EnginePlan& ep, std::span<PassWork<Key>> 
           }
         });
       });
+      // Lenient parsing: records the (clean-data) chunk histograms counted
+      // but the parser skipped leave blocks short, and the geometry holds
+      // their slots regardless.  Fill each gap with sentinel tuples keyed by
+      // the slot's first bin (so every key stays in its dest thread's bin
+      // range) whose value is kInvalidRead (so LocalCC ignores them).
+      const int shift = 2 * (k - m);
       for (std::size_t i = 0; i < group.size(); ++i) {
-        const auto mine = cursors[i].begin() + kPad;
-        std::copy(mine, mine + static_cast<std::ptrdiff_t>(nslots),
-                  group[i].cursor.begin() + static_cast<std::ptrdiff_t>(ut * nslots));
+        const Out& o = i == 0 ? o0 : o1;
+        for (std::size_t slot = 0; slot < nslots; ++slot) {
+          Block& b = o.blocks[slot];
+          if (b.n == b.len) continue;
+          const Key sentinel = Traits::bin_key(group[i].route->slot_bounds[slot], shift);
+          for (std::uint64_t at = b.n; at < b.len; ++at) {
+            for (std::size_t wd = 0; wd < b.keys.size(); ++wd) {
+              b.keys[wd][at] = Traits::word(sentinel, wd);
+            }
+            b.vals[at] = kInvalidRead;
+          }
+        }
       }
       counts[ut] = n;
       return;
@@ -563,161 +654,60 @@ void kmergen_sweep(PassCtx& ctx, const EnginePlan& ep, std::span<PassWork<Key>> 
   phase_boundary(ctx, "KmerGen");
 }
 
-/// Fixed codec: wire array @p arr (of kWords + 1, each one message per
-/// stage) of a buffer as bytes, and its element size.  The order is low
-/// key words, read IDs, then high key words: k > 32 ships the k <= 32
-/// arrays plus one.
+/// Super-k-mer codec: post one pass's messages.  Sends are buffered (the
+/// mailbox owns the in-flight copies), so the send side is done when this
+/// returns and receive_records completes the receive.  One message per
+/// (dest, pass), always sent: the u64 lens[T] header makes even an empty
+/// message well-formed and keeps the receive count deterministic.
 template <typename Key>
-std::pair<std::byte*, std::size_t> tuple_array(TupleBuffer<Key>& b, int arr) {
-  if (arr == 1) return {reinterpret_cast<std::byte*>(b.vals.data()), 4};
-  return {reinterpret_cast<std::byte*>(b.keys[static_cast<std::size_t>(arr / 2)].data()), 8};
-}
-
-/// Fixed codec, one step of the paper's staged all-to-all (§3.3): in stage
-/// i rank p sends (p+i) mod P one message per tuple array — the dest rank's
-/// T contiguous slot sections, sent even when empty.
-template <typename Key>
-void fixed_send(PassCtx& ctx, PassWork<Key>& w, int arr, int stage) {
-  const int P = ctx.P, T = ctx.T;
-  const std::size_t d = static_cast<std::size_t>((ctx.p + stage) % P);
-  const auto [sb, esz] = tuple_array(*w.send, arr);
-  const std::uint64_t begin = w.slot_start[d * T];
-  ctx.comm.send(static_cast<int>(d), kmergen_tag(w.s, arr), sb + begin * esz,
-                (w.slot_start[(d + 1) * T] - begin) * esz);
-}
-
-/// ... and receives (p-i) mod P's message, checks its size against the
-/// geometry and copies its T sections into the T sort regions.
-template <typename Key>
-void fixed_recv(PassCtx& ctx, PassWork<Key>& w, int arr, int stage) {
-  const int P = ctx.P, T = ctx.T;
-  const int q = (ctx.p - stage + P) % P;
-  const std::size_t qs = static_cast<std::size_t>(q) * T;
-  const auto [rb, esz] = tuple_array(*w.recv, arr);
-  const std::vector<std::byte> msg = ctx.comm.recv_any_size(q, kmergen_tag(w.s, arr));
-  std::uint64_t expected = 0;
-  for (int dt = 0; dt < T; ++dt) expected += w.recv_count[qs + dt] * esz;
-  if (msg.size() != expected) {
-    throw util::comm_error("KmerGen-Comm: message from rank " + std::to_string(q) + " has " +
-                           std::to_string(msg.size()) + " bytes, geometry expects " +
-                           std::to_string(expected));
-  }
-  std::uint64_t off = 0;
-  for (int dt = 0; dt < T; ++dt) {
-    const std::uint64_t len = w.recv_count[qs + dt] * esz;
-    if (len > 0) std::memcpy(rb + w.recv_block[qs + dt] * esz, msg.data() + off, len);
-    off += len;
-  }
-}
-
-/// Post one pass's exchange.  Sends are buffered (the mailbox owns the
-/// in-flight copies — DESIGN.md "Send-buffer ownership"), so the send side
-/// is done when this returns and drain_receive completes the receives.  At
-/// W = 1 nothing runs between post and drain, so the fixed codec completes
-/// each stage's receive right after its send, as the paper's staged
-/// all-to-all does: at most one message per rank is in flight.
-template <typename Key>
-void post_exchange(PassCtx& ctx, const EnginePlan& ep, PassWork<Key>& w,
-                   TupleArena<Key>& arena) {
+void post_records(PassCtx& ctx, PassWork<Key>& w) {
   const int P = ctx.P, T = ctx.T, p = ctx.p;
-  RankShared& my = ctx.my;
-  if (ep.superkmer) {
-    // One message per (dest, pass), always sent: the u64 lens[T] header
-    // makes even an empty message well-formed and keeps the receive count
-    // deterministic.
-    for (int d = 0; d < P; ++d) {
-      std::vector<std::byte> msg;
-      std::size_t total = 8u * static_cast<std::size_t>(T);
-      for (int dt = 0; dt < T; ++dt) {
-        for (int t = 0; t < T; ++t) {
-          total += w.streams[static_cast<std::size_t>(t)][static_cast<std::size_t>(d) * T + dt]
-                       .size();
-        }
-      }
-      msg.reserve(total);
-      for (int dt = 0; dt < T; ++dt) {
-        std::uint64_t len = 0;
-        for (int t = 0; t < T; ++t) {
-          len += w.streams[static_cast<std::size_t>(t)][static_cast<std::size_t>(d) * T + dt]
-                     .size();
-        }
-        append_le(msg, len, 8);
-      }
-      for (int dt = 0; dt < T; ++dt) {
-        for (int t = 0; t < T; ++t) {
-          auto& st = w.streams[static_cast<std::size_t>(t)][static_cast<std::size_t>(d) * T + dt];
-          msg.insert(msg.end(), st.begin(), st.end());
-          std::vector<std::byte>().swap(st);
-        }
-      }
-      if (d == p) {
-        w.self_msg = std::move(msg);
-      } else {
-        my.exchange_bytes += msg.size();
-        ctx.comm.send(d, kmergen_tag(w.s, 0), msg.data(), msg.size());
+  for (int d = 0; d < P; ++d) {
+    std::vector<std::byte> msg;
+    std::size_t total = 8u * static_cast<std::size_t>(T);
+    for (int dt = 0; dt < T; ++dt) {
+      for (int t = 0; t < T; ++t) {
+        total +=
+            w.streams[static_cast<std::size_t>(t)][static_cast<std::size_t>(d) * T + dt].size();
       }
     }
-    return;
-  }
-  fill_sentinels(ctx, w);
-  if (P == 1) {
-    // Slot layout == region layout at P == 1: the generation buffer IS the
-    // sort buffer; no exchange, no copy.
-    w.recv = w.send;
-    w.send = nullptr;
-    return;
-  }
-  w.recv = &arena.acquire(w.region.back());
-  const std::size_t my_slot = static_cast<std::size_t>(p) * T;
-  for (int arr = 0; arr <= kmer::KmerTraits<Key>::kWords; ++arr) {
-    const auto [sb, esz] = tuple_array(*w.send, arr);
-    std::byte* rb = tuple_array(*w.recv, arr).first;
-    for (int dt = 0; dt < T; ++dt) {  // stage 0: my own sections, plain copy
-      const std::uint64_t len = w.recv_count[my_slot + dt];
-      if (len > 0) {
-        std::memcpy(rb + w.recv_block[my_slot + dt] * esz,
-                    sb + w.slot_start[my_slot + dt] * esz, len * esz);
+    msg.reserve(total);
+    for (int dt = 0; dt < T; ++dt) {
+      std::uint64_t len = 0;
+      for (int t = 0; t < T; ++t) {
+        len += w.streams[static_cast<std::size_t>(t)][static_cast<std::size_t>(d) * T + dt].size();
+      }
+      append_le(msg, len, 8);
+    }
+    for (int dt = 0; dt < T; ++dt) {
+      for (int t = 0; t < T; ++t) {
+        auto& st = w.streams[static_cast<std::size_t>(t)][static_cast<std::size_t>(d) * T + dt];
+        msg.insert(msg.end(), st.begin(), st.end());
+        std::vector<std::byte>().swap(st);
       }
     }
-    for (int stage = 1; stage < P; ++stage) {
-      fixed_send(ctx, w, arr, stage);
-      if (ep.W == 1) fixed_recv(ctx, w, arr, stage);
+    if (d == p) {
+      w.self_msg = std::move(msg);
+    } else {
+      ctx.my.exchange_bytes += msg.size();
+      ctx.comm.send(d, kmergen_tag(w.s), msg.data(), msg.size());
     }
   }
-  // Exchange-volume accounting (cross-rank tuples only, matching the
-  // traffic matrix); uncompressed, so shipped == raw.
-  const std::uint64_t cross =
-      w.slot_start.back() - (w.slot_start[my_slot + T] - w.slot_start[my_slot]);
-  my.exchange_bytes += cross * kmer::KmerTraits<Key>::kTupleBytes;
-  my.exchange_bytes_raw += cross * kmer::KmerTraits<Key>::kTupleBytes;
-  arena.release(*w.send);
-  w.send = nullptr;
 }
 
-/// Complete one pass's receive into its T sort regions.  Fixed tuples at
-/// W = 2: one message per (stage, array).  Super-k-mer records: size the
-/// regions from the headers, validate and count every record, then decode
-/// at exact offsets in parallel.
+/// Super-k-mer codec: complete one pass's receive into its T sort regions.
+/// Size the regions from the headers, validate and count every record,
+/// then decode at exact offsets in parallel.
 template <typename Key>
-void drain_receive(PassCtx& ctx, const EnginePlan& ep, PassWork<Key>& w,
-                   TupleArena<Key>& arena) {
+void receive_records(PassCtx& ctx, PassWork<Key>& w, TupleArena<Key>& arena) {
   const int P = ctx.P, T = ctx.T, p = ctx.p, k = ctx.k;
-  if (!ep.superkmer) {
-    if (P == 1 || ep.W == 1) return;
-    const Step step(ctx, "KmerGen-Comm");
-    for (int arr = 0; arr <= kmer::KmerTraits<Key>::kWords; ++arr) {
-      for (int stage = 1; stage < P; ++stage) fixed_recv(ctx, w, arr, stage);
-    }
-    return;
-  }
-
   std::vector<std::vector<std::byte>> msgs(static_cast<std::size_t>(P));
   msgs[static_cast<std::size_t>(p)] = std::move(w.self_msg);
   if (P > 1) {
     const Step step(ctx, "KmerGen-Comm");
     for (int stage = 1; stage < P; ++stage) {
       const int q = (p - stage + P) % P;
-      msgs[static_cast<std::size_t>(q)] = ctx.comm.recv_any_size(q, kmergen_tag(w.s, 0));
+      msgs[static_cast<std::size_t>(q)] = ctx.comm.recv_any_size(q, kmergen_tag(w.s));
     }
   }
   std::uint64_t msg_bytes = 0;
@@ -744,16 +734,17 @@ void drain_receive(PassCtx& ctx, const EnginePlan& ep, PassWork<Key>& w,
     if (off != msg.size())
       throw util::parse_error("comm-compress: trailing bytes after last section");
   }
-  w.recv_count.assign(nslots, 0);
+  std::vector<std::uint64_t> recv_count(nslots, 0);  // [q][dt] k-mers from src rank q
   ctx.team.run([&](int t) {
     for (int q = 0; q < P; ++q) {
       const std::size_t idx = static_cast<std::size_t>(q) * T + t;
       const std::byte* data = msgs[static_cast<std::size_t>(q)].data() + sec_off[idx];
-      w.recv_count[idx] = kmer::count_superkmer_stream(data, sec_len[idx], k).kmers;
+      recv_count[idx] = kmer::count_superkmer_stream(data, sec_len[idx], k).kmers;
     }
   });
-  column_major_offsets(w.recv_count, static_cast<std::size_t>(P), static_cast<std::size_t>(T),
-                       w.recv_block, w.region);
+  std::vector<std::uint64_t> recv_block;  // [q][dt] element offsets
+  column_major_offsets(recv_count, static_cast<std::size_t>(P), static_cast<std::size_t>(T),
+                       recv_block, w.region);
   TupleBuffer<Key>& tuples = arena.acquire(w.region.back());
   w.recv = &tuples;
   const std::uint32_t R = ctx.index.total_reads;
@@ -762,7 +753,7 @@ void drain_receive(PassCtx& ctx, const EnginePlan& ep, PassWork<Key>& w,
     for (int q = 0; q < P; ++q) {
       const std::size_t idx = static_cast<std::size_t>(q) * T + t;
       const std::byte* data = msgs[static_cast<std::size_t>(q)].data() + sec_off[idx];
-      std::uint64_t at = w.recv_block[idx];
+      std::uint64_t at = recv_block[idx];
       kmer::SuperKmerReader reader(data, sec_len[idx], k);
       while (!reader.done()) {
         reader.next_header();
@@ -808,10 +799,11 @@ void group_regions(PassCtx& ctx, const TupleBuffer<Key>& tuples,
   arena.release(*scratch);
 }
 
-/// The pass loop: groups of W passes, each one fused sweep, W posts, then
-/// W drains.  With cc_opt every pass of a group substitutes component IDs
-/// as of the group start (at W = 2, pass s+1 reads roots one pass stale —
-/// still members of the same component, so the partition is unchanged).
+/// The pass loop: groups of W passes, each one fused sweep and one
+/// exchange, then LocalSort and LocalCC pass by pass.  With cc_opt every
+/// pass of a group substitutes component IDs as of the group start (at
+/// W = 2, pass s+1 reads roots one pass stale — still members of the same
+/// component, so the partition is unchanged).
 template <typename Key>
 void run_passes(PassCtx& ctx, const EnginePlan& ep) {
   const MetaprepConfig& config = ctx.config;
@@ -831,36 +823,44 @@ void run_passes(PassCtx& ctx, const EnginePlan& ep) {
       PassWork<Key>& w = group[i];
       w.s = s0 + static_cast<int>(i);
       w.route = &ep.routes[static_cast<std::size_t>(w.s)];
-      if (ep.superkmer) {
-        w.streams.assign(static_cast<std::size_t>(T), {});  // filled by the sweep
-        continue;
-      }
-      fixed_geometry(ctx, w);
-      // Room for the receive count too: once posted, the send buffer's
-      // storage comes back as this rank's LocalSort scratch.
-      w.send = &arena.acquire(w.slot_start.back(), w.region.back());
-      my.tuples += w.slot_start.back();
-      ctx.m_tuples.add(w.slot_start.back());
+      if (ep.superkmer) w.streams.assign(static_cast<std::size_t>(T), {});  // filled by the sweep
+    }
+    // Declared after the arena, so an error unwinding the pass frees the
+    // window (which waits for peers still storing into it) before the
+    // arena frees the buffers it exposes.
+    std::unique_ptr<mpsim::Window> window;
+    if (!ep.superkmer) {
+      const Step step(ctx, "KmerGen-Comm");
+      window = open_window(ctx, group, arena);
     }
 
-    kmergen_sweep(ctx, ep, group, config.cc_opt && s0 > 0);
+    kmergen_sweep(ctx, ep, group, window.get(), config.cc_opt && s0 > 0);
 
     progress_phase(ctx, "KmerGen-Comm");
-    for (PassWork<Key>& w : group) {
+    if (window) {
       const Step step(ctx, "KmerGen-Comm");
-      post_exchange(ctx, ep, w, arena);
+      window->fence();
+      window.reset();
+    } else {
+      for (PassWork<Key>& w : group) {
+        const Step step(ctx, "KmerGen-Comm");
+        post_records(ctx, w);
+      }
     }
     phase_boundary(ctx, "KmerGen-Comm");
 
-    // Drain pass by pass: at W = 2, pass s0+1's exchange stays in flight
-    // while pass s0 sorts and unions (straggler ranks may still be
-    // generating it); its receive is the pipeline's only synchronization.
+    // Pass by pass.  Super-k-mer records at W = 2: pass s0+1's exchange
+    // stays in flight while pass s0 sorts and unions (straggler ranks may
+    // still be generating it); its receive is the pipeline's only
+    // synchronization.
     const double window_t0 = span_begin(tr);
     for (PassWork<Key>& w : group) {
       util::throw_if_cancelled(config.cancel_token, "pass drain");
-      if (ep.W > 1 && &w == &group.back()) span_end(tr, "Overlap-Window", window_t0);
+      if (ep.superkmer && ep.W > 1 && &w == &group.back()) {
+        span_end(tr, "Overlap-Window", window_t0);
+      }
       if (w.t0 < 0.0) w.t0 = span_begin(tr);
-      drain_receive(ctx, ep, w, arena);
+      if (ep.superkmer) receive_records(ctx, w, arena);
       group_regions(ctx, *w.recv, w.region, arena, groupers);
       arena.release(*w.recv);
       ctx.m_rss.set_max(static_cast<double>(util::current_rss_bytes()));

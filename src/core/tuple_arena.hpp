@@ -1,22 +1,26 @@
 // TupleArena: the one owner of a rank's tuple arrays.
 //
 // In the paper each task's tuple arrays live for one run and the §3.7 model
-// sizes them.  The pass engine leases every pass buffer (send, receive,
-// radix scratch) from its rank's arena.  A released buffer stays with the
-// arena as a spare: the next acquire takes the smallest spare that fits and
-// resizes it, so its storage stays paged in across passes.  A miss frees
-// the largest spare (the one a growing vector would have reallocated)
+// sizes them.  The pass engine leases every pass buffer (the receive window,
+// the LocalSort scratch) from its rank's arena.  A released buffer stays
+// with the arena as a spare: the next acquire takes the smallest spare that
+// fits and resizes it, so its storage stays paged in across passes.  A miss
+// frees the largest spare (the one a growing vector would have reallocated)
 // before it allocates, which keeps the arena at about its live leases.
-// Everything the arena holds is freed when it dies: at run end, or when a
-// cancel or a typed Error unwinds mid-pass.
+// Leases are uninitialised: nothing zero-fills them, and the threads that
+// write a fresh buffer are the first to touch its pages.  Everything the
+// arena holds is freed when it dies: at run end, or when a cancel or a
+// typed Error unwinds mid-pass.
 //
 // Memory attribution: the arena charges the "tuples" subsystem when it
 // allocates storage and credits it when it frees storage, so the count
 // reads 0 once the arena is gone.
 //
-// Checked mode (check::enabled()): release() fills the buffer with a poison
-// pattern and the acquire that reuses it scans the pattern, so a write
-// through a reference kept across the release is caught as
+// Checked mode (check::enabled()): every lease starts poisoned
+// (check::kPoison32), so a slot nobody wrote reads as poison — a window's
+// closing fence reports such slots as kUnwrittenSlot.  release() fills the
+// buffer with the poison and the acquire that reuses it scans the pattern,
+// so a write through a reference kept across the release is caught as
 // kUseAfterReturn.  Releasing a buffer the arena does not hold as leased —
 // one it never handed out, or one already released — is kForeignRelease.
 #pragma once
@@ -26,7 +30,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <new>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "check/check.hpp"
@@ -35,14 +42,40 @@
 
 namespace metaprep::core {
 
+/// A std::allocator whose value-initialisation (resize, the sized
+/// constructor) default-initialises instead: a grown vector of trivial
+/// elements holds whatever its storage held, with no zero-fill.
+template <typename T>
+struct UninitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = UninitAllocator<U>;
+  };
+  UninitAllocator() = default;
+  template <typename U>
+  explicit UninitAllocator(const UninitAllocator<U>& /*other*/) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
 /// Tuple arrays in SoA layout: kWords arrays of key words (least
 /// significant first), then the read IDs.  A tuple is 12 bytes at k <= 32
-/// and the paper's 20 bytes above (§4.4).
+/// and the paper's 20 bytes above (§4.4).  Growing an array leaves the new
+/// slots uninitialised.
 template <typename Key>
 struct TupleBuffer {
   using Traits = kmer::KmerTraits<Key>;
-  std::array<std::vector<std::uint64_t>, Traits::kWords> keys;
-  std::vector<std::uint32_t> vals;
+  template <typename T>
+  using Array = std::vector<T, UninitAllocator<T>>;
+  std::array<Array<std::uint64_t>, Traits::kWords> keys;
+  Array<std::uint32_t> vals;
 
   [[nodiscard]] std::size_t size() const noexcept { return vals.size(); }
   void resize(std::size_t n) {
@@ -77,8 +110,8 @@ class TupleArena {
   }
 
   /// A buffer of size() == @p n whose storage holds max(n, @p reserve).
-  /// Element values are unspecified on reuse; callers overwrite every slot.
-  /// The reference stays valid until release().
+  /// Element values are unspecified (poison in checked mode); callers
+  /// overwrite every slot.  The reference stays valid until release().
   Buffer& acquire(std::size_t n, std::size_t reserve = 0) {
     const std::size_t cap = std::max(n, reserve);
     auto fits = [&](const Buffer& b) {
@@ -98,7 +131,9 @@ class TupleArena {
       Slot& s = leased_.back();
       if (s.poisoned) {
         s.poisoned = false;
-        scan_poison(s.buf);
+        scan_poison(s.buf);  // and the lease starts poisoned
+      } else if (check::enabled()) {
+        poison(s.buf);
       }
       s.buf.resize(n);
       note_live(n);
@@ -109,8 +144,9 @@ class TupleArena {
       spare_.erase(largest);
     }
     Buffer& b = leased_.emplace_back().buf;
-    for (auto& words : b.keys) words.assign(cap, 0);
-    b.vals.assign(cap, 0);
+    for (auto& words : b.keys) words.reserve(cap);
+    b.vals.reserve(cap);
+    if (check::enabled()) poison(b);
     b.resize(n);
     mem_.charge("tuples", b.capacity_bytes());
     note_live(n);
@@ -130,20 +166,13 @@ class TupleArena {
     }
     live_bytes_ -= b.size() * Buffer::Traits::kTupleBytes;
     if (check::enabled()) {
-      for (auto& words : b.keys) {
-        words.resize(words.capacity());
-        std::fill(words.begin(), words.end(), kPoison64);
-      }
-      b.vals.resize(b.vals.capacity());
-      std::fill(b.vals.begin(), b.vals.end(), kPoison32);
+      poison(b);
       it->poisoned = true;
     }
     spare_.splice(spare_.end(), leased_, it);
   }
 
  private:
-  static constexpr std::uint64_t kPoison64 = 0xDEADBEEFDEADBEEFULL;
-  static constexpr std::uint32_t kPoison32 = 0xDEADBEEFU;
 
   /// A buffer plus whether a checked-mode release poisoned it (storage
   /// released while checking was off must not be scanned).
@@ -159,19 +188,27 @@ class TupleArena {
     std::ostringstream msg;
     msg << "TupleArena: " << what << ", " << v.bytes << " byte(s) of capacity";
     v.message = msg.str();
-    check::CheckReport report;
-    report.violations.push_back(std::move(v));
-    throw check::CheckError(std::move(report));
+    check::throw_violation(std::move(v));
+  }
+
+  /// Fill all of @p b's storage (capacity, not size) with the poison.
+  static void poison(Buffer& b) {
+    for (auto& words : b.keys) {
+      words.resize(words.capacity());
+      check::poison_fill(words.data(), words.size() * sizeof(std::uint64_t));
+    }
+    b.vals.resize(b.vals.capacity());
+    check::poison_fill(b.vals.data(), b.vals.size() * sizeof(std::uint32_t));
   }
 
   static void scan_poison(const Buffer& b) {
     const bool intact =
         std::all_of(b.keys.begin(), b.keys.end(),
                     [](const auto& words) {
-                      return std::all_of(words.begin(), words.end(),
-                                         [](std::uint64_t x) { return x == kPoison64; });
+                      return check::is_poisoned(words.data(),
+                                                words.size() * sizeof(std::uint64_t));
                     }) &&
-        std::all_of(b.vals.begin(), b.vals.end(), [](std::uint32_t x) { return x == kPoison32; });
+        check::is_poisoned(b.vals.data(), b.vals.size() * sizeof(std::uint32_t));
     if (!intact) {
       fail(check::ViolationKind::kUseAfterReturn, b,
            "released buffer was written while it was a spare");

@@ -1,9 +1,13 @@
 #include "mpsim/comm.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <exception>
+#include <iterator>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "check/protocol.hpp"
 #include "obs/metrics.hpp"
@@ -14,6 +18,39 @@
 #include "util/session.hpp"
 
 namespace metaprep::mpsim {
+
+namespace {
+
+/// The comm Error of a rank woken because another rank's failure poisoned
+/// the world.  It is a consequence, so run() reports the other failure.
+class PoisonedError : public util::Error {
+ public:
+  explicit PoisonedError(const std::string& where)
+      : util::Error(util::ErrorCategory::kComm, "mpsim: world poisoned by a failed rank " + where) {}
+};
+
+}  // namespace
+
+/// What the ranks of one window share: each rank's exposed regions, which
+/// ranks may still store (the collective free waits on it), and under the
+/// checker the blocks each epoch declared into each rank's regions.
+struct WindowShared {
+  explicit WindowShared(int num_ranks)
+      : regions(static_cast<std::size_t>(num_ranks)),
+        storing(static_cast<std::size_t>(num_ranks), 0),
+        blocks(static_cast<std::size_t>(num_ranks)) {}
+
+  util::Mutex mutex;
+  util::CondVar cv;
+  std::vector<std::vector<Window::Region>> regions GUARDED_BY(mutex);  ///< [rank]
+  /// [rank] 1 from the opening fence until the rank closes the epoch or
+  /// unwinds: its threads may store into any rank's regions.
+  std::vector<char> storing GUARDED_BY(mutex);
+  /// [dest] the blocks the closing epoch declared into dest's regions, as
+  /// (region, block) pairs.
+  std::vector<std::vector<std::pair<int, check::WindowBlock>>> blocks GUARDED_BY(mutex);
+  int attached = 0;  ///< guarded by World::windows_mutex_
+};
 
 int Comm::size() const noexcept { return world_->size(); }
 
@@ -26,6 +63,8 @@ World::World(int num_ranks, CostModelParams cost) : num_ranks_(num_ranks), cost_
                         0);
   traffic_msgs_.assign(static_cast<std::size_t>(num_ranks) * static_cast<std::size_t>(num_ranks),
                        0);
+  barrier_flows_.assign(static_cast<std::size_t>(num_ranks), 0);
+  windows_created_.assign(static_cast<std::size_t>(num_ranks), 0);
   if (check::enabled()) checker_ = std::make_unique<check::ProtocolChecker>(num_ranks);
 }
 
@@ -42,19 +81,44 @@ void World::run(const std::function<void(Comm&)>& fn) {
     util::MutexLock lock(barrier_mutex_);
     barrier_poisoned_ = false;
     barrier_count_ = 0;
+    barrier_exited_ = 0;
+    first_exited_ = -1;
+  }
+  {
+    util::MutexLock lock(windows_mutex_);
+    pending_windows_.clear();
+    std::fill(windows_created_.begin(), windows_created_.end(), 0);
   }
   if (checker_) checker_->reset();
 
+  // The failure run() reports: the first one that is not a rank woken by
+  // the poison another failure set.
   std::exception_ptr first_exception;
+  bool first_is_poison = false;
   util::Mutex exception_mutex;
   auto body = [&](int rank) {
     Comm comm(*this, rank);
     try {
       fn(comm);
+      {
+        util::MutexLock lock(barrier_mutex_);
+        if (barrier_exited_++ == 0) first_exited_ = rank;
+      }
+      barrier_cv_.notify_all();
     } catch (...) {
+      bool poison = false;
+      try {
+        throw;
+      } catch (const PoisonedError&) {
+        poison = true;
+      } catch (...) {
+      }
       {
         util::MutexLock lock(exception_mutex);
-        if (!first_exception) first_exception = std::current_exception();
+        if (!first_exception || (first_is_poison && !poison)) {
+          first_exception = std::current_exception();
+          first_is_poison = poison;
+        }
       }
       poison_all();
     }
@@ -169,28 +233,30 @@ void World::deliver(int src, int dest, int tag, const void* data, std::size_t by
   // crosses "the wire" (self-sends are free: MPI implementations short-cut
   // them through shared memory, and the paper's stage-0 block is a local
   // copy).
-  if (src != dest) {
-    {
-      util::MutexLock lock(cost_mutex_);
-      sim_comm_seconds_[static_cast<std::size_t>(dest)] +=
-          cost_.latency_s + static_cast<double>(bytes) / cost_.link_bandwidth_Bps;
-      traffic_bytes_[static_cast<std::size_t>(src) * static_cast<std::size_t>(num_ranks_) +
-                     static_cast<std::size_t>(dest)] += bytes;
-      traffic_msgs_[static_cast<std::size_t>(src) * static_cast<std::size_t>(num_ranks_) +
-                    static_cast<std::size_t>(dest)] += 1;
-      ++message_count_;
-    }
-    // Cross-rank edge metrics: same quantities as the traffic matrix, but
-    // accumulated process-wide across Worlds so a whole bench run snapshots
-    // into one metrics file.
-    static thread_local obs::CounterHandle m_msgs;
-    static thread_local obs::CounterHandle m_bytes;
-    static thread_local obs::HistogramHandle m_size;
-    obs::MetricsRegistry& reg = obs::metrics();
-    m_msgs.of(reg, "mpsim.messages_total").add(1);
-    m_bytes.of(reg, "mpsim.bytes_total").add(bytes);
-    m_size.of(reg, "mpsim.message_bytes").record(bytes);
+  if (src != dest) charge(src, dest, bytes);
+}
+
+void World::charge(int src, int dest, std::uint64_t bytes) {
+  {
+    util::MutexLock lock(cost_mutex_);
+    sim_comm_seconds_[static_cast<std::size_t>(dest)] +=
+        cost_.latency_s + static_cast<double>(bytes) / cost_.link_bandwidth_Bps;
+    traffic_bytes_[static_cast<std::size_t>(src) * static_cast<std::size_t>(num_ranks_) +
+                   static_cast<std::size_t>(dest)] += bytes;
+    traffic_msgs_[static_cast<std::size_t>(src) * static_cast<std::size_t>(num_ranks_) +
+                  static_cast<std::size_t>(dest)] += 1;
+    ++message_count_;
   }
+  // Cross-rank edge metrics: same quantities as the traffic matrix, but
+  // accumulated process-wide across Worlds so a whole bench run snapshots
+  // into one metrics file.
+  static thread_local obs::CounterHandle m_msgs;
+  static thread_local obs::CounterHandle m_bytes;
+  static thread_local obs::HistogramHandle m_size;
+  obs::MetricsRegistry& reg = obs::metrics();
+  m_msgs.of(reg, "mpsim.messages_total").add(1);
+  m_bytes.of(reg, "mpsim.bytes_total").add(bytes);
+  m_size.of(reg, "mpsim.message_bytes").record(bytes);
 }
 
 World::Message World::take(int src, int dest, int tag) {
@@ -222,7 +288,7 @@ World::Message World::take(int src, int dest, int tag) {
   } else if (!checker_) {
     while (!mb.ready(key)) mb.cv.wait(mb.mutex, lock);
   }
-  if (mb.poisoned) throw util::comm_error("mpsim: world poisoned by a failed rank");
+  if (mb.poisoned) throw PoisonedError("(recv)");
   auto it = mb.queues.find(key);
   Message msg = std::move(it->second.front());
   it->second.pop_front();
@@ -273,46 +339,64 @@ std::vector<std::byte> Comm::recv_any_size(int src, int tag) {
   return world_->take(src, rank_, tag).payload;
 }
 
-void Comm::barrier() {
-  if (size() == 1) return;
-  check::ProtocolChecker* checker = world_->checker_.get();
-  util::MutexLock lock(world_->barrier_mutex_);
-  if (world_->barrier_poisoned_)
-    throw util::comm_error("mpsim: world poisoned by a failed rank");
-  if (checker) checker->on_barrier_arrive(rank_);
-  const std::uint64_t phase = world_->barrier_phase_;
-  if (++world_->barrier_count_ == size()) {
-    world_->barrier_count_ = 0;
-    ++world_->barrier_phase_;
-    world_->barrier_cv_.notify_all();
-  } else if (checker) {
-    checker->block_barrier(rank_);
+void Comm::barrier() { world_->collective(rank_, "barrier", {}); }
+
+void World::collective(int rank, const std::string& site,
+                       const std::function<void()>& on_complete) {
+  if (num_ranks_ == 1) {
+    if (on_complete) on_complete();
+    return;
+  }
+  check::ProtocolChecker* checker = checker_.get();
+  obs::TraceSession& tr = obs::TraceSession::current();
+  util::MutexLock lock(barrier_mutex_);
+  if (barrier_poisoned_) throw PoisonedError("(before " + site + ")");
+  if (checker) checker->on_barrier_arrive(rank, site);
+  const std::uint64_t phase = barrier_phase_;
+  if (++barrier_count_ == num_ranks_) {
+    if (on_complete) on_complete();
+    // The last arrival releases every waiter: in a traced run that is a
+    // dependency edge from this rank to each of them.
+    if (tr.enabled()) {
+      for (int r = 0; r < num_ranks_; ++r) {
+        if (r == rank) continue;
+        const std::uint64_t id = next_flow_id_.fetch_add(1, std::memory_order_relaxed);
+        barrier_flows_[static_cast<std::size_t>(r)] = id;
+        tr.flow_marker("collective", id, /*is_send=*/true);
+      }
+    }
+    barrier_count_ = 0;
+    ++barrier_phase_;
+    barrier_cv_.notify_all();
+    return;
+  }
+  if (checker) {
+    checker->block_barrier(rank, site);
     try {
-      while (world_->barrier_phase_ == phase && !world_->barrier_poisoned_) {
-        if (world_->barrier_cv_.wait_for(world_->barrier_mutex_, lock,
-                                         std::chrono::milliseconds(10)) ==
+      while (!collective_over(phase)) {
+        if (barrier_cv_.wait_for(barrier_mutex_, lock, std::chrono::milliseconds(10)) ==
             std::cv_status::timeout) {
           lock.Unlock();
-          checker->detect_deadlock(
-              [w = world_](int d, int s, int t) { return w->mailbox_has(d, s, t); });
+          checker->detect_deadlock([this](int d, int s, int t) { return mailbox_has(d, s, t); });
           lock.Lock();
         }
       }
     } catch (...) {
-      checker->unblock(rank_);
+      checker->unblock(rank);
       throw;
     }
-    checker->unblock(rank_);
-    if (world_->barrier_phase_ == phase && world_->barrier_poisoned_)
-      throw util::comm_error("mpsim: world poisoned while in barrier");
+    checker->unblock(rank);
   } else {
-    // A rank failing elsewhere can never advance the phase, so the wait
-    // also watches the poison flag (set by poison_all) to avoid hanging.
-    while (world_->barrier_phase_ == phase && !world_->barrier_poisoned_)
-      world_->barrier_cv_.wait(world_->barrier_mutex_, lock);
-    if (world_->barrier_phase_ == phase && world_->barrier_poisoned_)
-      throw util::comm_error("mpsim: world poisoned while in barrier");
+    while (!collective_over(phase)) barrier_cv_.wait(barrier_mutex_, lock);
   }
+  if (barrier_phase_ == phase) {
+    if (barrier_poisoned_) throw PoisonedError("(in " + site + ")");
+    if (checker) check::throw_collective_abandoned(rank, site, first_exited_);
+    throw util::comm_error("mpsim: rank " + std::to_string(first_exited_) +
+                           " returned without reaching " + site);
+  }
+  const std::uint64_t flow = std::exchange(barrier_flows_[static_cast<std::size_t>(rank)], 0);
+  if (flow != 0 && tr.enabled()) tr.flow_marker("collective", flow, /*is_send=*/false);
 }
 
 void Comm::broadcast(void* data, std::size_t bytes, int root) {
@@ -391,6 +475,163 @@ void Comm::alltoallv_staged(const void* sendbuf, std::span<const std::uint64_t> 
     const std::uint64_t recv_len = recv_offsets[static_cast<std::size_t>(src) + 1] - recv_begin;
     recv(src, tag + stage, rbytes + recv_begin, recv_len);
   }
+}
+
+std::shared_ptr<WindowShared> World::attach_window(int rank, int& id) {
+  util::MutexLock lock(windows_mutex_);
+  id = windows_created_[static_cast<std::size_t>(rank)]++;
+  auto it = pending_windows_.find(id);
+  if (it == pending_windows_.end()) {
+    it = pending_windows_.emplace(id, std::make_shared<WindowShared>(num_ranks_)).first;
+  }
+  std::shared_ptr<WindowShared> shared = it->second;
+  if (++shared->attached == num_ranks_) pending_windows_.erase(it);
+  return shared;
+}
+
+Window::Window(Comm& comm, std::vector<Region> local)
+    : world_(comm.world_),
+      rank_(comm.rank_),
+      uncaught_(std::uncaught_exceptions()),
+      local_(std::move(local)),
+      declared_(static_cast<std::size_t>(world_->size()) * local_.size(), 0) {
+  shared_ = world_->attach_window(rank_, id_);
+  util::MutexLock lock(shared_->mutex);
+  shared_->regions[static_cast<std::size_t>(rank_)] = local_;
+}
+
+Window::~Window() {
+  WindowShared& sh = *shared_;
+  util::MutexLock lock(sh.mutex);
+  sh.storing[static_cast<std::size_t>(rank_)] = 0;
+  sh.cv.notify_all();
+  auto storing = [](const std::vector<char>& flags) {
+    return std::find(flags.begin(), flags.end(), 1) != flags.end();
+  };
+  if (!storing(sh.storing)) return;
+  if (std::uncaught_exceptions() > uncaught_) {
+    // Unwinding mid-epoch fails the world now, as the throw out of run()
+    // will: a peer blocked in a collective that waits for this rank wakes,
+    // unwinds and stops storing.  Peers still sweeping finish first.
+    lock.Unlock();
+    world_->poison_all();
+    lock.Lock();
+  }
+  while (storing(sh.storing)) sh.cv.wait(sh.mutex, lock);
+}
+
+std::string Window::site() const { return "fence of window " + std::to_string(id_); }
+
+void Window::fence() {
+  if (open_) {
+    close_epoch();
+    return;
+  }
+  WindowShared& sh = *shared_;
+  world_->collective(
+      rank_, site(),
+      [&sh] {
+        util::MutexLock lock(sh.mutex);
+        std::fill(sh.storing.begin(), sh.storing.end(), 1);
+      });
+  {
+    util::MutexLock lock(sh.mutex);
+    peers_ = sh.regions;
+  }
+  std::fill(declared_.begin(), declared_.end(), 0);
+  blocks_.clear();
+  open_ = true;
+}
+
+void Window::close_epoch() {
+  const int P = world_->size();
+  WindowShared& sh = *shared_;
+  {
+    util::MutexLock lock(sh.mutex);
+    sh.storing[static_cast<std::size_t>(rank_)] = 0;
+    for (const Block& b : blocks_) {
+      sh.blocks[static_cast<std::size_t>(b.dest)].emplace_back(
+          b.region, check::WindowBlock{rank_, b.begin, b.count});
+    }
+  }
+  sh.cv.notify_all();
+  // The staged all-to-all's messages, region by region and segment by
+  // segment: in stage i this rank "sends" (rank + i) mod P what it declared
+  // there.
+  const std::size_t nregions = local_.size();
+  for (std::size_t r = 0; r < nregions; ++r) {
+    for (std::size_t a = 0; a < local_[r].segments.size(); ++a) {
+      for (int stage = 1; stage < P; ++stage) {
+        const auto d = static_cast<std::size_t>((rank_ + stage) % P);
+        world_->charge(rank_, static_cast<int>(d),
+                       declared_[d * nregions + r] * peers_[d][r].segments[a].elem_bytes);
+      }
+    }
+  }
+  open_ = false;
+  world_->collective(rank_, site(), {});
+  if (world_->checker_) verify_closed_epoch();
+}
+
+void Window::verify_closed_epoch() {
+  std::vector<std::vector<check::WindowBlock>> blocks(local_.size());
+  {
+    WindowShared& sh = *shared_;
+    util::MutexLock lock(sh.mutex);
+    auto& mine = sh.blocks[static_cast<std::size_t>(rank_)];
+    for (const auto& [r, b] : mine) blocks[static_cast<std::size_t>(r)].push_back(b);
+    mine.clear();
+  }
+  for (std::size_t r = 0; r < local_.size(); ++r) {
+    const Region& reg = local_[r];
+    auto& rb = blocks[r];
+    check::validate_window_blocks(rb, reg.elems, rank_, id_, static_cast<int>(r));
+    std::uint64_t unwritten = 0;
+    std::uint64_t first = 0;
+    for (std::uint64_t i = 0; i < reg.elems; ++i) {
+      const bool poisoned = std::all_of(reg.segments.begin(), reg.segments.end(),
+                                        [&](const Segment& seg) {
+                                          return check::is_poisoned(
+                                              static_cast<const std::byte*>(seg.base) +
+                                                  i * seg.elem_bytes,
+                                              seg.elem_bytes);
+                                        });
+      if (poisoned && unwritten++ == 0) first = i;
+    }
+    if (unwritten == 0) continue;
+    // The blocks are sorted and disjoint: the last one starting at or
+    // before the slot is the only one that can hold it.
+    int src = -1;
+    auto it = std::upper_bound(rb.begin(), rb.end(), first,
+                               [](std::uint64_t at, const check::WindowBlock& b) {
+                                 return at < b.begin;
+                               });
+    if (it != rb.begin() && first < std::prev(it)->begin + std::prev(it)->count) {
+      src = std::prev(it)->src;
+    }
+    check::throw_unwritten_slot(src, rank_, id_, static_cast<int>(r), first, unwritten);
+  }
+}
+
+void Window::declare(int dest, int region, std::uint64_t begin, std::uint64_t count) {
+  if (world_->checker_) {
+    check::check_epoch_access(open_, /*store=*/true, rank_, id_);
+    blocks_.push_back({dest, region, begin, count});
+  }
+  declared_[static_cast<std::size_t>(dest) * local_.size() + static_cast<std::size_t>(region)] +=
+      count;
+}
+
+void* Window::target(int dest, int region, int segment) const {
+  if (world_->checker_) check::check_epoch_access(open_, /*store=*/true, rank_, id_);
+  return peers_[static_cast<std::size_t>(dest)][static_cast<std::size_t>(region)]
+      .segments[static_cast<std::size_t>(segment)]
+      .base;
+}
+
+const void* Window::local(int region, int segment) const {
+  if (world_->checker_) check::check_epoch_access(open_, /*store=*/false, rank_, id_);
+  return local_[static_cast<std::size_t>(region)].segments[static_cast<std::size_t>(segment)].base;
 }
 
 double World::simulated_comm_seconds(int rank) const {

@@ -2,11 +2,13 @@
 //
 // METAPREP uses MPI for distributed memory parallelism (1 task per node) and
 // OpenMP within a task.  This container has no MPI and no network, so we run
-// each "rank" on its own thread.  There is one message model: blocking,
+// each "rank" on its own thread.  There are two transfer models: blocking,
 // buffered point-to-point (send copies the payload into the destination
 // mailbox and returns; recv blocks until its (src, tag) message is there),
-// plus the collectives the pipeline and its benchmarks call (barrier,
-// broadcast, scatterv and the staged all-to-all).  The pipeline code is
+// with the collectives the pipeline and its benchmarks call (barrier,
+// broadcast, scatterv and the staged all-to-all); and one-sided stores
+// into a peer's exposed memory through a Window (MPI-3 shared-memory
+// windows with fence epochs), which KmerGen-Comm uses.  The pipeline code is
 // written against this interface exactly as it would be against MPI: ranks
 // own disjoint state, exchange k-mer tuples through the paper's custom
 // P-stage All-to-all (§3.3: "In stage i, task p sends tuples to task (p+i)
@@ -26,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "check/check.hpp"
@@ -45,6 +48,8 @@ struct CostModelParams {
 };
 
 class World;
+class Window;
+struct WindowShared;
 
 /// Per-rank communicator handle, valid only inside World::run.
 class Comm {
@@ -97,9 +102,101 @@ class Comm {
 
  private:
   friend class World;
+  friend class Window;
   Comm(World& world, int rank) : world_(&world), rank_(rank) {}
   World* world_;
   int rank_;
+};
+
+/// A one-sided shared-memory window, modelled on MPI-3's
+/// MPI_Win_allocate_shared / MPI_Win_shared_query with MPI_Win_fence epochs.
+/// Every rank constructs its windows collectively (in the same order on
+/// every rank) and exposes its own regions; a region is a set of parallel
+/// arrays (segments) of one slot count, like the SoA arrays of a tuple
+/// buffer.  The ranks agree on the number of regions and on each
+/// segment's element width.
+///
+/// Epoch rules (checked by the protocol checker when check::enabled()):
+///  - fence() is collective; the first opens an epoch, the next closes it.
+///    Every rank must reach every fence (kFenceMismatch).
+///  - Inside an open epoch a rank declares the slot blocks it stores into
+///    each peer's region and stores through target() pointers.  Declared
+///    blocks of one region may not overlap (kOffsetOverlap), and target()
+///    outside an open epoch is a violation (kEpochViolation).
+///  - A region is read through local() only outside an epoch: after the
+///    closing fence every store is visible (kEpochViolation inside one).
+///  - The closing fence scans each exposed region for slots still holding
+///    the checked-mode poison (check::kPoison32) and reports the first as
+///    kUnwrittenSlot, naming the block and source it belongs to.  Storage
+///    the window exposes should therefore be poisoned in checked mode
+///    (TupleArena leases are).
+///
+/// Cost: the closing fence charges the CostModel, the traffic and message
+/// matrices and the mpsim metrics as if each rank had sent, per region and
+/// segment, one message to every other rank holding the bytes it declared
+/// there (even zero bytes), in the stage order of the staged all-to-all.
+/// That is the message shape of Comm::alltoallv_staged once per segment,
+/// so a fenced epoch models exactly the exchange it replaces.
+///
+/// Lifetime: the destructor is a collective free.  It returns once no rank
+/// is inside an epoch in which it may still store, so a rank that unwinds
+/// mid-epoch (an error, a cancel) cannot free exposed memory while a
+/// peer's threads are still storing into it; such a rank poisons the world
+/// first, so peers blocked on it wake up.  At P = 1 a window is its rank's
+/// own storage and the fences only flip the epoch.
+class Window {
+ public:
+  struct Segment {
+    void* base = nullptr;
+    std::size_t elem_bytes = 0;
+  };
+  struct Region {
+    std::vector<Segment> segments;
+    std::uint64_t elems = 0;
+  };
+
+  /// Expose @p local (this rank's regions) in a new window.
+  Window(Comm& comm, std::vector<Region> local);
+  Window(const Window&) = delete;
+  Window& operator=(const Window&) = delete;
+  ~Window();
+
+  /// MPI_Win_fence: opens an epoch, or closes the open one.
+  void fence();
+
+  /// Declare that this rank stores slots [begin, begin + count) of region
+  /// @p region on rank @p dest in the open epoch.
+  void declare(int dest, int region, std::uint64_t begin, std::uint64_t count);
+
+  /// Segment @p segment of region @p region on rank @p dest, for stores in
+  /// the open epoch (MPI_Win_shared_query).
+  [[nodiscard]] void* target(int dest, int region, int segment) const;
+
+  /// This rank's own segment, for reads outside an epoch.
+  [[nodiscard]] const void* local(int region, int segment) const;
+
+ private:
+  void close_epoch();
+  void verify_closed_epoch();
+  [[nodiscard]] std::string site() const;
+
+  struct Block {
+    int dest = 0;
+    int region = 0;
+    std::uint64_t begin = 0;
+    std::uint64_t count = 0;
+  };
+
+  World* world_;
+  int rank_;
+  int uncaught_;  ///< std::uncaught_exceptions() at construction
+  int id_ = 0;    ///< creation index, the same on every rank
+  std::shared_ptr<WindowShared> shared_;
+  std::vector<Region> local_;               ///< this rank's regions
+  std::vector<std::vector<Region>> peers_;  ///< [rank] regions, cached when an epoch opens
+  bool open_ = false;
+  std::vector<std::uint64_t> declared_;  ///< [dest][region] slots declared this epoch
+  std::vector<Block> blocks_;            ///< checked mode: this epoch's declared blocks
 };
 
 /// Owns P ranks; run(fn) executes fn(comm) once per rank concurrently.
@@ -134,6 +231,7 @@ class World {
 
  private:
   friend class Comm;
+  friend class Window;
 
   struct Message {
     std::vector<std::byte> payload;
@@ -161,6 +259,30 @@ class World {
   void deliver(int src, int dest, int tag, const void* data, std::size_t bytes);
   Message take(int src, int dest, int tag);
   void poison_all();
+
+  /// Charge one cross-rank message of @p bytes (src != dest): the
+  /// receiver's simulated seconds, the traffic and message matrices and
+  /// the mpsim metrics.
+  void charge(int src, int dest, std::uint64_t bytes);
+
+  /// The barrier behind Comm::barrier and Window::fence.  @p site names the
+  /// collective for the checker; @p on_complete (may be empty) runs on the
+  /// last arriving rank, under the barrier lock, before any rank leaves.  A
+  /// traced run records a flow edge from that rank to each waiter.  A rank
+  /// that returns from run() while others wait in a collective fails them:
+  /// kFenceMismatch under the checker, else a comm Error.
+  void collective(int rank, const std::string& site, const std::function<void()>& on_complete);
+
+  /// collective()'s wake condition for the waiters of @p phase: it
+  /// completed, or can no longer complete because a rank failed (poison_all)
+  /// or returned from run().
+  [[nodiscard]] bool collective_over(std::uint64_t phase) const REQUIRES(barrier_mutex_) {
+    return barrier_phase_ != phase || barrier_poisoned_ || barrier_exited_ > 0;
+  }
+
+  /// The shared state of rank @p rank's next window (created by the first
+  /// rank to get there); @p id receives its creation index.
+  std::shared_ptr<WindowShared> attach_window(int rank, int& id);
 
   /// Non-blocking probe: does dest's mailbox hold a (src, tag) message right
   /// now?  Returns true on lock contention (conservative: "may have one"),
@@ -191,6 +313,18 @@ class World {
   std::uint64_t barrier_phase_ GUARDED_BY(barrier_mutex_) = 0;
   /// Set by poison_all to free parked ranks.
   bool barrier_poisoned_ GUARDED_BY(barrier_mutex_) = false;
+  /// Ranks whose fn returned this run: a collective they never reached
+  /// can no longer complete.
+  int barrier_exited_ GUARDED_BY(barrier_mutex_) = 0;
+  int first_exited_ GUARDED_BY(barrier_mutex_) = -1;
+  /// Flow id per waiting rank for the phase that just completed (0 = none).
+  std::vector<std::uint64_t> barrier_flows_ GUARDED_BY(barrier_mutex_);
+
+  // Windows some rank has created and not every rank has attached to yet,
+  // by creation index; windows_created_[rank] counts each rank's windows.
+  util::Mutex windows_mutex_;
+  std::map<int, std::shared_ptr<WindowShared>> pending_windows_ GUARDED_BY(windows_mutex_);
+  std::vector<int> windows_created_ GUARDED_BY(windows_mutex_);
 
   /// Protocol checker; non-null only when check::enabled() at construction.
   std::unique_ptr<check::ProtocolChecker> checker_;

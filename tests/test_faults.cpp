@@ -18,6 +18,7 @@
 #include "core/config.hpp"
 #include "core/index_create.hpp"
 #include "core/pipeline.hpp"
+#include "core/plan.hpp"
 #include "io/fastq.hpp"
 #include "mpsim/comm.hpp"
 #include "obs/metrics.hpp"
@@ -758,7 +759,13 @@ TEST(FaultPipeline, LenientSkipsDoNotDriftOutputLabels) {
 TEST(FaultPipeline, CommDropsAndDelaysDoNotChangeResults) {
   SmallDataset d;
   d.config.num_ranks = 4;  // more ranks -> enough messages that faults fire
+  // Fixed tuples travel by one-sided window stores, so only the merge tail
+  // sends messages; the super-k-mer codec still ships one per (pass, src,
+  // dest) pair, which keeps enough messages for the faults to fire.
+  core::MetaprepConfig superkmer = d.config;
+  superkmer.comm_compress = core::CommCompress::kSuperKmer;
   const auto baseline = core::run_metaprep(d.index, d.config);
+  const auto superkmer_baseline = core::run_metaprep(d.index, superkmer);
 
   FaultPlanConfig cfg;
   cfg.comm_drop_rate = 0.05;
@@ -766,10 +773,88 @@ TEST(FaultPipeline, CommDropsAndDelaysDoNotChangeResults) {
   cfg.comm_delay = std::chrono::microseconds(50);
   cfg.seed = 9;
   ScopedFaultPlan scoped(cfg);
-  const auto faulted = core::run_metaprep(d.index, d.config);
-  EXPECT_EQ(faulted.labels, baseline.labels);
+  EXPECT_EQ(core::run_metaprep(d.index, d.config).labels, baseline.labels);
+  EXPECT_EQ(core::run_metaprep(d.index, superkmer).labels, superkmer_baseline.labels);
   const auto fc = FaultPlan::global().counters();
   EXPECT_GT(fc.comm_drops + fc.comm_delays, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// KmerGen's one-sided stores: bounded blocks and safe unwinding
+
+TEST(KmerGenBounds, ChunkYieldingMoreKmersThanIndexedThrowsParseError) {
+  // KmerGen stores each thread's k-mers for a routing slot in a block sized
+  // by the index's chunk histograms.  Rewrite the file with the same record
+  // count and byte size, but with reads that all share every k-mer: each
+  // chunk now floods one slot far past its block, which must stop as a
+  // parse Error naming the file instead of writing into the next block.
+  TempDir dir;
+  const std::string path = test::write_fastq(dir.file("reads.fastq"), grouped_reads(400, 60));
+  core::IndexCreateOptions opt;
+  opt.k = 15;
+  opt.m = 4;
+  opt.target_chunks = 4;
+  const auto index = core::create_index("flood", {path}, false, opt);
+  const std::uint64_t indexed = io::file_size_bytes(path);
+  std::string tata;
+  while (tata.size() < 60) tata += "TA";
+  test::write_fastq(path, std::vector<std::string>(400, tata));
+  ASSERT_EQ(io::file_size_bytes(path), indexed);
+
+  for (const core::ReadStore store : {core::ReadStore::kText, core::ReadStore::kPacked}) {
+    SCOPED_TRACE(store == core::ReadStore::kText ? "text" : "packed");
+    core::MetaprepConfig cfg;
+    cfg.k = 15;
+    cfg.num_ranks = 2;
+    cfg.threads_per_rank = 2;
+    cfg.read_store = store;
+    cfg.write_output = false;
+    try {
+      core::run_metaprep(index, cfg);
+      ADD_FAILURE() << "expected util::Error";
+    } catch (const util::Error& e) {
+      EXPECT_EQ(e.category(), util::ErrorCategory::kParse);
+      EXPECT_EQ(e.path(), path);
+      EXPECT_NE(std::string(e.what()).find("k-mers"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(KmerGenBounds, RankFailingMidSweepWaitsForPeersStoringIntoItsWindow) {
+  // P = 3, T = 2: both of rank 0's threads hit a corrupt record at the start
+  // of their first chunk, so rank 0 unwinds while ranks 1 and 2 are still
+  // sweeping and storing tuples into rank 0's receive window.  The window's
+  // collective free must hold rank 0's buffers until those stores end (an
+  // ASan build reports any store into freed memory), and the run must fail
+  // with the typed parse error, not with the peers' poisoned-world errors.
+  TempDir dir;
+  const std::string path =
+      test::write_fastq(dir.file("reads.fastq"), grouped_reads(6000, 100));
+  core::IndexCreateOptions opt;
+  opt.k = 15;
+  opt.m = 4;
+  opt.target_chunks = 12;
+  const auto index = core::create_index("unwind", {path}, false, opt);
+  const core::ChunkAssignment ca(index.part.num_chunks(), 3, 2);
+  for (int t = 0; t < 2; ++t) {
+    const core::ChunkRecord& chunk = index.part.chunks[ca.thread_begin(0, t)];
+    test::corrupt_record_separator(path, chunk.first_read_id + 1);
+  }
+
+  core::MetaprepConfig cfg;
+  cfg.k = 15;
+  cfg.num_ranks = 3;
+  cfg.threads_per_rank = 2;
+  cfg.num_passes = 1;
+  cfg.write_output = false;
+  try {
+    core::run_metaprep(index, cfg);
+    ADD_FAILURE() << "expected util::Error";
+  } catch (const util::Error& e) {
+    EXPECT_EQ(e.category(), util::ErrorCategory::kParse) << e.what();
+    EXPECT_EQ(e.path(), path);
+    EXPECT_TRUE(e.has_offset());
+  }
 }
 
 }  // namespace

@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <string>
 #include <numeric>
 #include <vector>
 
+#include "check/check.hpp"
 #include "util/rng.hpp"
 
 namespace metaprep::mpsim {
@@ -366,6 +369,218 @@ TEST(CostModel, SelfSendsAreFree) {
   });
   EXPECT_DOUBLE_EQ(world.max_simulated_comm_seconds(), 0.0);
 }
+
+// ---------------------------------------------------------------------------
+// One-sided windows
+
+/// One rank's exposed region: @p n slots of a u64 and a u32 segment.
+struct TwoArrays {
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint32_t> vals;
+  explicit TwoArrays(std::uint64_t n) : keys(n), vals(n) {}
+  std::vector<Window::Region> regions() {
+    return {{{{keys.data(), sizeof(std::uint64_t)}, {vals.data(), sizeof(std::uint32_t)}},
+             keys.size()}};
+  }
+};
+
+/// Store @p n slots from @p begin of region 0 on @p dest through @p win.
+void store_block(Window& win, int dest, std::uint64_t begin, std::uint64_t n, std::uint64_t key,
+                 std::uint32_t val) {
+  win.declare(dest, 0, begin, n);
+  auto* keys = static_cast<std::uint64_t*>(win.target(dest, 0, 0));
+  auto* vals = static_cast<std::uint32_t*>(win.target(dest, 0, 1));
+  for (std::uint64_t i = begin; i < begin + n; ++i) {
+    keys[i] = key;
+    vals[i] = val;
+  }
+}
+
+TEST(Window, StoresLandInEachDestinationsRegion) {
+  for (int P : {1, 2, 3}) {
+    World world(P);
+    world.run([&](Comm& comm) {
+      const int p = comm.rank();
+      // Rank d's region takes two slots from each source q, at [2q, 2q + 2).
+      TwoArrays mine(2 * static_cast<std::uint64_t>(P));
+      Window win(comm, mine.regions());
+      for (int round = 0; round < 2; ++round) {  // a window holds several epochs
+        win.fence();
+        for (int d = 0; d < P; ++d) {
+          store_block(win, d, 2 * static_cast<std::uint64_t>(p), 2,
+                      100 * static_cast<std::uint64_t>(p) + d + round, static_cast<std::uint32_t>(p));
+        }
+        win.fence();
+        const auto* keys = static_cast<const std::uint64_t*>(win.local(0, 0));
+        const auto* vals = static_cast<const std::uint32_t*>(win.local(0, 1));
+        for (int q = 0; q < P; ++q) {
+          for (int j = 0; j < 2; ++j) {
+            EXPECT_EQ(keys[2 * q + j], 100 * static_cast<std::uint64_t>(q) + p + round);
+            EXPECT_EQ(vals[2 * q + j], static_cast<std::uint32_t>(q));
+          }
+        }
+      }
+    });
+  }
+}
+
+TEST(Window, FencedEpochChargesAsTheStagedSends) {
+  // Source q stores cnt(q, d) slots of a u64 and a u32 array into rank d.
+  // The fence must charge exactly what the staged all-to-all sends: per
+  // array and stage, one message per (q, d != q) pair, empty ones included.
+  auto cnt = [](int q, int d) { return static_cast<std::uint64_t>((q + 1) * (d + 2) % 5); };
+  constexpr std::size_t kElemBytes[2] = {sizeof(std::uint64_t), sizeof(std::uint32_t)};
+  for (int P : {2, 3}) {
+    SCOPED_TRACE("P=" + std::to_string(P));
+    CostModelParams params;
+    params.latency_s = 1e-6;
+    params.link_bandwidth_Bps = 1e9;
+    World fenced(P, params);
+    fenced.run([&](Comm& comm) {
+      const int p = comm.rank();
+      std::uint64_t total = 0;
+      std::vector<std::uint64_t> at(static_cast<std::size_t>(P));  // source q's block start
+      for (int q = 0; q < P; ++q) {
+        at[static_cast<std::size_t>(q)] = total;
+        total += cnt(q, p);
+      }
+      TwoArrays mine(total);
+      Window win(comm, mine.regions());
+      win.fence();
+      for (int d = 0; d < P; ++d) {
+        std::uint64_t begin = 0;
+        for (int q = 0; q < p; ++q) begin += cnt(q, d);
+        store_block(win, d, begin, cnt(p, d), 1, 1);
+      }
+      win.fence();
+    });
+    World staged(P, params);
+    staged.run([&](Comm& comm) {
+      const int p = comm.rank();
+      for (int arr = 0; arr < 2; ++arr) {
+        for (int stage = 1; stage < P; ++stage) {
+          const int d = (p + stage) % P;
+          const int q = (p - stage + P) % P;
+          std::vector<std::byte> out(cnt(p, d) * kElemBytes[arr]);
+          std::vector<std::byte> in(cnt(q, p) * kElemBytes[arr]);
+          comm.send(d, arr, out.data(), out.size());
+          comm.recv(q, arr, in.data(), in.size());
+        }
+      }
+    });
+    EXPECT_EQ(fenced.traffic_matrix(), staged.traffic_matrix());
+    EXPECT_EQ(fenced.message_matrix(), staged.message_matrix());
+    EXPECT_EQ(fenced.message_count(), staged.message_count());
+    EXPECT_EQ(fenced.message_count(), 2u * static_cast<std::uint64_t>(P) * (P - 1));
+    for (int r = 0; r < P; ++r) {
+      EXPECT_GT(fenced.simulated_comm_seconds(r), 0.0);
+      EXPECT_NEAR(fenced.simulated_comm_seconds(r), staged.simulated_comm_seconds(r),
+                  1e-12 * staged.simulated_comm_seconds(r));
+    }
+  }
+}
+
+#if METAPREP_CHECKED
+
+/// Run fn and return the CheckReport it must raise.
+template <typename Fn>
+check::CheckReport expect_check_error(Fn&& fn) {
+  try {
+    fn();
+  } catch (const check::CheckError& e) {
+    return e.report();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "expected CheckError, got: " << e.what();
+    return {};
+  }
+  ADD_FAILURE() << "expected CheckError, got clean completion";
+  return {};
+}
+
+TEST(WindowCheck, StoreOutsideAnOpenEpochIsAViolation) {
+  check::ScopedCheckEnable on;
+  for (bool after_close : {false, true}) {
+    World world(2);
+    const check::CheckReport report = expect_check_error([&] {
+      world.run([&](Comm& comm) {
+        TwoArrays mine(2);
+        Window win(comm, mine.regions());
+        if (after_close) {
+          win.fence();
+          win.fence();
+        }
+        if (comm.rank() == 0) {
+          (void)win.target(1, 0, 0);  // no open epoch: before the first fence or after a close
+        }
+        win.fence();
+        win.fence();
+      });
+    });
+    ASSERT_EQ(report.count(check::ViolationKind::kEpochViolation), 1u) << after_close;
+    EXPECT_EQ(report.first(check::ViolationKind::kEpochViolation)->src, 0);
+  }
+}
+
+TEST(WindowCheck, RegionReadInsideAnOpenEpochIsAViolation) {
+  check::ScopedCheckEnable on;
+  World world(2);
+  const check::CheckReport report = expect_check_error([&] {
+    world.run([&](Comm& comm) {
+      TwoArrays mine(2);
+      Window win(comm, mine.regions());
+      win.fence();
+      if (comm.rank() == 1) (void)win.local(0, 0);  // peers may still be storing
+      win.fence();
+    });
+  });
+  ASSERT_EQ(report.count(check::ViolationKind::kEpochViolation), 1u);
+  EXPECT_EQ(report.first(check::ViolationKind::kEpochViolation)->src, 1);
+}
+
+TEST(WindowCheck, FenceNotReachedByEveryRankIsAViolation) {
+  check::ScopedCheckEnable on;
+  // Rank 1 skips the closing fence: it returns, or waits in a barrier
+  // instead.  Either way rank 0's fence can never complete.
+  for (bool rank1_barrier : {false, true}) {
+    World world(2);
+    const check::CheckReport report = expect_check_error([&] {
+      world.run([&](Comm& comm) {
+        TwoArrays mine(2);
+        Window win(comm, mine.regions());
+        win.fence();
+        if (comm.rank() == 0) {
+          win.fence();
+        } else if (rank1_barrier) {
+          comm.barrier();
+        }
+      });
+    });
+    EXPECT_EQ(report.count(check::ViolationKind::kFenceMismatch), 1u) << rank1_barrier;
+  }
+}
+
+TEST(WindowCheck, OverlappingBlocksFromTwoSourcesAreAViolation) {
+  check::ScopedCheckEnable on;
+  World world(3);
+  const check::CheckReport report = expect_check_error([&] {
+    world.run([&](Comm& comm) {
+      TwoArrays mine(4);
+      Window win(comm, mine.regions());
+      win.fence();
+      // Ranks 0 and 1 both claim slots [1, 3) and [0, 2) of rank 2's region.
+      if (comm.rank() < 2) store_block(win, 2, comm.rank() == 0 ? 1 : 0, 2, 5, 5);
+      win.fence();
+    });
+  });
+  ASSERT_EQ(report.count(check::ViolationKind::kOffsetOverlap), 1u);
+  const check::Violation* v = report.first(check::ViolationKind::kOffsetOverlap);
+  EXPECT_EQ(v->dst, 2);
+  std::vector<int> ranks = v->ranks;
+  std::sort(ranks.begin(), ranks.end());
+  EXPECT_EQ(ranks, (std::vector<int>{0, 1, 2}));
+}
+
+#endif  // METAPREP_CHECKED
 
 }  // namespace
 }  // namespace metaprep::mpsim

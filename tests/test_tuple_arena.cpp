@@ -1,6 +1,7 @@
 // Tests for core::TupleArena, the one owner of a rank's tuple arrays: spare
 // reuse, the miss policy, "tuples" memory attribution, and the checked-mode
-// lease checks.
+// lease checks, including a poisoned lease slot that a window's closing
+// fence finds unwritten.
 #include "core/tuple_arena.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 
 #include "check/check.hpp"
 #include "kmer/kmer128.hpp"
+#include "mpsim/comm.hpp"
 #include "obs/mem.hpp"
 
 namespace metaprep::core {
@@ -154,6 +156,59 @@ TEST(TupleArenaCheck, CleanLeaseCycleIsSilent) {
     EXPECT_NO_THROW(arena.release(a));
     EXPECT_NO_THROW(arena.release(b));
   }
+}
+
+TEST(TupleArenaCheck, FreshLeaseStartsPoisoned) {
+  check::ScopedCheckEnable on;
+  std::uint64_t max_live = 0;
+  TupleArena<kmer::Kmer128> arena(max_live);
+  auto& buf = arena.acquire(16, 32);
+  ASSERT_EQ(buf.size(), 16u);
+  for (const auto& words : buf.keys) {
+    for (std::uint64_t x : words) EXPECT_EQ(x, check::kPoison64);
+  }
+  for (std::uint32_t x : buf.vals) EXPECT_EQ(x, check::kPoison32);
+  arena.release(buf);
+}
+
+TEST(TupleArenaCheck, ClosingFenceReportsAnUnwrittenLeaseSlot) {
+  // Each of two ranks leases a 4-tuple buffer and exposes it in a window;
+  // rank q owns slots [2q, 2q + 2) of every buffer.  Rank 1 stores only the
+  // first of its two slots on rank 0: the slot left holds the lease's
+  // poison, and rank 0's closing fence names it and its block's source.
+  check::ScopedCheckEnable on;
+  mpsim::World world(2);
+  const check::CheckReport report = expect_check_error([&] {
+    world.run([](mpsim::Comm& comm) {
+      const int p = comm.rank();
+      std::uint64_t max_live = 0;
+      TupleArena<std::uint64_t> arena(max_live);
+      auto& buf = arena.acquire(4);
+      mpsim::Window win(comm, {{{{buf.keys[0].data(), sizeof(std::uint64_t)},
+                                 {buf.vals.data(), sizeof(std::uint32_t)}},
+                                buf.size()}});
+      win.fence();
+      for (int d = 0; d < 2; ++d) {
+        const std::uint64_t begin = 2 * static_cast<std::uint64_t>(p);
+        win.declare(d, 0, begin, 2);
+        auto* keys = static_cast<std::uint64_t*>(win.target(d, 0, 0));
+        auto* vals = static_cast<std::uint32_t*>(win.target(d, 0, 1));
+        const std::uint64_t n = p == 1 && d == 0 ? 1 : 2;
+        for (std::uint64_t i = begin; i < begin + n; ++i) {
+          keys[i] = i;
+          vals[i] = static_cast<std::uint32_t>(p);
+        }
+      }
+      win.fence();
+      arena.release(buf);
+    });
+  });
+  ASSERT_EQ(report.count(check::ViolationKind::kUnwrittenSlot), 1u);
+  const check::Violation* v = report.first(check::ViolationKind::kUnwrittenSlot);
+  EXPECT_EQ(v->src, 1);
+  EXPECT_EQ(v->dst, 0);
+  EXPECT_EQ(v->detail_a, 3u);
+  EXPECT_EQ(v->count, 1u);
 }
 
 #endif  // METAPREP_CHECKED
